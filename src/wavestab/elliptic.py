@@ -19,8 +19,6 @@ __all__ = [
     "EllipticDomainError",
     "complete_integrals",
     "jacobi_sn_cn_dn",
-    "sn",
-    "cn",
     "dn",
 ]
 
@@ -157,14 +155,6 @@ def jacobi_sn_cn_dn(u, k):
     if scalar:
         return float(sn_v[0]), float(cn_v[0]), float(dn_v[0])
     return sn_v, cn_v, dn_v
-
-
-def sn(u, k):
-    return jacobi_sn_cn_dn(u, k)[0]
-
-
-def cn(u, k):
-    return jacobi_sn_cn_dn(u, k)[1]
 
 
 def dn(u, k):
