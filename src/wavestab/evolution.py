@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import FourierProfile
-
 __all__ = [
     "EvolutionState",
     "ConservedTriple",
@@ -30,7 +28,6 @@ __all__ = [
     "make_perturbation",
     "mass_energy_matched",
     "stability_experiment",
-    "lyapunov_value",
 ]
 
 BLOWUP_SUP = 1e6
@@ -219,16 +216,6 @@ def conserved(state, sym):
     F = 0.5 * (L0 / M_grid) * float(np.sum(u * u))
     Mass = (L0 / M_grid) * float(np.sum(u))
     return ConservedTriple(E=E, F=F, M=Mass)
-
-
-def lyapunov_value(state_or_profile, omega, A, sym, grid_size=256):
-    """E + omega F + A M, the conserved combination stationary at the wave."""
-    if isinstance(state_or_profile, FourierProfile):
-        st = state_from_profile(state_or_profile, grid_size)
-    else:
-        st = state_or_profile
-    c = conserved(st, sym)
-    return c.E + omega * c.F + A * c.M
 
 
 def orbital_distance(state, psi, sym, samples=4096, refine_tol=1e-12):
