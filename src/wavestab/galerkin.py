@@ -138,10 +138,9 @@ def assemble(psi, omega, sym, N=None):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues with parity tags and the spectral-assumption diagnostics."""
+    """Merged eigenvalues and the spectral-assumption diagnostics."""
 
     eigenvalues: np.ndarray      # ascending, both parity blocks merged
-    parities: np.ndarray         # 0 = even block, 1 = odd block
     n_neg: int
     n_zero: int
     kernel_corr: float           # |<v0, psi'>| / (|v0||psi'|) for nearest-zero mode
@@ -170,10 +169,7 @@ def spectrum(op, tol_zero=None):
         tol_zero = default_tol_zero(op)
     vals_e, vecs_e = np.linalg.eigh(op.even)
     vals_o, vecs_o = np.linalg.eigh(op.odd)
-    vals = np.concatenate([vals_e, vals_o])
-    pars = np.concatenate([np.zeros(len(vals_e), int), np.ones(len(vals_o), int)])
-    order = np.argsort(vals)
-    vals, pars = vals[order], pars[order]
+    vals = np.sort(np.concatenate([vals_e, vals_o]))
 
     n_neg = int(np.sum(vals < -tol_zero))
     in_band = np.abs(vals) <= tol_zero
@@ -193,7 +189,7 @@ def spectrum(op, tol_zero=None):
     outside = np.abs(vals[~in_band]) if (~in_band).any() else np.array([np.inf])
     gap = float(outside.min())
     return SpectrumReport(
-        eigenvalues=vals, parities=pars, n_neg=n_neg, n_zero=n_zero,
+        eigenvalues=vals, n_neg=n_neg, n_zero=n_zero,
         kernel_corr=kernel_corr, gap=gap, tol_zero=float(tol_zero),
     )
 
