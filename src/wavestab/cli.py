@@ -385,8 +385,6 @@ def build_parser():
     p = sub.add_parser("criteria", help="full stability report")
     add_common(p, wave=True)
     p.add_argument("--N-op", type=int, default=256, dest="N_op")
-    p.add_argument("--A", type=float, default=None,
-                   help="accepted for completeness; A is recomputed")
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("continue", help="Newton continuation patch in (omega, A)")

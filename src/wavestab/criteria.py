@@ -255,13 +255,11 @@ def evaluate_wave(psi, omega, sym=None, N=None, tol_zero=None):
     return report
 
 
-def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256, A=None,
-                     corrected=True):
+def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256, corrected=True):
     """Report for the explicit wave at modulus k on the period-constraint branch.
 
-    Raises ValueError when the constraint has no branch root at k.  The `A`
-    argument is accepted for interface completeness; the wave's own
-    integration constant is always recomputed from the residual mean.
+    Raises ValueError when the constraint has no branch root at k.  The
+    wave's integration constant A is recomputed from the residual mean.
     """
     from .klcurve import solve_L1
 

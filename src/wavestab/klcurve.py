@@ -118,7 +118,7 @@ def _walk_branch(k_target):
     return L1
 
 
-def solve_L1(k, omega=None, corrected=True):
+def solve_L1(k, corrected=True):
     """Branch point of the constraint at modulus k.
 
     Returns (KLPoint or None, all_positive_roots).  None means the smooth

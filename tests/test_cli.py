@@ -81,6 +81,13 @@ def test_missing_required_flag_exits_2():
     assert exc_info.value.code == 2
 
 
+def test_criteria_has_no_A_flag():
+    # A is always recomputed from the wave, so the flag is not accepted
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["criteria", "--k", "0.8", "--omega", "1.0", "--A", "0.1"])
+    assert exc_info.value.code == 2
+
+
 def test_blowup_exit_code(tmp_path):
     import numpy as np
 
