@@ -198,7 +198,7 @@ def verdict(report):
     return VERDICT_INCONCLUSIVE
 
 
-def evaluate_wave(psi, omega, sym=None, N=None, tol_zero=None):
+def evaluate_wave(psi, omega, sym=None, N=None):
     """Full stability report for an even periodic wave profile.
 
     Assembles the linearized operator, verifies the spectral assumption,
@@ -210,7 +210,7 @@ def evaluate_wave(psi, omega, sym=None, N=None, tol_zero=None):
     if N is None:
         N = max(2 * psi.N, 256)
     op = assemble(psi, omega, sym, N=N)
-    rep = spectrum(op, tol_zero=tol_zero)
+    rep = spectrum(op)
     eta, beta = solve_variations(op)
     M, F = functionals(psi)
     M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)

@@ -163,10 +163,9 @@ def default_tol_zero(op):
     return 1e-6 * max(1.0, abs(op.omega), op.psi.sup_norm())
 
 
-def spectrum(op, tol_zero=None):
+def spectrum(op):
     """Full symmetric eigendecomposition with negative/zero counts."""
-    if tol_zero is None:
-        tol_zero = default_tol_zero(op)
+    tol_zero = default_tol_zero(op)
     vals_e, vecs_e = np.linalg.eigh(op.even)
     vals_o, vecs_o = np.linalg.eigh(op.odd)
     vals = np.sort(np.concatenate([vals_e, vals_o]))
@@ -194,15 +193,14 @@ def spectrum(op, tol_zero=None):
     )
 
 
-def solve_variations(op, tol=None):
+def solve_variations(op):
     """Solve L eta = -psi and L beta = -1 in the even cosine subspace.
 
     The kernel of L is spanned by the odd function psi', so the even
     restriction is invertible at a clean wave; a numerically singular even
     block raises DegenerateOperatorError.
     """
-    if tol is None:
-        tol = default_tol_zero(op)
+    tol = default_tol_zero(op)
     ev = np.linalg.eigvalsh(op.even)
     if np.abs(ev).min() <= tol:
         raise DegenerateOperatorError(
