@@ -92,7 +92,8 @@ def choose_witness(op, psi, eta, beta, omega, derivs=None):
 
     Returns (x0, y0, P, P_closed, I) where P_closed is the reduced form
     (y0^2 L0/omega^2)(M/L0 - omega) and I = <L Phi, Phi> evaluated as a
-    quadratic form of the Galerkin matrix; I = -P up to discretization.
+    quadratic form of the even Galerkin block (Phi is even); I = -P up to
+    discretization.
     """
     if derivs is None:
         derivs = derivatives(psi, eta, beta)
@@ -105,7 +106,8 @@ def choose_witness(op, psi, eta, beta, omega, derivs=None):
     phi_coeffs[: eta.N + 1] += x0 * eta.coeffs
     phi_coeffs[: beta.N + 1] += y0 * beta.coeffs
     phi = FourierProfile(psi.L0, phi_coeffs)
-    I = op.quadratic_form(op.embed_even(op.even_coords(phi)))
+    v = op.even_coords(phi)
+    I = float(v @ (op.even @ v))
     return x0, y0, P, P_closed, I
 
 
@@ -220,8 +222,7 @@ def evaluate_wave(psi, omega, sym=None, N=None):
     x0, y0, P, P_closed, I = choose_witness(
         op, psi, eta, beta, omega, derivs=(M_w, M_A, F_w, F_A)
     )
-    vals_e, vecs_e = np.linalg.eigh(op.even)
-    chi = vecs_e[:, 0]
+    chi = op.eig_even.eigenvectors[:, 0]
     psi_coords = op.even_coords(psi)
     denom = np.linalg.norm(chi) * np.linalg.norm(psi_coords)
     chi_corr = float(abs(chi @ psi_coords) / denom) if denom > 0 else 0.0
@@ -245,12 +246,10 @@ def evaluate_wave(psi, omega, sym=None, N=None):
         },
     )
     if report.spectrum.holds_assumption and report.M_w >= 0.0:
-        w1, _ = constrained_min(op, [op.embed_even(psi_coords)])
-        w2, _ = constrained_min(
-            op,
-            [op.embed_even(psi_coords), op.embed_odd(op.psi_psi_prime_coords())],
+        report.w_psi = constrained_min(op, even=psi_coords)
+        report.w_psi_psip = constrained_min(
+            op, even=psi_coords, odd=op.psi_psi_prime_coords()
         )
-        report.w_psi, report.w_psi_psip = w1, w2
     report.verdict = verdict(report)
     return report
 

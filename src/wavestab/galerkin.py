@@ -7,11 +7,17 @@ sines, so the matrix splits into an even (cosine) block of size N+1 and an
 odd (sine) block of size N.  Counting for the spectral assumption uses the
 union of both blocks; the kernel direction psi' is odd, so the even block
 is the invertible restriction used for the parameter-derivative solves.
+
+Each block is diagonalized once, on first use (`eig_even`, `eig_odd`), and
+every consumer reads that decomposition.  `constrained_min(op, even=None,
+odd=None)` takes at most one constraint per block, in that block's
+orthonormal coordinates, and returns the smaller of the two block minima.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +71,16 @@ class GalerkinOperator:
         T = h0[np.abs(m[:, None] - m[None, :])] - h0[m[:, None] + m[None, :]]
         self.odd = np.diag(diag[1:]) - T
 
+    @cached_property
+    def eig_even(self):
+        """eigh of the even block: ascending eigenvalues and eigenvectors."""
+        return np.linalg.eigh(self.even)
+
+    @cached_property
+    def eig_odd(self):
+        """eigh of the odd block: ascending eigenvalues and eigenvectors."""
+        return np.linalg.eigh(self.odd)
+
     # --- coordinate helpers (orthonormal basis <-> function coefficients) ---
 
     def even_coords(self, profile):
@@ -97,28 +113,6 @@ class GalerkinOperator:
         vals = self.psi.values(M)
         sq, _ = FourierProfile.from_samples(self.L0, 0.5 * vals * vals, 2 * self.psi.N)
         return self.odd_coords_from_sine(sq.derivative_sine_coeffs())
-
-    def embed_even(self, v):
-        out = np.zeros(2 * self.N + 1)
-        out[: self.N + 1] = v
-        return out
-
-    def embed_odd(self, w):
-        out = np.zeros(2 * self.N + 1)
-        out[self.N + 1 :] = w
-        return out
-
-    def full_matrix(self):
-        H = np.zeros((2 * self.N + 1, 2 * self.N + 1))
-        H[: self.N + 1, : self.N + 1] = self.even
-        H[self.N + 1 :, self.N + 1 :] = self.odd
-        return H
-
-    def quadratic_form(self, coords):
-        """<L f, f> for full-space coordinates."""
-        v = coords[: self.N + 1]
-        w = coords[self.N + 1 :]
-        return float(v @ (self.even @ v) + w @ (self.odd @ w))
 
 
 def assemble(psi, omega, sym, N=None):
@@ -166,8 +160,8 @@ def default_tol_zero(op):
 def spectrum(op):
     """Full symmetric eigendecomposition with negative/zero counts."""
     tol_zero = default_tol_zero(op)
-    vals_e, vecs_e = np.linalg.eigh(op.even)
-    vals_o, vecs_o = np.linalg.eigh(op.odd)
+    vals_e, vecs_e = op.eig_even
+    vals_o, vecs_o = op.eig_odd
     vals = np.sort(np.concatenate([vals_e, vals_o]))
 
     n_neg = int(np.sum(vals < -tol_zero))
@@ -201,7 +195,7 @@ def solve_variations(op):
     block raises DegenerateOperatorError.
     """
     tol = default_tol_zero(op)
-    ev = np.linalg.eigvalsh(op.even)
+    ev = op.eig_even.eigenvalues
     if np.abs(ev).min() <= tol:
         raise DegenerateOperatorError(
             f"even block has eigenvalue {ev[np.abs(ev).argmin()]:.3e} within "
@@ -215,28 +209,33 @@ def solve_variations(op):
     return eta, beta
 
 
-def constrained_min(op, constraints):
+def constrained_min(op, even=None, odd=None):
     """Minimum Rayleigh quotient of L over the orthogonal complement.
 
-    `constraints` is a sequence of full-space coordinate vectors (length
-    2N+1).  Returns (w, argmin_coords) from the projected eigenproblem.
+    `even` (length N+1) and `odd` (length N) are optional constraint
+    vectors in the orthonormal coordinates of their block.  L and the
+    constraints split by parity, so the minimum is the smaller of the two
+    block minima; a block without a constraint gives its lowest eigenvalue.
     """
-    H = op.full_matrix()
-    dim = H.shape[0]
-    if not constraints:
-        vals, vecs = np.linalg.eigh(H)
-        return float(vals[0]), vecs[:, 0]
-    C = np.column_stack([np.asarray(c, dtype=float) for c in constraints])
-    if C.shape[0] != dim:
-        raise ValueError("constraint vectors must have length 2N+1")
-    rank = np.linalg.matrix_rank(C, tol=1e-10 * np.abs(C).max())
-    if rank < C.shape[1]:
-        raise ValueError("constraints are linearly dependent")
-    Q, _ = np.linalg.qr(C, mode="complete")
-    Q2 = Q[:, C.shape[1]:]
-    Hp = Q2.T @ H @ Q2
-    vals, vecs = np.linalg.eigh(Hp)
-    return float(vals[0]), Q2 @ vecs[:, 0]
+    w_even = (op.eig_even.eigenvalues[0] if even is None
+              else _projected_min(op.even, even))
+    w_odd = (op.eig_odd.eigenvalues[0] if odd is None
+             else _projected_min(op.odd, odd))
+    return float(min(w_even, w_odd))
+
+
+def _projected_min(block, constraint):
+    """Lowest eigenvalue of `block` on the orthogonal complement of `constraint`."""
+    c = np.asarray(constraint, dtype=float)
+    if c.shape != (block.shape[0],):
+        raise ValueError(
+            f"constraint has shape {c.shape}, expected ({block.shape[0]},)"
+        )
+    if not c.any():
+        raise ValueError("constraint vector is zero")
+    Q, _ = np.linalg.qr(c[:, None], mode="complete")
+    Q2 = Q[:, 1:]
+    return np.linalg.eigh(Q2.T @ block @ Q2).eigenvalues[0]
 
 
 def apply_linearized(psi, omega, sym, f):

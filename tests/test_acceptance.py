@@ -223,13 +223,10 @@ def test_criterion_7_constrained_minima(wave08, op08, variations08):
     eta, beta = variations08
     _, _, F_w, _ = derivatives(psi, eta, beta)
     assert F_w > 0
-    w1, _ = constrained_min(op08, [op08.embed_even(op08.even_coords(psi))])
+    w1 = constrained_min(op08, even=op08.even_coords(psi))
     assert w1 >= -1e-8
-    w2, _ = constrained_min(
-        op08,
-        [op08.embed_even(op08.even_coords(psi)),
-         op08.embed_odd(op08.psi_psi_prime_coords())],
-    )
+    w2 = constrained_min(op08, even=op08.even_coords(psi),
+                         odd=op08.psi_psi_prime_coords())
     rep = spectrum(op08)
     scale = max(1.0, abs(rep.eigenvalues[0]))
     assert w2 > 1e-8 * scale

@@ -123,6 +123,24 @@ def test_margin_is_speed_independent(kawahara):
     assert r1.avg_minus_speed == pytest.approx(r2.avg_minus_speed, rel=1e-10)
 
 
+def test_eigensolve_budget(monkeypatch, kawahara):
+    # one eigh per parity block per report; only the coercivity route adds
+    # the two projected eigenproblems of the constrained minima
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    report, _, _ = evaluate_dnoidal(0.8, 1.0, kawahara, N_op=128)
+    assert report.verdict == VERDICT_DETERMINANT
+    assert len(calls) == 2
+    calls.clear()
+    report, _, _ = evaluate_dnoidal(0.7, 0.5, kawahara, N_op=128)
+    assert report.w_psi_psip is not None  # the coercivity route ran
+    assert len(calls) <= 5
+
+
 def test_zero_wave_inconclusive(kawahara):
     psi = FourierProfile(20.0, np.zeros(33))
     report = evaluate_wave(psi, 1.0, kawahara, N=64)

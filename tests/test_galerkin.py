@@ -10,7 +10,7 @@ from wavestab.galerkin import (
     spectrum,
 )
 from wavestab.criteria import derivatives
-from wavestab.profile import FourierProfile, galilean_shift
+from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
 
 
 def _zero_profile(L0=20.0, N=32):
@@ -56,7 +56,8 @@ def test_quadratic_form_quadrature_oracle(wave08, kawahara):
     M = 4 * (Lf.N + 1)
     vals = Lf.values(M) * f.values(M)
     oracle = vals.sum() * psi.L0 / M
-    qf = op.quadratic_form(op.embed_even(op.even_coords(f)))
+    v = op.even_coords(f)
+    qf = float(v @ (op.even @ v))
     assert qf == pytest.approx(oracle, rel=1e-10)
 
 
@@ -145,29 +146,58 @@ def test_eigenvalues_move_order_delta(wave08, kawahara):
 def test_constrained_min_cases(op08, wave08, variations08):
     _, psi = wave08
     eta, beta = variations08
-    w_free, _ = constrained_min(op08, [])
+    w_free = constrained_min(op08)
     rep = spectrum(op08)
     assert w_free == pytest.approx(rep.eigenvalues[0], rel=1e-12)
     assert w_free < 0
 
     _, _, F_w, _ = derivatives(psi, eta, beta)
     assert F_w > 0  # hypothesis of the one-constraint minimum bound
-    w1, _ = constrained_min(op08, [op08.embed_even(op08.even_coords(psi))])
+    w1 = constrained_min(op08, even=op08.even_coords(psi))
     assert w1 >= -1e-8
 
-    w2, _ = constrained_min(
-        op08,
-        [op08.embed_even(op08.even_coords(psi)),
-         op08.embed_odd(op08.psi_psi_prime_coords())],
-    )
+    w2 = constrained_min(op08, even=op08.even_coords(psi),
+                         odd=op08.psi_psi_prime_coords())
     assert w2 > 1e-8
 
 
-def test_constrained_min_rank_deficiency(op08, wave08):
+def _dense_constrained_min(op, even=None, odd=None):
+    """Reference: project the whole (2N+1)^2 matrix onto the complement of
+    the stacked full-space constraints and take its lowest eigenvalue."""
+    n_even = op.N + 1
+    H = np.zeros((2 * op.N + 1, 2 * op.N + 1))
+    H[:n_even, :n_even] = op.even
+    H[n_even:, n_even:] = op.odd
+    columns = []
+    if even is not None:
+        columns.append(np.concatenate([even, np.zeros(op.N)]))
+    if odd is not None:
+        columns.append(np.concatenate([np.zeros(n_even), odd]))
+    C = np.column_stack(columns)
+    Q, _ = np.linalg.qr(C, mode="complete")
+    Q2 = Q[:, C.shape[1]:]
+    return np.linalg.eigvalsh(Q2.T @ H @ Q2)[0]
+
+
+@pytest.mark.parametrize("k, omega, N", [(0.8, 1.0, 64), (0.7, 0.5, 128)])
+def test_constrained_min_matches_dense_oracle(branch_points, kawahara, k, omega, N):
+    _, psi = build_dnoidal(k, branch_points[k].L, omega, N=128)
+    op = assemble(psi, omega, kawahara, N=N)
+    tol = 1e-9 * max(1.0, abs(spectrum(op).eigenvalues[0]))
+    psi_c = op.even_coords(psi)
+    pair = dict(even=psi_c, odd=op.psi_psi_prime_coords())
+    assert abs(constrained_min(op, even=psi_c)
+               - _dense_constrained_min(op, even=psi_c)) <= tol
+    assert abs(constrained_min(op, **pair) - _dense_constrained_min(op, **pair)) <= tol
+
+
+def test_constrained_min_rejects_bad_constraint(op08, wave08):
     _, psi = wave08
-    v = op08.embed_even(op08.even_coords(psi))
-    with pytest.raises(ValueError):
-        constrained_min(op08, [v, 2.0 * v])
+    v = op08.even_coords(psi)
+    for bad in (dict(even=np.zeros_like(v)), dict(odd=np.zeros(op08.N)),
+                dict(even=v[:-1]), dict(odd=v)):
+        with pytest.raises(ValueError):
+            constrained_min(op08, **bad)
 
 
 def test_degenerate_even_block_reported(kawahara):
