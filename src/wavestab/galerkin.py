@@ -9,9 +9,10 @@ union of both blocks; the kernel direction psi' is odd, so the even block
 is the invertible restriction used for the parameter-derivative solves.
 
 Each block is diagonalized once, on first use (`eig_even`, `eig_odd`), and
-every consumer reads that decomposition.  `constrained_min(op, even=None,
-odd=None)` takes at most one constraint per block, in that block's
-orthonormal coordinates, and returns the smaller of the two block minima.
+every consumer reads that decomposition, so the blocks must not be modified
+after assembly.  `constrained_min(op, even=None, odd=None)` takes at most
+one constraint per block, in that block's orthonormal coordinates, and
+returns the smaller of the two block minima.
 """
 
 import math
