@@ -21,7 +21,6 @@ __all__ = [
     "ConservedTriple",
     "BlowUpError",
     "Evolver",
-    "step",
     "conserved",
     "default_dt",
     "orbital_distance",
@@ -56,9 +55,6 @@ class EvolutionState:
 
     def values(self):
         return np.fft.ifft(self.modes).real
-
-    def sup_norm(self):
-        return float(np.abs(self.values()).max())
 
     def mode_coefficients(self):
         """hat(u)(n) in the function convention u = sum hat(u) e^{2pi i n x/L0}."""
@@ -137,17 +133,12 @@ class Evolver:
         return self.E1 * vh + self.f1 * N1 + 2.0 * self.f2 * (N2 + N3) + self.f3 * N4
 
     def step(self, state):
-        if state.grid_size != self.grid_size or state.L0 != self.L0:
-            raise ValueError("state incompatible with this evolver")
-        modes = self.step_modes(state.modes)
-        new = EvolutionState(t=state.t + self.dt, modes=modes, L0=self.L0)
-        sup = new.sup_norm()
-        if not (sup <= BLOWUP_SUP):  # also catches NaN
-            raise BlowUpError(f"blow-up at t={new.t:.6g}")
-        return new
+        return self.run(state, 1)
 
     def run(self, state, nsteps, check_every=1000):
         """Advance nsteps; blow-up is checked every check_every steps."""
+        if state.grid_size != self.grid_size or state.L0 != self.L0:
+            raise ValueError("state incompatible with this evolver")
         vh = state.modes
         t = state.t
         for s in range(nsteps):
@@ -157,21 +148,6 @@ class Evolver:
                 if not (sup <= BLOWUP_SUP):  # also catches NaN
                     raise BlowUpError(f"blow-up at t={t + (s + 1) * self.dt:.6g}")
         return EvolutionState(t=t + nsteps * self.dt, modes=vh, L0=self.L0)
-
-
-_EVOLVER_CACHE = {}
-
-
-def step(state, dt, sym):
-    """One ETDRK4 step; convenience wrapper that caches the weight setup."""
-    key = (state.L0, state.grid_size, float(dt), sym.name)
-    ev = _EVOLVER_CACHE.get(key)
-    if ev is None:
-        ev = Evolver(state.L0, state.grid_size, sym, dt)
-        if len(_EVOLVER_CACHE) > 16:
-            _EVOLVER_CACHE.clear()
-        _EVOLVER_CACHE[key] = ev
-    return ev.step(state)
 
 
 def default_dt(state_or_profile, sym, safety=0.5, rel_floor=1e-12):

@@ -163,6 +163,12 @@ def test_blowup_detection(kawahara):
         stepper.step(st)
 
 
+def test_run_rejects_incompatible_state(kawahara):
+    st = ev.state_from_values(np.zeros(GRID), 20.0)
+    with pytest.raises(ValueError):
+        ev.Evolver(21.0, GRID, kawahara, 1e-3).run(st, 3)
+
+
 def test_experiment_blowup_carries_partial_series(wave08, kawahara):
     params, psi = wave08
     with np.errstate(over="ignore", invalid="ignore"):
