@@ -7,26 +7,31 @@ writes a provenance header (parameters, truncations, tolerances, version);
 outputs are deterministic for identical configurations, with random seeds
 always explicit.
 
+Argparse alone parses, types and range-checks the input.  Each `key=value`
+line of a `--config` file becomes a `--key=value` flag right after the
+subcommand name, so a file may supply any flag, required ones included, and
+flags on the command line win.  Out-of-domain values exit 2.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure
-(Newton/eigensolver), 4 blow-up.
+(Newton/eigensolver, floating-point breakdown), 4 blow-up.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .continuation import NewtonDivergenceError, newton_solve, surface_patch
-from .criteria import evaluate_dnoidal, evaluate_wave
+from .criteria import evaluate_dnoidal, evaluate_wave, functionals
 from .elliptic import complete_integrals, jacobi_sn_cn_dn
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
 from .klcurve import K_ANALYTIC, solve_L1, sweep
-from .multiplier import builtin_symbol
+from .multiplier import BUILTIN_NAMES, builtin_symbol
 from .profile import build_dnoidal
 
 EXIT_OK = 0
@@ -54,26 +59,24 @@ def _provenance(command, params):
     return lines
 
 
+def _write(text, path):
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as f:
+            f.write(text)
+
+
 def _write_csv(path, command, params, header, rows):
     lines = _provenance(command, params)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    _write("\n".join(lines) + "\n", path)
 
 
 def _emit_record(record, path=None):
-    text = json.dumps(record, sort_keys=True, default=_fmt, indent=2) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    _write(json.dumps(record, sort_keys=True, default=_fmt, indent=2) + "\n", path)
 
 
 def _validation_exit(message):
@@ -81,40 +84,50 @@ def _validation_exit(message):
     raise SystemExit(EXIT_VALIDATION)
 
 
-def _load_config(path):
-    cfg = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                _validation_exit(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
+def _config_argv(path):
+    """`--key=value` tokens for the key=value lines of a config file."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        _validation_exit(f"cannot read config file {path!r}: {exc}")
+    tokens = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if not sep or key == "config":
+            _validation_exit(f"config line {line!r} is not key=value "
+                             f"with a key other than config")
+        tokens.append(f"--{key}={val.strip()}")
+    return tokens
 
 
-def _apply_config(args, parser_defaults):
-    """Merge a key=value config file under explicit flags."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = _load_config(args.config)
-    for key, val in cfg.items():
-        if not hasattr(args, key):
-            _validation_exit(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
-            current = parser_defaults.get(key)
-            caster = type(current) if current is not None else str
-            if caster is bool:
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, caster(val))
-    return args
+def _checked(convert, ok, domain):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+    return parse
 
 
-def _symbol_from_args(args):
-    return builtin_symbol(args.symbol, alpha=getattr(args, "alpha", None))
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_modulus = _checked(float, lambda x: 0.0 < x < 1.0, "a modulus in (0, 1)")
+
+
+def _int_at_least(low):
+    return _checked(int, lambda n: n >= low, f"an integer >= {low}")
+
+
+_modes = _int_at_least(8)   # the smallest truncation build_dnoidal accepts
 
 
 def cmd_elliptic_check(args):
@@ -141,20 +154,21 @@ def cmd_elliptic_check(args):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def cmd_sweep(args):
+def _k_grid(args):
+    """The sweep grid over [kmin, kmax], or None (after a message) if the range is bad."""
     if not (0.0 < args.kmin < args.kmax < 1.0):
-        print("sweep: need 0 < kmin < kmax < 1", file=sys.stderr)
+        print(f"{args.command}: need 0 < kmin < kmax < 1", file=sys.stderr)
+        return None
+    return np.linspace(args.kmin, args.kmax, args.steps)
+
+
+def cmd_sweep(args):
+    grid = _k_grid(args)
+    if grid is None:
         return EXIT_VALIDATION
-    grid = np.linspace(args.kmin, args.kmax, args.steps)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(lambda k: sweep([k], omega=args.omega)[0], grid))
-    else:
-        points = sweep(grid, omega=args.omega)
-    rows = [(r["k"], r["L1"], r["L"], r["p"], r["stable"]) for r in points]
+    rows = [(r["k"], r["L1"], r["L"], r["p"], r["stable"]) for r in sweep(grid)]
     _write_csv(args.out, "sweep",
-               {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps,
-                "omega": args.omega, "jobs": args.jobs},
+               {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps},
                ["k", "L1", "L", "p", "stable"], rows)
     return EXIT_OK
 
@@ -166,18 +180,13 @@ def _resolve_wave(args):
     else:
         point, roots = solve_L1(args.k)
         if point is None:
-            print(f"no branch root at k={args.k} (roots: {list(roots)})",
-                  file=sys.stderr)
-            return None
+            _validation_exit(f"no branch root at k={args.k} (roots: {list(roots)})")
         L = point.L
     return build_dnoidal(args.k, L, args.omega, N=args.N)
 
 
 def cmd_profile(args):
-    resolved = _resolve_wave(args)
-    if resolved is None:
-        return EXIT_VALIDATION
-    params, psi = resolved
+    params, psi = _resolve_wave(args)
     meta = {"k": args.k, "omega": args.omega, "N": args.N, "L": psi.L0,
             "A": params.A, "a": params.a, "b": params.b, "d": params.d}
     if args.what == "samples":
@@ -193,13 +202,9 @@ def cmd_profile(args):
 
 
 def cmd_spectrum(args):
-    resolved = _resolve_wave(args)
-    if resolved is None:
-        return EXIT_VALIDATION
-    params, psi = resolved
-    sym = _symbol_from_args(args)
+    params, psi = _resolve_wave(args)
     try:
-        op = assemble(psi, args.omega, sym, N=args.N_op)
+        op = assemble(psi, args.omega, args.sym, N=args.N_op)
         rep = spectrum(op)
     except np.linalg.LinAlgError as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
@@ -218,14 +223,13 @@ def cmd_spectrum(args):
 
 
 def cmd_criteria(args):
-    sym = _symbol_from_args(args)
     try:
         if args.L is not None:
             params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
-            report = evaluate_wave(psi, args.omega, sym=sym, N=args.N_op)
+            report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
         else:
             report, params, psi = evaluate_dnoidal(
-                args.k, args.omega, sym=sym, N_profile=args.N, N_op=args.N_op
+                args.k, args.omega, sym=args.sym, N_profile=args.N, N_op=args.N_op
             )
     except ValueError as exc:
         print(f"criteria: {exc}", file=sys.stderr)
@@ -240,20 +244,14 @@ def cmd_criteria(args):
 
 
 def cmd_continue(args):
-    resolved = _resolve_wave(args)
-    if resolved is None:
-        return EXIT_VALIDATION
-    params, psi = resolved
-    sym = _symbol_from_args(args)
+    params, psi = _resolve_wave(args)
     try:
-        center = newton_solve(psi, args.omega, params.A, sym)
+        center = newton_solve(psi, args.omega, params.A, args.sym)
         patch = surface_patch(center, args.domega, args.dA,
-                              (args.extent_omega, args.extent_A), sym)
+                              (args.extent_omega, args.extent_A), args.sym)
     except NewtonDivergenceError as exc:
         print(f"continuation failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    from .criteria import functionals
-
     rows = []
     for (di, dj), pt in sorted(patch.items()):
         M, F = functionals(pt.psi)
@@ -267,44 +265,38 @@ def cmd_continue(args):
 
 
 def cmd_evolve(args):
-    resolved = _resolve_wave(args)
-    if resolved is None:
-        return EXIT_VALIDATION
-    params, psi = resolved
-    sym = _symbol_from_args(args)
+    params, psi = _resolve_wave(args)
     try:
         series = stability_experiment(
-            psi, args.omega, sym, kind=args.perturbation, delta=args.delta,
+            psi, args.omega, args.sym, kind=args.perturbation, delta=args.delta,
             periods=args.T, grid_size=args.grid, dt=args.dt, seed=args.seed,
             n_samples=args.samples, A=params.A, mode=args.mode,
         )
     except BlowUpError as exc:
-        series = exc.series
-        rows = [(r["t"], r["rho"], r["E"], r["F"], r["M"], r["deltaP"])
-                for r in series]
-        _write_csv(args.out, "evolve", {"error": "blow-up"},
-                   ["t", "rho", "E", "F", "M", "deltaP"], rows)
         print(f"evolve: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        series, code, meta = exc.series, EXIT_BLOWUP, {"error": "blow-up"}
+    else:
+        code = EXIT_OK
+        meta = {"k": args.k, "omega": args.omega, "delta": args.delta,
+                "perturbation": args.perturbation, "mode": args.mode,
+                "T_periods": args.T, "grid": args.grid, "seed": args.seed,
+                "dt": args.dt if args.dt else "auto",
+                "on_manifold": series[0].get("on_manifold")}
     rows = [(r["t"], r["rho"], r["E"], r["F"], r["M"], r["deltaP"])
             for r in series]
-    meta = {"k": args.k, "omega": args.omega, "delta": args.delta,
-            "perturbation": args.perturbation, "mode": args.mode,
-            "T_periods": args.T, "grid": args.grid, "seed": args.seed,
-            "dt": args.dt if args.dt else "auto",
-            "on_manifold": series[0].get("on_manifold")}
     _write_csv(args.out, "evolve", meta,
                ["t", "rho", "E", "F", "M", "deltaP"], rows)
-    return EXIT_OK
+    return code
 
 
 def cmd_reproduce_figure1(args):
-    grid = np.linspace(args.kmin, args.kmax, args.steps)
-    rows = sweep(grid, omega=args.omega)
+    grid = _k_grid(args)
+    if grid is None:
+        return EXIT_VALIDATION
+    rows = sweep(grid)
     left = [(r["k"], r["L1"]) for r in rows]
     right = [(r["k"], r["p"]) for r in rows]
-    meta = {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps,
-            "omega": args.omega}
+    meta = {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps}
     _write_csv(args.out_L1, "reproduce-figure1", meta, ["k", "L1"], left)
     _write_csv(args.out_p, "reproduce-figure1", meta, ["k", "p"], right)
 
@@ -338,37 +330,48 @@ def cmd_reproduce_figure1(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="wavestab",
+        prog="wavestab", allow_abbrev=False,
         description="Periodic traveling waves: construction, spectra, "
                     "stability criteria, and time evolution.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags spelled in full only: an abbreviated --config would escape main's
+    # pre-pass, and an abbreviated config key would be taken for another flag
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
-    def add_common(p, omega=True, wave=False, symbol=True):
-        p.add_argument("--config", help="key=value file; flags override it")
+    def add_config(p):
+        p.add_argument("--config", help="key=value file of flags; "
+                                         "flags on the command line win")
+
+    def add_common(p, omega=_finite, wave=False, symbol=True):
+        add_config(p)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if omega:
-            p.add_argument("--omega", type=float, default=1.0)
+            p.add_argument("--omega", type=omega, default=1.0)
         if wave:
-            p.add_argument("--k", type=float, required=True)
-            p.add_argument("--L", type=float, default=None,
+            p.add_argument("--k", type=_modulus, required=True)
+            p.add_argument("--L", type=_positive, default=None,
                            help="period override (default: branch root)")
-            p.add_argument("--N", type=int, default=128)
+            p.add_argument("--N", type=_modes, default=128)
         if symbol:
-            p.add_argument("--symbol", default="kawahara")
-            p.add_argument("--alpha", type=float, default=None)
+            p.add_argument("--symbol", choices=BUILTIN_NAMES, default="kawahara")
+            p.add_argument("--alpha", type=float, default=None,
+                           help="exponent of --symbol fractional")
+
+    def add_k_range(p):
+        p.add_argument("--kmin", type=_finite, default=0.05)
+        p.add_argument("--kmax", type=_finite, default=0.99)
+        p.add_argument("--steps", type=_int_at_least(2), default=200)
 
     p = sub.add_parser("elliptic-check", help="elliptic-kernel identity battery")
-    add_common(p, omega=False, symbol=False)
+    add_common(p, omega=None, symbol=False)
     p.set_defaults(func=cmd_elliptic_check)
 
     p = sub.add_parser("sweep", help="period-constraint sweep (k, L1, L, p, stable)")
-    add_common(p, symbol=False)
-    p.add_argument("--kmin", type=float, default=0.05)
-    p.add_argument("--kmax", type=float, default=0.99)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1)
+    add_common(p, omega=None, symbol=False)
+    add_k_range(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("profile", help="export the wave (samples or coefficients)")
@@ -378,42 +381,44 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="operator eigenvalues and the verdict record")
     add_common(p, wave=True)
-    p.add_argument("--N-op", type=int, default=256, dest="N_op")
+    p.add_argument("--N-op", type=_modes, default=256, dest="N_op")
     p.add_argument("--record-out", default=None, dest="record_out")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("criteria", help="full stability report")
     add_common(p, wave=True)
-    p.add_argument("--N-op", type=int, default=256, dest="N_op")
+    p.add_argument("--N-op", type=_modes, default=256, dest="N_op")
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("continue", help="Newton continuation patch in (omega, A)")
     add_common(p, wave=True)
-    p.add_argument("--domega", type=float, default=1e-3)
-    p.add_argument("--dA", type=float, default=1e-3)
-    p.add_argument("--extent-omega", type=int, default=2, dest="extent_omega")
-    p.add_argument("--extent-A", type=int, default=2, dest="extent_A")
+    p.add_argument("--domega", type=_positive, default=1e-3)
+    p.add_argument("--dA", type=_positive, default=1e-3)
+    p.add_argument("--extent-omega", type=_int_at_least(0), default=2,
+                   dest="extent_omega")
+    p.add_argument("--extent-A", type=_int_at_least(0), default=2, dest="extent_A")
     p.set_defaults(func=cmd_continue)
 
     p = sub.add_parser("evolve", help="perturbation experiment time series")
-    add_common(p, wave=True)
-    p.add_argument("--delta", type=float, default=1e-3)
+    # the horizon is counted in temporal periods L/omega, so omega > 0
+    add_common(p, omega=_positive, wave=True)
+    p.add_argument("--delta", type=_finite, default=1e-3)
     p.add_argument("--perturbation", choices=("mode", "random", "mean"),
                    default="mode")
     p.add_argument("--mode", type=int, default=1)
-    p.add_argument("--T", type=float, default=10.0, help="horizon in temporal periods")
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--T", type=_positive, default=10.0,
+                   help="horizon in temporal periods")
+    # grid // 3 dealiased modes must keep at least 8 of the wave's modes
+    p.add_argument("--grid", type=_int_at_least(24), default=256)
+    p.add_argument("--dt", type=_positive, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("reproduce-figure1",
                        help="emit (k, L1) and (k, p) curves over the branch")
-    add_common(p, symbol=False)
-    p.add_argument("--kmin", type=float, default=0.05)
-    p.add_argument("--kmax", type=float, default=0.99)
-    p.add_argument("--steps", type=int, default=200)
+    add_config(p)
+    add_k_range(p)
     p.add_argument("--out-L1", default="figure1_L1.csv", dest="out_L1")
     p.add_argument("--out-p", default="figure1_p.csv", dest="out_p")
     p.add_argument("--record-out", default=None, dest="record_out")
@@ -423,14 +428,27 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = {a.dest: a.default for a in parser._actions}
-    for group_action in parser._subparsers._group_actions:
-        for sp in group_action.choices.values():
-            defaults.update({a.dest: a.default for a in sp._actions})
-    args = _apply_config(args, defaults)
-    return args.func(args)
+    # the --config file becomes --key=value flags right after the subcommand,
+    # ahead of the command-line flags, so that the latter win
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pre = argparse.ArgumentParser(prog="wavestab", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is not None:
+        at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")),
+                  len(argv))
+        argv[at:at] = _config_argv(path)
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "symbol"):
+        try:
+            args.sym = builtin_symbol(args.symbol, alpha=args.alpha)
+        except ValueError as exc:
+            _validation_exit(f"{args.command}: {exc}")
+    try:
+        return args.func(args)
+    except ArithmeticError as exc:
+        print(f"{args.command}: numerical failure: {exc!r}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

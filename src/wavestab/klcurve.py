@@ -165,7 +165,7 @@ def p_of_k(k, L, corrected=True):
     return p
 
 
-def sweep(k_grid, omega=1.0, corrected=True):
+def sweep(k_grid, corrected=True):
     """One row per modulus: dict with k, L1, L, p, stable.
 
     Rows where the branch does not exist carry L1 = L = p = None and

@@ -56,7 +56,11 @@ def builtin_symbol(name, alpha=None):
     kdv:           theta = kappa^2              (m2=2, A1=A2=1)
     bo:            theta = |kappa|              (m2=1, A1=A2=1)
     fractional:    theta = |kappa|^alpha, 0 < alpha <= 2
+
+    alpha is required for fractional and rejected for the others.
     """
+    if alpha is not None and name != "fractional":
+        raise ValueError(f"symbol {name!r} takes no alpha")
     if name == "kawahara":
         return MultiplierSymbol("kawahara", lambda x: x**4 + x**2, 4.0, 1.0, 2.0)
     if name == "kdv":
