@@ -7,10 +7,14 @@ In L1 = L^2 the constraint is a depressed cubic
     c1 = -(908544/31)(k^4-k^2+1) K^4.
 
 At k = 1/sqrt(2) the constant term vanishes and the positive root is
-L1 = sqrt((908544/31)(3/4)) K^2 in closed form.  The smooth branch is
-followed by continuation from that point, taking the nearest positive root
-at each step; it exists on roughly (0.5345, 1), with two positive roots
-below 1/sqrt(2) (the branch is the larger) and one above.
+L1 = sqrt((908544/31)(3/4)) K^2 in closed form.  The smooth branch through
+that point (the Implicit Function Theorem family) is the larger positive
+root, by Vieta's formulas: the three roots sum to zero, so at most two are
+positive.  Above 1/sqrt(2), c0 < 0 and exactly one root is positive.  Below
+it, c0 > 0 and there are zero or two; at 1/sqrt(2) the roots are 0 and
++-sqrt(-c1), and the branch is +sqrt(-c1).  The two positive roots can
+swap order only by colliding, which is the fold near k = 0.5345, so the
+branch stays the larger root on (0.5345, 1) and does not exist below.
 """
 
 import math
@@ -22,7 +26,6 @@ __all__ = ["KLPoint", "cubic_coefficients", "cubic_residual", "positive_roots",
            "solve_L1", "p_of_k", "sweep", "K_ANALYTIC"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
-_WALK_STEP = 2e-3
 P_CORRECTION = 605696.0  # times K^4; see profile.dnoidal_coefficients
 
 
@@ -90,36 +93,8 @@ def positive_roots(k):
     return dedup
 
 
-def _analytic_start():
-    K = complete_integrals(K_ANALYTIC).K
-    return math.sqrt((908544.0 / 31.0) * 0.75) * K * K
-
-
-def _walk_branch(k_target):
-    """Follow the smooth branch from k = 1/sqrt(2) to k_target.
-
-    Returns the branch value of L1 at k_target, or None if the branch does
-    not extend there (no positive root close to the continued value).
-    """
-    k0 = K_ANALYTIC
-    L1 = _analytic_start()
-    if abs(k_target - k0) < 1e-14:
-        return L1
-    nsteps = max(1, int(math.ceil(abs(k_target - k0) / _WALK_STEP)))
-    for i in range(1, nsteps + 1):
-        k = k0 + (k_target - k0) * (i / nsteps)
-        roots = positive_roots(k)
-        if not roots:
-            return None
-        L1_next = min(roots, key=lambda x: abs(x - L1))
-        if abs(L1_next - L1) > 0.25 * max(L1, 1.0):
-            return None  # jump too large: continuity lost (past the fold)
-        L1 = L1_next
-    return L1
-
-
 def solve_L1(k, corrected=True):
-    """Branch point of the constraint at modulus k.
+    """Branch point of the constraint at modulus k: the largest positive root.
 
     Returns (KLPoint or None, all_positive_roots).  None means the smooth
     branch through k = 1/sqrt(2) does not extend to this modulus (for this
@@ -129,9 +104,9 @@ def solve_L1(k, corrected=True):
     if not (0.0 < k < 1.0):
         raise ValueError("modulus must lie in (0, 1)")
     roots = tuple(positive_roots(k))
-    L1 = _walk_branch(k)
-    if L1 is None:
+    if not roots:
         return None, roots
+    L1 = roots[-1]
     L = math.sqrt(L1)
     point = KLPoint(
         k=float(k),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from wavestab import klcurve
+from wavestab.cli import main
 from wavestab.elliptic import complete_integrals
 from wavestab.klcurve import (
     K_ANALYTIC,
@@ -131,3 +133,67 @@ def test_domain_validation():
         solve_L1(0.0)
     with pytest.raises(ValueError):
         solve_L1(1.0)
+
+
+def _walk_branch(k_target, step=2e-3):
+    """Reference: continue the branch from k = 1/sqrt(2) to k_target in
+    `step` increments, taking the nearest positive root at each step;
+    None where no root is left or the nearest one jumps by more than 25%."""
+    k0 = K_ANALYTIC
+    L1 = math.sqrt((908544.0 / 31.0) * 0.75) * complete_integrals(k0).K ** 2
+    if abs(k_target - k0) < 1e-14:
+        return L1
+    nsteps = max(1, int(math.ceil(abs(k_target - k0) / step)))
+    for i in range(1, nsteps + 1):
+        roots = positive_roots(k0 + (k_target - k0) * (i / nsteps))
+        if not roots:
+            return None
+        L1_next = min(roots, key=lambda x: abs(x - L1))
+        if abs(L1_next - L1) > 0.25 * max(L1, 1.0):
+            return None
+        L1 = L1_next
+    return L1
+
+
+def test_larger_root_matches_continuation_oracle():
+    # the fold sits near 0.5345; the walk's jump guard misfires above ~0.9987
+    grid = np.concatenate([np.linspace(0.30, 0.998, 1000),
+                           np.linspace(0.534, 0.535, 201)])
+    missing = 0
+    for k in grid:
+        point, _ = solve_L1(k)
+        walked = _walk_branch(k)
+        assert (point is None) == (walked is None), k
+        if point is None:
+            missing += 1
+        else:
+            assert point.L1 == walked, k
+    assert 0 < missing < len(grid)
+
+
+def test_branch_reaches_k_near_one(tmp_path):
+    # exactly one positive root above 1/sqrt(2), also where K(k) grows fast
+    rows = sweep([0.999, 0.9999, 0.999999])
+    for r in rows:
+        assert r["stable"] != "no_root", r["k"]
+        assert abs(cubic_residual(r["k"], r["L1"])) < 1e-10
+    assert main(["profile", "--k", "0.999", "--out", str(tmp_path / "p.csv")]) == 0
+
+
+def test_branch_work_budget(monkeypatch, tmp_path):
+    # one cubic solve per modulus: the sweep grid, plus one per bisection step
+    calls = []
+
+    def counted(k, _fn=klcurve.positive_roots):
+        calls.append(k)
+        return _fn(k)
+
+    monkeypatch.setattr(klcurve, "positive_roots", counted)
+    assert main(["sweep", "--steps", "200", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 200
+    calls.clear()
+    assert main(["reproduce-figure1", "--steps", "200",
+                 "--out-L1", str(tmp_path / "L1.csv"),
+                 "--out-p", str(tmp_path / "p.csv"),
+                 "--record-out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) <= 200 + 60
