@@ -174,7 +174,11 @@ def cmd_sweep(args):
 
 
 def _resolve_wave(args):
-    """(params, psi) for --k on the branch, or explicit --L override."""
+    """(params, psi) for --k on the branch, or explicit --L override.
+
+    A wave with a non-finite coefficient raises FloatingPointError, which
+    main turns into exit 3.
+    """
     if args.L is not None:
         L = args.L
     else:
@@ -182,7 +186,13 @@ def _resolve_wave(args):
         if point is None:
             _validation_exit(f"no branch root at k={args.k} (roots: {list(roots)})")
         L = point.L
-    return build_dnoidal(args.k, L, args.omega, N=args.N)
+    with np.errstate(all="ignore"):   # the check below reports overflow once
+        params, psi = build_dnoidal(args.k, L, args.omega, N=args.N)
+    values = np.append(psi.coeffs, (params.A, params.a, params.b, params.d))
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite wave at k={args.k}, L={L}, "
+                                 f"omega={args.omega}")
+    return params, psi
 
 
 def cmd_profile(args):
@@ -225,18 +235,19 @@ def cmd_spectrum(args):
 def cmd_criteria(args):
     try:
         if args.L is not None:
-            params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
+            params, psi = _resolve_wave(args)
             report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
         else:
             report, params, psi = evaluate_dnoidal(
                 args.k, args.omega, sym=args.sym, N_profile=args.N, N_op=args.N_op
             )
+    except (DegenerateOperatorError, np.linalg.LinAlgError) as exc:
+        # before ValueError, of which LinAlgError is a subclass
+        print(f"criteria: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"criteria: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DegenerateOperatorError, np.linalg.LinAlgError) as exc:
-        print(f"criteria: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     rec = {"k": args.k, "A": params.A}
     rec.update(report.as_record())
     _emit_record(rec, args.out)
@@ -265,6 +276,10 @@ def cmd_continue(args):
 
 
 def cmd_evolve(args):
+    # the evolver keeps only the dealiased modes |n| <= grid // 3
+    if args.perturbation == "mode" and not 1 <= args.mode <= args.grid // 3:
+        _validation_exit(f"evolve: --mode {args.mode} is outside 1..{args.grid // 3}, "
+                         f"the dealiased band of --grid {args.grid}")
     params, psi = _resolve_wave(args)
     try:
         series = stability_experiment(

@@ -5,6 +5,7 @@ import shlex
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,15 +102,21 @@ def test_criteria_has_no_A_flag():
     assert exc_info.value.code == 2
 
 
-def test_floating_point_breakdown_exits_3(tmp_path):
+def test_floating_point_breakdown_exits_3(tmp_path, capsys):
     # L**4 underflows to zero in the dnoidal coefficients
     assert run_cli(["profile", "--k", "0.8", "--L", "1e-300",
                     "--out", str(tmp_path / "p.csv")]) == 3
+    # a huge but finite omega overflows the coefficients to inf and nan
+    for argv in (["profile"], ["spectrum", "--N-op", "16"],
+                 ["criteria", "--L", "20", "--N-op", "16"], ["continue"],
+                 ["evolve", "--grid", "64", "--T", "0.02"]):
+        capsys.readouterr()
+        assert run_cli(argv + ["--k", "0.8", "--omega", "1e308", "--N", "16",
+                               "--out", str(tmp_path / "w.csv")]) == 3, argv
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
 
 
 def test_blowup_exit_code(tmp_path):
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli(["evolve", "--k", "0.8", "--omega", "1.0",
                         "--delta", "5e6", "--perturbation", "mean",
@@ -228,6 +235,10 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["evolve", "--k", "0.8", "--samples", "0"], None),
     (["evolve", "--k", "0.8", "--omega", "0"], None),
     (["evolve", "--k", "0.8", "--perturbation", "random", "--seed", "-1"], None),
+    (["evolve", "--k", "0.8", "--grid", "64", "--mode", "500"], None),
+    (["evolve", "--k", "0.8", "--grid", "64", "--mode", "22"], None),
+    (["evolve", "--k", "0.8", "--mode", "0"], None),
+    (["evolve", "--k", "0.8", "--mode", "-1"], None),
     (["sweep", "--steps", "-3"], None),
     (["continue", "--k", "0.8", "--domega", "0"], None),
     (["reproduce-figure1", "--kmin", "0.9", "--kmax", "0.5"], None),
