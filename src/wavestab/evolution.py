@@ -1,10 +1,12 @@
 """Pseudospectral time integration of u_t + u u_x - (M u)_x = 0.
 
-Fourth-order exponential time differencing with the dispersive part
-exp(i xi theta(xi) t) integrated exactly; the phi-function weights are
-contour averages over a full circle around each i*xi*theta*dt (a half
-circle plus real part is only valid for real symbols).  The quadratic term
-is 2/3-rule dealiased.
+Fourth-order exponential time differencing (Kassam & Trefethen, SIAM J.
+Sci. Comput. 26, 2005) with the dispersive part exp(i xi theta(xi) t)
+integrated exactly; the phi-function weights are contour averages over a
+full circle around each i*xi*theta*dt (a half circle plus real part is only
+valid for real symbols).  The field is real, so a step works on the rfft
+half spectrum with real transforms; states keep the full numpy fft layout.
+The quadratic term is 2/3-rule dealiased.
 
 Conserved quantities: E = 1/2 int (M^{1/2}u)^2 - (1/6) int u^3, F, M.  The
 cubic coefficient 1/6 is the one the flux form u_t = (Mu - u^2/2)_x
@@ -31,6 +33,8 @@ __all__ = [
 
 BLOWUP_SUP = 1e6
 CONTOUR_POINTS = 32
+NEWTON_MAX_ITER = 20
+MAX_STEPS = 10_000_000      # stability_experiment's cap: ~20 min at grid 256
 
 
 class BlowUpError(RuntimeError):
@@ -88,66 +92,65 @@ def state_from_values(values, L0, t=0.0):
 
 
 class Evolver:
-    """ETDRK4 stepper with precomputed weights for one (grid, dt, symbol)."""
+    """ETDRK4 stepper with precomputed weights for one (grid, dt, symbol).
+
+    Weights are on the rfft half spectrum, with the dealiased nonlinear
+    factor -i xi / 2 folded in: a stage's nonlinear term is rfft(u^2).
+    """
 
     def __init__(self, L0, grid_size, sym, dt, nonlinear=True):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.L0 = float(L0)
         self.grid_size = int(grid_size)
-        self.sym = sym
-        self.dt = float(dt)
+        self.dt = dt = float(dt)
         self.nonlinear = nonlinear
-        self.xi = 2.0 * math.pi * np.fft.fftfreq(self.grid_size, d=self.L0 / self.grid_size)
-        self.theta = np.asarray(sym(self.xi), dtype=float)
-        self.mask = _dealias_mask(self.grid_size)
-        lin = 1j * self.xi * self.theta
-        self._setup_weights(lin)
-
-    def _setup_weights(self, lin):
-        dt = self.dt
+        xi = 2.0 * math.pi * np.fft.rfftfreq(self.grid_size, d=self.L0 / self.grid_size)
+        lin = 1j * xi * np.asarray(sym(xi), dtype=float)
+        nl = -0.5j * xi * _dealias_mask(self.grid_size)[: len(xi)]
         r = np.exp(2j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
         LR = dt * lin[:, None] + r[None, :]
         eLR = np.exp(LR)
         self.E1 = np.exp(dt * lin)
         self.E2 = np.exp(0.5 * dt * lin)
-        self.Q = dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(1)
-        self.f1 = dt * ((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2)) / LR**3).mean(1)
-        self.f2 = dt * ((2.0 + LR + eLR * (LR - 2.0)) / LR**3).mean(1)
-        self.f3 = dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3).mean(1)
+        self.Q = nl * dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(1)
+        self.f1 = nl * dt * ((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2)) / LR**3).mean(1)
+        self.f2 = 2.0 * nl * dt * ((2.0 + LR + eLR * (LR - 2.0)) / LR**3).mean(1)
+        self.f3 = nl * dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3).mean(1)
 
     def _nonlin(self, vh):
         if not self.nonlinear:
             return 0.0
-        u = np.fft.ifft(vh).real
-        return -0.5j * self.xi * (np.fft.fft(u * u) * self.mask)
+        return np.fft.rfft(np.fft.irfft(vh, self.grid_size) ** 2)
 
-    def step_modes(self, vh):
+    def _step(self, vh):
+        """One step of the half-spectrum modes vh; four rfft/irfft pairs."""
         N1 = self._nonlin(vh)
-        a = self.E2 * vh + self.Q * N1
+        Ev = self.E2 * vh
+        a = Ev + self.Q * N1
         N2 = self._nonlin(a)
-        b = self.E2 * vh + self.Q * N2
-        N3 = self._nonlin(b)
-        c = self.E2 * a + self.Q * (2.0 * N3 - N1)
-        N4 = self._nonlin(c)
-        return self.E1 * vh + self.f1 * N1 + 2.0 * self.f2 * (N2 + N3) + self.f3 * N4
+        N3 = self._nonlin(Ev + self.Q * N2)
+        N4 = self._nonlin(self.E2 * a + self.Q * (2.0 * N3 - N1))
+        return self.E1 * vh + self.f1 * N1 + self.f2 * (N2 + N3) + self.f3 * N4
 
     def step(self, state):
         return self.run(state, 1)
 
     def run(self, state, nsteps, check_every=1000):
         """Advance nsteps; blow-up is checked every check_every steps."""
-        if state.grid_size != self.grid_size or state.L0 != self.L0:
+        G = self.grid_size
+        if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
-        vh = state.modes
-        t = state.t
+        vh = state.modes[: G // 2 + 1]
         for s in range(nsteps):
-            vh = self.step_modes(vh)
+            vh = self._step(vh)
             if (s + 1) % check_every == 0 or s == nsteps - 1:
-                sup = float(np.abs(np.fft.ifft(vh).real).max())
+                sup = float(np.abs(np.fft.irfft(vh, G)).max())
                 if not (sup <= BLOWUP_SUP):  # also catches NaN
-                    raise BlowUpError(f"blow-up at t={t + (s + 1) * self.dt:.6g}")
-        return EvolutionState(t=t + nsteps * self.dt, modes=vh, L0=self.L0)
+                    raise BlowUpError(f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
+        # the full layout of a real field: mode -n is the conjugate of mode n
+        modes = np.concatenate((vh, np.conj(vh[1 : G - len(vh) + 1][::-1])))
+        return EvolutionState(t=state.t + nsteps * self.dt, modes=modes, L0=self.L0)
 
 
 def default_dt(state_or_profile, sym, safety=0.5, rel_floor=1e-12):
@@ -194,12 +197,14 @@ def conserved(state, sym):
     return ConservedTriple(E=E, F=F, M=Mass)
 
 
-def orbital_distance(state, psi, sym, samples=4096, refine_tol=1e-12):
+def orbital_distance(state, psi, sym, samples=4096):
     """Translation-minimized weighted distance to the wave's orbit.
 
     rho(u, psi)^2 = min_y  L0 * sum_n (1 + theta(xi_n)) |u_n e^{i xi_n y} - psi_n|^2,
-    evaluated by a dense scan of the weighted cross-correlation over one
-    period followed by golden-section refinement.  Returns (rho, y_star).
+    which maximizes the weighted cross-correlation g(y) = Re sum_n c_n e^{i xi_n y}.
+    g is scanned at `samples` points over one period by an inverse FFT, and
+    the best sample is refined by Newton's method on the analytic g' and g''.
+    Returns (rho, y_star).
     """
     if abs(state.L0 - psi.L0) > 1e-12 * psi.L0:
         raise ValueError("state and profile periods differ")
@@ -221,33 +226,21 @@ def orbital_distance(state, psi, sym, samples=4096, refine_tol=1e-12):
     padded = np.zeros(samples, dtype=complex)
     padded[: n_half + 1] = cross
     g = np.fft.ifft(padded).real * samples
-    j = int(np.argmax(g))
-    ys = np.arange(samples) * (L0 / samples)
-
-    def dist2(y):
-        # direct per-mode evaluation; no cancellation between large sums
-        diff = uu * np.exp(1j * xi_pos * y) - ph
-        return float(np.sum(dbl * w * (diff.real**2 + diff.imag**2)))
-
-    lo = ys[j] - L0 / samples
-    hi = ys[j] + L0 / samples
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    d1 = a + invphi * (b - a)
-    fc, fd = dist2(c1), dist2(d1)
-    while (b - a) > refine_tol:
-        if fc < fd:
-            b, d1, fd = d1, c1, fc
-            c1 = b - invphi * (b - a)
-            fc = dist2(c1)
-        else:
-            a, c1, fc = c1, d1, fd
-            d1 = a + invphi * (b - a)
-            fd = dist2(d1)
-    y_star = 0.5 * (a + b)
-    val = max(dist2(y_star), 0.0)
-    return math.sqrt(L0 * val), y_star
+    h = L0 / samples
+    y_star = y0 = int(np.argmax(g)) * h
+    for _ in range(NEWTON_MAX_ITER):
+        ce = cross * np.exp(1j * xi_pos * y_star)
+        g2 = -float(np.dot(xi_pos * xi_pos, ce.real))
+        if not g2 < 0.0:  # not concave here: keep the sample
+            break
+        step = -float(np.dot(xi_pos, ce.imag)) / g2
+        y_star = min(max(y_star - step, y0 - h), y0 + h)
+        if abs(step) <= 4.0 * np.finfo(float).eps * L0:
+            break
+    # direct per-mode evaluation; no cancellation between large sums
+    diff = uu * np.exp(1j * xi_pos * y_star) - ph
+    val = float(np.sum(dbl * w * (diff.real**2 + diff.imag**2)))
+    return math.sqrt(L0 * max(val, 0.0)), y_star
 
 
 def translate_state(state, y):
@@ -323,8 +316,10 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     The horizon is `periods` temporal periods L0/omega.  deltaP is the
     conserved-combination difference P(u(t)) - P(psi) with P = E + omega F
     + A M; it stays constant in t because all three pieces are conserved.
-    Membership of u0 in the fixed-(F, M) manifold is reported in the first
-    record.  On blow-up the partial series is attached to the exception.
+    The first record also gives the membership of u0 in the fixed-(F, M)
+    manifold, the dt used and the step count.  A horizon of more than
+    MAX_STEPS steps raises ValueError before any step is taken.  On blow-up
+    the partial series is attached to the exception.
     """
     from .profile import extract_A
 
@@ -336,8 +331,11 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     state = state_from_values(psi_state.values() + v, psi.L0)
     if dt is None:
         dt = default_dt(state, sym, safety=dt_safety)
-    T = periods * psi.L0 / omega
-    nsteps_total = max(1, int(math.ceil(T / dt)))
+    nsteps_float = periods * psi.L0 / omega / dt
+    if not nsteps_float <= MAX_STEPS:  # also catches inf and NaN
+        raise ValueError(f"{nsteps_float:.3g} steps of dt={dt:.3g} exceed the "
+                         f"{MAX_STEPS} step cap")
+    nsteps_total = max(1, int(math.ceil(nsteps_float)))
     stride = max(1, nsteps_total // n_samples)
     ev = Evolver(psi.L0, grid_size, sym, dt)
     cons_psi = conserved(psi_state, sym)
@@ -356,6 +354,7 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
         abs(c0.F - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
         and abs(c0.M - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
     )
+    series[0].update(dt=dt, steps=nsteps_total)
     done = 0
     try:
         while done < nsteps_total:

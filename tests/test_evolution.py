@@ -191,3 +191,135 @@ def test_reality_and_dealiasing_preserved(wave08, kawahara):
     # dealiasing: masked band stays empty
     n = np.abs(np.fft.fftfreq(GRID, d=1.0 / GRID))
     assert np.abs(out.modes[n > GRID // 3]).max() == 0.0
+
+
+class _ComplexStepOracle:
+    """The full-spectrum complex-FFT ETDRK4 step, kept as the reference."""
+
+    def __init__(self, L0, grid_size, sym, dt, nonlinear=True):
+        self.dt, self.nonlinear = dt, nonlinear
+        self.xi = 2 * np.pi * np.fft.fftfreq(grid_size, d=L0 / grid_size)
+        self.mask = np.abs(np.fft.fftfreq(grid_size, d=1.0 / grid_size)) <= grid_size // 3
+        lin = 1j * self.xi * np.asarray(sym(self.xi), dtype=float)
+        r = np.exp(2j * np.pi * (np.arange(ev.CONTOUR_POINTS) + 0.5) / ev.CONTOUR_POINTS)
+        LR = dt * lin[:, None] + r[None, :]
+        eLR = np.exp(LR)
+        self.E1 = np.exp(dt * lin)
+        self.E2 = np.exp(0.5 * dt * lin)
+        self.Q = dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(1)
+        self.f1 = dt * ((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2)) / LR**3).mean(1)
+        self.f2 = dt * ((2.0 + LR + eLR * (LR - 2.0)) / LR**3).mean(1)
+        self.f3 = dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3).mean(1)
+
+    def _nonlin(self, vh):
+        if not self.nonlinear:
+            return 0.0
+        u = np.fft.ifft(vh).real
+        return -0.5j * self.xi * (np.fft.fft(u * u) * self.mask)
+
+    def run(self, modes, nsteps):
+        vh = modes
+        for _ in range(nsteps):
+            N1 = self._nonlin(vh)
+            a = self.E2 * vh + self.Q * N1
+            N2 = self._nonlin(a)
+            b = self.E2 * vh + self.Q * N2
+            N3 = self._nonlin(b)
+            c = self.E2 * a + self.Q * (2.0 * N3 - N1)
+            N4 = self._nonlin(c)
+            vh = (self.E1 * vh + self.f1 * N1 + 2.0 * self.f2 * (N2 + N3)
+                  + self.f3 * N4)
+        return vh
+
+
+def _perturbed_state(psi, grid, seed=1, delta=1e-2):
+    v = ev.make_perturbation("random", psi, delta, grid, seed=seed)
+    return ev.state_from_values(ev.state_from_profile(psi, grid).values() + v,
+                                psi.L0)
+
+
+@pytest.mark.parametrize("grid, nonlinear", [(128, True), (256, True), (128, False)])
+def test_half_spectrum_run_matches_complex_oracle(wave08, kawahara, grid, nonlinear):
+    _, psi = wave08
+    st = _perturbed_state(psi, grid)
+    dt = ev.default_dt(st, kawahara)
+    out = ev.Evolver(psi.L0, grid, kawahara, dt, nonlinear=nonlinear).run(st, 1000)
+    ref = _ComplexStepOracle(psi.L0, grid, kawahara, dt, nonlinear).run(st.modes, 1000)
+    assert out.t == pytest.approx(1000 * dt, rel=1e-15)
+    assert np.abs(out.modes - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def _golden_section_oracle(state, psi, sym, samples=4096, refine_tol=1e-12):
+    """The golden-section orbital_distance, kept as the reference."""
+    L0 = psi.L0
+    n_half = state.grid_size // 2
+    xi_pos = 2.0 * math.pi * np.arange(n_half + 1) / L0
+    w = 1.0 + np.asarray(sym(xi_pos), dtype=float)
+    uu = state.mode_coefficients()[: n_half + 1]
+    ph = psi.psi_hat(n_half)
+    dbl = np.ones(n_half + 1)
+    dbl[1:] = 2.0
+    padded = np.zeros(samples, dtype=complex)
+    padded[: n_half + 1] = dbl * w * uu * np.conj(ph)
+    j = int(np.argmax(np.fft.ifft(padded).real))
+
+    def dist2(y):
+        diff = uu * np.exp(1j * xi_pos * y) - ph
+        return float(np.sum(dbl * w * (diff.real**2 + diff.imag**2)))
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = (j - 1) * L0 / samples, (j + 1) * L0 / samples
+    c1, d1 = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = dist2(c1), dist2(d1)
+    while (b - a) > refine_tol:
+        if fc < fd:
+            b, d1, fd = d1, c1, fc
+            c1 = b - invphi * (b - a)
+            fc = dist2(c1)
+        else:
+            a, c1, fc = c1, d1, fd
+            d1 = a + invphi * (b - a)
+            fd = dist2(d1)
+    y_star = 0.5 * (a + b)
+    return math.sqrt(psi.L0 * max(dist2(y_star), 0.0)), y_star
+
+
+def test_newton_orbital_distance_matches_golden_section(wave08, kawahara):
+    _, psi = wave08
+    L0 = psi.L0
+    states = [_perturbed_state(psi, grid, seed, delta)
+              for grid, seed, delta in ((256, 1, 1e-2), (256, 5, 1e-3), (128, 2, 1e-3))]
+    # translations that put y* just above 0 and just below L0, where the
+    # scan's best sample sits at either end of the period
+    _, y0 = ev.orbital_distance(states[1], psi, kawahara)
+    for target in (1e-9, 2e-5, L0 - 2e-5, L0 - 1e-9):
+        states.append(ev.translate_state(states[1], y0 - target))
+    for i, st in enumerate(states):
+        rho, y_star = ev.orbital_distance(st, psi, kawahara)
+        rho_ref, y_ref = _golden_section_oracle(st, psi, kawahara)
+        assert rho == pytest.approx(rho_ref, rel=1e-12)
+        assert abs(y_star - y_ref) < 1e-8
+        if i >= 3:
+            assert min(abs(y_star), abs(y_star - L0)) < 1e-4
+
+
+def test_step_transform_budget(wave08, kawahara, monkeypatch):
+    _, psi = wave08
+    st = _perturbed_state(psi, 128)
+    stepper = ev.Evolver(psi.L0, 128, kawahara, 1e-3)
+    counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    stepper._step(st.modes[: 128 // 2 + 1])
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 4, "irfft": 4}
+    counts.update(dict.fromkeys(counts, 0))
+    stepper.run(st, 10)
+    # 8 real transforms per step plus one irfft for the final blow-up check
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 40, "irfft": 41}
