@@ -10,7 +10,8 @@ always explicit.
 Argparse alone parses, types and range-checks the input.  Each `key=value`
 line of a `--config` file becomes a `--key=value` flag right after the
 subcommand name, so a file may supply any flag, required ones included, and
-flags on the command line win.  Out-of-domain values exit 2.
+flags on the command line win.  Out-of-domain values exit 2, and so does a
+run over a work cap (MAX_MODES, MAX_GRID, MAX_SAMPLES, evolution.MAX_STEPS).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
 (Newton/eigensolver, floating-point breakdown), 4 blow-up.
@@ -38,6 +39,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_BLOWUP = 4
+
+# work caps; the README gives the memory and time behind each
+MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 MB
+MAX_GRID = 6144         # --grid: grid // 3 = MAX_MODES; grid // 2 < the 4096-point scan
+MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
 
 
 def _fmt(x):
@@ -123,11 +129,13 @@ _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _modulus = _checked(float, lambda x: 0.0 < x < 1.0, "a modulus in (0, 1)")
 
 
-def _int_at_least(low):
-    return _checked(int, lambda n: n >= low, f"an integer >= {low}")
+def _int_at_least(low, high=None):
+    if high is None:
+        return _checked(int, lambda n: n >= low, f"an integer >= {low}")
+    return _checked(int, lambda n: low <= n <= high, f"an integer in {low}..{high}")
 
 
-_modes = _int_at_least(8)   # the smallest truncation build_dnoidal accepts
+_modes = _int_at_least(8, MAX_MODES)   # 8: the smallest truncation build_dnoidal accepts
 
 
 def cmd_elliptic_check(args):
@@ -276,27 +284,40 @@ def cmd_continue(args):
 
 
 def cmd_evolve(args):
+    kind = args.perturbation
+    for flag, used_by in (("mode", "mode"), ("seed", "random")):
+        if getattr(args, flag) is not None and kind != used_by:
+            _validation_exit(f"evolve: --{flag} applies only to --perturbation "
+                             f"{used_by}, not {kind}")
+    mode = 1 if args.mode is None else args.mode
+    seed = 0 if args.seed is None else args.seed
     # the evolver keeps only the dealiased modes |n| <= grid // 3
-    if args.perturbation == "mode" and not 1 <= args.mode <= args.grid // 3:
-        _validation_exit(f"evolve: --mode {args.mode} is outside 1..{args.grid // 3}, "
+    if kind == "mode" and not 1 <= mode <= args.grid // 3:
+        _validation_exit(f"evolve: --mode {mode} is outside 1..{args.grid // 3}, "
                          f"the dealiased band of --grid {args.grid}")
     params, psi = _resolve_wave(args)
     try:
         series = stability_experiment(
-            psi, args.omega, args.sym, kind=args.perturbation, delta=args.delta,
-            periods=args.T, grid_size=args.grid, dt=args.dt, seed=args.seed,
-            n_samples=args.samples, A=params.A, mode=args.mode,
+            psi, args.omega, args.sym, kind=kind, delta=args.delta,
+            periods=args.T, grid_size=args.grid, dt=args.dt, seed=seed,
+            n_samples=args.samples, A=params.A, mode=mode,
         )
+    except ValueError as exc:   # the step cap, checked before any step
+        _validation_exit(f"evolve: {exc}")
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
         series, code, meta = exc.series, EXIT_BLOWUP, {"error": "blow-up"}
     else:
         code = EXIT_OK
+        first = series[0]
         meta = {"k": args.k, "omega": args.omega, "delta": args.delta,
-                "perturbation": args.perturbation, "mode": args.mode,
-                "T_periods": args.T, "grid": args.grid, "seed": args.seed,
-                "dt": args.dt if args.dt else "auto",
-                "on_manifold": series[0].get("on_manifold")}
+                "perturbation": kind, "T_periods": args.T, "grid": args.grid,
+                "dt": first["dt"], "steps": first["steps"],
+                "on_manifold": first["on_manifold"]}
+        if kind == "mode":
+            meta["mode"] = mode
+        if kind == "random":
+            meta["seed"] = seed
     rows = [(r["t"], r["rho"], r["E"], r["F"], r["M"], r["deltaP"])
             for r in series]
     _write_csv(args.out, "evolve", meta,
@@ -420,14 +441,16 @@ def build_parser():
     p.add_argument("--delta", type=_finite, default=1e-3)
     p.add_argument("--perturbation", choices=("mode", "random", "mean"),
                    default="mode")
-    p.add_argument("--mode", type=int, default=1)
+    p.add_argument("--mode", type=int, default=None,
+                   help="mode of --perturbation mode (default 1)")
     p.add_argument("--T", type=_positive, default=10.0,
                    help="horizon in temporal periods")
     # grid // 3 dealiased modes must keep at least 8 of the wave's modes
-    p.add_argument("--grid", type=_int_at_least(24), default=256)
+    p.add_argument("--grid", type=_int_at_least(24, MAX_GRID), default=256)
     p.add_argument("--dt", type=_positive, default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--samples", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="seed of --perturbation random (default 0)")
+    p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=100)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("reproduce-figure1",

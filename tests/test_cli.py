@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,21 @@ def test_evolve_series(tmp_path):
     assert len(lines) >= 4
 
 
+def test_evolve_header_records_dt_and_steps(tmp_path):
+    out = tmp_path / "evolve.csv"
+    assert run_cli(["evolve", "--k", "0.8", "--omega", "1.0", "--T", "0.2",
+                    "--samples", "4", "--grid", "64", "--N", "16",
+                    "--out", str(out)]) == 0
+    text = read(out)
+    header = dict(ln[2:].split("=", 1) for ln in text.splitlines()
+                  if ln.startswith("# ") and "=" in ln)
+    dt, steps = float(header["dt"]), int(header["steps"])
+    assert 0 < dt < 1 and steps > 1
+    assert "mode" in header and "seed" not in header
+    last_t = float(body_of(text).splitlines()[-1].split(",")[0])
+    assert last_t == pytest.approx(steps * dt, rel=1e-12)
+
+
 def test_continue_patch(tmp_path):
     out = tmp_path / "patch.csv"
     assert run_cli(["continue", "--k", "0.8", "--omega", "1.0",
@@ -239,6 +255,14 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["evolve", "--k", "0.8", "--grid", "64", "--mode", "22"], None),
     (["evolve", "--k", "0.8", "--mode", "0"], None),
     (["evolve", "--k", "0.8", "--mode", "-1"], None),
+    (["evolve", "--k", "0.8", "--perturbation", "random", "--mode", "2"], None),
+    (["evolve", "--k", "0.8", "--perturbation", "mean", "--mode", "1"], None),
+    (["evolve", "--k", "0.8", "--seed", "1"], None),
+    (["evolve", "--k", "0.8", "--perturbation", "mean", "--seed", "0"], None),
+    (["evolve", "--k", "0.8"], "perturbation=random\nmode=3\n"),
+    (["spectrum", "--k", "0.8", "--N-op", "2049"], None),
+    (["evolve", "--k", "0.8", "--grid", "6145"], None),
+    (["evolve", "--k", "0.8", "--samples", "100001"], None),
     (["sweep", "--steps", "-3"], None),
     (["continue", "--k", "0.8", "--domega", "0"], None),
     (["reproduce-figure1", "--kmin", "0.9", "--kmax", "0.5"], None),
@@ -260,6 +284,21 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--N", "100000000"],
+    ["evolve", "--grid", "64", "--N", "16", "--T", "0.02", "--omega", "1e-300"],
+    ["evolve", "--grid", "64", "--N", "16", "--T", "0.02", "--dt", "1e-300"],
+    ["evolve", "--grid", "64", "--N", "16", "--T", "1e300"],
+], ids=" ".join)
+def test_work_caps_exit_2_quickly(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
+    assert exit_code(argv + ["--k", "0.8", "--out", str(tmp_path / "w.csv")]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
+    assert not (tmp_path / "w.csv").exists()
 
 
 _VALUES = st.one_of(
