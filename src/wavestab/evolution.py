@@ -202,7 +202,8 @@ def orbital_distance(state, psi, sym, samples=4096):
 
     rho(u, psi)^2 = min_y  L0 * sum_n (1 + theta(xi_n)) |u_n e^{i xi_n y} - psi_n|^2,
     which maximizes the weighted cross-correlation g(y) = Re sum_n c_n e^{i xi_n y}.
-    g is scanned at `samples` points over one period by an inverse FFT, and
+    g is scanned at `samples` points over one period (more when the
+    dealiased band, modes up to grid // 3, exceeds that) by an inverse FFT, and
     the best sample is refined by Newton's method on the analytic g' and g''.
     Returns (rho, y_star).
     """
@@ -222,9 +223,12 @@ def orbital_distance(state, psi, sym, samples=4096):
     dbl[1:] = 2.0
     cross = dbl * w * uu * np.conj(ph)
 
-    # coarse scan: maximize the weighted cross-correlation via an inverse FFT
+    # coarse scan: maximize the weighted cross-correlation via an inverse FFT;
+    # modes above grid // 3 are zero after dealiasing, so only the band is copied
+    n_band = min(n_half, M_grid // 3) + 1
+    samples = max(samples, n_band)
     padded = np.zeros(samples, dtype=complex)
-    padded[: n_half + 1] = cross
+    padded[:n_band] = cross[:n_band]
     g = np.fft.ifft(padded).real * samples
     h = L0 / samples
     y_star = y0 = int(np.argmax(g)) * h

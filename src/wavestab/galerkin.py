@@ -8,11 +8,22 @@ odd (sine) block of size N.  Counting for the spectral assumption uses the
 union of both blocks; the kernel direction psi' is odd, so the even block
 is the invertible restriction used for the parameter-derivative solves.
 
-Each block is diagonalized once, on first use (`eig_even`, `eig_odd`), and
-every consumer reads that decomposition, so the blocks must not be modified
-after assembly.  `constrained_min(op, even=None, odd=None)` takes at most
-one constraint per block, in that block's orthonormal coordinates, and
-returns the smaller of the two block minima.
+The even block is assembled with the operator and the odd block on first
+use (`odd`); each block is diagonalized once, on first use (`eig_even`,
+`eig_odd`), and every consumer reads that decomposition, so the blocks must
+not be modified after assembly.
+
+`constrained_min(op, even=None, odd=None)` takes at most one constraint per
+block, in that block's orthonormal coordinates, and returns the smaller of
+the two block minima.  A rank-one constraint needs no new factorization:
+with the block as V diag(lam) V^T and z = V^T c / |c|, the eigenvalues on
+the complement of c are the roots of the secular equation
+sum_i z_i^2 / (lam_i - mu) = 0 (Golub's modified eigenvalue problem, SIAM
+Rev. 15, 1973; LAPACK dlaed4 solves the same equation), together with the
+deflated eigenvalues.  Deflation: lam_i stays an eigenvalue when |z_i| is
+negligible, and a repeated eigenvalue merges into one term and keeps its
+other copies.  The smallest root lies strictly between the first two
+remaining distinct eigenvalues and is found by bisection.
 """
 
 import math
@@ -58,7 +69,8 @@ class GalerkinOperator:
         shift = self.omega - h[0]
         h0 = h.copy()
         h0[0] = 0.0
-        diag = self.theta + shift
+        self._h0 = h0
+        self._diag = self.theta + shift
 
         n = np.arange(self.N + 1)
         # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}
@@ -66,11 +78,15 @@ class GalerkinOperator:
         S[0, 0] = 0.0
         S[0, 1:] = math.sqrt(2.0) * h0[1 : self.N + 1]
         S[1:, 0] = S[0, 1:]
-        self.even = np.diag(diag) - S
-        # odd (sine) block over sin_1..sin_N
-        m = n[1:]
+        self.even = np.diag(self._diag) - S
+
+    @cached_property
+    def odd(self):
+        """Odd (sine) block over sin_1..sin_N, assembled on first use."""
+        h0 = self._h0
+        m = np.arange(1, self.N + 1)
         T = h0[np.abs(m[:, None] - m[None, :])] - h0[m[:, None] + m[None, :]]
-        self.odd = np.diag(diag[1:]) - T
+        return np.diag(self._diag[1:]) - T
 
     @cached_property
     def eig_even(self):
@@ -217,26 +233,58 @@ def constrained_min(op, even=None, odd=None):
     vectors in the orthonormal coordinates of their block.  L and the
     constraints split by parity, so the minimum is the smaller of the two
     block minima; a block without a constraint gives its lowest eigenvalue.
+    A constrained block needs no new factorization: on its cached eigenpairs
+    (lam_i, v_i) and z = V^T c / |c|, its minimum is the smallest root of the
+    secular equation sum_i z_i^2 / (lam_i - mu) = 0, or a deflated lam_i
+    (negligible z_i, or a repeated eigenvalue) if that is lower; see
+    `_secular_min` for the tolerances.
     """
     w_even = (op.eig_even.eigenvalues[0] if even is None
-              else _projected_min(op.even, even))
+              else _secular_min(op.eig_even, even))
     w_odd = (op.eig_odd.eigenvalues[0] if odd is None
-             else _projected_min(op.odd, odd))
+             else _secular_min(op.eig_odd, odd))
     return float(min(w_even, w_odd))
 
 
-def _projected_min(block, constraint):
-    """Lowest eigenvalue of `block` on the orthogonal complement of `constraint`."""
+def _secular_min(eig, constraint):
+    """Lowest eigenvalue of V diag(lam) V^T on the complement of `constraint`.
+
+    Deflation: an index with |z_i| <= n*eps keeps lam_i; eigenvalues equal
+    within 8*eps relative merge into one pole of weight sum z_i^2, and the
+    other copies are kept.  f(mu) = sum_i z_i^2 / (lam_i - mu) rises from
+    -inf to +inf between the first two remaining poles d0 < d1, so bisection
+    on (d0, d1) finds its smallest root, to a bracket of 4*eps*max(1, |mu|).
+    """
+    lam, vecs = eig
     c = np.asarray(constraint, dtype=float)
-    if c.shape != (block.shape[0],):
-        raise ValueError(
-            f"constraint has shape {c.shape}, expected ({block.shape[0]},)"
-        )
-    if not c.any():
+    if c.shape != lam.shape:
+        raise ValueError(f"constraint has shape {c.shape}, expected {lam.shape}")
+    norm = np.linalg.norm(c)
+    if norm == 0.0:
         raise ValueError("constraint vector is zero")
-    Q, _ = np.linalg.qr(c[:, None], mode="complete")
-    Q2 = Q[:, 1:]
-    return np.linalg.eigh(Q2.T @ block @ Q2).eigenvalues[0]
+    eps = np.finfo(float).eps
+    z = vecs.T @ (c / norm)
+    live = np.abs(z) > lam.size * eps
+    poles, weights = lam[live], z[live] ** 2
+    first = np.ones(poles.size, dtype=bool)
+    first[1:] = np.diff(poles) > 8.0 * eps * np.maximum(
+        np.abs(poles[:-1]), np.abs(poles[1:]))
+    kept = np.concatenate([lam[~live], poles[~first]])
+    weights = np.add.reduceat(weights, np.flatnonzero(first))
+    poles = poles[first]
+    w_kept = kept.min() if kept.size else np.inf
+    if poles.size < 2:  # c is an eigenvector: only the kept values remain
+        return w_kept
+    lo, hi = poles[0], poles[1]
+    while hi - lo > 4.0 * eps * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.sum(weights / (poles - mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return min(w_kept, 0.5 * (lo + hi))
 
 
 def apply_linearized(psi, omega, sym, f):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import wavestab.continuation as cont
 from wavestab.continuation import (
     NewtonDivergenceError,
     newton_solve,
     surface_patch,
 )
 from wavestab.criteria import derivatives, functionals
+from wavestab.galerkin import GalerkinOperator
 from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
 
 
@@ -131,3 +133,19 @@ def test_gauge_ray(wave08, kawahara):
     diff = pt.psi.coeffs - psi.coeffs
     assert diff[0] == pytest.approx(alpha, abs=1e-9)
     assert np.abs(diff[1:]).max() < 1e-9
+
+
+def test_newton_leaves_odd_block_unassembled(wave08, kawahara, monkeypatch):
+    # the Newton Jacobian is the even block; the odd block is never read
+    built = []
+
+    class Recorded(GalerkinOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cont, "GalerkinOperator", Recorded)
+    params, psi = wave08
+    newton_solve(psi, params.omega + 1e-3, params.A, kawahara)
+    assert built
+    assert all("odd" not in op.__dict__ for op in built)

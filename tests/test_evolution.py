@@ -94,6 +94,21 @@ def test_orbital_distance_properties(wave08, kawahara):
         assert ev.orbital_distance(shifted, psi, kawahara)[0] < 1e-10
 
 
+def test_orbital_distance_beyond_scan_samples(wave08, kawahara):
+    # from grid 8192 on, grid // 2 + 1 modes exceed the 4096-sample scan;
+    # at 12288 even the dealiased band (modes up to grid // 3) does
+    _, psi = wave08
+    rho = {}
+    for grid in (6144, 8192, 12288):
+        v = ev.make_perturbation("random", psi, 1e-3, grid, seed=5)
+        st = ev.state_from_values(ev.state_from_profile(psi, grid).values() + v,
+                                  psi.L0)
+        rho[grid], _ = ev.orbital_distance(ev.translate_state(st, 0.37), psi,
+                                           kawahara)
+    assert rho[8192] == pytest.approx(rho[6144], rel=1e-10)
+    assert rho[12288] == pytest.approx(rho[6144], rel=1e-10)
+
+
 def test_orbital_distance_single_mode_scaling(wave08, kawahara):
     _, psi = wave08
     delta = 1e-3

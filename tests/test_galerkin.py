@@ -3,6 +3,7 @@ import pytest
 
 from wavestab.galerkin import (
     DegenerateOperatorError,
+    _secular_min,
     apply_linearized,
     assemble,
     constrained_min,
@@ -179,16 +180,55 @@ def _dense_constrained_min(op, even=None, odd=None):
     return np.linalg.eigvalsh(Q2.T @ H @ Q2)[0]
 
 
-@pytest.mark.parametrize("k, omega, N", [(0.8, 1.0, 64), (0.7, 0.5, 128)])
+@pytest.mark.parametrize("k, omega, N", [
+    (0.8, 1.0, 64), (0.7, 0.5, 128), (0.6, 0.5, 256), (0.7, 0.5, 512),
+    (0.8, 0.5, 512),
+])
 def test_constrained_min_matches_dense_oracle(branch_points, kawahara, k, omega, N):
     _, psi = build_dnoidal(k, branch_points[k].L, omega, N=128)
     op = assemble(psi, omega, kawahara, N=N)
     tol = 1e-9 * max(1.0, abs(spectrum(op).eigenvalues[0]))
     psi_c = op.even_coords(psi)
     pair = dict(even=psi_c, odd=op.psi_psi_prime_coords())
-    assert abs(constrained_min(op, even=psi_c)
-               - _dense_constrained_min(op, even=psi_c)) <= tol
-    assert abs(constrained_min(op, **pair) - _dense_constrained_min(op, **pair)) <= tol
+    for constraints in (dict(even=psi_c), dict(odd=pair["odd"]), pair):
+        assert abs(constrained_min(op, **constraints)
+                   - _dense_constrained_min(op, **constraints)) <= tol
+
+
+def _diagonal_projected_min(lam, c):
+    Q, _ = np.linalg.qr(np.asarray(c, dtype=float)[:, None], mode="complete")
+    return np.linalg.eigvalsh(Q[:, 1:].T @ np.diag(lam) @ Q[:, 1:])[0]
+
+
+def test_secular_min_deflation_cases():
+    lam = np.array([-1.0, 0.5, 2.0, 3.0, 7.0])
+    eig = (lam, np.eye(lam.size))
+    # constraint along the lowest eigenvector: the next eigenvalue remains
+    assert _secular_min(eig, [2.0, 0.0, 0.0, 0.0, 0.0]) == lam[1]
+    # constraint orthogonal to the lowest eigenvector (z_0 = 0)
+    assert _secular_min(eig, [0.0, 1.0, -2.0, 1.0, 3.0]) == lam[0]
+    # a repeated lowest eigenvalue keeps one copy on the complement
+    rep = np.array([1.0, 1.0, 2.0, 3.0, 5.0])
+    assert _secular_min((rep, np.eye(rep.size)), [0.3, -0.8, 0.5, 1.0, 0.2]) == 1.0
+    # generic constraint: the root strictly inside (lam_0, lam_1)
+    c = np.array([0.6, 0.2, -0.4, 0.7, 0.1])
+    w = _secular_min(eig, c)
+    assert lam[0] < w < lam[1]
+    assert w == pytest.approx(_diagonal_projected_min(lam, c), abs=1e-14)
+
+
+def test_constrained_min_reuses_cached_eigenpairs(op08, wave08, monkeypatch):
+    _, psi = wave08
+    op08.eig_even, op08.eig_odd  # computed before the check
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constrained_min must not factorize")
+
+    for name in ("qr", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    w = constrained_min(op08, even=op08.even_coords(psi),
+                        odd=op08.psi_psi_prime_coords())
+    assert w > 1e-8
 
 
 def test_constrained_min_rejects_bad_constraint(op08, wave08):
