@@ -10,12 +10,11 @@ orbital distance.
 __version__ = "0.1.0"
 
 from .elliptic import EllipticPair, complete_integrals, dn, jacobi_sn_cn_dn
-from .multiplier import MultiplierSymbol, builtin_symbol, verify_bounds
+from .multiplier import MultiplierSymbol, builtin_symbol
 from .profile import (
     DnoidalParams,
     FourierProfile,
     build_dnoidal,
-    csch_coefficients,
     dnoidal_coefficients,
     extract_A,
     galilean_shift,
@@ -30,7 +29,7 @@ from .galerkin import (
     spectrum,
 )
 from .continuation import ContinuationPoint, newton_solve, surface_patch
-from .criteria import StabilityReport, evaluate_dnoidal, evaluate_wave
+from .criteria import StabilityReport, evaluate_wave
 from .evolution import (
     ConservedTriple,
     EvolutionState,
@@ -43,14 +42,14 @@ from .evolution import (
 __all__ = [
     "__version__",
     "EllipticPair", "complete_integrals", "dn", "jacobi_sn_cn_dn",
-    "MultiplierSymbol", "builtin_symbol", "verify_bounds",
-    "DnoidalParams", "FourierProfile", "build_dnoidal", "csch_coefficients",
+    "MultiplierSymbol", "builtin_symbol",
+    "DnoidalParams", "FourierProfile", "build_dnoidal",
     "dnoidal_coefficients", "extract_A", "galilean_shift",
     "KLPoint", "p_of_k", "solve_L1", "sweep",
     "GalerkinOperator", "SpectrumReport", "assemble", "constrained_min",
     "solve_variations", "spectrum",
     "ContinuationPoint", "newton_solve", "surface_patch",
-    "StabilityReport", "evaluate_dnoidal", "evaluate_wave",
+    "StabilityReport", "evaluate_wave",
     "ConservedTriple", "EvolutionState", "Evolver", "conserved",
     "orbital_distance", "stability_experiment",
 ]

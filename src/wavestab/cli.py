@@ -11,7 +11,8 @@ Argparse alone parses, types and range-checks the input.  Each `key=value`
 line of a `--config` file becomes a `--key=value` flag right after the
 subcommand name, so a file may supply any flag, required ones included, and
 flags on the command line win.  Out-of-domain values exit 2, and so does a
-run over a work cap (MAX_MODES, MAX_GRID, MAX_SAMPLES, evolution.MAX_STEPS).
+run over a work cap (MAX_MODES, MAX_GRID, MAX_SAMPLES, MAX_K_STEPS,
+evolution.MAX_STEPS).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
 (Newton/eigensolver, floating-point breakdown), 4 blow-up.
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .continuation import NewtonDivergenceError, newton_solve, surface_patch
-from .criteria import evaluate_dnoidal, evaluate_wave, functionals
+from .criteria import evaluate_wave, functionals
 from .elliptic import complete_integrals, jacobi_sn_cn_dn
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
@@ -42,8 +43,9 @@ EXIT_BLOWUP = 4
 
 # work caps; the README gives the memory and time behind each
 MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 MB
-MAX_GRID = 6144         # --grid: grid // 3 = MAX_MODES; grid // 2 < the 4096-point scan
+MAX_GRID = 6144         # --grid: grid // 3 = MAX_MODES
 MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
+MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root each
 
 
 def _fmt(x):
@@ -242,13 +244,8 @@ def cmd_spectrum(args):
 
 def cmd_criteria(args):
     try:
-        if args.L is not None:
-            params, psi = _resolve_wave(args)
-            report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
-        else:
-            report, params, psi = evaluate_dnoidal(
-                args.k, args.omega, sym=args.sym, N_profile=args.N, N_op=args.N_op
-            )
+        params, psi = _resolve_wave(args)
+        report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
     except (DegenerateOperatorError, np.linalg.LinAlgError) as exc:
         # before ValueError, of which LinAlgError is a subclass
         print(f"criteria: numerical failure: {exc}", file=sys.stderr)
@@ -399,7 +396,7 @@ def build_parser():
     def add_k_range(p):
         p.add_argument("--kmin", type=_finite, default=0.05)
         p.add_argument("--kmax", type=_finite, default=0.99)
-        p.add_argument("--steps", type=_int_at_least(2), default=200)
+        p.add_argument("--steps", type=_int_at_least(2, MAX_K_STEPS), default=200)
 
     p = sub.add_parser("elliptic-check", help="elliptic-kernel identity battery")
     add_common(p, omega=None, symbol=False)

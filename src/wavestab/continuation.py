@@ -47,26 +47,21 @@ def _projected_residual_coords(psi, omega, A, sym):
     return r
 
 
-def newton_solve(psi0, omega, A, sym, N=None, tol=1e-12, max_iter=MAX_ITER,
-                 history=None):
+def newton_solve(psi, omega, A, sym, tol=1e-12):
     """Damped Newton iteration for Pi(omega, A, psi) = 0 in the even subspace.
 
     Converges quadratically near a root; raises NewtonDivergenceError after
-    max_iter iterations (or when the damped step cannot reduce the residual)
-    and numpy.linalg.LinAlgError propagates as a singular-Jacobian failure.
-    A list passed as `history` collects the residual norm per iteration.
+    MAX_ITER iterations, when the damped step cannot reduce the residual, or
+    on a singular Jacobian.
     """
-    psi = psi0.truncated(N) if N is not None else psi0
     scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
     r = _projected_residual_coords(psi, omega, A, sym)
     rnorm = float(np.linalg.norm(r))
-    if history is not None:
-        history.append(rnorm)
     iters = 0
     while rnorm > tol * scale:
-        if iters >= max_iter:
+        if iters >= MAX_ITER:
             raise NewtonDivergenceError(
-                f"no convergence in {max_iter} iterations (residual {rnorm:.3e})"
+                f"no convergence in {MAX_ITER} iterations (residual {rnorm:.3e})"
             )
         J = GalerkinOperator(psi, omega, sym, psi.N).even
         try:
@@ -88,8 +83,6 @@ def newton_solve(psi0, omega, A, sym, N=None, tol=1e-12, max_iter=MAX_ITER,
         psi, r, rnorm = cand, r_new, rnorm_new
         scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
         iters += 1
-        if history is not None:
-            history.append(rnorm)
     _, sup = pi_residual(psi, omega, A, sym)
     return ContinuationPoint(
         omega=float(omega), A=float(A), psi=psi,
@@ -104,7 +97,7 @@ def _coords_step(psi, delta_coords):
     return FourierProfile(psi.L0, c)
 
 
-def surface_patch(center, domega, dA, extent, sym, tol=1e-12):
+def surface_patch(center, domega, dA, extent, sym):
     """Predictor-corrector continuation over an (omega, A) grid.
 
     `extent` = (iw, ia): grid offsets run over -iw..iw and -ia..ia around
@@ -121,8 +114,7 @@ def surface_patch(center, domega, dA, extent, sym, tol=1e-12):
             return None
         try:
             pt = newton_solve(
-                prev.psi, center.omega + di * domega, center.A + dj * dA,
-                sym, tol=tol,
+                prev.psi, center.omega + di * domega, center.A + dj * dA, sym,
             )
         except NewtonDivergenceError:
             return None

@@ -19,7 +19,7 @@ import numpy as np
 
 from .galerkin import SpectrumReport, assemble, constrained_min, solve_variations, spectrum
 from .multiplier import builtin_symbol
-from .profile import FourierProfile, build_dnoidal
+from .profile import FourierProfile
 
 __all__ = [
     "StabilityReport",
@@ -31,7 +31,6 @@ __all__ = [
     "choose_witness",
     "verdict",
     "evaluate_wave",
-    "evaluate_dnoidal",
     "VERDICT_DETERMINANT",
     "VERDICT_COERCIVITY",
     "VERDICT_INCONCLUSIVE",
@@ -252,23 +251,3 @@ def evaluate_wave(psi, omega, sym=None, N=None):
         )
     report.verdict = verdict(report)
     return report
-
-
-def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256, corrected=True):
-    """Report for the explicit wave at modulus k on the period-constraint branch.
-
-    Raises ValueError when the constraint has no branch root at k.  The
-    wave's integration constant A is recomputed from the residual mean.
-    """
-    from .klcurve import solve_L1
-
-    point, roots = solve_L1(k)
-    if point is None:
-        raise ValueError(
-            f"period constraint has no branch root at k={k} "
-            f"(positive roots found: {list(roots)})"
-        )
-    params, psi = build_dnoidal(k, point.L, omega, N=N_profile, sym=sym,
-                                corrected=corrected)
-    report = evaluate_wave(psi, omega, sym=sym, N=N_op)
-    return report, params, psi

@@ -57,12 +57,15 @@ def _check_modulus(k):
         )
 
 
-def _agm_ke(k):
-    """K(k) and E(k) by the AGM; assumes 0 <= k <= MODULUS_CAP."""
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    c = k
-    csum = 0.5 * c * c  # 2^{n-1} c_n^2 starting at n = 0
+def _agm_levels(k):
+    """One descending AGM pass from (1, k', k); assumes 0 <= k <= MODULUS_CAP.
+
+    Returns the levels a_i, c_i of the Landen backward recurrence and
+    csum = sum_i 2^{i-1} c_i^2, with K = pi / (2 a_n) and E = K (1 - csum).
+    """
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    a_list, c_list = [a], [c]
+    csum = 0.5 * c * c
     half_pow = 0.5
     for _ in range(AGM_MAX_ITER):
         if abs(c) <= AGM_TOL * a:
@@ -71,8 +74,9 @@ def _agm_ke(k):
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         half_pow *= 2.0
         csum += half_pow * c * c
-    K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum)
+        a_list.append(a)
+        c_list.append(c)
+    return a_list, c_list, csum
 
 
 def complete_integrals(k):
@@ -84,30 +88,18 @@ def complete_integrals(k):
     """
     k = float(k)
     _check_modulus(k)
-    K, E = _agm_ke(k)
+    a_list, _, csum = _agm_levels(k)
+    K = math.pi / (2.0 * a_list[-1])
+    E = K * (1.0 - csum)
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     if kp > MODULUS_CAP:
         # k == 0 (or denormal-close): complementary integral diverges
         Kp, Ep = math.inf, 1.0
     else:
-        Kp, Ep = _agm_ke(kp)
+        a_list, _, csum = _agm_levels(kp)
+        Kp = math.pi / (2.0 * a_list[-1])
+        Ep = Kp * (1.0 - csum)
     return EllipticPair(k=k, K=K, E=E, Kp=Kp, Ep=Ep)
-
-
-def _agm_levels(k):
-    """Descending AGM scale a_i, c_i for the Landen backward recurrence."""
-    a_list = [1.0]
-    c_list = [k]
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    for _ in range(AGM_MAX_ITER):
-        a_prev = a_list[-1]
-        if abs(c_list[-1]) <= AGM_TOL * a_prev:
-            break
-        c_list.append(0.5 * (a_prev - b))
-        a_next = 0.5 * (a_prev + b)
-        b = math.sqrt(a_prev * b)
-        a_list.append(a_next)
-    return a_list, c_list
 
 
 def jacobi_sn_cn_dn(u, k):
@@ -133,11 +125,11 @@ def jacobi_sn_cn_dn(u, k):
         cn_v = c + corr * s
         dn_v = 1.0 - 0.5 * m * s * s
     else:
-        K = math.pi / (2.0 * _agm_levels(k)[0][-1])
+        a_list, c_list, _ = _agm_levels(k)
+        K = math.pi / (2.0 * a_list[-1])
         period = 4.0 * K
         x = u_arr - period * np.round(u_arr / period)
 
-        a_list, c_list = _agm_levels(k)
         n = len(a_list) - 1
         phi = (2.0**n) * a_list[-1] * x
         phi_prev = phi

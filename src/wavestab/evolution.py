@@ -27,7 +27,6 @@ __all__ = [
     "default_dt",
     "orbital_distance",
     "make_perturbation",
-    "mass_energy_matched",
     "stability_experiment",
 ]
 
@@ -153,26 +152,20 @@ class Evolver:
         return EvolutionState(t=state.t + nsteps * self.dt, modes=modes, L0=self.L0)
 
 
-def default_dt(state_or_profile, sym, safety=0.5, rel_floor=1e-12):
+def default_dt(state, sym, safety=0.5):
     """dt = safety / theta(xi_eff), xi_eff the largest content-carrying wavenumber.
 
-    Content is measured relative to the largest mode magnitude; the exact
+    Content is a mode magnitude above 1e-12 times the largest; the exact
     linear propagation keeps the scheme stable well beyond this, so the
     bound is an accuracy heuristic, gated in practice by the conservation
     drift checks.
     """
-    if isinstance(state_or_profile, EvolutionState):
-        coeffs = np.abs(state_or_profile.mode_coefficients())
-        L0 = state_or_profile.L0
-        half = len(coeffs) // 2
-        mags = coeffs[: half + 1]
-    else:
-        mags = np.abs(state_or_profile.coeffs)
-        L0 = state_or_profile.L0
+    coeffs = np.abs(state.mode_coefficients())
+    mags = coeffs[: len(coeffs) // 2 + 1]
     top = mags.max()
-    idx = np.nonzero(mags > rel_floor * top)[0]
+    idx = np.nonzero(mags > 1e-12 * top)[0]
     n_eff = max(int(idx.max()), 1) if len(idx) else 1
-    xi_eff = 2.0 * math.pi * n_eff / L0
+    xi_eff = 2.0 * math.pi * n_eff / state.L0
     th = float(sym(xi_eff))
     return safety / max(th, 1.0)
 
@@ -197,13 +190,13 @@ def conserved(state, sym):
     return ConservedTriple(E=E, F=F, M=Mass)
 
 
-def orbital_distance(state, psi, sym, samples=4096):
+def orbital_distance(state, psi, sym):
     """Translation-minimized weighted distance to the wave's orbit.
 
     rho(u, psi)^2 = min_y  L0 * sum_n (1 + theta(xi_n)) |u_n e^{i xi_n y} - psi_n|^2,
     which maximizes the weighted cross-correlation g(y) = Re sum_n c_n e^{i xi_n y}.
-    g is scanned at `samples` points over one period (more when the
-    dealiased band, modes up to grid // 3, exceeds that) by an inverse FFT, and
+    g is scanned at 4096 points over one period (more when the dealiased
+    band, modes up to grid // 3, exceeds that) by an inverse FFT, and
     the best sample is refined by Newton's method on the analytic g' and g''.
     Returns (rho, y_star).
     """
@@ -226,7 +219,7 @@ def orbital_distance(state, psi, sym, samples=4096):
     # coarse scan: maximize the weighted cross-correlation via an inverse FFT;
     # modes above grid // 3 are zero after dealiasing, so only the band is copied
     n_band = min(n_half, M_grid // 3) + 1
-    samples = max(samples, n_band)
+    samples = max(4096, n_band)
     padded = np.zeros(samples, dtype=complex)
     padded[:n_band] = cross[:n_band]
     g = np.fft.ifft(padded).real * samples
@@ -247,21 +240,12 @@ def orbital_distance(state, psi, sym, samples=4096):
     return math.sqrt(L0 * max(val, 0.0)), y_star
 
 
-def translate_state(state, y):
-    """u(. + y): multiply mode n by e^{i xi_n y}."""
-    M_grid = state.grid_size
-    xi = 2.0 * math.pi * np.fft.fftfreq(M_grid, d=state.L0 / M_grid)
-    return EvolutionState(
-        t=state.t, modes=state.modes * np.exp(1j * xi * y), L0=state.L0
-    )
-
-
-def make_perturbation(kind, psi, delta, grid_size=256, mode=1, band=8, seed=0):
+def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
     """Perturbation values on the grid, amplitude delta.
 
     kind="mode": delta * cos(2 pi mode x / L0), mean preserving;
     kind="random": seeded band-limited random trigonometric polynomial
-    (modes 1..band, both parities, O(1) amplitude), mean preserving;
+    (modes 1..8, both parities, O(1) amplitude), mean preserving;
     kind="mean": the constant delta, which moves the wave average.
     """
     L0 = psi.L0
@@ -270,6 +254,7 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, band=8, seed=0):
         return delta * np.cos(2.0 * math.pi * mode * x / L0)
     if kind == "random":
         rng = np.random.default_rng(seed)
+        band = 8
         v = np.zeros(grid_size)
         for n in range(1, band + 1):
             amp_c, amp_s = rng.standard_normal(2)
@@ -282,39 +267,9 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, band=8, seed=0):
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
-def mass_energy_matched(psi, v, grid_size=256):
-    """u0 = alpha (psi + v) + gamma with M(u0) = M(psi) and F(u0) = F(psi).
-
-    Two-parameter correction solved in closed form (quadratic in alpha);
-    used for perturbations constrained to the conserved-quantity manifold.
-    """
-    L0 = psi.L0
-    base = state_from_profile(psi, grid_size).values()
-    q = base + v
-    h = L0 / grid_size
-    M0 = h * base.sum()
-    F0 = 0.5 * h * np.sum(base * base)
-    Mq = h * q.sum()
-    Fq = 0.5 * h * np.sum(q * q)
-    # gamma(alpha) = (M0 - alpha Mq)/L0; plug into F:
-    #   alpha^2 Fq + alpha gamma Mq + gamma^2 L0/2 = F0
-    best = None
-    coef2 = Fq - Mq * Mq / (2.0 * L0)
-    coef0 = M0 * M0 / (2.0 * L0) - F0
-    disc = -coef0 / coef2
-    if disc < 0:
-        raise ValueError("cannot match both invariants for this perturbation")
-    for alpha in (math.sqrt(disc), -math.sqrt(disc)):
-        if best is None or abs(alpha - 1.0) < abs(best - 1.0):
-            best = alpha
-    alpha = best
-    gamma = (M0 - alpha * Mq) / L0
-    return alpha * q + gamma
-
-
 def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
                          grid_size=256, dt=None, seed=0, n_samples=200,
-                         A=None, mode=1, band=8, dt_safety=0.5):
+                         A=None, mode=1, dt_safety=0.5):
     """Evolve psi + delta*v and record (t, rho, E, F, M, deltaP) time series.
 
     The horizon is `periods` temporal periods L0/omega.  deltaP is the
@@ -330,7 +285,7 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     if A is None:
         A, _ = extract_A(psi, omega, sym)
     v = make_perturbation(kind, psi, delta, grid_size=grid_size, mode=mode,
-                          band=band, seed=seed)
+                          seed=seed)
     psi_state = state_from_profile(psi, grid_size)
     state = state_from_values(psi_state.values() + v, psi.L0)
     if dt is None:

@@ -43,7 +43,6 @@ __all__ = [
     "spectrum",
     "solve_variations",
     "constrained_min",
-    "apply_linearized",
 ]
 
 
@@ -285,21 +284,3 @@ def _secular_min(eig, constraint):
         else:
             hi = mid
     return min(w_kept, 0.5 * (lo + hi))
-
-
-def apply_linearized(psi, omega, sym, f):
-    """Exact action (M + omega - psi) f as a profile with N_psi + N_f modes.
-
-    Used for residual checks beyond the Galerkin truncation; the product
-    psi*f is computed alias-free on an oversampled grid.
-    """
-    N_out = psi.N + f.N
-    M = 4 * (N_out + 1)
-    prod = psi.values(M) * f.values(M)
-    prod_prof, _ = FourierProfile.from_samples(psi.L0, prod, N_out)
-    out = prod_prof.coeffs * (-1.0)
-    xi = 2.0 * math.pi * np.arange(N_out + 1) / psi.L0
-    fc = np.zeros(N_out + 1)
-    fc[: f.N + 1] = f.coeffs
-    out += (np.asarray(sym(xi)) + omega) * fc
-    return FourierProfile(psi.L0, out)

@@ -18,7 +18,7 @@ branch stays the larger root on (0.5345, 1) and does not exist below.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .elliptic import complete_integrals
 
@@ -26,7 +26,9 @@ __all__ = ["KLPoint", "cubic_coefficients", "cubic_residual", "positive_roots",
            "solve_L1", "p_of_k", "sweep", "K_ANALYTIC"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
-P_CORRECTION = 605696.0  # times K^4; see profile.dnoidal_coefficients
+# times K^4, off the plain closed form of p; P_CORRECTION / 507 = 3584/3 (times
+# K^4/L^4) off that of the dnoidal `a`, which only then solves the wave equation
+P_CORRECTION = 605696.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class KLPoint:
     L: float
     residual: float          # relative cubic residual at (k, L1)
     p_value: float           # p(k, L1); sign decides the average-vs-speed test
-    all_roots: tuple = field(default=())
 
 
 def cubic_coefficients(k):
@@ -93,7 +94,7 @@ def positive_roots(k):
     return dedup
 
 
-def solve_L1(k, corrected=True):
+def solve_L1(k):
     """Branch point of the constraint at modulus k: the largest positive root.
 
     Returns (KLPoint or None, all_positive_roots).  None means the smooth
@@ -113,34 +114,33 @@ def solve_L1(k, corrected=True):
         L1=L1,
         L=L,
         residual=cubic_residual(k, L1),
-        p_value=p_of_k(k, L, corrected=corrected),
-        all_roots=roots,
+        p_value=p_of_k(k, L),
     )
     return point, roots
 
 
-def p_of_k(k, L, corrected=True):
-    """The omega-independent combination p with  a - omega = p / (507 L^4).
-
-    corrected=True applies the same constant fix as the profile module's
-    `a` (shift by -605696 K^4), keeping p/(507 L^4) equal to the mean of
-    the actually-constructed wave minus the speed.
-    """
-    pair = complete_integrals(k)
-    K, E = pair.K, pair.E
-    L2 = L * L
-    p = (
+def _closed_form_terms(k, L2, K, E):
+    """The (k, L) part shared by p and the dnoidal `a`, summed left to right:
+    302848 (-k^4 + k^2 + 1) K^4 + 14560 L^2 K^2 (k^2 - 2) + 43680 L^2 E K."""
+    return (
         302848.0 * (-(k**4) + k**2 + 1.0) * K**4
         + 14560.0 * L2 * K**2 * (k**2 - 2.0)
         + 43680.0 * L2 * E * K
-        - 31.0 * L2 * L2
     )
-    if corrected:
-        p -= P_CORRECTION * K**4
+
+
+def p_of_k(k, L):
+    """The omega-independent combination p with  a - omega = p / (507 L^4),
+    `a` the mean of the wave that profile.build_dnoidal constructs."""
+    pair = complete_integrals(k)
+    K, E = pair.K, pair.E
+    L2 = L * L
+    p = _closed_form_terms(k, L2, K, E) - 31.0 * L2 * L2
+    p -= P_CORRECTION * K**4
     return p
 
 
-def sweep(k_grid, corrected=True):
+def sweep(k_grid):
     """One row per modulus: dict with k, L1, L, p, stable.
 
     Rows where the branch does not exist carry L1 = L = p = None and
@@ -150,7 +150,7 @@ def sweep(k_grid, corrected=True):
     """
     rows = []
     for k in k_grid:
-        point, _ = solve_L1(k, corrected=corrected)
+        point, _ = solve_L1(k)
         if point is None:
             rows.append({"k": float(k), "L1": None, "L": None, "p": None,
                          "stable": "no_root"})

@@ -8,7 +8,7 @@ callers evaluate the symbol at physical wavenumbers 2*pi*n/L0.
 
 import numpy as np
 
-__all__ = ["MultiplierSymbol", "builtin_symbol", "verify_bounds", "BUILTIN_NAMES"]
+__all__ = ["MultiplierSymbol", "builtin_symbol", "BUILTIN_NAMES"]
 
 BUILTIN_NAMES = ("kawahara", "kdv", "bo", "fractional")
 
@@ -16,7 +16,7 @@ BUILTIN_NAMES = ("kawahara", "kdv", "bo", "fractional")
 class MultiplierSymbol:
     """Dispersion symbol theta with its order m2 and sandwich bounds A1, A2."""
 
-    def __init__(self, name, func, m2, A1, A2, check=True):
+    def __init__(self, name, func, m2, A1, A2):
         if m2 <= 0 or A1 <= 0 or A2 <= 0:
             raise ValueError("m2, A1, A2 must be positive")
         self.name = name
@@ -24,8 +24,7 @@ class MultiplierSymbol:
         self.m2 = float(m2)
         self.A1 = float(A1)
         self.A2 = float(A2)
-        if check:
-            self._validate()
+        self._validate()
 
     def __call__(self, kappa):
         """theta(kappa) for scalar or array kappa."""
@@ -75,22 +74,3 @@ def builtin_symbol(name, alpha=None):
             f"fractional({a:g})", lambda x: np.abs(x) ** a, a, 1.0, 1.0
         )
     raise ValueError(f"unknown symbol {name!r}; choose from {BUILTIN_NAMES}")
-
-
-def verify_bounds(sym, kappa_max):
-    """Check A1*|kappa|^m2 <= theta(kappa) <= A2*|kappa|^m2 on 1 <= |kappa| <= kappa_max.
-
-    Returns (ok, first_violating_kappa_or_None).  A relative slack of 1e-12
-    absorbs rounding at exact-equality bounds.
-    """
-    if kappa_max < 1:
-        raise ValueError("kappa_max must be >= 1")
-    slack = 1e-12
-    for n in range(1, int(kappa_max) + 1):
-        for kappa in (float(n), float(-n)):
-            th = sym(kappa)
-            lo = sym.A1 * abs(kappa) ** sym.m2
-            hi = sym.A2 * abs(kappa) ** sym.m2
-            if th < lo * (1 - slack) or th > hi * (1 + slack):
-                return False, kappa
-    return True, None

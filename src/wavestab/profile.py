@@ -8,9 +8,9 @@ cosine series.  The dnoidal builder samples the quartic-in-dn ansatz
 
 whose brackets are exactly mean-zero, so <psi> = a.
 
-Coefficient note: two closed forms of `a` differing by the constant
-(3584/3) K^4/L^4 are supported.  With the default (``corrected=True``) the
-sampled wave satisfies psi'''' - psi'' + omega psi - psi^2/2 + A = 0 to
+Coefficient note: `a` is the plain closed form minus the constant
+(3584/3) K^4/L^4 (klcurve.P_CORRECTION / 507).  With it the sampled wave
+satisfies psi'''' - psi'' + omega psi - psi^2/2 + A = 0 to
 machine precision mode-by-mode; the b, d and period-constraint formulas
 need no such adjustment.
 """
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_integrals, jacobi_sn_cn_dn
+from .klcurve import P_CORRECTION, _closed_form_terms
 from .multiplier import builtin_symbol
 
 __all__ = [
@@ -31,12 +32,8 @@ __all__ = [
     "build_dnoidal",
     "extract_A",
     "pi_residual",
-    "csch_coefficients",
     "galilean_shift",
 ]
-
-# constant subtracted from the plain closed form of `a` (times K^4/L^4)
-A_COEFF_CORRECTION = 3584.0 / 3.0
 
 
 class FourierProfile:
@@ -154,13 +151,12 @@ class DnoidalParams:
     Kp: float
 
 
-def dnoidal_coefficients(k, L, omega, corrected=True):
+def dnoidal_coefficients(k, L, omega):
     """Ansatz coefficients (a, b, d) for modulus k, period L, speed omega.
 
-    With corrected=True (default) the constant (3584/3) K^4/L^4 is
-    subtracted from `a`; this is the variant for which the sampled ansatz
-    solves the traveling-wave equation to machine precision.  Use
-    corrected=False for the plain formula spelled out below.
+    `a` carries the correction of the module note, so that the sampled
+    ansatz solves the traveling-wave equation to machine precision; its
+    (k, L) part is the one klcurve.p_of_k uses.
     """
     pair = complete_integrals(k)
     K, E = pair.K, pair.E
@@ -169,32 +165,27 @@ def dnoidal_coefficients(k, L, omega, corrected=True):
     L2 = L * L
     L4 = L2 * L2
     a = (1.0 / (507.0 * L4)) * (
-        (-(k**4) + k**2 + 1.0) * 302848.0 * K**4
-        + 14560.0 * L2 * K**2 * (k**2 - 2.0)
-        + 43680.0 * L2 * E * K
-        + L4 * (-31.0 + 507.0 * omega)
+        _closed_form_terms(k, L2, K, E) + L4 * (-31.0 + 507.0 * omega)
     )
-    if corrected:
-        a -= A_COEFF_CORRECTION * K**4 / L4
+    a -= (P_CORRECTION / 507.0) * K**4 / L4
     b = (1120.0 / (13.0 * L4)) * ((208.0 * k**2 - 416.0) * K**2 + L2) * K**2
     d = 26880.0 * K**4 / L4
     return a, b, d
 
 
-def build_dnoidal(k, L, omega, N=128, sym=None, corrected=True):
+def build_dnoidal(k, L, omega, N=128):
     """Sample the dnoidal ansatz and return (DnoidalParams, FourierProfile).
 
-    The integration constant A is extracted from the residual mean against
-    `sym` (Kawahara by default).  The caller is responsible for choosing
-    (k, L) on the period-constraint curve if an exact solution is wanted;
-    off-curve input is allowed and simply yields a large residual in
-    extract_A.
+    The integration constant A is extracted from the residual mean.  The
+    caller is responsible for choosing (k, L) on the period-constraint
+    curve if an exact solution is wanted; off-curve input is allowed and
+    simply yields a large residual in extract_A.
     """
     if N < 8:
         raise ValueError("truncation N < 8 is under-resolved")
     pair = complete_integrals(k)
     K, E = pair.K, pair.E
-    a, b, d = dnoidal_coefficients(k, L, omega, corrected=corrected)
+    a, b, d = dnoidal_coefficients(k, L, omega)
     M = 4 * (N + 1)
     x = np.arange(M) * (L / M)
     _, _, dnv = jacobi_sn_cn_dn(2.0 * K * x / L, k)
@@ -204,9 +195,9 @@ def build_dnoidal(k, L, omega, N=128, sym=None, corrected=True):
     psi, odd_energy = FourierProfile.from_samples(L, vals, N)
     if odd_energy > 1e-12:
         raise RuntimeError(f"dnoidal sampling produced odd content {odd_energy:.2e}")
-    if sym is None:
-        sym = builtin_symbol("kawahara")
-    A, _ = extract_A(psi, omega, sym)
+    # A is the same for every symbol: it reads only the residual mean, where
+    # theta(0) = 0 for all of them
+    A, _ = extract_A(psi, omega, builtin_symbol("kawahara"))
     params = DnoidalParams(
         k=float(k), L=float(L), omega=float(omega), A=A,
         a=a, b=b, d=d, K=K, E=E, Kp=pair.Kp,
@@ -260,47 +251,6 @@ def extract_A(psi, omega, sym):
     rc[0] += A
     r = FourierProfile(psi.L0, rc)
     return float(A), float(np.abs(r.values()).max())
-
-
-def _csch(x):
-    """1/sinh(x) for positive x without overflow."""
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-x)
-    return 2.0 * e / (1.0 - e * e)
-
-
-def csch_coefficients(params, n_max, variant="derived"):
-    """Closed-form Fourier coefficients sigma(n) = hat(psi)(n), n = 1..n_max.
-
-    variant="derived": sigma(n) = (n/2) csch(n pi K'/K) (pi^2/K^2)
-                        * (b + d ((4-2k^2)/3 + n^2 pi^2 / (6 K^2))),
-    which matches the FFT of the sampled ansatz to rounding.  Two alternate
-    prefactors are kept for comparison: variant="k2_gamma" divides the
-    d-term by k^2 and uses n^2 pi^2/(6K) instead of n^2 pi^2/(6K^2);
-    variant="fixed_gamma" is the same with the n-dependent term dropped,
-    leaving a pure n*csch sequence.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    k, K, Kp = params.k, params.K, params.Kp
-    b, d = params.b, params.d
-    n = np.arange(1, n_max + 1, dtype=float)
-    cs = _csch(n * math.pi * Kp / K)
-    if variant == "derived":
-        bracket = b + d * ((4.0 - 2.0 * k**2) / 3.0 + n**2 * math.pi**2 / (6.0 * K**2))
-        gamma = (math.pi**2 / K**2) * bracket
-    elif variant == "k2_gamma":
-        gamma = b * math.pi**2 / K**2 + d * math.pi**2 / (k**2 * K**2) * (
-            (4.0 - 2.0 * k**2) / 3.0 + n**2 * math.pi**2 / (6.0 * K)
-        )
-    elif variant == "fixed_gamma":
-        gamma = b * math.pi**2 / K**2 + d * math.pi**2 / (k**2 * K**2) * (
-            (4.0 - 2.0 * k**2) / 3.0
-        )
-        gamma = gamma * np.ones_like(n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return 0.5 * gamma * n * cs
 
 
 def galilean_shift(psi, omega, A, alpha):

@@ -1,5 +1,7 @@
 import pytest
 
+from wavestab.criteria import evaluate_wave
+from wavestab.elliptic import complete_integrals
 from wavestab.klcurve import solve_L1
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import build_dnoidal
@@ -43,3 +45,49 @@ def variations08(op08):
     from wavestab.galerkin import solve_variations
 
     return solve_variations(op08)
+
+
+def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256):
+    """Report for the explicit wave at modulus k on the period-constraint branch.
+
+    Raises ValueError when the constraint has no branch root at k.  The
+    wave's integration constant A is recomputed from the residual mean.
+    """
+    point, roots = solve_L1(k)
+    if point is None:
+        raise ValueError(
+            f"period constraint has no branch root at k={k} "
+            f"(positive roots found: {list(roots)})"
+        )
+    params, psi = build_dnoidal(k, point.L, omega, N=N_profile)
+    report = evaluate_wave(psi, omega, sym=sym, N=N_op)
+    return report, params, psi
+
+
+def plain_dnoidal_a(k, L, omega):
+    """The plain closed form of the dnoidal `a`, without the (3584/3) K^4/L^4
+    correction that the library applies."""
+    pair = complete_integrals(k)
+    K, E = pair.K, pair.E
+    L2 = L * L
+    L4 = L2 * L2
+    return (1.0 / (507.0 * L4)) * (
+        (-(k**4) + k**2 + 1.0) * 302848.0 * K**4
+        + 14560.0 * L2 * K**2 * (k**2 - 2.0)
+        + 43680.0 * L2 * E * K
+        + L4 * (-31.0 + 507.0 * omega)
+    )
+
+
+def plain_p(k, L):
+    """The plain closed form of p = 507 L^4 (a - omega), uncorrected; its sign
+    changes along the branch near k = 0.9218."""
+    pair = complete_integrals(k)
+    K, E = pair.K, pair.E
+    L2 = L * L
+    return (
+        302848.0 * (-(k**4) + k**2 + 1.0) * K**4
+        + 14560.0 * L2 * K**2 * (k**2 - 2.0)
+        + 43680.0 * L2 * E * K
+        - 31.0 * L2 * L2
+    )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavestab.cli import build_parser, main
+from wavestab.klcurve import solve_L1
 
 
 def run_cli(args):
@@ -85,9 +86,24 @@ def test_criteria_record(tmp_path):
     assert "tol_zero_band" in record and "tol_identity_rtol" in record
 
 
+@pytest.mark.parametrize("k, omega, n_op", [
+    ("0.8", "1", "256"),     # stable_by_determinant
+    ("0.7", "0.5", "512"),   # stable_by_constrained_coercivity
+    ("0.75", "0.3", "256"),  # stable_by_constrained_coercivity
+    ("0.95", "1", "256"),    # inconclusive: average below speed
+])
+def test_criteria_branch_L_matches_explicit_L(tmp_path, k, omega, n_op):
+    # --L at the branch root gives the wave that --k alone resolves
+    L = repr(solve_L1(float(k))[0].L)
+    base = ["criteria", "--k", k, "--omega", omega, "--N-op", n_op]
+    assert run_cli(base + ["--out", str(tmp_path / "k.json")]) == 0
+    assert run_cli(base + ["--L", L, "--out", str(tmp_path / "L.json")]) == 0
+    assert read(tmp_path / "k.json") == read(tmp_path / "L.json")
+
+
 def test_criteria_no_branch_is_validation_error(tmp_path, capsys):
-    assert run_cli(["criteria", "--k", "0.5", "--omega", "1.0",
-                    "--out", str(tmp_path / "x.json")]) == 2
+    assert exit_code(["criteria", "--k", "0.5", "--omega", "1.0",
+                      "--out", str(tmp_path / "x.json")]) == 2
 
 
 def test_missing_required_flag_exits_2():
@@ -109,12 +125,15 @@ def test_floating_point_breakdown_exits_3(tmp_path, capsys):
                     "--out", str(tmp_path / "p.csv")]) == 3
     # a huge but finite omega overflows the coefficients to inf and nan
     for argv in (["profile"], ["spectrum", "--N-op", "16"],
+                 ["criteria", "--N-op", "16"],
                  ["criteria", "--L", "20", "--N-op", "16"], ["continue"],
                  ["evolve", "--grid", "64", "--T", "0.02"]):
         capsys.readouterr()
         assert run_cli(argv + ["--k", "0.8", "--omega", "1e308", "--N", "16",
                                "--out", str(tmp_path / "w.csv")]) == 3, argv
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, argv
+        assert "non-finite wave" in err, argv
 
 
 def test_blowup_exit_code(tmp_path):
@@ -264,6 +283,8 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["evolve", "--k", "0.8", "--grid", "6145"], None),
     (["evolve", "--k", "0.8", "--samples", "100001"], None),
     (["sweep", "--steps", "-3"], None),
+    (["sweep", "--steps", "100001"], None),
+    (["reproduce-figure1", "--steps", "100001"], None),
     (["continue", "--k", "0.8", "--domega", "0"], None),
     (["reproduce-figure1", "--kmin", "0.9", "--kmax", "0.5"], None),
     (["sweep", "--jobs", "2"], None),
@@ -291,10 +312,17 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     ["evolve", "--grid", "64", "--N", "16", "--T", "0.02", "--omega", "1e-300"],
     ["evolve", "--grid", "64", "--N", "16", "--T", "0.02", "--dt", "1e-300"],
     ["evolve", "--grid", "64", "--N", "16", "--T", "1e300"],
+    ["sweep", "--steps", "1000000000000"],
+    ["reproduce-figure1", "--steps", "1000000000000"],
 ], ids=" ".join)
 def test_work_caps_exit_2_quickly(tmp_path, capsys, argv):
+    out = str(tmp_path / "w.csv")
+    tail = {"sweep": ["--out", out],
+            "reproduce-figure1": ["--out-L1", out, "--out-p", out,
+                                  "--record-out", out]}.get(
+        argv[0], ["--k", "0.8", "--out", out])
     t0 = time.perf_counter()
-    assert exit_code(argv + ["--k", "0.8", "--out", str(tmp_path / "w.csv")]) == 2
+    assert exit_code(argv + tail) == 2
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err

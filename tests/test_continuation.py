@@ -12,10 +12,24 @@ from wavestab.galerkin import GalerkinOperator
 from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
 
 
+@pytest.fixture
+def history(monkeypatch):
+    """Residual norms newton_solve evaluates, one per accepted iterate when
+    no damped step is rejected (the start, then each iteration)."""
+    norms = []
+
+    def recorded(*args, _fn=cont._projected_residual_coords):
+        r = _fn(*args)
+        norms.append(float(np.linalg.norm(r)))
+        return r
+
+    monkeypatch.setattr(cont, "_projected_residual_coords", recorded)
+    return norms
+
+
 def test_exact_start_fixed_point(wave08, kawahara):
     params, psi = wave08
-    history = []
-    pt = newton_solve(psi, params.omega, params.A, kawahara, history=history)
+    pt = newton_solve(psi, params.omega, params.A, kawahara)
     assert pt.newton_iters <= 2
     assert np.abs(pt.psi.coeffs - psi.coeffs).max() < 1e-10
     assert pt.residual_norm < 1e-10 * max(1.0, psi.sup_norm())
@@ -40,11 +54,10 @@ def test_noise_start_diverges(wave08, kawahara):
         newton_solve(noisy, params.omega, params.A, kawahara)
 
 
-def test_quadratic_convergence(wave08, kawahara):
+def test_quadratic_convergence(wave08, kawahara, history):
     params, psi = wave08
     bumped = FourierProfile(psi.L0, psi.coeffs * (1.0 + 2e-3))
-    history = []
-    newton_solve(bumped, params.omega, params.A, kawahara, history=history)
+    newton_solve(bumped, params.omega, params.A, kawahara)
     rs = [r for r in history if r > 1e-14]
     assert len(rs) >= 3
     # once inside the basin, r_{n+1} <= C r_n^2 with a moderate constant

@@ -10,13 +10,13 @@ from wavestab.criteria import (
     derivatives,
     det_D,
     det_D_reduced,
-    evaluate_dnoidal,
     evaluate_wave,
     functionals,
     p_form,
 )
 from wavestab.continuation import newton_solve
 from wavestab.profile import FourierProfile, galilean_shift
+from conftest import evaluate_dnoidal
 
 
 def test_functionals_constant_and_mode():

@@ -10,6 +10,45 @@ from wavestab.criteria import functionals
 GRID = 256
 
 
+def translate_state(state, y):
+    """u(. + y): multiply mode n by e^{i xi_n y}."""
+    M_grid = state.grid_size
+    xi = 2.0 * math.pi * np.fft.fftfreq(M_grid, d=state.L0 / M_grid)
+    return ev.EvolutionState(
+        t=state.t, modes=state.modes * np.exp(1j * xi * y), L0=state.L0
+    )
+
+
+def mass_energy_matched(psi, v, grid_size=256):
+    """u0 = alpha (psi + v) + gamma with M(u0) = M(psi) and F(u0) = F(psi).
+
+    Two-parameter correction solved in closed form (quadratic in alpha);
+    used for perturbations constrained to the conserved-quantity manifold.
+    """
+    L0 = psi.L0
+    base = ev.state_from_profile(psi, grid_size).values()
+    q = base + v
+    h = L0 / grid_size
+    M0 = h * base.sum()
+    F0 = 0.5 * h * np.sum(base * base)
+    Mq = h * q.sum()
+    Fq = 0.5 * h * np.sum(q * q)
+    # gamma(alpha) = (M0 - alpha Mq)/L0; plug into F:
+    #   alpha^2 Fq + alpha gamma Mq + gamma^2 L0/2 = F0
+    best = None
+    coef2 = Fq - Mq * Mq / (2.0 * L0)
+    coef0 = M0 * M0 / (2.0 * L0) - F0
+    disc = -coef0 / coef2
+    if disc < 0:
+        raise ValueError("cannot match both invariants for this perturbation")
+    for alpha in (math.sqrt(disc), -math.sqrt(disc)):
+        if best is None or abs(alpha - 1.0) < abs(best - 1.0):
+            best = alpha
+    alpha = best
+    gamma = (M0 - alpha * Mq) / L0
+    return alpha * q + gamma
+
+
 def test_constant_is_fixed_point(kawahara):
     st = ev.state_from_values(np.full(GRID, 2.5), 20.0)
     stepper = ev.Evolver(20.0, GRID, kawahara, 0.01)
@@ -90,7 +129,7 @@ def test_orbital_distance_properties(wave08, kawahara):
     st = ev.state_from_profile(psi, GRID)
     assert ev.orbital_distance(st, psi, kawahara)[0] < 1e-12
     for y in (0.37, 5.0, -2.2):
-        shifted = ev.translate_state(st, y)
+        shifted = translate_state(st, y)
         assert ev.orbital_distance(shifted, psi, kawahara)[0] < 1e-10
 
 
@@ -103,7 +142,7 @@ def test_orbital_distance_beyond_scan_samples(wave08, kawahara):
         v = ev.make_perturbation("random", psi, 1e-3, grid, seed=5)
         st = ev.state_from_values(ev.state_from_profile(psi, grid).values() + v,
                                   psi.L0)
-        rho[grid], _ = ev.orbital_distance(ev.translate_state(st, 0.37), psi,
+        rho[grid], _ = ev.orbital_distance(translate_state(st, 0.37), psi,
                                            kawahara)
     assert rho[8192] == pytest.approx(rho[6144], rel=1e-10)
     assert rho[12288] == pytest.approx(rho[6144], rel=1e-10)
@@ -145,7 +184,7 @@ def test_lyapunov_nonnegative_on_manifold(wave08, kawahara):
     base = ev.conserved(st_psi, kawahara)
     for seed in range(20):
         v = ev.make_perturbation("random", psi, 1e-3, GRID, seed=seed)
-        u0 = ev.mass_energy_matched(psi, v, GRID)
+        u0 = mass_energy_matched(psi, v, GRID)
         c = ev.conserved(ev.state_from_values(u0, psi.L0), kawahara)
         assert abs(c.F - base.F) < 1e-10 * max(1.0, abs(base.F))
         assert abs(c.M - base.M) < 1e-10 * max(1.0, abs(base.M))
@@ -158,7 +197,7 @@ def test_compatibility_condition_at_minimizer(wave08, kawahara):
     st = ev.state_from_values(ev.state_from_profile(psi, GRID).values() + v,
                               psi.L0)
     rho, y_star = ev.orbital_distance(st, psi, kawahara)
-    shifted = ev.translate_state(st, y_star)
+    shifted = translate_state(st, y_star)
     diff = shifted.values() - ev.state_from_profile(psi, GRID).values()
     # psi psi' on the same grid
     sq = 0.5 * ev.state_from_profile(psi, GRID).values() ** 2
@@ -308,7 +347,7 @@ def test_newton_orbital_distance_matches_golden_section(wave08, kawahara):
     # scan's best sample sits at either end of the period
     _, y0 = ev.orbital_distance(states[1], psi, kawahara)
     for target in (1e-9, 2e-5, L0 - 2e-5, L0 - 1e-9):
-        states.append(ev.translate_state(states[1], y0 - target))
+        states.append(translate_state(states[1], y0 - target))
     for i, st in enumerate(states):
         rho, y_star = ev.orbital_distance(st, psi, kawahara)
         rho_ref, y_ref = _golden_section_oracle(st, psi, kawahara)

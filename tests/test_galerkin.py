@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from wavestab.galerkin import (
     DegenerateOperatorError,
     _secular_min,
-    apply_linearized,
     assemble,
     constrained_min,
     solve_variations,
@@ -12,6 +13,24 @@ from wavestab.galerkin import (
 )
 from wavestab.criteria import derivatives
 from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
+
+
+def apply_linearized(psi, omega, sym, f):
+    """Exact action (M + omega - psi) f as a profile with N_psi + N_f modes.
+
+    Used for residual checks beyond the Galerkin truncation; the product
+    psi*f is computed alias-free on an oversampled grid.
+    """
+    N_out = psi.N + f.N
+    M = 4 * (N_out + 1)
+    prod = psi.values(M) * f.values(M)
+    prod_prof, _ = FourierProfile.from_samples(psi.L0, prod, N_out)
+    out = prod_prof.coeffs * (-1.0)
+    xi = 2.0 * math.pi * np.arange(N_out + 1) / psi.L0
+    fc = np.zeros(N_out + 1)
+    fc[: f.N + 1] = f.coeffs
+    out += (np.asarray(sym(xi)) + omega) * fc
+    return FourierProfile(psi.L0, out)
 
 
 def _zero_profile(L0=20.0, N=32):

@@ -17,6 +17,7 @@ from wavestab.klcurve import (
     sweep,
 )
 from wavestab.profile import dnoidal_coefficients
+from conftest import plain_dnoidal_a, plain_p
 
 
 def _cubic(k):
@@ -90,9 +91,8 @@ def test_p_consistency_with_profile_coefficients():
         k = rng.uniform(0.05, 0.95)
         L = rng.uniform(5.0, 40.0)
         w = rng.uniform(0.1, 3.0)
-        for corrected in (True, False):
-            a, _, _ = dnoidal_coefficients(k, L, w, corrected=corrected)
-            p = p_of_k(k, L, corrected=corrected)
+        for a, p in ((dnoidal_coefficients(k, L, w)[0], p_of_k(k, L)),
+                     (plain_dnoidal_a(k, L, w), plain_p(k, L))):
             lhs = a - w
             rhs = p / (507.0 * L**4)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
@@ -121,8 +121,7 @@ def test_positive_p_region_and_sign_change():
     assert k_star == pytest.approx(0.8489078546965656, abs=1e-6)
 
     def p_uncorrected(k):
-        pt = solve_L1(k, corrected=False)[0]
-        return p_of_k(k, pt.L, corrected=False)
+        return plain_p(k, solve_L1(k)[0].L)
 
     k_star_uncorrected = brentq(p_uncorrected, 0.9, 0.95, xtol=1e-10)
     assert k_star_uncorrected == pytest.approx(0.9218, abs=1e-3)

@@ -2,7 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavestab.multiplier import MultiplierSymbol, builtin_symbol, verify_bounds
+from wavestab.multiplier import MultiplierSymbol, builtin_symbol
+
+
+def verify_bounds(sym, kappa_max):
+    """Check A1*|kappa|^m2 <= theta(kappa) <= A2*|kappa|^m2 on 1 <= |kappa| <= kappa_max.
+
+    Returns (ok, first_violating_kappa_or_None).  A relative slack of 1e-12
+    absorbs rounding at exact-equality bounds.
+    """
+    if kappa_max < 1:
+        raise ValueError("kappa_max must be >= 1")
+    slack = 1e-12
+    for n in range(1, int(kappa_max) + 1):
+        for kappa in (float(n), float(-n)):
+            th = sym(kappa)
+            lo = sym.A1 * abs(kappa) ** sym.m2
+            hi = sym.A2 * abs(kappa) ** sym.m2
+            if th < lo * (1 - slack) or th > hi * (1 + slack):
+                return False, kappa
+    return True, None
 
 
 def test_kawahara_values():

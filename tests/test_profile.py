@@ -8,15 +8,35 @@ from scipy.special import ellipj, ellipk
 from wavestab.elliptic import complete_integrals
 from wavestab.klcurve import solve_L1
 from wavestab.profile import (
-    A_COEFF_CORRECTION,
     FourierProfile,
     build_dnoidal,
-    csch_coefficients,
     dnoidal_coefficients,
     extract_A,
     galilean_shift,
 )
-from conftest import BRANCH_MODULI
+from conftest import BRANCH_MODULI, plain_dnoidal_a
+
+
+def _csch(x):
+    """1/sinh(x) for positive x without overflow."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-x)
+    return 2.0 * e / (1.0 - e * e)
+
+
+def csch_coefficients(params, n_max):
+    """Closed-form Fourier coefficients sigma(n) = hat(psi)(n), n = 1..n_max:
+
+    sigma(n) = (n/2) csch(n pi K'/K) (pi^2/K^2)
+               * (b + d ((4-2k^2)/3 + n^2 pi^2 / (6 K^2))).
+    """
+    k, K, Kp = params.k, params.K, params.Kp
+    b, d = params.b, params.d
+    n = np.arange(1, n_max + 1, dtype=float)
+    cs = _csch(n * math.pi * Kp / K)
+    bracket = b + d * ((4.0 - 2.0 * k**2) / 3.0 + n**2 * math.pi**2 / (6.0 * K**2))
+    gamma = (math.pi**2 / K**2) * bracket
+    return 0.5 * gamma * n * cs
 
 
 def test_roundtrip_reconstruction():
@@ -38,11 +58,13 @@ def test_d_formula_exact():
 
 
 def test_a_linear_in_omega():
-    for corrected in (True, False):
-        a1, b1, d1 = dnoidal_coefficients(0.7, 18.0, 1.0, corrected=corrected)
-        a2, b2, d2 = dnoidal_coefficients(0.7, 18.0, 1.0 + 0.37, corrected=corrected)
-        assert a2 - a1 == pytest.approx(0.37, rel=1e-13)
-        assert b1 == b2 and d1 == d2
+    a1, b1, d1 = dnoidal_coefficients(0.7, 18.0, 1.0)
+    a2, b2, d2 = dnoidal_coefficients(0.7, 18.0, 1.0 + 0.37)
+    assert a2 - a1 == pytest.approx(0.37, rel=1e-13)
+    assert b1 == b2 and d1 == d2
+    a1 = plain_dnoidal_a(0.7, 18.0, 1.0)
+    a2 = plain_dnoidal_a(0.7, 18.0, 1.0 + 0.37)
+    assert a2 - a1 == pytest.approx(0.37, rel=1e-13)
 
 
 def test_golden_values_high_precision():
@@ -60,7 +82,8 @@ def test_golden_values_high_precision():
     )
     b_m = (mpmath.mpf(1120) / (13 * L**4)) * ((208 * k**2 - 416) * K**2 + L**2) * K**2
     d_m = 26880 * K**4 / L**4
-    a, b, d = dnoidal_coefficients(0.8, 25.0, 1.0, corrected=False)
+    _, b, d = dnoidal_coefficients(0.8, 25.0, 1.0)
+    a = plain_dnoidal_a(0.8, 25.0, 1.0)
     assert a == pytest.approx(float(a_m), rel=1e-14)
     assert b == pytest.approx(float(b_m), rel=1e-14)
     assert d == pytest.approx(float(d_m), rel=1e-14)
@@ -72,10 +95,10 @@ def test_golden_values_high_precision():
 
 def test_corrected_a_offset():
     for k, L in ((0.6, 17.0), (0.8, 25.80480180965147)):
-        a_c, _, _ = dnoidal_coefficients(k, L, 1.0, corrected=True)
-        a_p, _, _ = dnoidal_coefficients(k, L, 1.0, corrected=False)
+        a_c, _, _ = dnoidal_coefficients(k, L, 1.0)
+        a_p = plain_dnoidal_a(k, L, 1.0)
         K = complete_integrals(k).K
-        assert a_p - a_c == pytest.approx(A_COEFF_CORRECTION * K**4 / L**4, rel=1e-13)
+        assert a_p - a_c == pytest.approx((3584.0 / 3.0) * K**4 / L**4, rel=1e-13)
 
 
 def test_mean_equals_a_via_quadrature_oracle():
@@ -135,7 +158,9 @@ def test_residual_on_branch(branch_points, kawahara):
 
 def test_residual_uncorrected_a_is_large(branch_points, kawahara):
     # the uncorrected variant of `a` leaves an O(1e-2) defect
-    params, psi = build_dnoidal(0.8, branch_points[0.8].L, 1.0, corrected=False)
+    L = branch_points[0.8].L
+    params, psi = build_dnoidal(0.8, L, 1.0)
+    psi = psi.shifted(plain_dnoidal_a(0.8, L, 1.0) - params.a)
     _, res = extract_A(psi, 1.0, kawahara)
     assert res > 1e-3
 
@@ -171,9 +196,11 @@ def _offbranch_params(k=0.5, L=20.0, omega=1.0):
 
 
 def test_decay_ratio_fixed_variant():
-    # pure n*csch sequence at k=0.5: ratio at n=20 within 1e-3 of the limit
+    # pure n*csch sequence at k=0.5: ratio at n=20 within 1e-3 of the limit;
+    # a constant prefactor would cancel in the ratio
     p = _offbranch_params()
-    sig = csch_coefficients(p, 21, variant="fixed_gamma")
+    n = np.arange(1, 22, dtype=float)
+    sig = n * _csch(n * math.pi * p.Kp / p.K)
     limit = math.exp(-math.pi * p.Kp / p.K)
     assert abs(sig[20] / sig[19] - limit) < 1e-3
 
@@ -200,12 +227,9 @@ def test_log_concavity():
 def test_fft_matches_derived_formula(branch_points):
     params, psi = build_dnoidal(0.8, branch_points[0.8].L, 1.0)
     hat = psi.psi_hat(10)
-    derived = csch_coefficients(params, 10, variant="derived")
-    alt = csch_coefficients(params, 10, variant="k2_gamma")
+    derived = csch_coefficients(params, 10)
     for n in range(1, 11):
         assert abs(derived[n - 1] - hat[n]) < 1e-6 * abs(hat[n]), n
-    # the alternate prefactor does not reproduce the wave's coefficients
-    assert abs(alt[0] - hat[1]) > 0.1 * abs(hat[1])
 
 
 def test_galilean_family(branch_points):
