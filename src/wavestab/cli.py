@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .continuation import NewtonDivergenceError, newton_solve, surface_patch
 from .criteria import evaluate_wave, functionals
-from .elliptic import complete_integrals, jacobi_sn_cn_dn
+from .elliptic import MODULUS_CAP, complete_integrals, jacobi_sn_cn_dn
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
 from .klcurve import K_ANALYTIC, solve_L1, sweep
@@ -128,7 +128,8 @@ def _checked(convert, ok, domain):
 
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
-_modulus = _checked(float, lambda x: 0.0 < x < 1.0, "a modulus in (0, 1)")
+_modulus = _checked(float, lambda x: 0.0 < x <= MODULUS_CAP,
+                    f"a modulus in (0, {MODULUS_CAP}]")
 
 
 def _int_at_least(low, high=None):
@@ -166,8 +167,9 @@ def cmd_elliptic_check(args):
 
 def _k_grid(args):
     """The sweep grid over [kmin, kmax], or None (after a message) if the range is bad."""
-    if not (0.0 < args.kmin < args.kmax < 1.0):
-        print(f"{args.command}: need 0 < kmin < kmax < 1", file=sys.stderr)
+    if not (0.0 < args.kmin < args.kmax <= MODULUS_CAP):
+        print(f"{args.command}: need 0 < kmin < kmax <= {MODULUS_CAP}",
+              file=sys.stderr)
         return None
     return np.linspace(args.kmin, args.kmax, args.steps)
 
@@ -361,7 +363,9 @@ def cmd_reproduce_figure1(args):
     return EXIT_OK if n_pos > 0 else EXIT_NUMERICAL
 
 
+@functools.cache
 def build_parser():
+    """The wavestab parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="wavestab", allow_abbrev=False,
         description="Periodic traveling waves: construction, spectra, "
@@ -462,13 +466,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _config_parser():
+    """Pre-pass parser that reads only --config."""
+    pre = argparse.ArgumentParser(prog="wavestab", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def main(argv=None):
     # the --config file becomes --key=value flags right after the subcommand,
     # ahead of the command-line flags, so that the latter win
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(prog="wavestab", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is not None:
         at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")),
                   len(argv))

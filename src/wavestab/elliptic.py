@@ -4,6 +4,8 @@ Self-contained kernels: the arithmetic-geometric mean for K(k) and E(k),
 and the descending Landen (Gauss) transformation for sn, cn, dn.  Both
 converge quadratically, so machine precision is reached in < 10 levels
 for any admissible modulus.  No special-function library is used.
+`complete_integrals` makes one AGM pass per modulus; the complementary
+pair K(k'), E(k') costs a second pass, made only when it is read.
 
 Convention: everything is parameterized by the modulus k, with parameter
 m = k^2 used only internally.
@@ -11,6 +13,7 @@ m = k^2 used only internally.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,15 +38,30 @@ class EllipticDomainError(ValueError):
 class EllipticPair:
     """Modulus k with its complete integrals and complementary values.
 
-    Kp = K(k') and Ep = E(k') with k' = sqrt(1 - k^2).  At k = 0 the
-    complementary modulus is 1, where K diverges; Kp is +inf there.
+    Kp = K(k') and Ep = E(k') with k' = sqrt(1 - k^2), computed by a second
+    AGM pass on first read.  At k = 0 the complementary modulus is 1, where
+    K diverges; Kp is +inf there.
     """
 
     k: float
     K: float
     E: float
-    Kp: float
-    Ep: float
+
+    @cached_property
+    def _complementary(self):
+        kp = math.sqrt((1.0 - self.k) * (1.0 + self.k))
+        if kp > MODULUS_CAP:
+            # k == 0 (or denormal-close): complementary integral diverges
+            return math.inf, 1.0
+        return _integrals(kp)
+
+    @property
+    def Kp(self):
+        return self._complementary[0]
+
+    @property
+    def Ep(self):
+        return self._complementary[1]
 
     def legendre_residual(self):
         """E*Kp + Ep*K - K*Kp - pi/2; zero in exact arithmetic."""
@@ -79,27 +97,25 @@ def _agm_levels(k):
     return a_list, c_list, csum
 
 
+def _integrals(k):
+    """(K, E) from one AGM pass; assumes 0 <= k <= MODULUS_CAP."""
+    a_list, _, csum = _agm_levels(k)
+    K = math.pi / (2.0 * a_list[-1])
+    return K, K * (1.0 - csum)
+
+
 def complete_integrals(k):
     """Complete elliptic integrals of the first and second kind.
 
-    Returns an EllipticPair with K(k), E(k), K(k'), E(k').  Accuracy is
-    machine precision (AGM fixed point).  Raises EllipticDomainError for
-    k < 0 or k > 1 - 1e-12.
+    Returns an EllipticPair with K(k), E(k), and K(k'), E(k') on demand.
+    One AGM pass, plus one more if Kp or Ep is read.  Accuracy is machine
+    precision (AGM fixed point).  Raises EllipticDomainError for k < 0 or
+    k > 1 - 1e-12.
     """
     k = float(k)
     _check_modulus(k)
-    a_list, _, csum = _agm_levels(k)
-    K = math.pi / (2.0 * a_list[-1])
-    E = K * (1.0 - csum)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    if kp > MODULUS_CAP:
-        # k == 0 (or denormal-close): complementary integral diverges
-        Kp, Ep = math.inf, 1.0
-    else:
-        a_list, _, csum = _agm_levels(kp)
-        Kp = math.pi / (2.0 * a_list[-1])
-        Ep = Kp * (1.0 - csum)
-    return EllipticPair(k=k, K=K, E=E, Kp=Kp, Ep=Ep)
+    K, E = _integrals(k)
+    return EllipticPair(k=k, K=K, E=E)
 
 
 def jacobi_sn_cn_dn(u, k):

@@ -15,6 +15,10 @@ it, c0 > 0 and there are zero or two; at 1/sqrt(2) the roots are 0 and
 +-sqrt(-c1), and the branch is +sqrt(-c1).  The two positive roots can
 swap order only by colliding, which is the fold near k = 0.5345, so the
 branch stays the larger root on (0.5345, 1) and does not exist below.
+
+`solve_L1` makes one AGM pass per modulus: it computes K and E once, in
+Python floats, and hands the EllipticPair to the cubic, its roots, the
+residual and p.  Called without a pair, those functions compute their own.
 """
 
 import math
@@ -40,16 +44,16 @@ class KLPoint:
     p_value: float           # p(k, L1); sign decides the average-vs-speed test
 
 
-def cubic_coefficients(k):
-    K = complete_integrals(k).K
+def cubic_coefficients(k, pair=None):
+    K = (pair or complete_integrals(k)).K
     c0 = (89989120.0 / 31.0) * (k**2 - 2.0) * (k**2 - 0.5) * (k**2 + 1.0) * K**6
     c1 = -(908544.0 / 31.0) * (k**4 - k**2 + 1.0) * K**4
     return c0, c1
 
 
-def cubic_residual(k, L1):
+def cubic_residual(k, L1, pair=None):
     """Relative residual of the cubic at (k, L1)."""
-    c0, c1 = cubic_coefficients(k)
+    c0, c1 = cubic_coefficients(k, pair)
     f = L1**3 + c1 * L1 + c0
     scale = max(abs(L1**3), abs(c1 * L1), abs(c0), 1.0)
     return f / scale
@@ -82,9 +86,9 @@ def _polish(x, p, q):
     return x
 
 
-def positive_roots(k):
+def positive_roots(k, pair=None):
     """All positive roots of the cubic at modulus k, ascending, polished."""
-    c0, c1 = cubic_coefficients(k)
+    c0, c1 = cubic_coefficients(k, pair)
     roots = [_polish(x, c1, c0) for x in _real_roots_depressed(c1, c0)]
     out = sorted(x for x in roots if x > 0.0)
     dedup = []
@@ -100,21 +104,24 @@ def solve_L1(k):
     Returns (KLPoint or None, all_positive_roots).  None means the smooth
     branch through k = 1/sqrt(2) does not extend to this modulus (for this
     cubic: every k below the fold near 0.5345); the full positive-root set
-    is still reported.
+    is still reported.  k is taken as a Python float, so an np.float64 grid
+    point costs no numpy scalar arithmetic.
     """
+    k = float(k)
     if not (0.0 < k < 1.0):
         raise ValueError("modulus must lie in (0, 1)")
-    roots = tuple(positive_roots(k))
+    pair = complete_integrals(k)
+    roots = tuple(positive_roots(k, pair))
     if not roots:
         return None, roots
     L1 = roots[-1]
     L = math.sqrt(L1)
     point = KLPoint(
-        k=float(k),
+        k=k,
         L1=L1,
         L=L,
-        residual=cubic_residual(k, L1),
-        p_value=p_of_k(k, L),
+        residual=cubic_residual(k, L1, pair),
+        p_value=p_of_k(k, L, pair),
     )
     return point, roots
 
@@ -129,10 +136,10 @@ def _closed_form_terms(k, L2, K, E):
     )
 
 
-def p_of_k(k, L):
+def p_of_k(k, L, pair=None):
     """The omega-independent combination p with  a - omega = p / (507 L^4),
     `a` the mean of the wave that profile.build_dnoidal constructs."""
-    pair = complete_integrals(k)
+    pair = pair or complete_integrals(k)
     K, E = pair.K, pair.E
     L2 = L * L
     p = _closed_form_terms(k, L2, K, E) - 31.0 * L2 * L2

@@ -158,7 +158,11 @@ def dnoidal_coefficients(k, L, omega):
     ansatz solves the traveling-wave equation to machine precision; its
     (k, L) part is the one klcurve.p_of_k uses.
     """
-    pair = complete_integrals(k)
+    return _coefficients(k, L, omega, complete_integrals(k))
+
+
+def _coefficients(k, L, omega, pair):
+    """dnoidal_coefficients with the complete integrals of k given."""
     K, E = pair.K, pair.E
     if k <= 0.0 or L <= 0.0:
         raise ValueError("need 0 < k < 1 and L > 0")
@@ -185,7 +189,7 @@ def build_dnoidal(k, L, omega, N=128):
         raise ValueError("truncation N < 8 is under-resolved")
     pair = complete_integrals(k)
     K, E = pair.K, pair.E
-    a, b, d = dnoidal_coefficients(k, L, omega)
+    a, b, d = _coefficients(k, L, omega, pair)
     M = 4 * (N + 1)
     x = np.arange(M) * (L / M)
     _, _, dnv = jacobi_sn_cn_dn(2.0 * K * x / L, k)

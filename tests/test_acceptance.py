@@ -235,6 +235,7 @@ def test_criterion_7_constrained_minima(wave08, op08, variations08):
     _report(7, "constrained minima", elapsed, 10, w_psi=w1, w_pair=w2)
 
 
+@pytest.mark.slow
 def test_criterion_8_evolution_gates(wave08, kawahara):
     t0 = time.time()
     params, psi = wave08

@@ -295,6 +295,14 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["profile"], "k 0.8\n"),
     (["profile"], "k=0.8\nconfig=other.cfg\n"),
     (["profile"], "k=0.8\nomg=2.0\n"),
+    # above elliptic.MODULUS_CAP = 1 - 1e-12, where the AGM refuses k
+    (["profile", "--k", "0.9999999999999"], None),
+    (["spectrum", "--k", "0.9999999999999"], None),
+    (["criteria", "--k", "0.9999999999999"], None),
+    (["continue", "--k", "0.9999999999999"], None),
+    (["evolve", "--k", "0.9999999999999"], None),
+    (["sweep", "--kmax", "0.9999999999999"], None),
+    (["reproduce-figure1", "--kmax", "0.9999999999999"], None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -305,6 +313,33 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # main reuses one parser per process; a config file or a failed call
+    # must not change what the next call parses
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=3\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "# steps=3" in read(out).splitlines()
+    assert main(["sweep", "--out", str(out)]) == 0
+    assert "# steps=200" in read(out).splitlines()
+    assert len(body_of(read(out)).splitlines()) == 201
+
+    calls = [["profile", "--k", "0.8", "--what", "coeffs"],
+             ["sweep", "--kmin", "0.5", "--kmax", "0.9", "--steps", "5"]]
+    before = []
+    for argv in calls:
+        assert main(argv + ["--out", str(out)]) == 0
+        before.append(read(out))
+    for bad in (["profile", "--k", "1.5"], ["sweep", "--kmin", "0.9", "--kmax", "0.5"],
+                ["sweep", "--config", str(cfg), "--steps", "1"]):
+        assert exit_code(bad + ["--out", str(out)]) == 2
+    capsys.readouterr()
+    for argv, text in zip(calls, before):
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read(out) == text
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from wavestab import klcurve
+from wavestab import elliptic, klcurve
 from wavestab.cli import main
 from wavestab.elliptic import complete_integrals
 from wavestab.klcurve import (
@@ -180,19 +180,41 @@ def test_branch_reaches_k_near_one(tmp_path):
 
 
 def test_branch_work_budget(monkeypatch, tmp_path):
-    # one cubic solve per modulus: the sweep grid, plus one per bisection step
-    calls = []
+    # one cubic solve and one AGM pass per modulus: the sweep grid, plus one
+    # per bisection step
+    calls, passes = [], []
 
-    def counted(k, _fn=klcurve.positive_roots):
+    def counted(k, *rest, _fn=klcurve.positive_roots):
         calls.append(k)
+        return _fn(k, *rest)
+
+    def counted_agm(k, _fn=elliptic._agm_levels):
+        passes.append(k)
         return _fn(k)
 
     monkeypatch.setattr(klcurve, "positive_roots", counted)
+    monkeypatch.setattr(elliptic, "_agm_levels", counted_agm)
     assert main(["sweep", "--steps", "200", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(calls) == 200
+    assert len(passes) == 200
     calls.clear()
+    passes.clear()
     assert main(["reproduce-figure1", "--steps", "200",
                  "--out-L1", str(tmp_path / "L1.csv"),
                  "--out-p", str(tmp_path / "p.csv"),
                  "--record-out", str(tmp_path / "r.json")]) == 0
     assert len(calls) <= 200 + 60
+    assert len(passes) <= 200 + 60
+
+
+@pytest.mark.parametrize("k", [0.3, 0.6, K_ANALYTIC, 0.8, 0.999999])
+def test_solve_L1_float_and_numpy_scalar_agree(k):
+    point, roots = solve_L1(float(k))
+    np_point, np_roots = solve_L1(np.float64(k))
+    assert np_point == point and np_roots == roots
+    assert all(type(x) is float for x in roots)
+    if point is not None:
+        assert all(type(getattr(point, f)) is float
+                   for f in ("k", "L1", "L", "residual", "p_value"))
+        assert all(type(getattr(np_point, f)) is float
+                   for f in ("k", "L1", "L", "residual", "p_value"))
