@@ -342,8 +342,10 @@ def cmd_reproduce_figure1(args):
     for i in range(len(ks) - 1):
         if (ps[i] > 0) != (ps[i + 1] > 0):
             lo, hi = ks[i], ks[i + 1]
-            for _ in range(60):
+            for _ in range(60):  # at most; stops once lo and hi are adjacent doubles
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
                 pm = solve_L1(mid)[0].p_value
                 if (pm > 0) == (ps[i] > 0):
                     lo = mid

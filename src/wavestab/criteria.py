@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galerkin import SpectrumReport, assemble, constrained_min, solve_variations, spectrum
+from .galerkin import (SpectrumReport, _check_even_band, _variation_solve, assemble,
+                       constrained_min, spectrum)
 from .multiplier import builtin_symbol
 from .profile import FourierProfile
 
@@ -211,18 +212,25 @@ def evaluate_wave(psi, omega, sym=None, N=None):
     if N is None:
         N = max(2 * psi.N, 256)
     op = assemble(psi, omega, sym, N=N)
-    rep = spectrum(op)
-    eta, beta = solve_variations(op)
+    # eta and beta need no eigensolve, so M_w picks the decomposition before
+    # the first one: the coercivity route (M_w >= 0) reads every eigenvector
+    # in constrained_min and takes eigh; the others read two eigenvectors
+    # and take eigvalsh plus one shifted solve each
+    eta, beta = _variation_solve(op)
     M, F = functionals(psi)
     M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
+    if M_w >= 0.0:
+        op.eig_even, op.eig_odd
+    rep = spectrum(op)
+    _check_even_band(op)
     L0 = psi.L0
     dD = det_D(F_A, M_w, F_w, M_A)
     dD2 = det_D_reduced(M, L0, omega, M_w)
     x0, y0, P, P_closed, I = choose_witness(
         op, psi, eta, beta, omega, derivs=(M_w, M_A, F_w, F_A)
     )
-    chi = op.eig_even.eigenvectors[:, 0]
     psi_coords = op.even_coords(psi)
+    chi = op.eigenvector("even", 0, psi_coords)
     denom = np.linalg.norm(chi) * np.linalg.norm(psi_coords)
     chi_corr = float(abs(chi @ psi_coords) / denom) if denom > 0 else 0.0
     min_psi = float(psi.values().min())

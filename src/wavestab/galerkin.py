@@ -8,10 +8,19 @@ odd (sine) block of size N.  Counting for the spectral assumption uses the
 union of both blocks; the kernel direction psi' is odd, so the even block
 is the invertible restriction used for the parameter-derivative solves.
 
-The even block is assembled with the operator and the odd block on first
-use (`odd`); each block is diagonalized once, on first use (`eig_even`,
-`eig_odd`), and every consumer reads that decomposition, so the blocks must
-not be modified after assembly.
+Both blocks are the diagonal minus a Hankel part hat(psi)(i + j) and a
+Toeplitz part hat(psi)(|i - j|), built as strided views of the coefficient
+vector.  The even block is assembled with the operator and the odd block on
+first use (`odd`).  Each block is decomposed once, on first use, and every
+consumer reads that decomposition, so the blocks must not be modified after
+assembly.  A caller that reads every eigenvector (the constrained minima)
+asks for `eig_even`/`eig_odd` (eigh) first; otherwise `values_even`/
+`values_odd` take eigvalsh, which forms no eigenvectors and costs about
+half as much, and `eigenvector` recovers the one or two vectors a report
+reads by one shifted solve each (inverse iteration).  `spectrum` reads the
+eigenvalues and the odd mode nearest zero; `solve_variations` needs no
+decomposition for eta and beta (one LU, both right-hand sides) and reads the
+even eigenvalues only to reject a zero-band even eigenvalue.
 
 `constrained_min(op, even=None, odd=None)` takes at most one constraint per
 block, in that block's orthonormal coordinates, and returns the smaller of
@@ -32,6 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .profile import FourierProfile
 
@@ -71,20 +81,21 @@ class GalerkinOperator:
         self._h0 = h0
         self._diag = self.theta + shift
 
-        n = np.arange(self.N + 1)
-        # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}
-        S = h0[n[:, None] + n[None, :]] + h0[np.abs(n[:, None] - n[None, :])]
+        # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}:
+        # Hankel h0[i + j] plus Toeplitz h0[|i - j|], both strided views of h0
+        n1 = self.N + 1
+        reflected = np.concatenate([h0[n1 - 1 : 0 : -1], h0[:n1]])  # h0[|m|], |m| <= N
+        self._toeplitz = sliding_window_view(reflected, n1)[::-1]
+        S = sliding_window_view(h0, n1) + self._toeplitz
         S[0, 0] = 0.0
-        S[0, 1:] = math.sqrt(2.0) * h0[1 : self.N + 1]
+        S[0, 1:] = math.sqrt(2.0) * h0[1:n1]
         S[1:, 0] = S[0, 1:]
         self.even = np.diag(self._diag) - S
 
     @cached_property
     def odd(self):
         """Odd (sine) block over sin_1..sin_N, assembled on first use."""
-        h0 = self._h0
-        m = np.arange(1, self.N + 1)
-        T = h0[np.abs(m[:, None] - m[None, :])] - h0[m[:, None] + m[None, :]]
+        T = self._toeplitz[1:, 1:] - sliding_window_view(self._h0[2:], self.N)
         return np.diag(self._diag[1:]) - T
 
     @cached_property
@@ -96,6 +107,48 @@ class GalerkinOperator:
     def eig_odd(self):
         """eigh of the odd block: ascending eigenvalues and eigenvectors."""
         return np.linalg.eigh(self.odd)
+
+    @cached_property
+    def values_even(self):
+        """Ascending eigenvalues of the even block: those of `eig_even` if it
+        has been computed, else eigvalsh, which forms no eigenvectors."""
+        if "eig_even" in self.__dict__:
+            return self.eig_even.eigenvalues
+        return np.linalg.eigvalsh(self.even)
+
+    @cached_property
+    def values_odd(self):
+        """Ascending eigenvalues of the odd block (see `values_even`)."""
+        if "eig_odd" in self.__dict__:
+            return self.eig_odd.eigenvalues
+        return np.linalg.eigvalsh(self.odd)
+
+    def eigenvector(self, parity, i, start):
+        """Unit eigenvector for eigenvalue i (ascending) of the "even" or
+        "odd" block.
+
+        A column of `eig_even`/`eig_odd` when that has been computed, else one
+        step of inverse iteration: a solve of (block - sigma I) x = s with
+        sigma just below the computed eigenvalue (Ipsen, SIAM Rev. 39, 1997).
+        The start s is `start` normalized plus a constant vector, so the
+        step also reaches a target that `start` misses (a zero `start`, or
+        one orthogonal to the target on a diagonal block).
+        """
+        eig = self.__dict__.get(f"eig_{parity}")
+        if eig is not None:
+            return eig.eigenvectors[:, i]
+        block = getattr(self, parity)
+        n = block.shape[0]
+        lam = getattr(self, f"values_{parity}")[i]
+        sigma = lam - 4.0 * np.finfo(float).eps * max(1.0, abs(lam))
+        s = np.full(n, 1.0 / math.sqrt(n))
+        norm = np.linalg.norm(start)
+        if norm > 0.0:
+            s += start / norm
+        shifted = block.copy()
+        shifted.flat[:: n + 1] -= sigma
+        x = np.linalg.solve(shifted, s)
+        return x / np.linalg.norm(x)
 
     # --- coordinate helpers (orthonormal basis <-> function coefficients) ---
 
@@ -174,10 +227,15 @@ def default_tol_zero(op):
 
 
 def spectrum(op):
-    """Full symmetric eigendecomposition with negative/zero counts."""
+    """Eigenvalues of both parity blocks with negative/zero counts.
+
+    Reads `op.values_even`/`op.values_odd`: the eigenvalues of `eig_even`/
+    `eig_odd` when a caller has computed them, else eigvalsh.  The one
+    eigenvector read here, the odd mode nearest zero, comes from
+    `op.eigenvector` with psi' as its start.
+    """
     tol_zero = default_tol_zero(op)
-    vals_e, vecs_e = op.eig_even
-    vals_o, vecs_o = op.eig_odd
+    vals_e, vals_o = op.values_even, op.values_odd
     vals = np.sort(np.concatenate([vals_e, vals_o]))
 
     n_neg = int(np.sum(vals < -tol_zero))
@@ -190,7 +248,7 @@ def spectrum(op):
     pp = op.psi_prime_coords()
     norm_pp = np.linalg.norm(pp)
     if abs(vals_o[i_o]) <= abs(vals_e[i_e]) and norm_pp > 0:
-        v0 = vecs_o[:, i_o]
+        v0 = op.eigenvector("odd", i_o, pp)
         kernel_corr = float(abs(v0 @ pp) / (np.linalg.norm(v0) * norm_pp))
     else:
         kernel_corr = 0.0
@@ -210,19 +268,36 @@ def solve_variations(op):
     restriction is invertible at a clean wave; a numerically singular even
     block raises DegenerateOperatorError.
     """
+    eta, beta = _variation_solve(op)
+    _check_even_band(op)
+    return eta, beta
+
+
+def _variation_solve(op):
+    """eta and beta from one LU of the even block, with no eigensolve.
+
+    An exactly singular block raises DegenerateOperatorError; a nearly
+    singular one is caught only by `_check_even_band`.
+    """
+    rhs = np.zeros((op.N + 1, 2))
+    rhs[:, 0] = -op.even_coords(op.psi)
+    rhs[0, 1] = -math.sqrt(op.L0)  # coordinates of the constant -1
+    try:
+        x = np.linalg.solve(op.even, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
+    return op.profile_from_even(x[:, 0]), op.profile_from_even(x[:, 1])
+
+
+def _check_even_band(op):
+    """Raise DegenerateOperatorError for an even eigenvalue in the zero band."""
     tol = default_tol_zero(op)
-    ev = op.eig_even.eigenvalues
+    ev = op.values_even
     if np.abs(ev).min() <= tol:
         raise DegenerateOperatorError(
             f"even block has eigenvalue {ev[np.abs(ev).argmin()]:.3e} within "
             f"the zero band {tol:.3e}"
         )
-    rhs_eta = -op.even_coords(op.psi)
-    rhs_beta = np.zeros(op.N + 1)
-    rhs_beta[0] = -math.sqrt(op.L0)  # coordinates of the constant -1
-    eta = op.profile_from_even(np.linalg.solve(op.even, rhs_eta))
-    beta = op.profile_from_even(np.linalg.solve(op.even, rhs_beta))
-    return eta, beta
 
 
 def constrained_min(op, even=None, odd=None):

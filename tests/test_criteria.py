@@ -15,6 +15,7 @@ from wavestab.criteria import (
     p_form,
 )
 from wavestab.continuation import newton_solve
+from wavestab.galerkin import assemble, spectrum
 from wavestab.profile import FourierProfile, galilean_shift
 from conftest import evaluate_dnoidal
 
@@ -124,21 +125,25 @@ def test_margin_is_speed_independent(kawahara):
 
 
 def test_eigensolve_budget(monkeypatch, kawahara):
-    # one eigh per parity block per report on every route: the constrained
-    # minima of the coercivity route reuse the cached eigenpairs
+    # one decomposition per parity block per report: eigvalsh where a report
+    # reads two eigenvectors (they come from shifted solves), eigh where the
+    # constrained minima read every eigenvector
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    report, _, _ = evaluate_dnoidal(0.8, 1.0, kawahara, N_op=128)
+    report, params, psi = evaluate_dnoidal(0.8, 1.0, kawahara, N_op=128)
     assert report.verdict == VERDICT_DETERMINANT
-    assert len(calls) == 2
+    assert sorted(calls) == ["eigvalsh", "eigvalsh"]
     calls.clear()
     report, _, _ = evaluate_dnoidal(0.7, 0.5, kawahara, N_op=128)
     assert report.w_psi_psip is not None  # the coercivity route ran
-    assert len(calls) == 2
+    assert sorted(calls) == ["eigh", "eigh"]
+    calls.clear()
+    spectrum(assemble(psi, params.omega, kawahara, N=128))
+    assert sorted(calls) == ["eigvalsh", "eigvalsh"]
 
 
 def test_zero_wave_inconclusive(kawahara):

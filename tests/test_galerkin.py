@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from wavestab.galerkin import (
     DegenerateOperatorError,
+    SpectrumReport,
     _secular_min,
     assemble,
     constrained_min,
+    default_tol_zero,
     solve_variations,
     spectrum,
 )
-from wavestab.criteria import derivatives
+from wavestab.criteria import derivatives, evaluate_wave, verdict
 from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
 
 
@@ -267,8 +271,122 @@ def test_degenerate_even_block_reported(kawahara):
         solve_variations(op)
 
 
+def test_near_singular_even_block_reported(kawahara):
+    # an even eigenvalue inside the zero band but not exactly zero: the LU
+    # succeeds, and the band check still rejects the block
+    op = assemble(_zero_profile(N=16), 1e-9, kawahara)
+    with pytest.raises(DegenerateOperatorError):
+        solve_variations(op)
+    with pytest.raises(DegenerateOperatorError):
+        evaluate_wave(_zero_profile(N=16), 1e-9, kawahara, N=16)
+
+
 def test_coords_roundtrip(op08, wave08):
     _, psi = wave08
     v = op08.even_coords(psi)
     back = op08.profile_from_even(v)
     assert np.abs(back.coeffs - psi.truncated(op08.N).coeffs).max() < 1e-14
+
+
+def _fancy_index_blocks(psi, omega, sym, N):
+    """Reference assembly: the Hankel h0[i + j] and Toeplitz h0[|i - j|]
+    parts gathered with (N+1)^2 index arrays."""
+    theta = np.asarray(sym(2.0 * math.pi * np.arange(N + 1) / psi.L0), dtype=float)
+    h = psi.psi_hat(2 * N)
+    diag = theta + (omega - h[0])
+    h0 = h.copy()
+    h0[0] = 0.0
+    n = np.arange(N + 1)
+    S = h0[n[:, None] + n[None, :]] + h0[np.abs(n[:, None] - n[None, :])]
+    S[0, 0] = 0.0
+    S[0, 1:] = math.sqrt(2.0) * h0[1 : N + 1]
+    S[1:, 0] = S[0, 1:]
+    m = np.arange(1, N + 1)
+    T = h0[np.abs(m[:, None] - m[None, :])] - h0[m[:, None] + m[None, :]]
+    return np.diag(diag) - S, np.diag(diag[1:]) - T
+
+
+@pytest.mark.parametrize("N", [17, 100, 256, 512])
+def test_strided_blocks_equal_fancy_index_assembly(wave08, kawahara, N):
+    params, psi = wave08
+    op = assemble(psi, params.omega, kawahara, N=N)
+    even, odd = _fancy_index_blocks(op.psi, params.omega, kawahara, N)
+    assert np.array_equal(op.even, even)
+    assert np.array_equal(op.odd, odd)
+
+
+def _dense_spectrum(op):
+    """Reference SpectrumReport from full eigh of both blocks, with the
+    lowest even eigenvector and each block's eigenvalues."""
+    tol = default_tol_zero(op)
+    (vals_e, vecs_e), (vals_o, vecs_o) = (np.linalg.eigh(op.even),
+                                          np.linalg.eigh(op.odd))
+    vals = np.sort(np.concatenate([vals_e, vals_o]))
+    in_band = np.abs(vals) <= tol
+    i_o = int(np.argmin(np.abs(vals_o)))
+    pp = op.psi_prime_coords()
+    kernel_corr = 0.0
+    if abs(vals_o[i_o]) <= np.abs(vals_e).min() and np.linalg.norm(pp) > 0:
+        kernel_corr = float(abs(vecs_o[:, i_o] @ pp) / np.linalg.norm(pp))
+    return SpectrumReport(
+        eigenvalues=vals, n_neg=int(np.sum(vals < -tol)),
+        n_zero=int(np.sum(in_band)), kernel_corr=kernel_corr,
+        gap=float(np.abs(vals[~in_band]).min()), tol_zero=tol,
+    ), vecs_e[:, 0], (vals_e, vals_o)
+
+
+@pytest.mark.parametrize("N", [128, 256, 512])
+@pytest.mark.parametrize("k, omega", [(0.8, 1.0), (0.7, 0.5), (0.9, 1.0)])
+def test_eigenvalue_only_path_matches_dense_eigh(branch_points, kawahara, k, omega, N):
+    # (0.8, 1.0) takes the determinant route, (0.7, 0.5) the coercivity
+    # route and (0.9, 1.0), whose average is below the speed, is inconclusive
+    _, psi = build_dnoidal(k, branch_points[k].L, omega, N=128)
+    op = assemble(psi, omega, kawahara, N=N)
+    rep = spectrum(op)
+    oracle, chi, (ref_e, ref_o) = _dense_spectrum(op)
+    eps = np.finfo(float).eps
+    for vals, ref in ((op.values_even, ref_e), (op.values_odd, ref_o)):
+        assert np.abs(vals - ref).max() <= 100 * eps * np.abs(ref).max()
+    assert (rep.n_neg, rep.n_zero) == (oracle.n_neg, oracle.n_zero) == (1, 1)
+    assert rep.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
+
+    report = evaluate_wave(psi, omega, kawahara, N=N)
+    psi_c = op.even_coords(psi)
+    chi_corr = abs(chi @ psi_c) / np.linalg.norm(psi_c)
+    assert report.chi_psi_corr == pytest.approx(chi_corr, rel=1e-10)
+    assert report.spectrum.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
+    assert (report.spectrum.n_neg, report.spectrum.n_zero) == (1, 1)
+    assert report.verdict == verdict(replace(report, spectrum=oracle))
+
+
+def test_shifted_eigenvector_on_diagonal_block(kawahara):
+    # the zero wave's blocks are diagonal: each eigenvalue is a diagonal entry
+    # exactly, so the block is singular at an unshifted eigenvalue, and a
+    # zero start or a unit start off the target reaches no target component
+    for parity, n in (("even", 33), ("odd", 32)):
+        op = assemble(_zero_profile(), 1.0, kawahara)
+        block = getattr(op, parity)
+        order = np.argsort(np.diag(block))
+        for i in (0, 1, n // 2, n - 1):
+            off_target = np.zeros(n)
+            off_target[order[(i + 1) % n]] = 1.0
+            for start in (np.zeros(n), off_target):
+                v = op.eigenvector(parity, i, start)
+                assert abs(v[order[i]]) == pytest.approx(1.0, abs=1e-14)
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert f"eig_{parity}" not in op.__dict__  # no eigh behind the result
+
+
+def test_shifted_eigenvector_from_orthogonal_start(op08):
+    # a start orthogonal to the target still reaches it on a dense block
+    op = assemble(op08.psi, op08.omega, op08.sym, N=op08.N)
+    vals, vecs = np.linalg.eigh(op.odd)
+    i = int(np.argmin(np.abs(vals)))
+    target = vecs[:, i]
+    start = op.psi_prime_coords()
+    start -= (start @ target) * target
+    v = op.eigenvector("odd", i, start)
+    assert 1.0 - abs(v @ target) < 1e-12
+    # once eigh has run, its columns are returned as they are
+    op.eig_odd
+    assert np.array_equal(op.eigenvector("odd", i, start), op.eig_odd.eigenvectors[:, i])
