@@ -301,7 +301,7 @@ def cmd_evolve(args):
             periods=args.T, grid_size=args.grid, dt=args.dt, seed=seed,
             n_samples=args.samples, A=params.A, mode=mode,
         )
-    except ValueError as exc:   # the step cap, checked before any step
+    except ValueError as exc:   # the step cap or dropped wave content, before any step
         _validation_exit(f"evolve: {exc}")
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)

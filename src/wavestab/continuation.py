@@ -39,12 +39,12 @@ class ContinuationPoint:
 
 
 def _projected_residual_coords(psi, omega, A, sym):
-    """Orthonormal even coordinates of P_N(Pi(omega, A, psi))."""
-    rc, _ = pi_residual(psi, omega, A, sym)
+    """Orthonormal even coordinates of P_N(Pi(omega, A, psi)), and the sup of Pi."""
+    rc, sup = pi_residual(psi, omega, A, sym)
     r = rc[: psi.N + 1].copy()
     r[0] *= math.sqrt(psi.L0)
     r[1:] *= math.sqrt(psi.L0 / 2.0)
-    return r
+    return r, sup
 
 
 def newton_solve(psi, omega, A, sym, tol=1e-12):
@@ -55,7 +55,7 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
     on a singular Jacobian.
     """
     scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
-    r = _projected_residual_coords(psi, omega, A, sym)
+    r, sup = _projected_residual_coords(psi, omega, A, sym)
     rnorm = float(np.linalg.norm(r))
     iters = 0
     while rnorm > tol * scale:
@@ -71,7 +71,7 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = _coords_step(psi, step * delta)
-            r_new = _projected_residual_coords(cand, omega, A, sym)
+            r_new, sup_new = _projected_residual_coords(cand, omega, A, sym)
             rnorm_new = float(np.linalg.norm(r_new))
             if rnorm_new < rnorm or rnorm_new <= tol * scale:
                 break
@@ -80,10 +80,9 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
             raise NewtonDivergenceError(
                 f"damping failed at residual {rnorm:.3e}"
             )
-        psi, r, rnorm = cand, r_new, rnorm_new
+        psi, r, rnorm, sup = cand, r_new, rnorm_new, sup_new
         scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
         iters += 1
-    _, sup = pi_residual(psi, omega, A, sym)
     return ContinuationPoint(
         omega=float(omega), A=float(A), psi=psi,
         residual_norm=sup, newton_iters=iters,

@@ -13,7 +13,7 @@ spectral assumption verified, avg > omega > 0 together with either
 nonnegative/positive) certifies orbital stability.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -141,24 +141,11 @@ class StabilityReport:
     tolerances: dict = field(default_factory=dict)
 
     def as_record(self):
-        rec = {
-            "omega": self.omega, "L0": self.L0,
-            "M": self.M, "F": self.F,
-            "M_w": self.M_w, "M_A": self.M_A, "F_w": self.F_w, "F_A": self.F_A,
-            "detD": self.detD, "detD_reduced": self.detD_reduced,
-            "x0": self.x0, "y0": self.y0,
-            "P_witness": self.P_witness, "P_closed": self.P_closed, "I": self.I,
-            "avg_minus_speed": self.avg_minus_speed,
-            "min_psi": self.min_psi, "chi_psi_corr": self.chi_psi_corr,
-            "id_Fomega": self.id_Fomega, "id_FA": self.id_FA,
-            "id_relFF": self.id_relFF,
-            "n_neg": self.spectrum.n_neg, "n_zero": self.spectrum.n_zero,
-            "kernel_corr": self.spectrum.kernel_corr,
-            "spectral_gap": self.spectrum.gap,
-            "assumption_holds": self.spectrum.holds_assumption,
-            "w_psi": self.w_psi, "w_psi_psip": self.w_psi_psip,
-            "verdict": self.verdict,
-        }
+        rec = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("spectrum", "tolerances")}
+        s = self.spectrum
+        rec.update(n_neg=s.n_neg, n_zero=s.n_zero, kernel_corr=s.kernel_corr,
+                   spectral_gap=s.gap, assumption_holds=s.holds_assumption)
         rec.update({f"tol_{k}": v for k, v in sorted(self.tolerances.items())})
         return rec
 

@@ -4,8 +4,8 @@ Fourth-order exponential time differencing (Kassam & Trefethen, SIAM J.
 Sci. Comput. 26, 2005) with the dispersive part exp(i xi theta(xi) t)
 integrated exactly; the phi-function weights are contour averages over a
 full circle around each i*xi*theta*dt (a half circle plus real part is only
-valid for real symbols).  The field is real, so a step works on the rfft
-half spectrum with real transforms; states keep the full numpy fft layout.
+valid for real symbols).  The field is real, so a state is its rfft half
+spectrum, modes 0..grid // 2, and a step works on it with real transforms.
 The quadratic term is 2/3-rule dealiased.
 
 Conserved quantities: E = 1/2 int (M^{1/2}u)^2 - (1/6) int u^3, F, M.  The
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 BLOWUP_SUP = 1e6
+BLOWUP_CHECK_EVERY = 1000   # steps between sup-norm checks; the last step is checked too
 CONTOUR_POINTS = 32
 NEWTON_MAX_ITER = 20
 MAX_STEPS = 10_000_000      # stability_experiment's cap: ~20 min at grid 256
@@ -46,18 +47,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Solution snapshot: full-spectrum complex modes on a periodic grid."""
+    """Solution snapshot: rfft half-spectrum modes of a real periodic field."""
 
     t: float
-    modes: np.ndarray        # numpy fft layout, length grid_size, dealiased
+    modes: np.ndarray        # rfft layout, length grid_size // 2 + 1, dealiased
     L0: float
-
-    @property
-    def grid_size(self):
-        return len(self.modes)
+    grid_size: int           # not derivable from len(modes) when odd
 
     def values(self):
-        return np.fft.ifft(self.modes).real
+        return np.fft.irfft(self.modes, self.grid_size)
 
     def mode_coefficients(self):
         """hat(u)(n) in the function convention u = sum hat(u) e^{2pi i n x/L0}."""
@@ -72,22 +70,29 @@ class ConservedTriple:
 
 
 def _dealias_mask(grid_size):
-    n = np.abs(np.fft.fftfreq(grid_size, d=1.0 / grid_size))
-    return n <= grid_size // 3
+    return np.arange(grid_size // 2 + 1) <= grid_size // 3
 
 
-def state_from_profile(psi, grid_size=256, t=0.0):
-    """Band-limit the profile to the dealiased band and load it on the grid."""
-    cut = min(psi.N, grid_size // 3)
-    vals = psi.truncated(cut).values(grid_size)
-    modes = np.fft.fft(vals) * _dealias_mask(grid_size)
-    return EvolutionState(t=t, modes=modes, L0=psi.L0)
+def state_from_profile(psi, grid_size=256):
+    """Load the profile's modes in the dealiased band, n <= grid // 3.
+
+    Raises ValueError when a dropped coefficient exceeds 1e-10 of the
+    largest, the bound of FourierProfile.tail_ratio.
+    """
+    coeffs = np.abs(psi.coeffs)
+    dropped = coeffs[grid_size // 3 + 1 :].max(initial=0.0)
+    if dropped > 1e-10 * coeffs.max():
+        raise ValueError(f"grid {grid_size} keeps modes up to {grid_size // 3} and drops a "
+                         f"wave coefficient {dropped / coeffs.max():.2e} of the largest, "
+                         f"above 1e-10")
+    modes = grid_size * psi.psi_hat(grid_size // 2) * _dealias_mask(grid_size)
+    return EvolutionState(t=0.0, modes=modes, L0=psi.L0, grid_size=grid_size)
 
 
-def state_from_values(values, L0, t=0.0):
+def state_from_values(values, L0):
     values = np.asarray(values, dtype=float)
-    modes = np.fft.fft(values) * _dealias_mask(len(values))
-    return EvolutionState(t=t, modes=modes, L0=float(L0))
+    modes = np.fft.rfft(values) * _dealias_mask(len(values))
+    return EvolutionState(t=0.0, modes=modes, L0=float(L0), grid_size=len(values))
 
 
 class Evolver:
@@ -97,16 +102,15 @@ class Evolver:
     factor -i xi / 2 folded in: a stage's nonlinear term is rfft(u^2).
     """
 
-    def __init__(self, L0, grid_size, sym, dt, nonlinear=True):
+    def __init__(self, L0, grid_size, sym, dt):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.L0 = float(L0)
         self.grid_size = int(grid_size)
         self.dt = dt = float(dt)
-        self.nonlinear = nonlinear
         xi = 2.0 * math.pi * np.fft.rfftfreq(self.grid_size, d=self.L0 / self.grid_size)
         lin = 1j * xi * np.asarray(sym(xi), dtype=float)
-        nl = -0.5j * xi * _dealias_mask(self.grid_size)[: len(xi)]
+        nl = -0.5j * xi * _dealias_mask(self.grid_size)
         r = np.exp(2j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
         LR = dt * lin[:, None] + r[None, :]
         eLR = np.exp(LR)
@@ -118,8 +122,6 @@ class Evolver:
         self.f3 = nl * dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3).mean(1)
 
     def _nonlin(self, vh):
-        if not self.nonlinear:
-            return 0.0
         return np.fft.rfft(np.fft.irfft(vh, self.grid_size) ** 2)
 
     def _step(self, vh):
@@ -135,21 +137,20 @@ class Evolver:
     def step(self, state):
         return self.run(state, 1)
 
-    def run(self, state, nsteps, check_every=1000):
-        """Advance nsteps; blow-up is checked every check_every steps."""
+    def run(self, state, nsteps):
+        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps."""
         G = self.grid_size
         if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
-        vh = state.modes[: G // 2 + 1]
+        vh = state.modes
         for s in range(nsteps):
             vh = self._step(vh)
-            if (s + 1) % check_every == 0 or s == nsteps - 1:
+            if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
                 sup = float(np.abs(np.fft.irfft(vh, G)).max())
                 if not (sup <= BLOWUP_SUP):  # also catches NaN
                     raise BlowUpError(f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
-        # the full layout of a real field: mode -n is the conjugate of mode n
-        modes = np.concatenate((vh, np.conj(vh[1 : G - len(vh) + 1][::-1])))
-        return EvolutionState(t=state.t + nsteps * self.dt, modes=modes, L0=self.L0)
+        return EvolutionState(t=state.t + nsteps * self.dt, modes=vh, L0=self.L0,
+                              grid_size=G)
 
 
 def default_dt(state, sym, safety=0.5):
@@ -160,8 +161,7 @@ def default_dt(state, sym, safety=0.5):
     bound is an accuracy heuristic, gated in practice by the conservation
     drift checks.
     """
-    coeffs = np.abs(state.mode_coefficients())
-    mags = coeffs[: len(coeffs) // 2 + 1]
+    mags = np.abs(state.mode_coefficients())
     top = mags.max()
     idx = np.nonzero(mags > 1e-12 * top)[0]
     n_eff = max(int(idx.max()), 1) if len(idx) else 1
@@ -180,9 +180,11 @@ def conserved(state, sym):
     M_grid = state.grid_size
     u = state.values()
     coeffs = state.mode_coefficients()
-    xi = 2.0 * math.pi * np.fft.fftfreq(M_grid, d=L0 / M_grid)
-    theta = np.asarray(sym(xi), dtype=float)
-    quad = L0 * float(np.sum(theta * np.abs(coeffs) ** 2))
+    theta = np.asarray(sym(2.0 * math.pi * np.arange(len(coeffs)) / L0), dtype=float)
+    # modes +-n share theta and |c|, so the half-spectrum sum is doubled; that
+    # is exact because theta(0) = 0 (MultiplierSymbol enforces it) and the
+    # unpaired Nyquist mode of an even grid is dealiased away
+    quad = 2.0 * L0 * float(np.sum(theta * np.abs(coeffs) ** 2))
     cubic = (L0 / M_grid) * float(np.sum(u**3))
     E = 0.5 * quad - cubic / 6.0
     F = 0.5 * (L0 / M_grid) * float(np.sum(u * u))
@@ -208,9 +210,8 @@ def orbital_distance(state, psi, sym):
     xi_pos = 2.0 * math.pi * np.arange(n_half + 1) / L0
     w = 1.0 + np.asarray(sym(xi_pos), dtype=float)
 
-    u = state.mode_coefficients()
+    uu = state.mode_coefficients()
     ph = psi.psi_hat(n_half)
-    uu = u[: n_half + 1]
     # modes +-n both counted (n >= 1 doubled)
     dbl = np.ones(n_half + 1)
     dbl[1:] = 2.0
@@ -308,17 +309,17 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
                 "deltaP": dP}
 
     series = [record(state)]
-    c0 = conserved(state, sym)
-    series[0]["on_manifold"] = bool(
-        abs(c0.F - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
-        and abs(c0.M - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
+    first = series[0]
+    first["on_manifold"] = bool(
+        abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
+        and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
     )
-    series[0].update(dt=dt, steps=nsteps_total)
+    first.update(dt=dt, steps=nsteps_total)
     done = 0
     try:
         while done < nsteps_total:
             n = min(stride, nsteps_total - done)
-            state = ev.run(state, n, check_every=max(1, n // 2))
+            state = ev.run(state, n)
             done += n
             series.append(record(state))
     except BlowUpError as exc:

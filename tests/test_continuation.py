@@ -9,7 +9,7 @@ from wavestab.continuation import (
 )
 from wavestab.criteria import derivatives, functionals
 from wavestab.galerkin import GalerkinOperator
-from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
+from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift, pi_residual
 
 
 @pytest.fixture
@@ -19,9 +19,9 @@ def history(monkeypatch):
     norms = []
 
     def recorded(*args, _fn=cont._projected_residual_coords):
-        r = _fn(*args)
+        r, sup = _fn(*args)
         norms.append(float(np.linalg.norm(r)))
-        return r
+        return r, sup
 
     monkeypatch.setattr(cont, "_projected_residual_coords", recorded)
     return norms
@@ -64,6 +64,24 @@ def test_quadratic_convergence(wave08, kawahara, history):
     for r0, r1 in zip(rs[:-1], rs[1:]):
         if r0 < 1e-3:
             assert r1 <= 100.0 * r0 * r0
+
+
+@pytest.mark.parametrize("bump", [0.0, 2e-3])
+def test_one_pi_residual_per_residual_evaluation(wave08, kawahara, history, monkeypatch,
+                                                 bump):
+    # the returned sup norm is the one the accepting evaluation computed
+    calls = []
+
+    def counted(*args, _fn=cont.pi_residual):
+        calls.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(cont, "pi_residual", counted)
+    params, psi = wave08
+    start = FourierProfile(psi.L0, psi.coeffs * (1.0 + bump))
+    pt = newton_solve(start, params.omega, params.A, kawahara)
+    assert len(calls) == len(history) == pt.newton_iters + 1
+    assert pt.residual_norm == pi_residual(pt.psi, params.omega, params.A, kawahara)[1]
 
 
 def test_evenness_structural(wave08, kawahara):
