@@ -25,7 +25,6 @@ from .galerkin import (
     SpectrumReport,
     assemble,
     constrained_min,
-    solve_variations,
     spectrum,
 )
 from .continuation import ContinuationPoint, newton_solve, surface_patch
@@ -47,7 +46,7 @@ __all__ = [
     "dnoidal_coefficients", "extract_A", "galilean_shift",
     "KLPoint", "p_of_k", "solve_L1", "sweep",
     "GalerkinOperator", "SpectrumReport", "assemble", "constrained_min",
-    "solve_variations", "spectrum",
+    "spectrum",
     "ContinuationPoint", "newton_solve", "surface_patch",
     "StabilityReport", "evaluate_wave",
     "ConservedTriple", "EvolutionState", "Evolver", "conserved",

@@ -12,7 +12,7 @@ line of a `--config` file becomes a `--key=value` flag right after the
 subcommand name, so a file may supply any flag, required ones included, and
 flags on the command line win.  Out-of-domain values exit 2, and so does a
 run over a work cap (MAX_MODES, MAX_GRID, MAX_SAMPLES, MAX_K_STEPS,
-evolution.MAX_STEPS).
+MAX_PATCH_POINTS, evolution.MAX_STEPS).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
 (Newton/eigensolver, floating-point breakdown), 4 blow-up.
@@ -46,6 +46,7 @@ MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 
 MAX_GRID = 6144         # --grid: grid // 3 = MAX_MODES
 MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
 MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root each
+MAX_PATCH_POINTS = 10_000  # continue patch points: one Newton solve each
 
 
 def _fmt(x):
@@ -262,6 +263,10 @@ def cmd_criteria(args):
 
 
 def cmd_continue(args):
+    points = (2 * args.extent_omega + 1) * (2 * args.extent_A + 1)
+    if points > MAX_PATCH_POINTS:
+        _validation_exit(f"continue: a patch of {points} points is over the cap "
+                         f"of {MAX_PATCH_POINTS}")
     params, psi = _resolve_wave(args)
     try:
         center = newton_solve(psi, args.omega, params.A, args.sym)

@@ -6,7 +6,6 @@ modes 0..N, and the Jacobian is the even Galerkin block of M + omega - psi,
 which is invertible precisely because the kernel direction psi' is odd.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +37,6 @@ class ContinuationPoint:
     newton_iters: int
 
 
-def _projected_residual_coords(psi, omega, A, sym):
-    """Orthonormal even coordinates of P_N(Pi(omega, A, psi)), and the sup of Pi."""
-    rc, sup = pi_residual(psi, omega, A, sym)
-    r = rc[: psi.N + 1].copy()
-    r[0] *= math.sqrt(psi.L0)
-    r[1:] *= math.sqrt(psi.L0 / 2.0)
-    return r, sup
-
-
 def newton_solve(psi, omega, A, sym, tol=1e-12):
     """Damped Newton iteration for Pi(omega, A, psi) = 0 in the even subspace.
 
@@ -55,7 +45,8 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
     on a singular Jacobian.
     """
     scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
-    r, sup = _projected_residual_coords(psi, omega, A, sym)
+    res = pi_residual(psi, omega, A, sym)
+    r = res.orthonormal(psi.N)
     rnorm = float(np.linalg.norm(r))
     iters = 0
     while rnorm > tol * scale:
@@ -70,8 +61,10 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
             raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            cand = _coords_step(psi, step * delta)
-            r_new, sup_new = _projected_residual_coords(cand, omega, A, sym)
+            dc = FourierProfile.from_orthonormal(psi.L0, step * delta).coeffs
+            cand = FourierProfile(psi.L0, psi.coeffs + dc)
+            res_new = pi_residual(cand, omega, A, sym)
+            r_new = res_new.orthonormal(psi.N)
             rnorm_new = float(np.linalg.norm(r_new))
             if rnorm_new < rnorm or rnorm_new <= tol * scale:
                 break
@@ -80,20 +73,13 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
             raise NewtonDivergenceError(
                 f"damping failed at residual {rnorm:.3e}"
             )
-        psi, r, rnorm, sup = cand, r_new, rnorm_new, sup_new
+        psi, res, r, rnorm = cand, res_new, r_new, rnorm_new
         scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
         iters += 1
     return ContinuationPoint(
         omega=float(omega), A=float(A), psi=psi,
-        residual_norm=sup, newton_iters=iters,
+        residual_norm=res.sup_norm(), newton_iters=iters,
     )
-
-
-def _coords_step(psi, delta_coords):
-    c = psi.coeffs.copy()
-    c[0] += delta_coords[0] / math.sqrt(psi.L0)
-    c[1:] += delta_coords[1:] * math.sqrt(2.0 / psi.L0)
-    return FourierProfile(psi.L0, c)
 
 
 def surface_patch(center, domega, dA, extent, sym):

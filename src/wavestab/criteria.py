@@ -49,29 +49,14 @@ MIN_TOL = 1e-8
 
 def functionals(psi):
     """(M, F) = (integral of psi, half the squared L2 norm) by Parseval."""
-    c = psi.coeffs
-    M = psi.L0 * c[0]
-    F = 0.5 * psi.L0 * (c[0] ** 2 + 0.5 * float(np.sum(c[1:] ** 2)))
-    return float(M), float(F)
-
-
-def _pair(psi, other):
-    """L2 inner product of two even profiles."""
-    n = max(psi.N, other.N)
-    a = np.zeros(n + 1)
-    b = np.zeros(n + 1)
-    a[: psi.N + 1] = psi.coeffs
-    b[: other.N + 1] = other.coeffs
-    return float(psi.L0 * (a[0] * b[0] + 0.5 * np.sum(a[1:] * b[1:])))
+    return float(psi.L0 * psi.coeffs[0]), 0.5 * psi.inner(psi)
 
 
 def derivatives(psi, eta, beta):
     """(M_w, M_A, F_w, F_A) from the linear-solve profiles eta, beta."""
     M_w = eta.L0 * eta.coeffs[0]
     M_A = beta.L0 * beta.coeffs[0]
-    F_w = _pair(psi, eta)
-    F_A = _pair(psi, beta)
-    return float(M_w), float(M_A), float(F_w), float(F_A)
+    return float(M_w), float(M_A), psi.inner(eta), psi.inner(beta)
 
 
 def det_D(F_A, M_w, F_w, M_A):
@@ -87,7 +72,7 @@ def p_form(x, y, F_w, M_w, M_A, F_A):
     return x * x * F_w + x * y * (F_A + M_w) + y * y * M_A
 
 
-def choose_witness(op, psi, eta, beta, omega, derivs=None):
+def choose_witness(op, psi, eta, beta, omega):
     """Witness (x0, y0) = (-1/omega, 1) with P and the pairing I.
 
     Returns (x0, y0, P, P_closed, I) where P_closed is the reduced form
@@ -95,18 +80,13 @@ def choose_witness(op, psi, eta, beta, omega, derivs=None):
     quadratic form of the even Galerkin block (Phi is even); I = -P up to
     discretization.
     """
-    if derivs is None:
-        derivs = derivatives(psi, eta, beta)
-    M_w, M_A, F_w, F_A = derivs
+    M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
     M, _ = functionals(psi)
     x0, y0 = -1.0 / omega, 1.0
     P = p_form(x0, y0, F_w, M_w, M_A, F_A)
     P_closed = (y0 * y0 * psi.L0 / omega**2) * (M / psi.L0 - omega)
-    phi_coeffs = np.zeros(max(eta.N, beta.N) + 1)
-    phi_coeffs[: eta.N + 1] += x0 * eta.coeffs
-    phi_coeffs[: beta.N + 1] += y0 * beta.coeffs
-    phi = FourierProfile(psi.L0, phi_coeffs)
-    v = op.even_coords(phi)
+    phi = FourierProfile(psi.L0, x0 * eta.coeffs + y0 * beta.coeffs)
+    v = phi.orthonormal(op.N)
     I = float(v @ (op.even @ v))
     return x0, y0, P, P_closed, I
 
@@ -213,10 +193,8 @@ def evaluate_wave(psi, omega, sym=None, N=None):
     L0 = psi.L0
     dD = det_D(F_A, M_w, F_w, M_A)
     dD2 = det_D_reduced(M, L0, omega, M_w)
-    x0, y0, P, P_closed, I = choose_witness(
-        op, psi, eta, beta, omega, derivs=(M_w, M_A, F_w, F_A)
-    )
-    psi_coords = op.even_coords(psi)
+    x0, y0, P, P_closed, I = choose_witness(op, psi, eta, beta, omega)
+    psi_coords = psi.orthonormal(op.N)
     chi = op.eigenvector("even", 0, psi_coords)
     denom = np.linalg.norm(chi) * np.linalg.norm(psi_coords)
     chi_corr = float(abs(chi @ psi_coords) / denom) if denom > 0 else 0.0
@@ -242,7 +220,7 @@ def evaluate_wave(psi, omega, sym=None, N=None):
     if report.spectrum.holds_assumption and report.M_w >= 0.0:
         report.w_psi = constrained_min(op, even=psi_coords)
         report.w_psi_psip = constrained_min(
-            op, even=psi_coords, odd=op.psi_psi_prime_coords()
+            op, even=psi_coords, odd=op.psi.half_square().derivative_orthonormal(op.N)
         )
     report.verdict = verdict(report)
     return report

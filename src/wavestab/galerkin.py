@@ -18,9 +18,12 @@ asks for `eig_even`/`eig_odd` (eigh) first; otherwise `values_even`/
 `values_odd` take eigvalsh, which forms no eigenvectors and costs about
 half as much, and `eigenvector` recovers the one or two vectors a report
 reads by one shifted solve each (inverse iteration).  `spectrum` reads the
-eigenvalues and the odd mode nearest zero; `solve_variations` needs no
-decomposition for eta and beta (one LU, both right-hand sides) and reads the
-even eigenvalues only to reject a zero-band even eigenvalue.
+eigenvalues and the odd mode nearest zero.  The solves for eta and beta
+need no decomposition (`_variation_solve`: one LU, both right-hand sides);
+`_check_even_band` reads the even eigenvalues only to reject a zero-band
+even eigenvalue.  Coordinates in the orthonormal basis come from
+`FourierProfile` (`orthonormal`, `from_orthonormal`,
+`derivative_orthonormal`).
 
 `constrained_min(op, even=None, odd=None)` takes at most one constraint per
 block, in that block's orthonormal coordinates, and returns the smaller of
@@ -51,7 +54,6 @@ __all__ = [
     "DegenerateOperatorError",
     "assemble",
     "spectrum",
-    "solve_variations",
     "constrained_min",
 ]
 
@@ -150,39 +152,6 @@ class GalerkinOperator:
         x = np.linalg.solve(shifted, s)
         return x / np.linalg.norm(x)
 
-    # --- coordinate helpers (orthonormal basis <-> function coefficients) ---
-
-    def even_coords(self, profile):
-        """Orthonormal cosine coordinates of an even profile (length N+1)."""
-        c = profile.truncated(self.N).coeffs
-        v = np.empty(self.N + 1)
-        v[0] = c[0] * math.sqrt(self.L0)
-        v[1:] = c[1:] * math.sqrt(self.L0 / 2.0)
-        return v
-
-    def profile_from_even(self, v):
-        c = np.empty(self.N + 1)
-        c[0] = v[0] / math.sqrt(self.L0)
-        c[1:] = v[1:] * math.sqrt(2.0 / self.L0)
-        return FourierProfile(self.L0, c)
-
-    def odd_coords_from_sine(self, s):
-        """Orthonormal sine coordinates from function sine coefficients s_1..."""
-        w = np.zeros(self.N)
-        upto = min(len(s), self.N)
-        w[:upto] = np.asarray(s[:upto]) * math.sqrt(self.L0 / 2.0)
-        return w
-
-    def psi_prime_coords(self):
-        return self.odd_coords_from_sine(self.psi.derivative_sine_coeffs())
-
-    def psi_psi_prime_coords(self):
-        """Odd coordinates of psi * psi' = (psi^2 / 2)'."""
-        M = 4 * (self.psi.N + 1)
-        vals = self.psi.values(M)
-        sq, _ = FourierProfile.from_samples(self.L0, 0.5 * vals * vals, 2 * self.psi.N)
-        return self.odd_coords_from_sine(sq.derivative_sine_coeffs())
-
 
 def assemble(psi, omega, sym, N=None):
     """Galerkin matrix of M + omega - psi on modes |n| <= N (default psi.N)."""
@@ -245,7 +214,7 @@ def spectrum(op):
     # nearest-to-zero mode, compared against psi'
     i_o = int(np.argmin(np.abs(vals_o)))
     i_e = int(np.argmin(np.abs(vals_e)))
-    pp = op.psi_prime_coords()
+    pp = op.psi.derivative_orthonormal(op.N)
     norm_pp = np.linalg.norm(pp)
     if abs(vals_o[i_o]) <= abs(vals_e[i_e]) and norm_pp > 0:
         v0 = op.eigenvector("odd", i_o, pp)
@@ -261,32 +230,20 @@ def spectrum(op):
     )
 
 
-def solve_variations(op):
-    """Solve L eta = -psi and L beta = -1 in the even cosine subspace.
-
-    The kernel of L is spanned by the odd function psi', so the even
-    restriction is invertible at a clean wave; a numerically singular even
-    block raises DegenerateOperatorError.
-    """
-    eta, beta = _variation_solve(op)
-    _check_even_band(op)
-    return eta, beta
-
-
 def _variation_solve(op):
     """eta and beta from one LU of the even block, with no eigensolve.
 
     An exactly singular block raises DegenerateOperatorError; a nearly
     singular one is caught only by `_check_even_band`.
     """
-    rhs = np.zeros((op.N + 1, 2))
-    rhs[:, 0] = -op.even_coords(op.psi)
-    rhs[0, 1] = -math.sqrt(op.L0)  # coordinates of the constant -1
+    rhs = np.stack([-op.psi.orthonormal(op.N),
+                    FourierProfile(op.L0, [-1.0]).orthonormal(op.N)], axis=1)
     try:
         x = np.linalg.solve(op.even, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
-    return op.profile_from_even(x[:, 0]), op.profile_from_even(x[:, 1])
+    return (FourierProfile.from_orthonormal(op.L0, x[:, 0]),
+            FourierProfile.from_orthonormal(op.L0, x[:, 1]))
 
 
 def _check_even_band(op):

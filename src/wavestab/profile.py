@@ -40,7 +40,9 @@ class FourierProfile:
     """Even real L0-periodic function as cosine coefficients c_0..c_N.
 
     Represents psi(x) = c_0 + sum_{n>=1} c_n cos(2 pi n x / L0).  Evenness
-    is structural: only cosine coefficients are stored.
+    is structural: only cosine coefficients are stored.  This class is the
+    one place that maps coefficients to orthonormal-basis coordinates,
+    alias-free products and L2 inner products; other modules call it.
     """
 
     def __init__(self, L0, coeffs):
@@ -117,10 +119,40 @@ class FourierProfile:
     def wavenumbers(self):
         return 2.0 * math.pi * np.arange(self.N + 1) / self.L0
 
-    def derivative_sine_coeffs(self):
-        """psi'(x) = sum_{n>=1} s_n sin(2 pi n x/L0); returns s_1..s_N."""
-        xi = self.wavenumbers()[1:]
-        return -self.coeffs[1:] * xi
+    def orthonormal(self, N):
+        """Coordinates 0..N in the basis {1/sqrt(L0), sqrt(2/L0) cos_n}."""
+        v = self.truncated(N).coeffs
+        v[0] *= math.sqrt(self.L0)
+        v[1:] *= math.sqrt(self.L0 / 2.0)
+        return v
+
+    @classmethod
+    def from_orthonormal(cls, L0, v):
+        """The profile with orthonormal cosine coordinates v (see `orthonormal`)."""
+        v = np.asarray(v, dtype=float)
+        c = v * math.sqrt(2.0 / L0)
+        c[0] = v[0] / math.sqrt(L0)
+        return cls(L0, c)
+
+    def derivative_orthonormal(self, N):
+        """Coordinates 1..N of psi' in the basis {sqrt(2/L0) sin_n}."""
+        w = np.zeros(N)
+        upto = min(self.N, N)
+        xi = self.wavenumbers()[1 : upto + 1]
+        w[:upto] = -self.coeffs[1 : upto + 1] * xi * math.sqrt(self.L0 / 2.0)
+        return w
+
+    def half_square(self):
+        """psi^2 / 2 on modes 0..2N, alias-free from the 4(N+1) samples."""
+        vals = self.values()
+        sq, _ = FourierProfile.from_samples(self.L0, 0.5 * vals * vals, 2 * self.N)
+        return sq
+
+    def inner(self, other):
+        """L2 inner product with another even profile over one period."""
+        n = max(self.N, other.N)
+        a, b = self.truncated(n).coeffs, other.truncated(n).coeffs
+        return float(self.L0 * (a[0] * b[0] + 0.5 * np.sum(a[1:] * b[1:])))
 
     def shifted(self, alpha):
         c = self.coeffs.copy()
@@ -209,32 +241,13 @@ def build_dnoidal(k, L, omega, N=128):
     return params, psi
 
 
-def _residual_cosine_coeffs(psi, omega, sym):
-    """Cosine coefficients (length 2N+1) of M psi + omega psi - psi^2/2."""
-    N = psi.N
-    M = 4 * (N + 1)
-    vals = psi.values(M)
-    sq = vals * vals
-    F = np.fft.rfft(sq) / M
-    rc = np.zeros(2 * N + 1)
-    rc[0] = -0.5 * F[0].real
-    rc[1 : 2 * N + 1] = -0.5 * 2.0 * F[1 : 2 * N + 1].real
-    xi = psi.wavenumbers()
-    rc[: N + 1] += (sym(xi) + omega) * psi.coeffs
-    return rc
-
-
 def pi_residual(psi, omega, A, sym):
-    """Residual of the traveling-wave map M psi + omega psi - psi^2/2 + A.
-
-    Returns (coeffs, sup) with the residual's cosine coefficients (length
-    2N+1) and its sup norm over one period.
-    """
-    rc = _residual_cosine_coeffs(psi, omega, sym)
-    rc = rc.copy()
+    """Residual M psi + omega psi - psi^2/2 + A of the traveling-wave map,
+    as a FourierProfile on modes 0..2N."""
+    rc = -psi.half_square().coeffs
+    rc[: psi.N + 1] += (sym(psi.wavenumbers()) + omega) * psi.coeffs
     rc[0] += A
-    r = FourierProfile(psi.L0, rc)
-    return rc, float(np.abs(r.values()).max())
+    return FourierProfile(psi.L0, rc)
 
 
 def extract_A(psi, omega, sym):
@@ -250,11 +263,10 @@ def extract_A(psi, omega, sym):
             "residual may be truncation-limited",
             stacklevel=2,
         )
-    rc = _residual_cosine_coeffs(psi, omega, sym)
-    A = -rc[0]
-    rc[0] += A
-    r = FourierProfile(psi.L0, rc)
-    return float(A), float(np.abs(r.values()).max())
+    r = pi_residual(psi, omega, 0.0, sym)
+    A = -r.coeffs[0]
+    r.coeffs[0] = 0.0
+    return float(A), r.sup_norm()
 
 
 def galilean_shift(psi, omega, A, alpha):

@@ -2,6 +2,7 @@ import pytest
 
 from wavestab.criteria import evaluate_wave
 from wavestab.elliptic import complete_integrals
+from wavestab.galerkin import _check_even_band, _variation_solve
 from wavestab.klcurve import solve_L1
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import build_dnoidal
@@ -42,9 +43,19 @@ def op08(wave08, kawahara):
 
 @pytest.fixture(scope="session")
 def variations08(op08):
-    from wavestab.galerkin import solve_variations
-
     return solve_variations(op08)
+
+
+def solve_variations(op):
+    """Solve L eta = -psi and L beta = -1 in the even cosine subspace.
+
+    The kernel of L is spanned by the odd function psi', so the even
+    restriction is invertible at a clean wave; a singular even block, or an
+    even eigenvalue in the zero band, raises DegenerateOperatorError.
+    """
+    eta, beta = _variation_solve(op)
+    _check_even_band(op)
+    return eta, beta
 
 
 def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256):

@@ -165,8 +165,8 @@ def test_criterion_5_identity_suite(wave08, op08, variations08, kawahara):
     witness_dev = abs(I + P) / max(abs(I), abs(P))
     assert witness_dev < 1e-6
 
-    inv = np.linalg.solve(op08.even, op08.even_coords(psi))
-    pairing = float(inv @ op08.even_coords(psi))
+    inv = np.linalg.solve(op08.even, psi.orthonormal(op08.N))
+    pairing = float(inv @ psi.orthonormal(op08.N))
     pairing_dev = abs(pairing + F_w) / abs(F_w)
     assert pairing_dev < 1e-6
 
@@ -223,10 +223,10 @@ def test_criterion_7_constrained_minima(wave08, op08, variations08):
     eta, beta = variations08
     _, _, F_w, _ = derivatives(psi, eta, beta)
     assert F_w > 0
-    w1 = constrained_min(op08, even=op08.even_coords(psi))
+    w1 = constrained_min(op08, even=psi.orthonormal(op08.N))
     assert w1 >= -1e-8
-    w2 = constrained_min(op08, even=op08.even_coords(psi),
-                         odd=op08.psi_psi_prime_coords())
+    w2 = constrained_min(op08, even=psi.orthonormal(op08.N),
+                         odd=op08.psi.half_square().derivative_orthonormal(op08.N))
     rep = spectrum(op08)
     scale = max(1.0, abs(rep.eigenvalues[0]))
     assert w2 > 1e-8 * scale

@@ -289,6 +289,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["sweep", "--steps", "100001"], None),
     (["reproduce-figure1", "--steps", "100001"], None),
     (["continue", "--k", "0.8", "--domega", "0"], None),
+    (["continue", "--k", "0.8", "--extent-omega", "100000"], None),
     (["reproduce-figure1", "--kmin", "0.9", "--kmax", "0.5"], None),
     (["sweep", "--jobs", "2"], None),
     (["sweep", "--omega", "1.0"], None),

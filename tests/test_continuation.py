@@ -18,12 +18,12 @@ def history(monkeypatch):
     no damped step is rejected (the start, then each iteration)."""
     norms = []
 
-    def recorded(*args, _fn=cont._projected_residual_coords):
-        r, sup = _fn(*args)
-        norms.append(float(np.linalg.norm(r)))
-        return r, sup
+    def recorded(*args, _fn=cont.pi_residual):
+        res = _fn(*args)
+        norms.append(float(np.linalg.norm(res.orthonormal(args[0].N))))
+        return res
 
-    monkeypatch.setattr(cont, "_projected_residual_coords", recorded)
+    monkeypatch.setattr(cont, "pi_residual", recorded)
     return norms
 
 
@@ -81,7 +81,8 @@ def test_one_pi_residual_per_residual_evaluation(wave08, kawahara, history, monk
     start = FourierProfile(psi.L0, psi.coeffs * (1.0 + bump))
     pt = newton_solve(start, params.omega, params.A, kawahara)
     assert len(calls) == len(history) == pt.newton_iters + 1
-    assert pt.residual_norm == pi_residual(pt.psi, params.omega, params.A, kawahara)[1]
+    assert pt.residual_norm == pi_residual(pt.psi, params.omega, params.A,
+                                           kawahara).sup_norm()
 
 
 def test_evenness_structural(wave08, kawahara):

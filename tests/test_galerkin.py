@@ -12,11 +12,12 @@ from wavestab.galerkin import (
     assemble,
     constrained_min,
     default_tol_zero,
-    solve_variations,
     spectrum,
 )
 from wavestab.criteria import derivatives, evaluate_wave, verdict
 from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
+
+from conftest import solve_variations
 
 
 def apply_linearized(psi, omega, sym, f):
@@ -80,7 +81,7 @@ def test_quadratic_form_quadrature_oracle(wave08, kawahara):
     M = 4 * (Lf.N + 1)
     vals = Lf.values(M) * f.values(M)
     oracle = vals.sum() * psi.L0 / M
-    v = op.even_coords(f)
+    v = f.orthonormal(op.N)
     qf = float(v @ (op.even @ v))
     assert qf == pytest.approx(oracle, rel=1e-10)
 
@@ -88,15 +89,15 @@ def test_quadratic_form_quadrature_oracle(wave08, kawahara):
 def test_operator_on_constant(op08, wave08):
     _, psi = wave08
     ones = FourierProfile(psi.L0, np.array([1.0]))
-    out = op08.even @ op08.even_coords(ones)
+    out = op08.even @ ones.orthonormal(op08.N)
     shifted = FourierProfile(
         psi.L0, np.concatenate([[1.0 - psi.coeffs[0]], -psi.coeffs[1:]])
     )
-    assert np.abs(out - op08.even_coords(shifted)).max() < 1e-12
+    assert np.abs(out - shifted.orthonormal(op08.N)).max() < 1e-12
 
 
 def test_kernel_is_wave_derivative(op08):
-    pp = op08.psi_prime_coords()
+    pp = op08.psi.derivative_orthonormal(op08.N)
     res = np.linalg.norm(op08.odd @ pp) / np.linalg.norm(pp)
     assert res < 1e-7
 
@@ -148,8 +149,8 @@ def test_beta_for_zero_profile(kawahara):
 def test_inverse_pairing_equals_minus_F_omega(wave08, op08, variations08):
     _, psi = wave08
     eta, beta = variations08
-    x = np.linalg.solve(op08.even, op08.even_coords(psi))
-    pairing = float(x @ op08.even_coords(psi))
+    x = np.linalg.solve(op08.even, psi.orthonormal(op08.N))
+    pairing = float(x @ psi.orthonormal(op08.N))
     _, _, F_w, _ = derivatives(psi, eta, beta)
     assert pairing == pytest.approx(-F_w, rel=1e-6)
 
@@ -177,11 +178,11 @@ def test_constrained_min_cases(op08, wave08, variations08):
 
     _, _, F_w, _ = derivatives(psi, eta, beta)
     assert F_w > 0  # hypothesis of the one-constraint minimum bound
-    w1 = constrained_min(op08, even=op08.even_coords(psi))
+    w1 = constrained_min(op08, even=psi.orthonormal(op08.N))
     assert w1 >= -1e-8
 
-    w2 = constrained_min(op08, even=op08.even_coords(psi),
-                         odd=op08.psi_psi_prime_coords())
+    w2 = constrained_min(op08, even=psi.orthonormal(op08.N),
+                         odd=op08.psi.half_square().derivative_orthonormal(op08.N))
     assert w2 > 1e-8
 
 
@@ -211,8 +212,8 @@ def test_constrained_min_matches_dense_oracle(branch_points, kawahara, k, omega,
     _, psi = build_dnoidal(k, branch_points[k].L, omega, N=128)
     op = assemble(psi, omega, kawahara, N=N)
     tol = 1e-9 * max(1.0, abs(spectrum(op).eigenvalues[0]))
-    psi_c = op.even_coords(psi)
-    pair = dict(even=psi_c, odd=op.psi_psi_prime_coords())
+    psi_c = psi.orthonormal(op.N)
+    pair = dict(even=psi_c, odd=op.psi.half_square().derivative_orthonormal(op.N))
     for constraints in (dict(even=psi_c), dict(odd=pair["odd"]), pair):
         assert abs(constrained_min(op, **constraints)
                    - _dense_constrained_min(op, **constraints)) <= tol
@@ -249,14 +250,14 @@ def test_constrained_min_reuses_cached_eigenpairs(op08, wave08, monkeypatch):
 
     for name in ("qr", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    w = constrained_min(op08, even=op08.even_coords(psi),
-                        odd=op08.psi_psi_prime_coords())
+    w = constrained_min(op08, even=psi.orthonormal(op08.N),
+                        odd=op08.psi.half_square().derivative_orthonormal(op08.N))
     assert w > 1e-8
 
 
 def test_constrained_min_rejects_bad_constraint(op08, wave08):
     _, psi = wave08
-    v = op08.even_coords(psi)
+    v = psi.orthonormal(op08.N)
     for bad in (dict(even=np.zeros_like(v)), dict(odd=np.zeros(op08.N)),
                 dict(even=v[:-1]), dict(odd=v)):
         with pytest.raises(ValueError):
@@ -283,8 +284,8 @@ def test_near_singular_even_block_reported(kawahara):
 
 def test_coords_roundtrip(op08, wave08):
     _, psi = wave08
-    v = op08.even_coords(psi)
-    back = op08.profile_from_even(v)
+    v = psi.orthonormal(op08.N)
+    back = FourierProfile.from_orthonormal(op08.L0, v)
     assert np.abs(back.coeffs - psi.truncated(op08.N).coeffs).max() < 1e-14
 
 
@@ -324,7 +325,7 @@ def _dense_spectrum(op):
     vals = np.sort(np.concatenate([vals_e, vals_o]))
     in_band = np.abs(vals) <= tol
     i_o = int(np.argmin(np.abs(vals_o)))
-    pp = op.psi_prime_coords()
+    pp = op.psi.derivative_orthonormal(op.N)
     kernel_corr = 0.0
     if abs(vals_o[i_o]) <= np.abs(vals_e).min() and np.linalg.norm(pp) > 0:
         kernel_corr = float(abs(vecs_o[:, i_o] @ pp) / np.linalg.norm(pp))
@@ -351,7 +352,7 @@ def test_eigenvalue_only_path_matches_dense_eigh(branch_points, kawahara, k, ome
     assert rep.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
 
     report = evaluate_wave(psi, omega, kawahara, N=N)
-    psi_c = op.even_coords(psi)
+    psi_c = psi.orthonormal(op.N)
     chi_corr = abs(chi @ psi_c) / np.linalg.norm(psi_c)
     assert report.chi_psi_corr == pytest.approx(chi_corr, rel=1e-10)
     assert report.spectrum.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
@@ -383,7 +384,7 @@ def test_shifted_eigenvector_from_orthogonal_start(op08):
     vals, vecs = np.linalg.eigh(op.odd)
     i = int(np.argmin(np.abs(vals)))
     target = vecs[:, i]
-    start = op.psi_prime_coords()
+    start = op.psi.derivative_orthonormal(op.N)
     start -= (start @ target) * target
     v = op.eigenvector("odd", i, start)
     assert 1.0 - abs(v @ target) < 1e-12

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
@@ -13,6 +14,7 @@ from wavestab.profile import (
     dnoidal_coefficients,
     extract_A,
     galilean_shift,
+    pi_residual,
 )
 from conftest import BRANCH_MODULI, plain_dnoidal_a
 
@@ -248,3 +250,76 @@ def test_galilean_shift_preserves_solution(wave08, kawahara):
     A_extracted, res = extract_A(psi2, w2, kawahara)
     assert A_extracted == pytest.approx(A2, rel=1e-10)
     assert res < 1e-8
+
+
+# --- coefficient conventions: one owner, FourierProfile ---------------------
+
+def _random_profile(seed, L0, N):
+    rng = np.random.default_rng(seed)
+    return FourierProfile(L0, rng.standard_normal(N + 1) * np.exp(-0.2 * np.arange(N + 1)))
+
+
+profiles = st.builds(
+    _random_profile,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    L0=st.floats(min_value=0.5, max_value=60.0),
+    N=st.integers(min_value=0, max_value=48),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=profiles)
+def test_orthonormal_roundtrip(p):
+    # each coordinate is scaled by sqrt(L0) or sqrt(L0/2) and back by
+    # 1/sqrt(L0) or sqrt(2/L0): a few roundings, never more
+    back = FourierProfile.from_orthonormal(p.L0, p.orthonormal(p.N))
+    assert back.L0 == p.L0
+    np.testing.assert_allclose(back.coeffs, p.coeffs, rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=profiles, q_seed=st.integers(min_value=0, max_value=2**32 - 1),
+       q_N=st.integers(min_value=0, max_value=48))
+def test_inner_is_orthonormal_dot(p, q_seed, q_N):
+    q = _random_profile(q_seed, p.L0, q_N)
+    n = max(p.N, q.N)
+    dot = p.orthonormal(n) @ q.orthonormal(n)
+    scale = math.sqrt(p.inner(p) * q.inner(q))
+    assert abs(p.inner(q) - dot) <= 1e-13 * scale
+    assert p.inner(q) == q.inner(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=profiles)
+def test_half_square_matches_fine_samples(p):
+    hs = p.half_square()
+    assert hs.N == 2 * p.N
+    M = 8 * 4 * (p.N + 1)
+    u = p.values(M)
+    half = 0.5 * u * u
+    assert np.abs(hs.values(M) - half).max() <= 1e-13 * max(1.0, np.abs(half).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=profiles, N=st.integers(min_value=1, max_value=64))
+def test_derivative_orthonormal_parseval(p, N):
+    # |psi'|^2 over one period from coordinates and from sampled psi'
+    w = p.derivative_orthonormal(N)
+    assert w.shape == (N,)
+    M = 4 * (p.N + 1)
+    x = p.grid(M)
+    n = np.arange(1, min(p.N, N) + 1)
+    xi = 2.0 * math.pi * n / p.L0
+    dpsi = -(p.coeffs[n] * xi) @ np.sin(np.outer(xi, x))
+    quad_rule = float(dpsi @ dpsi) * p.L0 / M
+    assert float(w @ w) == pytest.approx(quad_rule, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.filterwarnings("ignore:profile tail")
+@settings(max_examples=40, deadline=None)
+@given(p=profiles, omega=st.floats(min_value=-2.0, max_value=2.0))
+def test_extract_A_is_the_mean_of_pi_residual(p, omega, kawahara):
+    A, res = extract_A(p, omega, kawahara)
+    r = pi_residual(p, omega, A, kawahara)
+    assert r.coeffs[0] == 0.0
+    assert res == r.sup_norm()
