@@ -310,14 +310,17 @@ def cmd_evolve(args):
         _validation_exit(f"evolve: {exc}")
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
-        series, code, meta = exc.series, EXIT_BLOWUP, {"error": "blow-up"}
+        series, code = exc.series, EXIT_BLOWUP
+        meta = {"error": "blow-up", "transform": series[0]["transform"]}
     else:
         code = EXIT_OK
         first = series[0]
         meta = {"k": args.k, "omega": args.omega, "delta": args.delta,
                 "perturbation": kind, "T_periods": args.T, "grid": args.grid,
-                "dt": first["dt"], "steps": first["steps"],
                 "on_manifold": first["on_manifold"]}
+        meta.update((key, first[key]) for key in
+                    ("dt", "steps", "transform", "dt_safety", "xi_eff", "theta_eff")
+                    if key in first)
         if kind == "mode":
             meta["mode"] = mode
         if kind == "random":

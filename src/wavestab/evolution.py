@@ -5,8 +5,17 @@ Sci. Comput. 26, 2005) with the dispersive part exp(i xi theta(xi) t)
 integrated exactly; the phi-function weights are contour averages over a
 full circle around each i*xi*theta*dt (a half circle plus real part is only
 valid for real symbols).  The field is real, so a state is its rfft half
-spectrum, modes 0..grid // 2, and a step works on it with real transforms.
-The quadratic term is 2/3-rule dealiased.
+spectrum, modes 0..grid // 2.  The quadratic term is 2/3-rule dealiased, so
+a step works on the band of modes 0..grid // 3 only; the modes above it stay
+exactly zero.
+
+A stage's nonlinear term maps the band to grid values, squares them and maps
+the square back to the band.  Up to DENSE_GRID_MAX points it does so with two
+real matrices built once per Evolver: at those sizes an irfft/rfft pair costs
+more in numpy call overhead than in arithmetic, and the two matrix products
+were faster in every measured pass, with one BLAS thread as with two.  Above
+it the matrices grow as grid^2 (about 400 MB at grid 6144) and their products
+lose to the FFT pair, so the step uses irfft/rfft.
 
 Conserved quantities: E = 1/2 int (M^{1/2}u)^2 - (1/6) int u^3, F, M.  The
 cubic coefficient 1/6 is the one the flux form u_t = (Mu - u^2/2)_x
@@ -35,6 +44,7 @@ BLOWUP_CHECK_EVERY = 1000   # steps between sup-norm checks; the last step is ch
 CONTOUR_POINTS = 32
 NEWTON_MAX_ITER = 20
 MAX_STEPS = 10_000_000      # stability_experiment's cap: ~20 min at grid 256
+DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (measured crossover)
 
 
 class BlowUpError(RuntimeError):
@@ -98,19 +108,25 @@ def state_from_values(values, L0):
 class Evolver:
     """ETDRK4 stepper with precomputed weights for one (grid, dt, symbol).
 
-    Weights are on the rfft half spectrum, with the dealiased nonlinear
-    factor -i xi / 2 folded in: a stage's nonlinear term is rfft(u^2).
+    The step works on the dealiased band, modes 0..grid // 3, with the
+    nonlinear factor -i xi / 2 folded into the weights: a stage's nonlinear
+    term is the band of rfft(u^2).  `transform` names how it is computed:
+    "dense" (grid <= DENSE_GRID_MAX) multiplies the band, viewed as
+    interleaved real and imaginary parts, by a synthesis and an analysis
+    matrix; "fft" uses an irfft/rfft pair, whose cost and memory stay bounded
+    at large grids.
     """
 
     def __init__(self, L0, grid_size, sym, dt):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.L0 = float(L0)
-        self.grid_size = int(grid_size)
+        self.grid_size = G = int(grid_size)
         self.dt = dt = float(dt)
-        xi = 2.0 * math.pi * np.fft.rfftfreq(self.grid_size, d=self.L0 / self.grid_size)
+        self.band = G // 3 + 1
+        xi = 2.0 * math.pi * np.fft.rfftfreq(G, d=self.L0 / G)[: self.band]
         lin = 1j * xi * np.asarray(sym(xi), dtype=float)
-        nl = -0.5j * xi * _dealias_mask(self.grid_size)
+        nl = -0.5j * xi
         r = np.exp(2j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
         LR = dt * lin[:, None] + r[None, :]
         eLR = np.exp(LR)
@@ -120,12 +136,26 @@ class Evolver:
         self.f1 = nl * dt * ((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2)) / LR**3).mean(1)
         self.f2 = 2.0 * nl * dt * ((2.0 + LR + eLR * (LR - 2.0)) / LR**3).mean(1)
         self.f3 = nl * dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3).mean(1)
+        self.transform = "dense" if G <= DENSE_GRID_MAX else "fft"
+        self._synth = self._anal = None
+        if self.transform == "dense":
+            # angles from the exact integer product, so each entry is
+            # accurate to round-off; row 2n is Re v_n, row 2n + 1 is Im v_n
+            n = np.arange(self.band)
+            angle = (2.0 * math.pi / G) * (np.outer(n, np.arange(G)) % G)
+            cos, sin = np.cos(angle), np.sin(angle)
+            weight = np.where(n == 0, 1.0, 2.0)[:, None] / G   # irfft's folding
+            self._synth = np.stack((weight * cos, -weight * sin), 1).reshape(-1, G)
+            self._anal = np.ascontiguousarray(np.stack((cos, -sin), 1).reshape(-1, G).T)
 
     def _nonlin(self, vh):
-        return np.fft.rfft(np.fft.irfft(vh, self.grid_size) ** 2)
+        """Band of rfft(u^2) for the band modes vh of u."""
+        if self._synth is None:
+            return np.fft.rfft(np.fft.irfft(vh, self.grid_size) ** 2)[..., : self.band]
+        return (np.square(vh.view(float) @ self._synth) @ self._anal).view(complex)
 
     def _step(self, vh):
-        """One step of the half-spectrum modes vh; four rfft/irfft pairs."""
+        """One step of the band modes vh; four nonlinear terms."""
         N1 = self._nonlin(vh)
         Ev = self.E2 * vh
         a = Ev + self.Q * N1
@@ -138,18 +168,23 @@ class Evolver:
         return self.run(state, 1)
 
     def run(self, state, nsteps):
-        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps."""
+        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps.
+
+        Only the band is stepped; the returned modes above it are exact zeros.
+        """
         G = self.grid_size
         if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
-        vh = state.modes
+        vh = np.array(state.modes[: self.band], dtype=complex)
         for s in range(nsteps):
             vh = self._step(vh)
             if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
                 sup = float(np.abs(np.fft.irfft(vh, G)).max())
                 if not (sup <= BLOWUP_SUP):  # also catches NaN
                     raise BlowUpError(f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
-        return EvolutionState(t=state.t + nsteps * self.dt, modes=vh, L0=self.L0,
+        modes = np.zeros(G // 2 + 1, dtype=complex)
+        modes[: self.band] = vh
+        return EvolutionState(t=state.t + nsteps * self.dt, modes=modes, L0=self.L0,
                               grid_size=G)
 
 
@@ -161,13 +196,18 @@ def default_dt(state, sym, safety=0.5):
     bound is an accuracy heuristic, gated in practice by the conservation
     drift checks.
     """
+    return _dt_rule(state, sym, safety)[0]
+
+
+def _dt_rule(state, sym, safety):
+    """(dt, xi_eff, theta(xi_eff)) of default_dt."""
     mags = np.abs(state.mode_coefficients())
     top = mags.max()
     idx = np.nonzero(mags > 1e-12 * top)[0]
     n_eff = max(int(idx.max()), 1) if len(idx) else 1
     xi_eff = 2.0 * math.pi * n_eff / state.L0
     th = float(sym(xi_eff))
-    return safety / max(th, 1.0)
+    return safety / max(th, 1.0), xi_eff, th
 
 
 def conserved(state, sym):
@@ -277,7 +317,9 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     conserved-combination difference P(u(t)) - P(psi) with P = E + omega F
     + A M; it stays constant in t because all three pieces are conserved.
     The first record also gives the membership of u0 in the fixed-(F, M)
-    manifold, the dt used and the step count.  A horizon of more than
+    manifold, the dt used, the step count and the Evolver's transform; when
+    dt is None, also dt_safety, xi_eff and theta_eff of the default_dt rule
+    that chose it.  A horizon of more than
     MAX_STEPS steps raises ValueError before any step is taken.  On blow-up
     the partial series is attached to the exception.
     """
@@ -289,8 +331,10 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
                           seed=seed)
     psi_state = state_from_profile(psi, grid_size)
     state = state_from_values(psi_state.values() + v, psi.L0)
+    rule = {}
     if dt is None:
-        dt = default_dt(state, sym, safety=dt_safety)
+        dt, xi_eff, theta_eff = _dt_rule(state, sym, dt_safety)
+        rule = {"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
     nsteps_float = periods * psi.L0 / omega / dt
     if not nsteps_float <= MAX_STEPS:  # also catches inf and NaN
         raise ValueError(f"{nsteps_float:.3g} steps of dt={dt:.3g} exceed the "
@@ -314,7 +358,7 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
         abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
         and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
     )
-    first.update(dt=dt, steps=nsteps_total)
+    first.update(dt=dt, steps=nsteps_total, transform=ev.transform, **rule)
     done = 0
     try:
         while done < nsteps_total:

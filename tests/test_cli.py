@@ -166,6 +166,17 @@ def test_evolve_header_records_dt_and_steps(tmp_path):
     dt, steps = float(header["dt"]), int(header["steps"])
     assert 0 < dt < 1 and steps > 1
     assert "mode" in header and "seed" not in header
+    # the automatic dt rule and the step's transform are in the header
+    safety, theta = float(header["dt_safety"]), float(header["theta_eff"])
+    assert float(header["xi_eff"]) > 0
+    assert dt == safety / max(theta, 1.0)
+    assert header["transform"] == "dense"
+    # an explicit --dt has no rule to record; grid 384 steps with the FFT pair
+    assert run_cli(["evolve", "--k", "0.8", "--T", "0.01", "--samples", "1",
+                    "--grid", "384", "--dt", "0.01", "--out", str(out)]) == 0
+    header = dict(ln[2:].split("=", 1) for ln in read(out).splitlines()
+                  if ln.startswith("# ") and "=" in ln)
+    assert header["transform"] == "fft" and "dt_safety" not in header
     last_t = float(body_of(text).splitlines()[-1].split(",")[0])
     assert last_t == pytest.approx(steps * dt, rel=1e-12)
 

@@ -247,16 +247,29 @@ def test_experiment_blowup_carries_partial_series(wave08, kawahara):
     assert len(exc_info.value.series) >= 1
 
 
+# one grid on each side of DENSE_GRID_MAX, so both transforms are exercised
+DENSE_GRID, FFT_GRID = 128, 384
+
+
+def test_transform_follows_grid(kawahara):
+    assert ev.DENSE_GRID_MAX < FFT_GRID
+    assert ev.Evolver(20.0, DENSE_GRID, kawahara, 1e-3).transform == "dense"
+    assert ev.Evolver(20.0, ev.DENSE_GRID_MAX, kawahara, 1e-3).transform == "dense"
+    assert ev.Evolver(20.0, ev.DENSE_GRID_MAX + 1, kawahara, 1e-3).transform == "fft"
+
+
 def test_reality_and_dealiasing_preserved(wave08, kawahara):
     params, psi = wave08
-    v = ev.make_perturbation("random", psi, 1e-2, GRID, seed=1)
-    st = ev.state_from_values(ev.state_from_profile(psi, GRID).values() + v,
-                              psi.L0)
-    stepper = ev.Evolver(psi.L0, GRID, kawahara, 5e-3)
-    out = stepper.run(st, 500)
-    # dealiasing: masked band stays empty (reality is structural: rfft layout)
-    n = np.arange(GRID // 2 + 1)
-    assert np.abs(out.modes[n > GRID // 3]).max() == 0.0
+    for grid in (DENSE_GRID, FFT_GRID):
+        v = ev.make_perturbation("random", psi, 1e-2, grid, seed=1)
+        st = ev.state_from_values(ev.state_from_profile(psi, grid).values() + v,
+                                  psi.L0)
+        stepper = ev.Evolver(psi.L0, grid, kawahara, 5e-3)
+        out = stepper.run(st, 500)
+        # dealiasing: masked band stays empty (reality is structural: rfft layout)
+        n = np.arange(grid // 2 + 1)
+        assert len(out.modes) == grid // 2 + 1
+        assert np.abs(out.modes[n > grid // 3]).max() == 0.0
 
 
 class _ComplexStepOracle:
@@ -304,7 +317,8 @@ def _perturbed_state(psi, grid, seed=1, delta=1e-2):
                                 psi.L0)
 
 
-@pytest.mark.parametrize("grid, nonlinear", [(128, True), (256, True), (128, False)])
+@pytest.mark.parametrize("grid, nonlinear",
+                         [(128, True), (256, True), (512, True), (128, False)])
 def test_half_spectrum_run_matches_complex_oracle(wave08, kawahara, grid, nonlinear):
     _, psi = wave08
     st = _perturbed_state(psi, grid)
@@ -383,8 +397,6 @@ def test_newton_orbital_distance_matches_golden_section(wave08, kawahara):
 
 def test_step_transform_budget(wave08, kawahara, monkeypatch):
     _, psi = wave08
-    st = _perturbed_state(psi, 128)
-    stepper = ev.Evolver(psi.L0, 128, kawahara, 1e-3)
     counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
 
     def counting(name, fn):
@@ -395,9 +407,26 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    stepper._step(st.modes)
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 4, "irfft": 4}
-    counts.update(dict.fromkeys(counts, 0))
-    stepper.run(st, 10)
-    # 8 real transforms per step plus one irfft for the final blow-up check
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 40, "irfft": 41}
+    # the dense matrices make no numpy.fft call; the FFT path one pair per stage
+    for grid, per_pair in ((DENSE_GRID, 0), (FFT_GRID, 4)):
+        st = _perturbed_state(psi, grid)
+        stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
+        counts.update(dict.fromkeys(counts, 0))
+        stepper._step(st.modes[: grid // 3 + 1])
+        assert counts == {"fft": 0, "ifft": 0, "rfft": per_pair, "irfft": per_pair}
+        counts.update(dict.fromkeys(counts, 0))
+        stepper.run(st, 10)
+        # the steps' transforms plus one irfft for the final blow-up check
+        assert counts == {"fft": 0, "ifft": 0, "rfft": 10 * per_pair,
+                          "irfft": 10 * per_pair + 1}
+
+
+@pytest.mark.parametrize("grid", [128, 256])
+def test_run_timing(benchmark, wave08, kawahara, grid):
+    # layer timing of Evolver.run; the time is reported, never asserted
+    _, psi = wave08
+    st = _perturbed_state(psi, grid)
+    stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(st, kawahara))
+    out = benchmark.pedantic(stepper.run, args=(st, 100), rounds=5, iterations=1)
+    ref = stepper.run(st, 100)
+    assert out.t == ref.t and np.array_equal(out.modes, ref.modes)
