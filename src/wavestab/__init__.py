@@ -17,7 +17,6 @@ from .profile import (
     build_dnoidal,
     dnoidal_coefficients,
     extract_A,
-    galilean_shift,
 )
 from .klcurve import KLPoint, p_of_k, solve_L1, sweep
 from .galerkin import (
@@ -43,7 +42,7 @@ __all__ = [
     "EllipticPair", "complete_integrals", "dn", "jacobi_sn_cn_dn",
     "MultiplierSymbol", "builtin_symbol",
     "DnoidalParams", "FourierProfile", "build_dnoidal",
-    "dnoidal_coefficients", "extract_A", "galilean_shift",
+    "dnoidal_coefficients", "extract_A",
     "KLPoint", "p_of_k", "solve_L1", "sweep",
     "GalerkinOperator", "SpectrumReport", "assemble", "constrained_min",
     "spectrum",

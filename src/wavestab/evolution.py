@@ -4,10 +4,9 @@ Fourth-order exponential time differencing (Kassam & Trefethen, SIAM J.
 Sci. Comput. 26, 2005) with the dispersive part exp(i xi theta(xi) t)
 integrated exactly; the phi-function weights are contour averages over a
 full circle around each i*xi*theta*dt (a half circle plus real part is only
-valid for real symbols).  The field is real, so a state is its rfft half
-spectrum, modes 0..grid // 2.  The quadratic term is 2/3-rule dealiased, so
-a step works on the band of modes 0..grid // 3 only; the modes above it stay
-exactly zero.
+valid for real symbols).  The field is real and its quadratic term is
+2/3-rule dealiased, so a state is the band of rfft modes 0..grid // 3; the
+modes above it are zero and are not stored.
 
 A stage's nonlinear term maps the band to grid values, squares them and maps
 the square back to the band.  Up to DENSE_GRID_MAX points it does so with two
@@ -50,19 +49,19 @@ DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (measur
 class BlowUpError(RuntimeError):
     """Sup norm exceeded the blow-up threshold; carries the partial series."""
 
-    def __init__(self, message, series=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.series = series or []
+        self.series = []
 
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Solution snapshot: rfft half-spectrum modes of a real periodic field."""
+    """Solution snapshot: the dealiased rfft modes of a real periodic field."""
 
     t: float
-    modes: np.ndarray        # rfft layout, length grid_size // 2 + 1, dealiased
+    modes: np.ndarray        # rfft modes 0..grid_size // 3; irfft pads the rest with zeros
     L0: float
-    grid_size: int           # not derivable from len(modes) when odd
+    grid_size: int           # not derivable from len(modes): three grids share a band
 
     def values(self):
         return np.fft.irfft(self.modes, self.grid_size)
@@ -79,29 +78,25 @@ class ConservedTriple:
     M: float
 
 
-def _dealias_mask(grid_size):
-    return np.arange(grid_size // 2 + 1) <= grid_size // 3
-
-
 def state_from_profile(psi, grid_size=256):
     """Load the profile's modes in the dealiased band, n <= grid // 3.
 
     Raises ValueError when a dropped coefficient exceeds 1e-10 of the
-    largest, the bound of FourierProfile.tail_ratio.
+    largest oscillating one (FourierProfile.tail_ratio).
     """
-    coeffs = np.abs(psi.coeffs)
-    dropped = coeffs[grid_size // 3 + 1 :].max(initial=0.0)
-    if dropped > 1e-10 * coeffs.max():
-        raise ValueError(f"grid {grid_size} keeps modes up to {grid_size // 3} and drops a "
-                         f"wave coefficient {dropped / coeffs.max():.2e} of the largest, "
-                         f"above 1e-10")
-    modes = grid_size * psi.psi_hat(grid_size // 2) * _dealias_mask(grid_size)
-    return EvolutionState(t=0.0, modes=modes, L0=psi.L0, grid_size=grid_size)
+    band = grid_size // 3
+    dropped = psi.tail_ratio(band)
+    if dropped > 1e-10:
+        raise ValueError(f"grid {grid_size} keeps modes up to {band} and drops a "
+                         f"wave coefficient {dropped:.2e} of the largest oscillating "
+                         f"one, above 1e-10")
+    return EvolutionState(t=0.0, modes=grid_size * psi.psi_hat(band), L0=psi.L0,
+                          grid_size=grid_size)
 
 
 def state_from_values(values, L0):
     values = np.asarray(values, dtype=float)
-    modes = np.fft.rfft(values) * _dealias_mask(len(values))
+    modes = np.fft.rfft(values)[: len(values) // 3 + 1]
     return EvolutionState(t=0.0, modes=modes, L0=float(L0), grid_size=len(values))
 
 
@@ -168,23 +163,18 @@ class Evolver:
         return self.run(state, 1)
 
     def run(self, state, nsteps):
-        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps.
-
-        Only the band is stepped; the returned modes above it are exact zeros.
-        """
+        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps."""
         G = self.grid_size
         if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
-        vh = np.array(state.modes[: self.band], dtype=complex)
+        vh = np.array(state.modes, dtype=complex)
         for s in range(nsteps):
             vh = self._step(vh)
             if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
                 sup = float(np.abs(np.fft.irfft(vh, G)).max())
                 if not (sup <= BLOWUP_SUP):  # also catches NaN
                     raise BlowUpError(f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
-        modes = np.zeros(G // 2 + 1, dtype=complex)
-        modes[: self.band] = vh
-        return EvolutionState(t=state.t + nsteps * self.dt, modes=modes, L0=self.L0,
+        return EvolutionState(t=state.t + nsteps * self.dt, modes=vh, L0=self.L0,
                               grid_size=G)
 
 
@@ -221,9 +211,8 @@ def conserved(state, sym):
     u = state.values()
     coeffs = state.mode_coefficients()
     theta = np.asarray(sym(2.0 * math.pi * np.arange(len(coeffs)) / L0), dtype=float)
-    # modes +-n share theta and |c|, so the half-spectrum sum is doubled; that
-    # is exact because theta(0) = 0 (MultiplierSymbol enforces it) and the
-    # unpaired Nyquist mode of an even grid is dealiased away
+    # modes +-n share theta and |c|, so the band's sum is doubled; that is
+    # exact because theta(0) = 0 (MultiplierSymbol enforces it)
     quad = 2.0 * L0 * float(np.sum(theta * np.abs(coeffs) ** 2))
     cubic = (L0 / M_grid) * float(np.sum(u**3))
     E = 0.5 * quad - cubic / 6.0
@@ -245,25 +234,20 @@ def orbital_distance(state, psi, sym):
     if abs(state.L0 - psi.L0) > 1e-12 * psi.L0:
         raise ValueError("state and profile periods differ")
     L0 = psi.L0
-    M_grid = state.grid_size
-    n_half = M_grid // 2
-    xi_pos = 2.0 * math.pi * np.arange(n_half + 1) / L0
+    band = state.grid_size // 3
+    xi_pos = 2.0 * math.pi * np.arange(band + 1) / L0
     w = 1.0 + np.asarray(sym(xi_pos), dtype=float)
 
     uu = state.mode_coefficients()
-    ph = psi.psi_hat(n_half)
+    ph = psi.psi_hat(band)
     # modes +-n both counted (n >= 1 doubled)
-    dbl = np.ones(n_half + 1)
+    dbl = np.ones(band + 1)
     dbl[1:] = 2.0
     cross = dbl * w * uu * np.conj(ph)
 
-    # coarse scan: maximize the weighted cross-correlation via an inverse FFT;
-    # modes above grid // 3 are zero after dealiasing, so only the band is copied
-    n_band = min(n_half, M_grid // 3) + 1
-    samples = max(4096, n_band)
-    padded = np.zeros(samples, dtype=complex)
-    padded[:n_band] = cross[:n_band]
-    g = np.fft.ifft(padded).real * samples
+    # coarse scan: maximize the weighted cross-correlation via an inverse FFT
+    samples = max(4096, band + 1)
+    g = np.fft.ifft(cross, samples).real * samples
     h = L0 / samples
     y_star = y0 = int(np.argmax(g)) * h
     for _ in range(NEWTON_MAX_ITER):

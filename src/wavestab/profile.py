@@ -32,7 +32,6 @@ __all__ = [
     "build_dnoidal",
     "extract_A",
     "pi_residual",
-    "galilean_shift",
 ]
 
 
@@ -98,15 +97,22 @@ class FourierProfile:
     def sup_norm(self):
         return float(np.abs(self.values()).max())
 
-    def tail_ratio(self):
-        """Magnitude of the last two coefficients relative to the largest."""
-        if self.N < 2:
-            return 0.0
-        c = np.abs(self.coeffs)
-        top = c.max()
+    def tail_ratio(self, n=None):
+        """Largest |c_m| above mode n over the largest oscillating |c_m|, m >= 1.
+
+        n defaults to N - 2, the last two coefficients, and then N < 2 gives
+        0.  The mean c_0 is left out of the scale, so adding a constant does
+        not loosen the ratio; a constant profile gives 0.
+        """
+        if n is None:
+            if self.N < 2:
+                return 0.0
+            n = self.N - 2
+        c = np.abs(self.coeffs[1:])
+        top = c.max(initial=0.0)
         if top == 0.0:
             return 0.0
-        return float(c[-2:].max() / top)
+        return float(c[n:].max(initial=0.0) / top)
 
     def psi_hat(self, n_max):
         """One-sided complex Fourier coefficients hat(psi)(n), n = 0..n_max."""
@@ -268,11 +274,3 @@ def extract_A(psi, omega, sym):
     r.coeffs[0] = 0.0
     return float(A), r.sup_norm()
 
-
-def galilean_shift(psi, omega, A, alpha):
-    """Gauge map (psi, omega, A) -> (psi + alpha, omega + alpha, A - omega*alpha - alpha^2/2).
-
-    Leaves the linearized operator (and hence its spectrum) unchanged and
-    maps solutions of the traveling-wave equation to solutions.
-    """
-    return psi.shifted(alpha), omega + alpha, A - omega * alpha - 0.5 * alpha * alpha

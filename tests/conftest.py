@@ -58,6 +58,15 @@ def solve_variations(op):
     return eta, beta
 
 
+def galilean_shift(psi, omega, A, alpha):
+    """Gauge map (psi, omega, A) -> (psi + alpha, omega + alpha, A - omega*alpha - alpha^2/2).
+
+    Leaves the linearized operator (and hence its spectrum) unchanged and
+    maps solutions of the traveling-wave equation to solutions.
+    """
+    return psi.shifted(alpha), omega + alpha, A - omega * alpha - 0.5 * alpha * alpha
+
+
 def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256):
     """Report for the explicit wave at modulus k on the period-constraint branch.
 

@@ -27,9 +27,9 @@ from wavestab.evolution import (
 )
 from wavestab.galerkin import assemble, constrained_min, spectrum
 from wavestab.klcurve import K_ANALYTIC, cubic_coefficients, cubic_residual, solve_L1, sweep
-from wavestab.profile import FourierProfile, build_dnoidal, extract_A, galilean_shift
+from wavestab.profile import FourierProfile, build_dnoidal, extract_A
 
-from conftest import BRANCH_MODULI
+from conftest import BRANCH_MODULI, galilean_shift
 
 
 def _report(num, label, elapsed, limit, **values):

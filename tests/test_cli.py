@@ -293,8 +293,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["spectrum", "--k", "0.8", "--N-op", "2049"], None),
     (["evolve", "--k", "0.8", "--grid", "6145"], None),
     # grid // 3 = 8 modes drop wave coefficients above 1e-10 of the largest
+    # oscillating one; the mean c_0, which grows with omega, is not the scale
     (["evolve", "--k", "0.999", "--grid", "24"], None),
     (["evolve", "--k", "0.8", "--grid", "24"], None),
+    (["evolve", "--k", "0.8", "--grid", "24", "--omega", "100"], None),
+    (["evolve", "--k", "0.8", "--grid", "24", "--omega", "10000"], None),
+    (["evolve", "--k", "0.6", "--grid", "24"], None),
     (["evolve", "--k", "0.8", "--samples", "100001"], None),
     (["sweep", "--steps", "-3"], None),
     (["sweep", "--steps", "100001"], None),

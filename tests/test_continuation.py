@@ -9,7 +9,8 @@ from wavestab.continuation import (
 )
 from wavestab.criteria import derivatives, functionals
 from wavestab.galerkin import GalerkinOperator
-from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift, pi_residual
+from wavestab.profile import FourierProfile, build_dnoidal, pi_residual
+from conftest import galilean_shift
 
 
 @pytest.fixture

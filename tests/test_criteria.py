@@ -16,8 +16,8 @@ from wavestab.criteria import (
 )
 from wavestab.continuation import newton_solve
 from wavestab.galerkin import assemble, spectrum
-from wavestab.profile import FourierProfile, galilean_shift
-from conftest import evaluate_dnoidal
+from wavestab.profile import FourierProfile
+from conftest import evaluate_dnoidal, galilean_shift
 
 
 def test_functionals_constant_and_mode():

@@ -30,9 +30,7 @@ class LinearEvolver(ev.Evolver):
 def sampled_state_oracle(psi, grid_size):
     """The sample-and-fft load of a profile, kept as the reference."""
     cut = min(psi.N, grid_size // 3)
-    modes = np.fft.fft(psi.truncated(cut).values(grid_size))
-    modes *= np.abs(np.fft.fftfreq(grid_size, d=1.0 / grid_size)) <= grid_size // 3
-    return modes[: grid_size // 2 + 1]
+    return np.fft.fft(psi.truncated(cut).values(grid_size))[: grid_size // 3 + 1]
 
 
 def mass_energy_matched(psi, v, grid_size=256):
@@ -103,7 +101,7 @@ def test_dnoidal_advection_ten_periods(wave08, kawahara):
     nsteps = int(round(10 * psi.L0 / params.omega / dt))
     out = stepper.run(st, nsteps)
     # mode-wise comparison with the rigid translation psi(x - w t)
-    xi = 2 * np.pi * np.fft.rfftfreq(GRID, d=psi.L0 / GRID)
+    xi = 2 * np.pi * np.fft.rfftfreq(GRID, d=psi.L0 / GRID)[: GRID // 3 + 1]
     exact = st.modes * np.exp(-1j * xi * params.omega * out.t)
     assert np.abs(out.modes - exact).max() / GRID < 1e-6
     rho, _ = ev.orbital_distance(out, psi, kawahara)
@@ -149,8 +147,8 @@ def test_orbital_distance_properties(wave08, kawahara):
 
 
 def test_orbital_distance_beyond_scan_samples(wave08, kawahara):
-    # from grid 8192 on, grid // 2 + 1 modes exceed the 4096-sample scan;
-    # at 12288 even the dealiased band (modes up to grid // 3) does
+    # at 12288 the dealiased band (modes up to grid // 3) exceeds the
+    # 4096-sample scan
     _, psi = wave08
     rho = {}
     for grid in (6144, 8192, 12288):
@@ -266,10 +264,8 @@ def test_reality_and_dealiasing_preserved(wave08, kawahara):
                                   psi.L0)
         stepper = ev.Evolver(psi.L0, grid, kawahara, 5e-3)
         out = stepper.run(st, 500)
-        # dealiasing: masked band stays empty (reality is structural: rfft layout)
-        n = np.arange(grid // 2 + 1)
-        assert len(out.modes) == grid // 2 + 1
-        assert np.abs(out.modes[n > grid // 3]).max() == 0.0
+        # reality and dealiasing are structural: the state is the rfft band
+        assert len(out.modes) == grid // 3 + 1
 
 
 class _ComplexStepOracle:
@@ -328,31 +324,35 @@ def test_half_spectrum_run_matches_complex_oracle(wave08, kawahara, grid, nonlin
     ref = _ComplexStepOracle(psi.L0, grid, kawahara, dt, nonlinear).run(
         np.fft.fft(st.values()), 1000)
     assert out.t == pytest.approx(1000 * dt, rel=1e-15)
-    assert np.abs(out.modes - ref[: grid // 2 + 1]).max() < 1e-13 * np.abs(ref).max()
+    # the oracle keeps every mode; above the band its modes stay at round-off
+    top = np.abs(ref).max()
+    assert np.abs(ref[grid // 3 + 1 : grid // 2 + 1]).max() < 1e-13 * top
+    assert np.abs(out.modes - ref[: grid // 3 + 1]).max() < 1e-13 * top
 
 
-@pytest.mark.parametrize("k, grid", [(0.6, 24), (0.6, 25), (0.8, 128), (0.8, 256)])
+@pytest.mark.parametrize("k, grid", [(0.6, 27), (0.6, 28), (0.8, 128), (0.8, 256)])
 def test_state_from_profile_matches_sampled_load(branch_points, k, grid):
-    # at k = 0.6 the modes above 24 // 3 fall below 1e-10 of the largest
+    # at k = 0.6 the modes above 27 // 3 fall below 1e-10 of the largest
+    # oscillating coefficient (above 24 // 3 they reach 1.5e-10)
     _, psi = build_dnoidal(k, branch_points[k].L, 1.0, N=128)
     st = ev.state_from_profile(psi, grid)
     ref = sampled_state_oracle(psi, grid)
-    assert st.grid_size == grid and len(st.modes) == grid // 2 + 1
+    assert st.grid_size == grid and len(st.modes) == grid // 3 + 1
     assert np.abs(st.modes - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def _golden_section_oracle(state, psi, sym, samples=4096, refine_tol=1e-12):
     """The golden-section orbital_distance, kept as the reference."""
     L0 = psi.L0
-    n_half = state.grid_size // 2
-    xi_pos = 2.0 * math.pi * np.arange(n_half + 1) / L0
+    band = state.grid_size // 3
+    xi_pos = 2.0 * math.pi * np.arange(band + 1) / L0
     w = 1.0 + np.asarray(sym(xi_pos), dtype=float)
     uu = state.mode_coefficients()
-    ph = psi.psi_hat(n_half)
-    dbl = np.ones(n_half + 1)
+    ph = psi.psi_hat(band)
+    dbl = np.ones(band + 1)
     dbl[1:] = 2.0
     padded = np.zeros(samples, dtype=complex)
-    padded[: n_half + 1] = dbl * w * uu * np.conj(ph)
+    padded[: band + 1] = dbl * w * uu * np.conj(ph)
     j = int(np.argmax(np.fft.ifft(padded).real))
 
     def dist2(y):
@@ -412,7 +412,7 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
         st = _perturbed_state(psi, grid)
         stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
         counts.update(dict.fromkeys(counts, 0))
-        stepper._step(st.modes[: grid // 3 + 1])
+        stepper._step(st.modes)
         assert counts == {"fft": 0, "ifft": 0, "rfft": per_pair, "irfft": per_pair}
         counts.update(dict.fromkeys(counts, 0))
         stepper.run(st, 10)

@@ -15,9 +15,9 @@ from wavestab.galerkin import (
     spectrum,
 )
 from wavestab.criteria import derivatives, evaluate_wave, verdict
-from wavestab.profile import FourierProfile, build_dnoidal, galilean_shift
+from wavestab.profile import FourierProfile, build_dnoidal
 
-from conftest import solve_variations
+from conftest import galilean_shift, solve_variations
 
 
 def apply_linearized(psi, omega, sym, f):

@@ -13,10 +13,9 @@ from wavestab.profile import (
     build_dnoidal,
     dnoidal_coefficients,
     extract_A,
-    galilean_shift,
     pi_residual,
 )
-from conftest import BRANCH_MODULI, plain_dnoidal_a
+from conftest import BRANCH_MODULI, galilean_shift, plain_dnoidal_a
 
 
 def _csch(x):
@@ -250,6 +249,21 @@ def test_galilean_shift_preserves_solution(wave08, kawahara):
     A_extracted, res = extract_A(psi2, w2, kawahara)
     assert A_extracted == pytest.approx(A2, rel=1e-10)
     assert res < 1e-8
+
+
+def test_tail_ratio_ignores_the_mean(wave08):
+    # the scale is the largest oscillating coefficient, so a Galilean shift,
+    # which moves only c_0, leaves the dropped-content measure unchanged
+    _, psi = wave08
+    for alpha in (0.0, 1e2, 1e4):
+        shifted = psi.shifted(alpha)
+        assert shifted.tail_ratio() == psi.tail_ratio()
+        assert shifted.tail_ratio(8) == psi.tail_ratio(8)
+    c = np.abs(psi.coeffs)
+    assert psi.tail_ratio(8) == c[9:].max() / c[1:].max()
+    assert psi.tail_ratio(psi.N) == 0.0
+    assert FourierProfile(12.0, [1.7, 0.0, 0.0, 0.0]).tail_ratio() == 0.0
+    assert FourierProfile(12.0, [0.0, 1.0]).tail_ratio() == 0.0    # N < 2
 
 
 # --- coefficient conventions: one owner, FourierProfile ---------------------

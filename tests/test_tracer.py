@@ -1,0 +1,32 @@
+"""The benchmark tracer (perfbench/tracer.py) patches wavestab by name:
+Evolver.__init__, run and step, GalerkinOperator.__init__, every function in
+a module's __all__, numpy.linalg.eigh/eigvalsh and numpy.fft.  A rename or a
+removed name breaks `perfbench/run.py --trace 1`; this test catches that."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import wavestab.cli as cli
+from wavestab.evolution import Evolver
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_counts_and_restores(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    run, eigh = Evolver.run, np.linalg.eigh
+    tracer.install()
+    try:
+        assert Evolver.run is not run and np.linalg.eigh is not eigh
+        # cli.main is read at call time: install rebinds the module attribute
+        assert cli.main(["evolve", "--k", "0.8", "--grid", "64", "--T", "0.02",
+                         "--out", str(tmp_path / "evolve.csv")]) == 0
+        assert cli.main(["criteria", "--k", "0.8", "--omega", "1.0",
+                         "--out", str(tmp_path / "criteria.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["evolution.steps"] > 0
+    assert Evolver.run is run and np.linalg.eigh is eigh
