@@ -15,7 +15,10 @@ run over a work cap (MAX_MODES, MAX_GRID, MAX_SAMPLES, MAX_K_STEPS,
 MAX_PATCH_POINTS, evolution.MAX_STEPS).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
-(Newton/eigensolver, floating-point breakdown), 4 blow-up.
+(Newton/eigensolver, floating-point breakdown), 4 blow-up.  Commands only
+raise; `main` alone maps an exception to a code and one stderr line, first
+NUMERICAL_FAILURES (`<command>: numerical failure: <repr>`, exit 3), then
+any other ValueError (`<command>: <message>`, exit 2).
 """
 
 import argparse
@@ -40,6 +43,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_BLOWUP = 4
+NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError,
+                      DegenerateOperatorError, NewtonDivergenceError)
 
 # work caps; the README gives the memory and time behind each
 MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 MB
@@ -88,18 +93,13 @@ def _emit_record(record, path=None):
     _write(json.dumps(record, sort_keys=True, default=_fmt, indent=2) + "\n", path)
 
 
-def _validation_exit(message):
-    print(message, file=sys.stderr)
-    raise SystemExit(EXIT_VALIDATION)
-
-
 def _config_argv(path):
     """`--key=value` tokens for the key=value lines of a config file."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        _validation_exit(f"cannot read config file {path!r}: {exc}")
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     tokens = []
     for raw in lines:
         line = raw.strip()
@@ -108,7 +108,7 @@ def _config_argv(path):
         key, sep, val = line.partition("=")
         key = key.strip().replace("_", "-")
         if not sep or key == "config":
-            _validation_exit(f"config line {line!r} is not key=value "
+            raise ValueError(f"config line {line!r} is not key=value "
                              f"with a key other than config")
         tokens.append(f"--{key}={val.strip()}")
     return tokens
@@ -128,6 +128,7 @@ def _checked(convert, ok, domain):
 
 
 _finite = _checked(float, math.isfinite, "a finite number")
+_nonzero = _checked(float, lambda x: 0.0 < abs(x) < math.inf, "a finite nonzero number")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _modulus = _checked(float, lambda x: 0.0 < x <= MODULUS_CAP,
                     f"a modulus in (0, {MODULUS_CAP}]")
@@ -167,19 +168,14 @@ def cmd_elliptic_check(args):
 
 
 def _k_grid(args):
-    """The sweep grid over [kmin, kmax], or None (after a message) if the range is bad."""
+    """The sweep grid over [kmin, kmax]; ValueError if the range is bad."""
     if not (0.0 < args.kmin < args.kmax <= MODULUS_CAP):
-        print(f"{args.command}: need 0 < kmin < kmax <= {MODULUS_CAP}",
-              file=sys.stderr)
-        return None
+        raise ValueError(f"need 0 < kmin < kmax <= {MODULUS_CAP}")
     return np.linspace(args.kmin, args.kmax, args.steps)
 
 
 def cmd_sweep(args):
-    grid = _k_grid(args)
-    if grid is None:
-        return EXIT_VALIDATION
-    rows = [(r["k"], r["L1"], r["L"], r["p"], r["stable"]) for r in sweep(grid)]
+    rows = [(r["k"], r["L1"], r["L"], r["p"], r["stable"]) for r in sweep(_k_grid(args))]
     _write_csv(args.out, "sweep",
                {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps},
                ["k", "L1", "L", "p", "stable"], rows)
@@ -197,7 +193,7 @@ def _resolve_wave(args):
     else:
         point, roots = solve_L1(args.k)
         if point is None:
-            _validation_exit(f"no branch root at k={args.k} (roots: {list(roots)})")
+            raise ValueError(f"no branch root at k={args.k} (roots: {list(roots)})")
         L = point.L
     with np.errstate(all="ignore"):   # the check below reports overflow once
         params, psi = build_dnoidal(args.k, L, args.omega, N=args.N)
@@ -226,12 +222,7 @@ def cmd_profile(args):
 
 def cmd_spectrum(args):
     params, psi = _resolve_wave(args)
-    try:
-        op = assemble(psi, args.omega, args.sym, N=args.N_op)
-        rep = spectrum(op)
-    except np.linalg.LinAlgError as exc:
-        print(f"eigensolver failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    rep = spectrum(assemble(psi, args.omega, args.sym, N=args.N_op))
     rows = list(enumerate(rep.eigenvalues.tolist()))
     meta = {"k": args.k, "omega": args.omega, "N_op": args.N_op,
             "tol_zero": rep.tol_zero}
@@ -246,16 +237,8 @@ def cmd_spectrum(args):
 
 
 def cmd_criteria(args):
-    try:
-        params, psi = _resolve_wave(args)
-        report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
-    except (DegenerateOperatorError, np.linalg.LinAlgError) as exc:
-        # before ValueError, of which LinAlgError is a subclass
-        print(f"criteria: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"criteria: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    params, psi = _resolve_wave(args)
+    report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
     rec = {"k": args.k, "A": params.A}
     rec.update(report.as_record())
     _emit_record(rec, args.out)
@@ -265,16 +248,12 @@ def cmd_criteria(args):
 def cmd_continue(args):
     points = (2 * args.extent_omega + 1) * (2 * args.extent_A + 1)
     if points > MAX_PATCH_POINTS:
-        _validation_exit(f"continue: a patch of {points} points is over the cap "
+        raise ValueError(f"a patch of {points} points is over the cap "
                          f"of {MAX_PATCH_POINTS}")
     params, psi = _resolve_wave(args)
-    try:
-        center = newton_solve(psi, args.omega, params.A, args.sym)
-        patch = surface_patch(center, args.domega, args.dA,
-                              (args.extent_omega, args.extent_A), args.sym)
-    except NewtonDivergenceError as exc:
-        print(f"continuation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    center = newton_solve(psi, args.omega, params.A, args.sym)
+    patch = surface_patch(center, args.domega, args.dA,
+                          (args.extent_omega, args.extent_A), args.sym)
     rows = []
     for (di, dj), pt in sorted(patch.items()):
         M, F = functionals(pt.psi)
@@ -291,13 +270,13 @@ def cmd_evolve(args):
     kind = args.perturbation
     for flag, used_by in (("mode", "mode"), ("seed", "random")):
         if getattr(args, flag) is not None and kind != used_by:
-            _validation_exit(f"evolve: --{flag} applies only to --perturbation "
+            raise ValueError(f"--{flag} applies only to --perturbation "
                              f"{used_by}, not {kind}")
     mode = 1 if args.mode is None else args.mode
     seed = 0 if args.seed is None else args.seed
     # the evolver keeps only the dealiased modes |n| <= grid // 3
     if kind == "mode" and not 1 <= mode <= args.grid // 3:
-        _validation_exit(f"evolve: --mode {mode} is outside 1..{args.grid // 3}, "
+        raise ValueError(f"--mode {mode} is outside 1..{args.grid // 3}, "
                          f"the dealiased band of --grid {args.grid}")
     params, psi = _resolve_wave(args)
     try:
@@ -306,8 +285,6 @@ def cmd_evolve(args):
             periods=args.T, grid_size=args.grid, dt=args.dt, seed=seed,
             n_samples=args.samples, A=params.A, mode=mode,
         )
-    except ValueError as exc:   # the step cap or dropped wave content, before any step
-        _validation_exit(f"evolve: {exc}")
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
         series, code = exc.series, EXIT_BLOWUP
@@ -333,10 +310,7 @@ def cmd_evolve(args):
 
 
 def cmd_reproduce_figure1(args):
-    grid = _k_grid(args)
-    if grid is None:
-        return EXIT_VALIDATION
-    rows = sweep(grid)
+    rows = sweep(_k_grid(args))
     left = [(r["k"], r["L1"]) for r in rows]
     right = [(r["k"], r["p"]) for r in rows]
     meta = {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps}
@@ -370,6 +344,9 @@ def cmd_reproduce_figure1(args):
         "tol_cubic_residual_rel": 1e-10,
         "tol_sign_change_bisections": 60,
     }, args.record_out)
+    if n_pos == 0:
+        print(f"reproduce-figure1: p > 0 at none of the {len(ks)} grid points "
+              f"on the branch", file=sys.stderr)
     return EXIT_OK if n_pos > 0 else EXIT_NUMERICAL
 
 
@@ -433,7 +410,8 @@ def build_parser():
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("criteria", help="full stability report")
-    add_common(p, wave=True)
+    # the witness x0 = -1/omega and det_D_reduced divide by omega
+    add_common(p, omega=_nonzero, wave=True)
     p.add_argument("--N-op", type=_modes, default=256, dest="N_op")
     p.set_defaults(func=cmd_criteria)
 
@@ -489,21 +467,23 @@ def main(argv=None):
     # ahead of the command-line flags, so that the latter win
     argv = list(sys.argv[1:] if argv is None else argv)
     path = _config_parser().parse_known_args(argv)[0].config
-    if path is not None:
-        at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")),
-                  len(argv))
-        argv[at:at] = _config_argv(path)
-    args = build_parser().parse_args(argv)
-    if hasattr(args, "symbol"):
-        try:
-            args.sym = builtin_symbol(args.symbol, alpha=args.alpha)
-        except ValueError as exc:
-            _validation_exit(f"{args.command}: {exc}")
+    command = "wavestab"   # until argparse has named the subcommand
     try:
+        if path is not None:
+            at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")),
+                      len(argv))
+            argv[at:at] = _config_argv(path)
+        args = build_parser().parse_args(argv)
+        command = args.command
+        if hasattr(args, "symbol"):
+            args.sym = builtin_symbol(args.symbol, alpha=args.alpha)
         return args.func(args)
-    except ArithmeticError as exc:
-        print(f"{args.command}: numerical failure: {exc!r}", file=sys.stderr)
+    except NUMERICAL_FAILURES as exc:   # first: LinAlgError is a ValueError
+        print(f"{command}: numerical failure: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

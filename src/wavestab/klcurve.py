@@ -17,8 +17,8 @@ swap order only by colliding, which is the fold near k = 0.5345, so the
 branch stays the larger root on (0.5345, 1) and does not exist below.
 
 `solve_L1` makes one AGM pass per modulus: it computes K and E once, in
-Python floats, and hands the EllipticPair to the cubic, its roots, the
-residual and p.  Called without a pair, those functions compute their own.
+Python floats, and hands the EllipticPair to the cubic, its roots and p.
+Called without a pair, those functions compute their own.
 """
 
 import math
@@ -40,7 +40,6 @@ class KLPoint:
     k: float
     L1: float
     L: float
-    residual: float          # relative cubic residual at (k, L1)
     p_value: float           # p(k, L1); sign decides the average-vs-speed test
 
 
@@ -51,9 +50,9 @@ def cubic_coefficients(k, pair=None):
     return c0, c1
 
 
-def cubic_residual(k, L1, pair=None):
+def cubic_residual(k, L1):
     """Relative residual of the cubic at (k, L1)."""
-    c0, c1 = cubic_coefficients(k, pair)
+    c0, c1 = cubic_coefficients(k)
     f = L1**3 + c1 * L1 + c0
     scale = max(abs(L1**3), abs(c1 * L1), abs(c0), 1.0)
     return f / scale
@@ -116,14 +115,7 @@ def solve_L1(k):
         return None, roots
     L1 = roots[-1]
     L = math.sqrt(L1)
-    point = KLPoint(
-        k=k,
-        L1=L1,
-        L=L,
-        residual=cubic_residual(k, L1, pair),
-        p_value=p_of_k(k, L, pair),
-    )
-    return point, roots
+    return KLPoint(k=k, L1=L1, L=L, p_value=p_of_k(k, L, pair)), roots
 
 
 def _closed_form_terms(k, L2, K, E):

@@ -186,7 +186,6 @@ class DnoidalParams:
     d: float
     K: float
     E: float
-    Kp: float
 
 
 def dnoidal_coefficients(k, L, omega):
@@ -242,7 +241,7 @@ def build_dnoidal(k, L, omega, N=128):
     A, _ = extract_A(psi, omega, builtin_symbol("kawahara"))
     params = DnoidalParams(
         k=float(k), L=float(L), omega=float(omega), A=A,
-        a=a, b=b, d=d, K=K, E=E, Kp=pair.Kp,
+        a=a, b=b, d=d, K=K, E=E,
     )
     return params, psi
 

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavestab import cli
 from wavestab.cli import build_parser, main
+from wavestab.continuation import NewtonDivergenceError
+from wavestab.galerkin import DegenerateOperatorError
 from wavestab.klcurve import solve_L1
 
 
@@ -207,6 +210,20 @@ def test_reproduce_figure1(tmp_path):
     assert body_of(read(f2)).splitlines()[0] == "k,p"
 
 
+@pytest.mark.parametrize("kmin, kmax", [("0.1", "0.5"),     # below the fold
+                                        ("0.9", "0.99")])   # past the sign change
+def test_reproduce_figure1_without_positive_p_exits_3(tmp_path, capsys, kmin, kmax):
+    f1, f2, rec = tmp_path / "L1.csv", tmp_path / "p.csv", tmp_path / "rec.json"
+    assert run_cli(["reproduce-figure1", "--kmin", kmin, "--kmax", kmax,
+                    "--steps", "20", "--out-L1", str(f1), "--out-p", str(f2),
+                    "--record-out", str(rec)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("reproduce-figure1: ")
+    assert json.loads(read(rec))["points_with_p_positive"] == 0
+    assert f1.exists() and f2.exists()
+
+
 def test_determinism_bit_identical(tmp_path):
     a1 = tmp_path / "a1.csv"
     a2 = tmp_path / "a2.csv"
@@ -304,6 +321,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["sweep", "--steps", "100001"], None),
     (["reproduce-figure1", "--steps", "100001"], None),
     (["continue", "--k", "0.8", "--domega", "0"], None),
+    (["criteria", "--k", "0.8", "--omega", "0"], None),
     (["continue", "--k", "0.8", "--extent-omega", "100000"], None),
     (["reproduce-figure1", "--kmin", "0.9", "--kmax", "0.5"], None),
     (["sweep", "--jobs", "2"], None),
@@ -332,6 +350,29 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
+                                   DegenerateOperatorError, NewtonDivergenceError,
+                                   FloatingPointError], ids=lambda e: e.__name__)
+@pytest.mark.parametrize("command, target", [
+    ("profile", "_resolve_wave"), ("spectrum", "_resolve_wave"),
+    ("criteria", "_resolve_wave"), ("continue", "_resolve_wave"),
+    ("evolve", "_resolve_wave"), ("sweep", "sweep"), ("reproduce-figure1", "sweep"),
+])
+def test_failure_map(tmp_path, capsys, monkeypatch, command, target, error):
+    # main alone maps a failure to an exit code: 2 for ValueError, 3 for the
+    # numerical failures, LinAlgError included although it is a ValueError
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.chdir(tmp_path)
+    argv = [command] if target == "sweep" else [command, "--k", "0.8"]
+    assert exit_code(argv) == (2 if error is ValueError else 3)
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"{command}: ")
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

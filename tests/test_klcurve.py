@@ -16,7 +16,7 @@ from wavestab.klcurve import (
     solve_L1,
     sweep,
 )
-from wavestab.profile import dnoidal_coefficients
+from wavestab.profile import build_dnoidal, dnoidal_coefficients
 from conftest import plain_dnoidal_a, plain_p
 
 
@@ -30,7 +30,7 @@ def test_analytic_point_closed_form():
     K = complete_integrals(K_ANALYTIC).K
     closed = math.sqrt((908544.0 / 31.0) * 0.75) * K * K
     assert point.L1 == pytest.approx(closed, rel=1e-12)
-    assert abs(point.residual) < 1e-12
+    assert abs(cubic_residual(K_ANALYTIC, point.L1)) < 1e-12
 
 
 def test_bisection_oracle_agreement():
@@ -210,6 +210,20 @@ def test_branch_work_budget(monkeypatch, tmp_path):
     assert len(passes) <= 200 + 53
 
 
+def test_build_dnoidal_makes_two_agm_passes(monkeypatch):
+    # K and E once, then the dn samples; the complementary modulus is not read
+    L = solve_L1(0.8)[0].L
+    passes = []
+
+    def counted_agm(k, _fn=elliptic._agm_levels):
+        passes.append(k)
+        return _fn(k)
+
+    monkeypatch.setattr(elliptic, "_agm_levels", counted_agm)
+    build_dnoidal(0.8, L, 1.0)
+    assert passes == [0.8, 0.8]
+
+
 @pytest.mark.parametrize("k", [0.3, 0.6, K_ANALYTIC, 0.8, 0.999999])
 def test_solve_L1_float_and_numpy_scalar_agree(k):
     point, roots = solve_L1(float(k))
@@ -218,6 +232,6 @@ def test_solve_L1_float_and_numpy_scalar_agree(k):
     assert all(type(x) is float for x in roots)
     if point is not None:
         assert all(type(getattr(point, f)) is float
-                   for f in ("k", "L1", "L", "residual", "p_value"))
+                   for f in ("k", "L1", "L", "p_value"))
         assert all(type(getattr(np_point, f)) is float
-                   for f in ("k", "L1", "L", "residual", "p_value"))
+                   for f in ("k", "L1", "L", "p_value"))

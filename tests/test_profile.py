@@ -31,7 +31,7 @@ def csch_coefficients(params, n_max):
     sigma(n) = (n/2) csch(n pi K'/K) (pi^2/K^2)
                * (b + d ((4-2k^2)/3 + n^2 pi^2 / (6 K^2))).
     """
-    k, K, Kp = params.k, params.K, params.Kp
+    k, K, Kp = params.k, params.K, complete_integrals(params.k).Kp
     b, d = params.b, params.d
     n = np.arange(1, n_max + 1, dtype=float)
     cs = _csch(n * math.pi * Kp / K)
@@ -201,8 +201,9 @@ def test_decay_ratio_fixed_variant():
     # a constant prefactor would cancel in the ratio
     p = _offbranch_params()
     n = np.arange(1, 22, dtype=float)
-    sig = n * _csch(n * math.pi * p.Kp / p.K)
-    limit = math.exp(-math.pi * p.Kp / p.K)
+    Kp = complete_integrals(p.k).Kp
+    sig = n * _csch(n * math.pi * Kp / p.K)
+    limit = math.exp(-math.pi * Kp / p.K)
     assert abs(sig[20] / sig[19] - limit) < 1e-3
 
 
@@ -210,7 +211,7 @@ def test_decay_ratio_derived_variant(branch_points):
     point = branch_points[0.8]
     params, _ = build_dnoidal(0.8, point.L, 1.0)
     sig = csch_coefficients(params, 81)
-    limit = math.exp(-math.pi * params.Kp / params.K)
+    limit = math.exp(-math.pi * complete_integrals(params.k).Kp / params.K)
     ratios = sig[1:] / sig[:-1]
     diffs = np.abs(ratios - limit)
     # approaches the limit from above; n^3 prefactor slows convergence
