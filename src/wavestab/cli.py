@@ -18,7 +18,9 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure
 (Newton/eigensolver, floating-point breakdown), 4 blow-up.  Commands only
 raise; `main` alone maps an exception to a code and one stderr line, first
 NUMERICAL_FAILURES (`<command>: numerical failure: <repr>`, exit 3), then
-any other ValueError (`<command>: <message>`, exit 2).
+any other ValueError (`<command>: <message>`, exit 2).  An incomplete
+`continue` patch is not a failure: it exits 0 with the rows it has and one
+stderr line naming the missing grid offsets.
 """
 
 import argparse
@@ -252,17 +254,22 @@ def cmd_continue(args):
                          f"of {MAX_PATCH_POINTS}")
     params, psi = _resolve_wave(args)
     center = newton_solve(psi, args.omega, params.A, args.sym)
-    patch = surface_patch(center, args.domega, args.dA,
-                          (args.extent_omega, args.extent_A), args.sym)
+    iw, ia = args.extent_omega, args.extent_A
+    patch = surface_patch(center, args.domega, args.dA, (iw, ia), args.sym)
     rows = []
     for (di, dj), pt in sorted(patch.items()):
         M, F = functionals(pt.psi)
-        rows.append((pt.omega, pt.A, pt.psi.mean(), F, pt.residual_norm))
+        rows.append((pt.omega, pt.A, pt.psi.mean(), F, pt.residual_norm,
+                     pt.newton_iters))
     _write_csv(args.out, "continue",
                {"k": args.k, "omega": args.omega, "domega": args.domega,
-                "dA": args.dA, "extent_omega": args.extent_omega,
-                "extent_A": args.extent_A, "N": args.N},
-               ["omega", "A", "mean_psi", "F", "residual"], rows)
+                "dA": args.dA, "extent_omega": iw, "extent_A": ia, "N": args.N},
+               ["omega", "A", "mean_psi", "F", "residual", "newton_iters"], rows)
+    missing = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)
+               if (di, dj) not in patch]
+    if missing:
+        print(f"continue: {len(missing)} of {points} patch points missing: "
+              + ", ".join(map(str, missing)), file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,16 +10,23 @@ is the invertible restriction used for the parameter-derivative solves.
 
 Both blocks are the diagonal minus a Hankel part hat(psi)(i + j) and a
 Toeplitz part hat(psi)(|i - j|), built as strided views of the coefficient
-vector.  The even block is assembled with the operator and the odd block on
-first use (`odd`).  Each block is decomposed once, on first use, and every
-consumer reads that decomposition, so the blocks must not be modified after
-assembly.  A caller that reads every eigenvector (the constrained minima)
-asks for `eig_even`/`eig_odd` (eigh) first; otherwise `values_even`/
-`values_odd` take eigvalsh, which forms no eigenvectors and costs about
-half as much, and `eigenvector` recovers the one or two vectors a report
-reads by one shifted solve each (inverse iteration).  `spectrum` reads the
-eigenvalues and the odd mode nearest zero.  The solves for eta and beta
-need no decomposition (`_variation_solve`: one LU, both right-hand sides);
+vector and assembled in place: the even block takes 0 minus its
+Hankel-plus-Toeplitz sum, the odd block forms Hankel minus Toeplitz, and
+each adds its diagonal along the strided diagonal, with no diagonal matrix
+and no second full-size subtraction.  The bits are those of diag - S, since
+d - s = (0 - s) + d in IEEE arithmetic; 0 - s also keeps a zero entry
++0.0, where negation would give -0.0 and LAPACK's Householder sign choices
+could differ.  The even block is assembled with the operator and the odd
+block on first use (`odd`).  Each block is decomposed once, on first use,
+and every consumer reads that decomposition, so the blocks must not be
+modified after assembly.  A caller that reads every eigenvector (the
+constrained minima) asks for `eig_even`/`eig_odd` (eigh) first; otherwise
+`values_even`/`values_odd` take eigvalsh, which forms no eigenvectors and
+costs about half as much, and `eigenvector` recovers the one or two vectors
+a report reads by one shifted solve each (inverse iteration).  `spectrum`
+reads the eigenvalues and the odd mode nearest zero.  The solves for eta
+and beta (the criteria, and the continuation predictor) need no
+decomposition (`_variation_solve`: one LU, both right-hand sides);
 `_check_even_band` reads the even eigenvalues only to reject a zero-band
 even eigenvalue.  Coordinates in the orthonormal basis come from
 `FourierProfile` (`orthonormal`, `from_orthonormal`,
@@ -92,13 +99,16 @@ class GalerkinOperator:
         S[0, 0] = 0.0
         S[0, 1:] = math.sqrt(2.0) * h0[1:n1]
         S[1:, 0] = S[0, 1:]
-        self.even = np.diag(self._diag) - S
+        np.subtract(0.0, S, out=S)   # not np.negative: a zero stays +0.0
+        S.flat[:: n1 + 1] += self._diag
+        self.even = S
 
     @cached_property
     def odd(self):
         """Odd (sine) block over sin_1..sin_N, assembled on first use."""
-        T = self._toeplitz[1:, 1:] - sliding_window_view(self._h0[2:], self.N)
-        return np.diag(self._diag[1:]) - T
+        T = sliding_window_view(self._h0[2:], self.N) - self._toeplitz[1:, 1:]
+        T.flat[:: self.N + 1] += self._diag[1:]
+        return T
 
     @cached_property
     def eig_even(self):

@@ -15,6 +15,7 @@ from wavestab.cli import build_parser, main
 from wavestab.continuation import NewtonDivergenceError
 from wavestab.galerkin import DegenerateOperatorError
 from wavestab.klcurve import solve_L1
+from wavestab.profile import build_dnoidal
 
 
 def run_cli(args):
@@ -184,15 +185,34 @@ def test_evolve_header_records_dt_and_steps(tmp_path):
     assert last_t == pytest.approx(steps * dt, rel=1e-12)
 
 
-def test_continue_patch(tmp_path):
+def test_continue_patch(tmp_path, capsys):
     out = tmp_path / "patch.csv"
     assert run_cli(["continue", "--k", "0.8", "--omega", "1.0",
                     "--domega", "2e-3", "--dA", "2e-3",
                     "--extent-omega", "1", "--extent-A", "1",
                     "--out", str(out)]) == 0
     lines = body_of(read(out)).splitlines()
-    assert lines[0] == "omega,A,mean_psi,F,residual"
+    assert lines[0] == "omega,A,mean_psi,F,residual,newton_iters"
     assert len(lines) == 10  # header + 3x3 grid
+    assert capsys.readouterr().err == ""   # a complete patch reports nothing
+
+
+def test_continue_reports_missing_points(tmp_path, capsys):
+    # at steps of 5e-2 the default 2x2 extent converges at 12 of 25 points;
+    # the rows written stay, and stderr names every grid offset without one
+    out = tmp_path / "patch.csv"
+    assert run_cli(["continue", "--k", "0.8", "--omega", "1.0",
+                    "--domega", "5e-2", "--dA", "5e-2", "--out", str(out)]) == 0
+    params, _ = build_dnoidal(0.8, solve_L1(0.8)[0].L, 1.0)
+    rows = [r.split(",") for r in body_of(read(out)).splitlines()[1:]]
+    written = {(round((float(r[0]) - 1.0) / 5e-2), round((float(r[1]) - params.A) / 5e-2))
+               for r in rows}
+    assert len(rows) == len(written) == 12
+    missing = sorted({(i, j) for i in range(-2, 3) for j in range(-2, 3)} - written)
+    assert (-2, -2) in missing
+    assert capsys.readouterr().err == (
+        "continue: 13 of 25 patch points missing: "
+        + ", ".join(map(str, missing)) + "\n")
 
 
 def test_reproduce_figure1(tmp_path):

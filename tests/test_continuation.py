@@ -182,3 +182,35 @@ def test_newton_leaves_odd_block_unassembled(wave08, kawahara, monkeypatch):
     newton_solve(psi, params.omega + 1e-3, params.A, kawahara)
     assert built
     assert all("odd" not in op.__dict__ for op in built)
+
+
+def test_patch_newton_budget(wave08, kawahara):
+    # the tangent predictor saves one Newton iteration per point (4 -> 3 at
+    # the benchmark's step) and lands on the same waves as a cold start
+    params, psi = wave08
+    center = newton_solve(psi, params.omega, params.A, kawahara)
+    patch = surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
+    assert len(patch) == 9
+    for key, pt in patch.items():
+        if key == (0, 0):
+            continue
+        assert pt.newton_iters <= 3
+        cold = newton_solve(center.psi, pt.omega, pt.A, kawahara)
+        scale = max(1.0, cold.psi.sup_norm())
+        assert np.abs(pt.psi.coeffs - cold.psi.coeffs).max() < 1e-10 * scale
+    # the README patch: 98 iterations from the neighbour unchanged
+    readme = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
+    assert len(readme) == 25
+    assert sum(pt.newton_iters for pt in readme.values()) <= 74
+
+
+def test_patch_timing(benchmark, wave08, kawahara):
+    # layer timing of surface_patch at the benchmark shape; the time is
+    # reported, never asserted
+    params, psi = wave08
+    center = newton_solve(psi, params.omega, params.A, kawahara)
+    args = (center, 5e-3, 5e-3, (1, 1), kawahara)
+    out = benchmark.pedantic(surface_patch, args=args, rounds=5, iterations=1)
+    ref = surface_patch(*args)
+    assert out.keys() == ref.keys()
+    assert all(np.array_equal(out[key].psi.coeffs, ref[key].psi.coeffs) for key in ref)
