@@ -37,7 +37,7 @@ from .criteria import evaluate_wave, functionals
 from .elliptic import MODULUS_CAP, complete_integrals, jacobi_sn_cn_dn
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
-from .klcurve import K_ANALYTIC, solve_L1, sweep
+from .klcurve import K_ANALYTIC, solve_branch, solve_L1, sweep
 from .multiplier import BUILTIN_NAMES, builtin_symbol
 from .profile import build_dnoidal
 
@@ -55,8 +55,16 @@ MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
 MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root each
 MAX_PATCH_POINTS = 10_000  # continue patch points: one Newton solve each
 
+# reproduce-figure1 narrows the sign change of p in passes of solve_branch,
+# each over 2**SIGN_CHANGE_HALVINGS equal parts of the bracket; at most
+# SIGN_CHANGE_PASSES passes, and none once the bracket is two adjacent doubles
+SIGN_CHANGE_HALVINGS = 6
+SIGN_CHANGE_PASSES = 10
+
 
 def _fmt(x):
+    if type(x) is float:   # most cells; the float branch below gives the same
+        return repr(x)
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
@@ -87,7 +95,7 @@ def _write_csv(path, command, params, header, rows):
     lines = _provenance(command, params)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     _write("\n".join(lines) + "\n", path)
 
 
@@ -324,22 +332,20 @@ def cmd_reproduce_figure1(args):
     _write_csv(args.out_L1, "reproduce-figure1", meta, ["k", "L1"], left)
     _write_csv(args.out_p, "reproduce-figure1", meta, ["k", "p"], right)
 
-    # locate the sign change of p along the branch by bisection
+    # locate the sign change of p along the branch
     ks = [r["k"] for r in rows if r["p"] is not None]
     ps = [r["p"] for r in rows if r["p"] is not None]
     k_star = None
     for i in range(len(ks) - 1):
         if (ps[i] > 0) != (ps[i + 1] > 0):
             lo, hi = ks[i], ks[i + 1]
-            for _ in range(60):  # at most; stops once lo and hi are adjacent doubles
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
+            for _ in range(SIGN_CHANGE_PASSES):
+                if np.nextafter(lo, hi) == hi:
                     break
-                pm = solve_L1(mid)[0].p_value
-                if (pm > 0) == (ps[i] > 0):
-                    lo = mid
-                else:
-                    hi = mid
+                grid = np.linspace(lo, hi, 2**SIGN_CHANGE_HALVINGS + 1)
+                flipped = (solve_branch(grid[1:-1])[2] > 0) != (ps[i] > 0)
+                j = int(np.argmax(np.append(flipped, True)))  # hi has flipped
+                lo, hi = float(grid[j]), float(grid[j + 1])
             k_star = 0.5 * (lo + hi)
             break
     n_pos = sum(1 for p in ps if p > 0)
@@ -349,7 +355,7 @@ def cmd_reproduce_figure1(args):
         "p_sign_change_k": k_star,
         "analytic_point_k": K_ANALYTIC,
         "tol_cubic_residual_rel": 1e-10,
-        "tol_sign_change_bisections": 60,
+        "tol_sign_change_bisections": SIGN_CHANGE_PASSES * SIGN_CHANGE_HALVINGS,
     }, args.record_out)
     if n_pos == 0:
         print(f"reproduce-figure1: p > 0 at none of the {len(ks)} grid points "

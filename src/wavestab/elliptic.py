@@ -4,8 +4,11 @@ Self-contained kernels: the arithmetic-geometric mean for K(k) and E(k),
 and the descending Landen (Gauss) transformation for sn, cn, dn.  Both
 converge quadratically, so machine precision is reached in < 10 levels
 for any admissible modulus.  No special-function library is used.
-`complete_integrals` makes one AGM pass per modulus; the complementary
-pair K(k'), E(k') costs a second pass, made only when it is read.
+`_agm_levels` is the one AGM loop: it runs a whole array of moduli at once,
+each element stopping on its own, so a modulus gets the same K and E alone
+or in a grid.  `complete_integrals` takes a modulus or an array of them;
+the complementary pair K(k'), E(k') costs a second loop, made only when it
+is read.  `jacobi_sn_cn_dn` reads the levels of a one-element loop.
 
 Convention: everything is parameterized by the modulus k, with parameter
 m = k^2 used only internally.
@@ -40,7 +43,8 @@ class EllipticPair:
 
     Kp = K(k') and Ep = E(k') with k' = sqrt(1 - k^2), computed by a second
     AGM pass on first read.  At k = 0 the complementary modulus is 1, where
-    K diverges; Kp is +inf there.
+    K diverges; Kp is +inf there.  For an array of moduli every field is an
+    array of the same shape.
     """
 
     k: float
@@ -49,11 +53,12 @@ class EllipticPair:
 
     @cached_property
     def _complementary(self):
-        kp = math.sqrt((1.0 - self.k) * (1.0 + self.k))
-        if kp > MODULUS_CAP:
-            # k == 0 (or denormal-close): complementary integral diverges
-            return math.inf, 1.0
-        return _integrals(kp)
+        kp = np.sqrt((1.0 - self.k) * (1.0 + self.k))
+        # k == 0 (or denormal-close): complementary integral diverges
+        far = kp > MODULUS_CAP
+        K, E = _integrals(np.where(far, 0.0, kp))
+        K, E = np.where(far, math.inf, K), np.where(far, 1.0, E)
+        return _like(self.k, K), _like(self.k, E)
 
     @property
     def Kp(self):
@@ -68,54 +73,69 @@ class EllipticPair:
         return self.E * self.Kp + self.Ep * self.K - self.K * self.Kp - math.pi / 2
 
 
+def _like(k, values):
+    """values as a float when the modulus k is a scalar, else as an array."""
+    return float(values) if np.ndim(k) == 0 else values
+
+
 def _check_modulus(k):
-    if not (0.0 <= k <= MODULUS_CAP):
+    k = np.asarray(k)
+    bad = ~((0.0 <= k) & (k <= MODULUS_CAP))   # NaN is bad too
+    if bad.any():
         raise EllipticDomainError(
-            f"modulus k={k!r} outside [0, {MODULUS_CAP}]"
+            f"modulus k={float(k[bad].flat[0])!r} outside [0, {MODULUS_CAP}]"
         )
 
 
 def _agm_levels(k):
-    """One descending AGM pass from (1, k', k); assumes 0 <= k <= MODULUS_CAP.
+    """Descending AGM passes from (1, k', k), one per element of the 1-d
+    float array k; assumes 0 <= k <= MODULUS_CAP.
 
-    Returns the levels a_i, c_i of the Landen backward recurrence and
-    csum = sum_i 2^{i-1} c_i^2, with K = pi / (2 a_n) and E = K (1 - csum).
+    Every element runs until the last one has stopped, and element j stops
+    at the first level n_j with |c| <= AGM_TOL a, so its values are those of
+    a pass made alone.  Returns the levels a_i, c_i of the Landen backward
+    recurrence as the rows of two 2-d arrays, n, and a_n and csum_n with
+    csum_n = sum_{i <= n} 2^{i-1} c_i^2 summed in level order; K = pi / (2 a_n)
+    and E = K (1 - csum_n).
     """
-    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
-    a_list, c_list = [a], [c]
-    csum = 0.5 * c * c
-    half_pow = 0.5
+    a, b, c = np.ones_like(k), np.sqrt((1.0 - k) * (1.0 + k)), k
+    a_rows, c_rows = [a], [c]
     for _ in range(AGM_MAX_ITER):
-        if abs(c) <= AGM_TOL * a:
+        if (np.abs(c) <= AGM_TOL * a).all():
             break
         c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        half_pow *= 2.0
-        csum += half_pow * c * c
-        a_list.append(a)
-        c_list.append(c)
-    return a_list, c_list, csum
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        a_rows.append(a)
+        c_rows.append(c)
+    a_levels, c_levels = np.array(a_rows), np.array(c_rows)
+    done = np.abs(c_levels) <= AGM_TOL * a_levels
+    n = np.where(done.any(0), done.argmax(0), len(a_rows) - 1)
+    weight = np.ldexp(0.5, np.arange(len(a_rows)))[:, None]   # 2^{i-1}
+    csum = np.cumsum(weight * c_levels * c_levels, axis=0)
+    cols = np.arange(k.size)
+    return a_levels, c_levels, n, a_levels[n, cols], csum[n, cols]
 
 
 def _integrals(k):
-    """(K, E) from one AGM pass; assumes 0 <= k <= MODULUS_CAP."""
-    a_list, _, csum = _agm_levels(k)
-    K = math.pi / (2.0 * a_list[-1])
-    return K, K * (1.0 - csum)
+    """(K, E) from one AGM pass per element of the float array k; assumes
+    0 <= k <= MODULUS_CAP."""
+    *_, a_n, csum = _agm_levels(k.ravel())
+    K = math.pi / (2.0 * a_n)
+    return K.reshape(k.shape), (K * (1.0 - csum)).reshape(k.shape)
 
 
 def complete_integrals(k):
     """Complete elliptic integrals of the first and second kind.
 
     Returns an EllipticPair with K(k), E(k), and K(k'), E(k') on demand.
-    One AGM pass, plus one more if Kp or Ep is read.  Accuracy is machine
-    precision (AGM fixed point).  Raises EllipticDomainError for k < 0 or
-    k > 1 - 1e-12.
+    k may be a scalar or an array of moduli; all of them share one AGM loop,
+    plus one more if Kp or Ep is read.  Accuracy is machine precision (AGM
+    fixed point).  Raises EllipticDomainError for k < 0 or k > 1 - 1e-12.
     """
-    k = float(k)
-    _check_modulus(k)
-    K, E = _integrals(k)
-    return EllipticPair(k=k, K=K, E=E)
+    k_arr = np.asarray(k, dtype=float)
+    _check_modulus(k_arr)
+    K, E = _integrals(k_arr)
+    return EllipticPair(k=_like(k_arr, k_arr), K=_like(k_arr, K), E=_like(k_arr, E))
 
 
 def jacobi_sn_cn_dn(u, k):
@@ -141,12 +161,12 @@ def jacobi_sn_cn_dn(u, k):
         cn_v = c + corr * s
         dn_v = 1.0 - 0.5 * m * s * s
     else:
-        a_list, c_list, _ = _agm_levels(k)
+        a_levels, c_levels, (n,), *_ = _agm_levels(np.array([k]))
+        a_list, c_list = a_levels[: n + 1, 0].tolist(), c_levels[: n + 1, 0].tolist()
         K = math.pi / (2.0 * a_list[-1])
         period = 4.0 * K
         x = u_arr - period * np.round(u_arr / period)
 
-        n = len(a_list) - 1
         phi = (2.0**n) * a_list[-1] * x
         phi_prev = phi
         for i in range(n, 0, -1):

@@ -168,12 +168,16 @@ class Evolver:
         if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
         vh = np.array(state.modes, dtype=complex)
-        for s in range(nsteps):
-            vh = self._step(vh)
-            if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
-                sup = float(np.abs(np.fft.irfft(vh, G)).max())
-                if not (sup <= BLOWUP_SUP):  # also catches NaN
-                    raise BlowUpError(f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
+        # a blowing-up state overflows before the check below sees it; the
+        # BlowUpError is its one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(nsteps):
+                vh = self._step(vh)
+                if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
+                    sup = float(np.abs(np.fft.irfft(vh, G)).max())
+                    if not (sup <= BLOWUP_SUP):  # also catches NaN
+                        raise BlowUpError(
+                            f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
         return EvolutionState(t=state.t + nsteps * self.dt, modes=vh, L0=self.L0,
                               grid_size=G)
 

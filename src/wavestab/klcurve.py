@@ -16,23 +16,31 @@ it, c0 > 0 and there are zero or two; at 1/sqrt(2) the roots are 0 and
 swap order only by colliding, which is the fold near k = 0.5345, so the
 branch stays the larger root on (0.5345, 1) and does not exist below.
 
-`solve_L1` makes one AGM pass per modulus: it computes K and E once, in
-Python floats, and hands the EllipticPair to the cubic, its roots and p.
-Called without a pair, those functions compute their own.
+`solve_branch` is the one branch kernel.  For an array of moduli it runs one
+AGM loop (`complete_integrals` over the array), then the cubic's
+coefficients, its Cardano roots, a Newton polish and p, each elementwise
+over the whole array.  `sweep` makes one call per grid; `solve_L1` and
+`positive_roots` call it with a single modulus, which is a grid of one.
+Every element of every step stops on its own, so a sweep row equals
+`solve_L1` at its modulus bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elliptic import complete_integrals
 
 __all__ = ["KLPoint", "cubic_coefficients", "cubic_residual", "positive_roots",
-           "solve_L1", "p_of_k", "sweep", "K_ANALYTIC"]
+           "solve_branch", "solve_L1", "p_of_k", "sweep", "K_ANALYTIC"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
 # times K^4, off the plain closed form of p; P_CORRECTION / 507 = 3584/3 (times
 # K^4/L^4) off that of the dnoidal `a`, which only then solves the wave equation
 P_CORRECTION = 605696.0
+POLISH_RTOL = 4.0 * np.finfo(float).eps   # a Newton step this small is round-off
+POLISH_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,10 @@ class KLPoint:
 
 def cubic_coefficients(k, pair=None):
     K = (pair or complete_integrals(k)).K
-    c0 = (89989120.0 / 31.0) * (k**2 - 2.0) * (k**2 - 0.5) * (k**2 + 1.0) * K**6
-    c1 = -(908544.0 / 31.0) * (k**4 - k**2 + 1.0) * K**4
+    k2, K2 = k * k, K * K
+    K4 = K2 * K2
+    c0 = (89989120.0 / 31.0) * (k2 - 2.0) * (k2 - 0.5) * (k2 + 1.0) * (K4 * K2)
+    c1 = -(908544.0 / 31.0) * (k2 * k2 - k2 + 1.0) * K4
     return c0, c1
 
 
@@ -58,43 +68,82 @@ def cubic_residual(k, L1):
     return f / scale
 
 
-def _real_roots_depressed(p, q):
-    """Real roots of x^3 + p x + q = 0 (Cardano / trigonometric form)."""
-    h = 0.25 * q * q + p**3 / 27.0
-    if h > 0.0:
-        sq = math.sqrt(h)
-        u = math.copysign(abs(-0.5 * q + sq) ** (1.0 / 3.0), -0.5 * q + sq)
-        v = math.copysign(abs(-0.5 * q - sq) ** (1.0 / 3.0), -0.5 * q - sq)
-        return [u + v]
-    r = math.sqrt(-p / 3.0)
-    arg = max(-1.0, min(1.0, -0.5 * q / r**3))
-    phi = math.acos(arg)
-    return [2.0 * r * math.cos((phi + 2.0 * math.pi * j) / 3.0) for j in range(3)]
+def _upper_roots(p, q):
+    """The middle and top real roots of x^3 + p x + q = 0 for arrays p < 0
+    and q, stacked on a new first axis.  The three roots sum to zero, so
+    the lowest is never positive.  Where the cubic has one real root it is
+    the top one (Cardano's form) and the middle is NaN."""
+    h = 0.25 * q * q + p * p * p / 27.0
+    sq = np.sqrt(np.maximum(h, 0.0))
+    half_q = -0.5 * q
+    cardano = np.cbrt(half_q + sq) + np.cbrt(half_q - sq)
+    r = np.sqrt(-p / 3.0)
+    phi = np.arccos(np.minimum(np.maximum(half_q / (r * r * r), -1.0), 1.0))
+    middle = 2.0 * r * np.cos((phi + 4.0 * math.pi) / 3.0)
+    top = 2.0 * r * np.cos(phi / 3.0)
+    one = h > 0.0
+    return np.array((np.where(one, np.nan, middle), np.where(one, cardano, top)))
 
 
 def _polish(x, p, q):
-    for _ in range(50):
-        f = x**3 + p * x + q
-        fp = 3.0 * x * x + p
-        if fp == 0.0:
+    """Newton on x^3 + p x + q for every finite element of x at once.
+
+    An element stops on its own, so its value does not depend on the rest
+    of the array: once its step is at most POLISH_RTOL |x|, or no smaller
+    than the step before (round-off, which is where an ill-conditioned root
+    near a fold ends), or f' vanishes.
+    """
+    active = np.isfinite(x)
+    last = np.full_like(x, np.inf)
+    for _ in range(POLISH_MAX_ITER):
+        xx = x * x
+        fp = 3.0 * xx + p
+        active &= fp != 0.0
+        step = np.where(active, ((xx + p) * x + q) / np.where(active, fp, 1.0), 0.0)
+        x = x - step
+        size = np.abs(step)
+        active &= (size > POLISH_RTOL * np.abs(x)) & (size < last)
+        if not active.any():
             break
-        step = f / fp
-        x -= step
-        if abs(step) <= 1e-16 * abs(x):
-            break
+        last = size
     return x
 
 
-def positive_roots(k, pair=None):
+def solve_branch(k):
+    """The branch over an array of moduli in one pass: one AGM loop, the
+    cubic, its roots, one Newton polish and p, all elementwise.
+
+    Returns (L1, L, p, lower).  L1 is the largest positive root of the
+    cubic, L = sqrt(L1) and p = p(k, L); all three are NaN where the branch
+    does not reach k.  lower is the other positive root, NaN where there is
+    none; two roots within 1e-9 relative are one (double) root.  A scalar k
+    gives floats.  Raises ValueError unless 0 < k < 1.
+    """
+    k_arr = np.asarray(k, dtype=float)
+    if not ((0.0 < k_arr) & (k_arr < 1.0)).all():
+        raise ValueError("modulus must lie in (0, 1)")
+    # an array whatever the input, so a modulus runs the same loops alone or in a grid
+    k1 = np.atleast_1d(k_arr)
+    pair = complete_integrals(k1)
+    c0, c1 = cubic_coefficients(k1, pair)
+    middle, top = _polish(_upper_roots(c1, c0), c1, c0)
+    # ordered, ignoring NaN: with one real root both are that root, and the
+    # double-root test below drops the copy
+    top, lower = np.fmax(middle, top), np.fmin(middle, top)
+    L1 = np.where(top > 0.0, top, np.nan)
+    lower = np.where((lower > 0.0) & (L1 - lower > 1e-9 * np.maximum(1.0, L1)),
+                     lower, np.nan)
+    L = np.sqrt(L1)
+    p = p_of_k(k1, L, pair)
+    if k_arr.ndim == 0:
+        return float(L1[0]), float(L[0]), float(p[0]), float(lower[0])
+    return L1, L, p, lower
+
+
+def positive_roots(k):
     """All positive roots of the cubic at modulus k, ascending, polished."""
-    c0, c1 = cubic_coefficients(k, pair)
-    roots = [_polish(x, c1, c0) for x in _real_roots_depressed(c1, c0)]
-    out = sorted(x for x in roots if x > 0.0)
-    dedup = []
-    for x in out:
-        if not dedup or abs(x - dedup[-1]) > 1e-9 * max(1.0, x):
-            dedup.append(x)
-    return dedup
+    L1, _, _, lower = solve_branch(float(k))
+    return [x for x in (lower, L1) if not math.isnan(x)]
 
 
 def solve_L1(k):
@@ -103,19 +152,14 @@ def solve_L1(k):
     Returns (KLPoint or None, all_positive_roots).  None means the smooth
     branch through k = 1/sqrt(2) does not extend to this modulus (for this
     cubic: every k below the fold near 0.5345); the full positive-root set
-    is still reported.  k is taken as a Python float, so an np.float64 grid
-    point costs no numpy scalar arithmetic.
+    is still reported.
     """
     k = float(k)
-    if not (0.0 < k < 1.0):
-        raise ValueError("modulus must lie in (0, 1)")
-    pair = complete_integrals(k)
-    roots = tuple(positive_roots(k, pair))
+    L1, L, p, lower = solve_branch(k)
+    roots = tuple(x for x in (lower, L1) if not math.isnan(x))
     if not roots:
         return None, roots
-    L1 = roots[-1]
-    L = math.sqrt(L1)
-    return KLPoint(k=k, L1=L1, L=L, p_value=p_of_k(k, L, pair)), roots
+    return KLPoint(k=k, L1=L1, L=L, p_value=p), roots
 
 
 def _closed_form_terms(k, L2, K, E):
@@ -130,7 +174,8 @@ def _closed_form_terms(k, L2, K, E):
 
 def p_of_k(k, L, pair=None):
     """The omega-independent combination p with  a - omega = p / (507 L^4),
-    `a` the mean of the wave that profile.build_dnoidal constructs."""
+    `a` the mean of the wave that profile.build_dnoidal constructs.  k, L
+    and the pair may be arrays of one shape."""
     pair = pair or complete_integrals(k)
     K, E = pair.K, pair.E
     L2 = L * L
@@ -145,16 +190,16 @@ def sweep(k_grid):
     Rows where the branch does not exist carry L1 = L = p = None and
     stable = "no_root".  The stability flag is the sign of p (positive
     means wave average exceeds any positive speed by the gauge-invariant
-    margin p/(507 L^4)).
+    margin p/(507 L^4)).  The whole grid is one solve_branch call.
     """
+    ks = np.asarray(k_grid, dtype=float).reshape(-1)
+    L1, L, p, _ = solve_branch(ks)
     rows = []
-    for k in k_grid:
-        point, _ = solve_L1(k)
-        if point is None:
-            rows.append({"k": float(k), "L1": None, "L": None, "p": None,
+    for k, L1_k, L_k, p_k in zip(ks.tolist(), L1.tolist(), L.tolist(), p.tolist()):
+        if math.isnan(L1_k):
+            rows.append({"k": k, "L1": None, "L": None, "p": None,
                          "stable": "no_root"})
         else:
-            rows.append({"k": float(k), "L1": point.L1, "L": point.L,
-                         "p": point.p_value,
-                         "stable": "1" if point.p_value > 0 else "0"})
+            rows.append({"k": k, "L1": L1_k, "L": L_k, "p": p_k,
+                         "stable": "1" if p_k > 0 else "0"})
     return rows

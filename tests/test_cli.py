@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavestab
 from wavestab import cli
 from wavestab.cli import build_parser, main
 from wavestab.continuation import NewtonDivergenceError
@@ -147,6 +151,19 @@ def test_blowup_exit_code(tmp_path):
                         "--T", "0.2", "--samples", "4",
                         "--out", str(tmp_path / "blow.csv")])
     assert code == 4
+
+
+def test_blowup_prints_one_stderr_line(tmp_path):
+    # run as a program, where numpy's RuntimeWarnings would reach stderr
+    src = Path(wavestab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavestab.cli", "evolve", "--k", "0.8",
+         "--omega", "100", "--grid", "64", "--T", "50", "--samples", "5",
+         "--out", str(tmp_path / "blow.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evolve: blow-up at t="), lines
 
 
 def test_evolve_series(tmp_path):

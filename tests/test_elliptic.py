@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from wavestab.elliptic import (
+    MODULUS_CAP,
     EllipticDomainError,
     complete_integrals,
     dn,
@@ -58,6 +59,37 @@ def test_legendre_relation_grid():
         pair = complete_integrals(k)
         assert abs(pair.legendre_residual()) < 1e-12
         assert 0.0 < pair.E <= pair.K
+
+
+def _agm_reference(k):
+    """The scalar AGM recurrence for K and E, one Python float at a time."""
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    csum, half_pow = 0.5 * c * c, 0.5
+    for _ in range(40):
+        if abs(c) <= 1e-15 * a:
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        half_pow *= 2.0
+        csum += half_pow * c * c
+    K = math.pi / (2.0 * a)
+    return K, K * (1.0 - csum)
+
+
+def test_array_moduli_match_scalar_recurrence():
+    # every element of one array pass stops on its own: K, E and the
+    # complementary pair equal the scalar recurrence bit for bit
+    grid = np.concatenate([np.linspace(0.0, MODULUS_CAP, 1001), [1e-300, 1e-8, MODULUS_CAP]])
+    pair = complete_integrals(grid.reshape(-1, 4))
+    assert pair.K.shape == pair.Kp.shape == (251, 4)
+    for k, K, E, Kp, Ep in zip(grid, pair.K.ravel(), pair.E.ravel(),
+                               pair.Kp.ravel(), pair.Ep.ravel()):
+        assert (K, E) == _agm_reference(k), k
+        assert (K, E) == (complete_integrals(k).K, complete_integrals(k).E), k
+        kp = math.sqrt((1.0 - k) * (1.0 + k))
+        assert (Kp, Ep) == ((math.inf, 1.0) if kp > MODULUS_CAP else _agm_reference(kp)), k
+    with pytest.raises(EllipticDomainError):
+        complete_integrals(np.array([0.5, math.nan]))
 
 
 def test_domain_errors():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from wavestab import elliptic, klcurve
+from wavestab import cli, elliptic, klcurve
 from wavestab.cli import main
 from wavestab.elliptic import complete_integrals
 from wavestab.klcurve import (
@@ -42,6 +42,13 @@ def test_bisection_oracle_agreement():
         assert f(lo) * f(hi) < 0
         oracle = brentq(f, lo, hi, xtol=1e-12, rtol=1e-14)
         assert point.L1 == pytest.approx(oracle, rel=1e-10)
+    # and on a whole grid, at the accuracy of the array kernel's polish
+    for row in sweep(np.linspace(0.54, 0.99, 200)):
+        f = _cubic(row["k"])
+        lo, hi = 0.9 * row["L1"], 1.1 * row["L1"]
+        assert f(lo) * f(hi) < 0, row["k"]
+        oracle = brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
+        assert row["L1"] == pytest.approx(oracle, rel=1e-13), row["k"]
 
 
 def test_global_scan_k09():
@@ -105,6 +112,14 @@ def test_sweep_markers_and_edge_cases():
     point, _ = solve_L1(0.8)
     assert rows[0]["L1"] == pytest.approx(point.L1, rel=1e-14)
     assert sweep([]) == []
+    # a grid row is the single-modulus answer bit for bit, on and off the branch
+    for row in sweep(np.linspace(0.05, 0.99, 200)):
+        point, _ = solve_L1(row["k"])
+        if point is None:
+            assert row["stable"] == "no_root", row["k"]
+        else:
+            assert (row["L1"], row["L"], row["p"]) == (
+                point.L1, point.L, point.p_value), row["k"]
 
 
 def test_positive_p_region_and_sign_change():
@@ -180,34 +195,47 @@ def test_branch_reaches_k_near_one(tmp_path):
 
 
 def test_branch_work_budget(monkeypatch, tmp_path):
-    # one cubic solve and one AGM pass per modulus: the sweep grid, plus one
-    # per bisection step
+    # one array pass of the branch kernel, and one AGM loop, per grid: the
+    # sweep grid, plus one per 64-way split of the sign-change bracket
     calls, passes = [], []
 
-    def counted(k, *rest, _fn=klcurve.positive_roots):
-        calls.append(k)
-        return _fn(k, *rest)
-
-    def counted_agm(k, _fn=elliptic._agm_levels):
-        passes.append(k)
+    def counted(k, _fn=klcurve.solve_branch):
+        calls.append(np.size(k))
         return _fn(k)
 
-    monkeypatch.setattr(klcurve, "positive_roots", counted)
+    def counted_agm(k, _fn=elliptic._agm_levels):
+        passes.append(np.size(k))
+        return _fn(k)
+
+    monkeypatch.setattr(klcurve, "solve_branch", counted)
+    monkeypatch.setattr(cli, "solve_branch", counted)
     monkeypatch.setattr(elliptic, "_agm_levels", counted_agm)
     assert main(["sweep", "--steps", "200", "--out", str(tmp_path / "s.csv")]) == 0
-    assert len(calls) == 200
-    assert len(passes) == 200
+    assert calls == passes == [200]
     calls.clear()
     passes.clear()
     assert main(["reproduce-figure1", "--steps", "200",
                  "--out-L1", str(tmp_path / "L1.csv"),
                  "--out-p", str(tmp_path / "p.csv"),
                  "--record-out", str(tmp_path / "r.json")]) == 0
-    # the bisection stops at adjacent doubles: p changes sign in [0.5, 1),
-    # where doubles are 2**-53 apart, so a bracket there takes at most 53
-    # halvings
-    assert len(calls) <= 200 + 53
-    assert len(passes) <= 200 + 53
+    # the search stops at adjacent doubles: p changes sign in [0.5, 1), where
+    # doubles are 2**-53 apart, so a bracket there takes at most 53 halvings,
+    # which is 9 splits into 64
+    assert calls == passes
+    assert calls[0] == 200 and set(calls[1:]) == {63}
+    assert len(calls) <= 1 + 9
+
+
+@pytest.mark.parametrize("case", ["sweep200", "solve_L1"])
+def test_sweep_timing(benchmark, case):
+    # layer timing of the branch kernel; the time is reported, never asserted
+    if case == "sweep200":
+        grid = np.linspace(0.55, 0.95, 200)
+        rows = benchmark.pedantic(sweep, args=(grid,), rounds=20, iterations=1)
+        assert len(rows) == 200 and all(r["stable"] != "no_root" for r in rows)
+    else:
+        point, _ = benchmark.pedantic(solve_L1, args=(0.8,), rounds=20, iterations=5)
+        assert point == solve_L1(0.8)[0]
 
 
 def test_build_dnoidal_makes_two_agm_passes(monkeypatch):
