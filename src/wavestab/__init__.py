@@ -18,7 +18,7 @@ from .profile import (
     dnoidal_coefficients,
     extract_A,
 )
-from .klcurve import KLPoint, p_of_k, solve_L1, sweep
+from .klcurve import p_of_k, solve_branch, sweep
 from .galerkin import (
     GalerkinOperator,
     SpectrumReport,
@@ -43,7 +43,7 @@ __all__ = [
     "MultiplierSymbol", "builtin_symbol",
     "DnoidalParams", "FourierProfile", "build_dnoidal",
     "dnoidal_coefficients", "extract_A",
-    "KLPoint", "p_of_k", "solve_L1", "sweep",
+    "p_of_k", "solve_branch", "sweep",
     "GalerkinOperator", "SpectrumReport", "assemble", "constrained_min",
     "spectrum",
     "ContinuationPoint", "newton_solve", "surface_patch",

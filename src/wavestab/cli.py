@@ -37,7 +37,7 @@ from .criteria import evaluate_wave, functionals
 from .elliptic import MODULUS_CAP, complete_integrals, jacobi_sn_cn_dn
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
-from .klcurve import K_ANALYTIC, solve_branch, solve_L1, sweep
+from .klcurve import K_ANALYTIC, solve_branch, sweep
 from .multiplier import BUILTIN_NAMES, builtin_symbol
 from .profile import build_dnoidal
 
@@ -198,13 +198,9 @@ def _resolve_wave(args):
     A wave with a non-finite coefficient raises FloatingPointError, which
     main turns into exit 3.
     """
-    if args.L is not None:
-        L = args.L
-    else:
-        point, roots = solve_L1(args.k)
-        if point is None:
-            raise ValueError(f"no branch root at k={args.k} (roots: {list(roots)})")
-        L = point.L
+    L = args.L if args.L is not None else solve_branch(args.k)[1]
+    if math.isnan(L):
+        raise ValueError(f"no branch root at k={args.k}")
     with np.errstate(all="ignore"):   # the check below reports overflow once
         params, psi = build_dnoidal(args.k, L, args.omega, N=args.N)
     values = np.append(psi.coeffs, (params.A, params.a, params.b, params.d))

@@ -42,7 +42,7 @@ VERDICT_COERCIVITY = "stable_by_constrained_coercivity"  # M_w >= 0 route
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 IDENTITY_RTOL = 1e-6
-DETD_RTOL = 1e-8
+DETD_RTOL = 1e-10
 WITNESS_RTOL = 1e-6
 MIN_TOL = 1e-8
 
@@ -151,7 +151,7 @@ def verdict(report):
         return VERDICT_INCONCLUSIVE
     if r.M_w < 0.0:
         detD_scale = max(1.0, abs(r.F_A * r.M_w), abs(r.F_w * r.M_A))
-        if abs(r.detD) > 1e-10 * detD_scale and r.I < 0.0:
+        if abs(r.detD) > DETD_RTOL * detD_scale and r.I < 0.0:
             return VERDICT_DETERMINANT
         return VERDICT_INCONCLUSIVE
     scale = max(1.0, abs(r.spectrum.eigenvalues[0]))
@@ -215,6 +215,7 @@ def evaluate_wave(psi, omega, sym=None, N=None):
             "identity_rtol": IDENTITY_RTOL,
             "detD_rtol": DETD_RTOL,
             "witness_rtol": WITNESS_RTOL,
+            "constrained_min_rtol": MIN_TOL,
         },
     )
     if report.spectrum.holds_assumption and report.M_w >= 0.0:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .profile import TAIL_RTOL, extract_A
+
 __all__ = [
     "EvolutionState",
     "ConservedTriple",
@@ -81,15 +83,15 @@ class ConservedTriple:
 def state_from_profile(psi, grid_size=256):
     """Load the profile's modes in the dealiased band, n <= grid // 3.
 
-    Raises ValueError when a dropped coefficient exceeds 1e-10 of the
+    Raises ValueError when a dropped coefficient exceeds TAIL_RTOL of the
     largest oscillating one (FourierProfile.tail_ratio).
     """
     band = grid_size // 3
     dropped = psi.tail_ratio(band)
-    if dropped > 1e-10:
+    if dropped > TAIL_RTOL:
         raise ValueError(f"grid {grid_size} keeps modes up to {band} and drops a "
                          f"wave coefficient {dropped:.2e} of the largest oscillating "
-                         f"one, above 1e-10")
+                         f"one, above {TAIL_RTOL:g}")
     return EvolutionState(t=0.0, modes=grid_size * psi.psi_hat(band), L0=psi.L0,
                           grid_size=grid_size)
 
@@ -311,8 +313,6 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     MAX_STEPS steps raises ValueError before any step is taken.  On blow-up
     the partial series is attached to the exception.
     """
-    from .profile import extract_A
-
     if A is None:
         A, _ = extract_A(psi, omega, sym)
     v = make_perturbation(kind, psi, delta, grid_size=grid_size, mode=mode,

@@ -46,14 +46,13 @@ remaining distinct eigenvalues and is found by bisection.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .profile import FourierProfile
+from .profile import TAIL_RTOL, FourierProfile
 
 __all__ = [
     "GalerkinOperator",
@@ -164,17 +163,19 @@ class GalerkinOperator:
 
 
 def assemble(psi, omega, sym, N=None):
-    """Galerkin matrix of M + omega - psi on modes |n| <= N (default psi.N)."""
+    """Galerkin matrix of M + omega - psi on modes |n| <= N (default psi.N).
+
+    Raises ValueError when psi truncated to N has a tail_ratio() above
+    TAIL_RTOL: the operator would be under-resolved.
+    """
     if N is None:
         N = psi.N
     if psi.N > N:
         psi = psi.truncated(N)
-    if psi.tail_ratio() > 1e-10:
-        warnings.warn(
-            f"profile tail {psi.tail_ratio():.2e} above 1e-10: operator "
-            "may be under-resolved",
-            stacklevel=2,
-        )
+    tail = psi.tail_ratio()
+    if tail > TAIL_RTOL:
+        raise ValueError(f"operator truncation N={N} leaves a profile tail {tail:.2e} "
+                         f"of the largest oscillating coefficient, above {TAIL_RTOL:g}")
     return GalerkinOperator(psi, omega, sym, N)
 
 

@@ -19,21 +19,20 @@ branch stays the larger root on (0.5345, 1) and does not exist below.
 `solve_branch` is the one branch kernel.  For an array of moduli it runs one
 AGM loop (`complete_integrals` over the array), then the cubic's
 coefficients, its Cardano roots, a Newton polish and p, each elementwise
-over the whole array.  `sweep` makes one call per grid; `solve_L1` and
-`positive_roots` call it with a single modulus, which is a grid of one.
-Every element of every step stops on its own, so a sweep row equals
-`solve_L1` at its modulus bit for bit.
+over the whole array, and it is the only entry to the branch: `sweep` makes
+one call per grid, and a single modulus is a grid of one.  Every element of
+every step stops on its own, so a sweep row equals `solve_branch` at its
+modulus bit for bit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import complete_integrals
 
-__all__ = ["KLPoint", "cubic_coefficients", "cubic_residual", "positive_roots",
-           "solve_branch", "solve_L1", "p_of_k", "sweep", "K_ANALYTIC"]
+__all__ = ["cubic_coefficients", "cubic_residual", "solve_branch", "p_of_k", "sweep",
+           "K_ANALYTIC"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
 # times K^4, off the plain closed form of p; P_CORRECTION / 507 = 3584/3 (times
@@ -41,14 +40,6 @@ K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term van
 P_CORRECTION = 605696.0
 POLISH_RTOL = 4.0 * np.finfo(float).eps   # a Newton step this small is round-off
 POLISH_MAX_ITER = 50
-
-
-@dataclass(frozen=True)
-class KLPoint:
-    k: float
-    L1: float
-    L: float
-    p_value: float           # p(k, L1); sign decides the average-vs-speed test
 
 
 def cubic_coefficients(k, pair=None):
@@ -138,28 +129,6 @@ def solve_branch(k):
     if k_arr.ndim == 0:
         return float(L1[0]), float(L[0]), float(p[0]), float(lower[0])
     return L1, L, p, lower
-
-
-def positive_roots(k):
-    """All positive roots of the cubic at modulus k, ascending, polished."""
-    L1, _, _, lower = solve_branch(float(k))
-    return [x for x in (lower, L1) if not math.isnan(x)]
-
-
-def solve_L1(k):
-    """Branch point of the constraint at modulus k: the largest positive root.
-
-    Returns (KLPoint or None, all_positive_roots).  None means the smooth
-    branch through k = 1/sqrt(2) does not extend to this modulus (for this
-    cubic: every k below the fold near 0.5345); the full positive-root set
-    is still reported.
-    """
-    k = float(k)
-    L1, L, p, lower = solve_branch(k)
-    roots = tuple(x for x in (lower, L1) if not math.isnan(x))
-    if not roots:
-        return None, roots
-    return KLPoint(k=k, L1=L1, L=L, p_value=p), roots
 
 
 def _closed_form_terms(k, L2, K, E):

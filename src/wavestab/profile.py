@@ -23,7 +23,6 @@ import numpy as np
 
 from .elliptic import complete_integrals, jacobi_sn_cn_dn
 from .klcurve import P_CORRECTION, _closed_form_terms
-from .multiplier import builtin_symbol
 
 __all__ = [
     "FourierProfile",
@@ -33,6 +32,10 @@ __all__ = [
     "extract_A",
     "pi_residual",
 ]
+
+# a profile is resolved when its tail_ratio() is at most this; build_dnoidal,
+# galerkin.assemble and evolution.state_from_profile refuse one above it
+TAIL_RTOL = 1e-10
 
 
 class FourierProfile:
@@ -217,10 +220,13 @@ def _coefficients(k, L, omega, pair):
 def build_dnoidal(k, L, omega, N=128):
     """Sample the dnoidal ansatz and return (DnoidalParams, FourierProfile).
 
-    The integration constant A is extracted from the residual mean.  The
-    caller is responsible for choosing (k, L) on the period-constraint
-    curve if an exact solution is wanted; off-curve input is allowed and
-    simply yields a large residual in extract_A.
+    The integration constant A is minus the residual mean, h_0 - omega c_0
+    with h = psi^2/2: theta(0) = 0 for every symbol, so A is the same for all
+    of them and bit for bit the A of extract_A.  The caller is responsible
+    for choosing (k, L) on the period-constraint curve if an exact solution
+    is wanted; off-curve input is allowed and simply yields a large residual
+    in extract_A.  Raises ValueError when truncation N leaves a tail_ratio()
+    above TAIL_RTOL.
     """
     if N < 8:
         raise ValueError("truncation N < 8 is under-resolved")
@@ -236,9 +242,12 @@ def build_dnoidal(k, L, omega, N=128):
     psi, odd_energy = FourierProfile.from_samples(L, vals, N)
     if odd_energy > 1e-12:
         raise RuntimeError(f"dnoidal sampling produced odd content {odd_energy:.2e}")
-    # A is the same for every symbol: it reads only the residual mean, where
-    # theta(0) = 0 for all of them
-    A, _ = extract_A(psi, omega, builtin_symbol("kawahara"))
+    # NaN compares False here, so a non-finite wave reaches the caller's check
+    tail = psi.tail_ratio()
+    if tail > TAIL_RTOL:
+        raise ValueError(f"truncation N={N} leaves a profile tail {tail:.2e} of the "
+                         f"largest oscillating coefficient, above {TAIL_RTOL:g}")
+    A = float(psi.half_square().coeffs[0] - omega * psi.coeffs[0])
     params = DnoidalParams(
         k=float(k), L=float(L), omega=float(omega), A=A,
         a=a, b=b, d=d, K=K, E=E,
@@ -262,9 +271,9 @@ def extract_A(psi, omega, sym):
     and returns (A, max|r + A|).  The residual is a return value, never an
     error: it is near zero exactly when psi solves the equation.
     """
-    if psi.tail_ratio() > 1e-10:
+    if psi.tail_ratio() > TAIL_RTOL:
         warnings.warn(
-            f"profile tail {psi.tail_ratio():.2e} above 1e-10; "
+            f"profile tail {psi.tail_ratio():.2e} above {TAIL_RTOL:g}; "
             "residual may be truncation-limited",
             stacklevel=2,
         )

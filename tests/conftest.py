@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from wavestab.criteria import evaluate_wave
 from wavestab.elliptic import complete_integrals
 from wavestab.galerkin import _check_even_band, _variation_solve
-from wavestab.klcurve import solve_L1
+from wavestab.klcurve import solve_branch
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import build_dnoidal
 
@@ -17,19 +19,17 @@ def kawahara():
 
 
 @pytest.fixture(scope="session")
-def branch_points():
-    pts = {}
-    for k in BRANCH_MODULI:
-        point, _ = solve_L1(k)
-        assert point is not None
-        pts[k] = point
-    return pts
+def branch_L():
+    """Branch period L at each of BRANCH_MODULI."""
+    Ls = {k: solve_branch(k)[1] for k in BRANCH_MODULI}
+    assert not any(math.isnan(L) for L in Ls.values())
+    return Ls
 
 
 @pytest.fixture(scope="session")
-def wave08(branch_points):
+def wave08(branch_L):
     """Reference wave: k = 0.8 on the branch, omega = 1."""
-    params, psi = build_dnoidal(0.8, branch_points[0.8].L, 1.0, N=128)
+    params, psi = build_dnoidal(0.8, branch_L[0.8], 1.0, N=128)
     return params, psi
 
 
@@ -73,13 +73,10 @@ def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256):
     Raises ValueError when the constraint has no branch root at k.  The
     wave's integration constant A is recomputed from the residual mean.
     """
-    point, roots = solve_L1(k)
-    if point is None:
-        raise ValueError(
-            f"period constraint has no branch root at k={k} "
-            f"(positive roots found: {list(roots)})"
-        )
-    params, psi = build_dnoidal(k, point.L, omega, N=N_profile)
+    L = solve_branch(k)[1]
+    if math.isnan(L):
+        raise ValueError(f"period constraint has no branch root at k={k}")
+    params, psi = build_dnoidal(k, L, omega, N=N_profile)
     report = evaluate_wave(psi, omega, sym=sym, N=N_op)
     return report, params, psi
 

@@ -26,7 +26,7 @@ from wavestab.evolution import (
     state_from_profile,
 )
 from wavestab.galerkin import assemble, constrained_min, spectrum
-from wavestab.klcurve import K_ANALYTIC, cubic_coefficients, cubic_residual, solve_L1, sweep
+from wavestab.klcurve import K_ANALYTIC, cubic_coefficients, cubic_residual, solve_branch, sweep
 from wavestab.profile import FourierProfile, build_dnoidal, extract_A
 
 from conftest import BRANCH_MODULI, galilean_shift
@@ -63,21 +63,20 @@ def test_criterion_2_ansatz_verification(kawahara):
     t0 = time.time()
     worst_rel = 0.0
     for k in BRANCH_MODULI:
-        point, _ = solve_L1(k)
-        params, psi = build_dnoidal(k, point.L, 1.0)
+        params, psi = build_dnoidal(k, solve_branch(k)[1], 1.0)
         _, res = extract_A(psi, 1.0, kawahara)
         worst_rel = max(worst_rel, res / psi.sup_norm())
     # negative control: 10% detuning of the dn^2 coefficient
-    point, _ = solve_L1(0.8)
-    params, psi = build_dnoidal(0.8, point.L, 1.0)
+    L = solve_branch(0.8)[1]
+    params, psi = build_dnoidal(0.8, L, 1.0)
     pair = complete_integrals(0.8)
     M = 4 * 129
-    x = np.arange(M) * (point.L / M)
-    dnv = ellipj(2 * pair.K * x / point.L, 0.64)[2]
+    x = np.arange(M) * (L / M)
+    dnv = ellipj(2 * pair.K * x / L, 0.64)[2]
     mean2 = pair.E / pair.K
     mean4 = (2 - 0.64) * 2 * pair.E / (3 * pair.K) - (1 - 0.64) / 3
     vals = params.a + 1.10 * params.b * (dnv**2 - mean2) + params.d * (dnv**4 - mean4)
-    detuned, _ = FourierProfile.from_samples(point.L, vals, 128)
+    detuned, _ = FourierProfile.from_samples(L, vals, 128)
     _, res_detuned = extract_A(detuned, 1.0, kawahara)
     elapsed = time.time() - t0
     assert worst_rel < 1e-8
@@ -91,18 +90,18 @@ def test_criterion_3_kl_constraint():
     t0 = time.time()
     rows = sweep(np.linspace(0.54, 0.99, 200))
     worst = max(abs(cubic_residual(r["k"], r["L1"])) for r in rows)
-    point, _ = solve_L1(K_ANALYTIC)
+    L1 = solve_branch(K_ANALYTIC)[0]
     K = complete_integrals(K_ANALYTIC).K
     closed = math.sqrt((908544.0 / 31.0) * 0.75) * K * K
-    analytic_err = abs(point.L1 - closed) / closed
+    analytic_err = abs(L1 - closed) / closed
     # bisection oracle at three moduli
     worst_oracle = 0.0
     for k in (0.6, 0.8, 0.95):
-        pt, _ = solve_L1(k)
+        L1 = solve_branch(k)[0]
         c0, c1 = cubic_coefficients(k)
         f = lambda x: x**3 + c1 * x + c0
-        oracle = brentq(f, 0.9 * pt.L1, 1.1 * pt.L1, rtol=1e-14)
-        worst_oracle = max(worst_oracle, abs(pt.L1 - oracle) / oracle)
+        oracle = brentq(f, 0.9 * L1, 1.1 * L1, rtol=1e-14)
+        worst_oracle = max(worst_oracle, abs(L1 - oracle) / oracle)
     elapsed = time.time() - t0
     assert worst < 1e-10
     assert analytic_err < 1e-12
@@ -116,8 +115,7 @@ def test_criterion_4_spectral_assumption(kawahara):
     t0 = time.time()
     checked = 0
     for k in BRANCH_MODULI:
-        point, _ = solve_L1(k)
-        params, psi = build_dnoidal(k, point.L, 1.0)
+        params, psi = build_dnoidal(k, solve_branch(k)[1], 1.0)
         rep256 = spectrum(assemble(psi, 1.0, kawahara, N=256))
         assert (rep256.n_neg, rep256.n_zero) == (1, 1), k
         assert rep256.kernel_corr > 0.999

@@ -18,7 +18,7 @@ from wavestab import cli
 from wavestab.cli import build_parser, main
 from wavestab.continuation import NewtonDivergenceError
 from wavestab.galerkin import DegenerateOperatorError
-from wavestab.klcurve import solve_L1
+from wavestab.klcurve import solve_branch
 from wavestab.profile import build_dnoidal
 
 
@@ -102,7 +102,7 @@ def test_criteria_record(tmp_path):
 ])
 def test_criteria_branch_L_matches_explicit_L(tmp_path, k, omega, n_op):
     # --L at the branch root gives the wave that --k alone resolves
-    L = repr(solve_L1(float(k))[0].L)
+    L = repr(solve_branch(float(k))[1])
     base = ["criteria", "--k", k, "--omega", omega, "--N-op", n_op]
     assert run_cli(base + ["--out", str(tmp_path / "k.json")]) == 0
     assert run_cli(base + ["--L", L, "--out", str(tmp_path / "L.json")]) == 0
@@ -112,6 +112,7 @@ def test_criteria_branch_L_matches_explicit_L(tmp_path, k, omega, n_op):
 def test_criteria_no_branch_is_validation_error(tmp_path, capsys):
     assert exit_code(["criteria", "--k", "0.5", "--omega", "1.0",
                       "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == "criteria: no branch root at k=0.5\n"
 
 
 def test_missing_required_flag_exits_2():
@@ -220,7 +221,7 @@ def test_continue_reports_missing_points(tmp_path, capsys):
     out = tmp_path / "patch.csv"
     assert run_cli(["continue", "--k", "0.8", "--omega", "1.0",
                     "--domega", "5e-2", "--dA", "5e-2", "--out", str(out)]) == 0
-    params, _ = build_dnoidal(0.8, solve_L1(0.8)[0].L, 1.0)
+    params, _ = build_dnoidal(0.8, solve_branch(0.8)[1], 1.0)
     rows = [r.split(",") for r in body_of(read(out)).splitlines()[1:]]
     written = {(round((float(r[0]) - 1.0) / 5e-2), round((float(r[1]) - params.A) / 5e-2))
                for r in rows}
@@ -377,6 +378,11 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["evolve", "--k", "0.9999999999999"], None),
     (["sweep", "--kmax", "0.9999999999999"], None),
     (["reproduce-figure1", "--kmax", "0.9999999999999"], None),
+    # under-resolved waves: a profile tail above profile.TAIL_RTOL in the
+    # wave (--N) or after the operator truncation (--N-op)
+    (["profile", "--k", "0.8", "--N", "8"], None),
+    (["spectrum", "--k", "0.95", "--N", "16", "--N-op", "16"], None),
+    (["criteria", "--k", "0.999", "--omega", "1.0", "--N-op", "16"], None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -386,7 +392,10 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
         argv += ["--config", str(cfg)]
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert err.strip() and "Traceback" not in err
+    assert err.strip() and "Traceback" not in err and "Warning" not in err
+    # argparse prints its usage block; every other refusal is one line from main
+    if not err.startswith("usage:"):
+        assert len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,

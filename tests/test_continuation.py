@@ -36,14 +36,14 @@ def test_exact_start_fixed_point(wave08, kawahara):
     assert pt.residual_norm < 1e-10 * max(1.0, psi.sup_norm())
 
 
-def test_gauge_adjusted_target_matches_family(wave08, branch_points, kawahara):
+def test_gauge_adjusted_target_matches_family(wave08, branch_L, kawahara):
     params, psi = wave08
     delta = 0.01
     # along the explicit family, psi(omega + delta) = psi(omega) + delta and
     # the constant transforms by the gauge rule
     A_target = params.A - params.omega * delta - 0.5 * delta**2
     pt = newton_solve(psi, params.omega + delta, A_target, kawahara)
-    _, psi_target = build_dnoidal(0.8, branch_points[0.8].L, params.omega + delta)
+    _, psi_target = build_dnoidal(0.8, branch_L[0.8], params.omega + delta)
     assert np.abs(pt.psi.coeffs - psi_target.coeffs).max() < 1e-8
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavestab import criteria
 from wavestab.criteria import (
     VERDICT_DETERMINANT,
     VERDICT_INCONCLUSIVE,
@@ -13,6 +14,7 @@ from wavestab.criteria import (
     evaluate_wave,
     functionals,
     p_form,
+    verdict,
 )
 from wavestab.continuation import newton_solve
 from wavestab.galerkin import assemble, spectrum
@@ -97,6 +99,20 @@ def test_full_report_stable_point(wave08, kawahara):
     assert report.chi_psi_corr > 1e-6
 
 
+def test_verdict_reads_the_recorded_detD_threshold(wave08, kawahara, monkeypatch):
+    # the record states the thresholds that decide the verdict: raising
+    # DETD_RTOL above this wave's |detD|/scale turns it inconclusive
+    params, psi = wave08
+    report = evaluate_wave(psi, params.omega, kawahara)
+    record = report.as_record()
+    assert record["tol_detD_rtol"] == criteria.DETD_RTOL == 1e-10
+    assert record["tol_constrained_min_rtol"] == criteria.MIN_TOL
+    assert report.verdict == VERDICT_DETERMINANT
+    scale = max(1.0, abs(report.F_A * report.M_w), abs(report.F_w * report.M_A))
+    monkeypatch.setattr(criteria, "DETD_RTOL", 2.0 * abs(report.detD) / scale)
+    assert verdict(report) == VERDICT_INCONCLUSIVE
+
+
 def test_coercivity_branch_fires_at_small_speed(kawahara):
     # at omega = 0.3 the mass derivative turns positive and the verdict
     # must route through the constrained-minimum conditions
@@ -153,7 +169,7 @@ def test_zero_wave_inconclusive(kawahara):
     assert report.verdict == VERDICT_INCONCLUSIVE
 
 
-def test_negative_margin_inconclusive(branch_points, kawahara):
+def test_negative_margin_inconclusive(kawahara):
     # k = 0.9 has p < 0: average below speed, no stability claim available
     report, params, psi = evaluate_dnoidal(0.9, 1.0, kawahara)
     assert report.spectrum.holds_assumption     # spectral picture still holds

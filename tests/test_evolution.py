@@ -331,10 +331,10 @@ def test_half_spectrum_run_matches_complex_oracle(wave08, kawahara, grid, nonlin
 
 
 @pytest.mark.parametrize("k, grid", [(0.6, 27), (0.6, 28), (0.8, 128), (0.8, 256)])
-def test_state_from_profile_matches_sampled_load(branch_points, k, grid):
+def test_state_from_profile_matches_sampled_load(branch_L, k, grid):
     # at k = 0.6 the modes above 27 // 3 fall below 1e-10 of the largest
     # oscillating coefficient (above 24 // 3 they reach 1.5e-10)
-    _, psi = build_dnoidal(k, branch_points[k].L, 1.0, N=128)
+    _, psi = build_dnoidal(k, branch_L[k], 1.0, N=128)
     st = ev.state_from_profile(psi, grid)
     ref = sampled_state_oracle(psi, grid)
     assert st.grid_size == grid and len(st.modes) == grid // 3 + 1

@@ -64,6 +64,13 @@ def test_constant_profile_shift(kawahara):
     assert np.abs(op.odd - (base.odd - c * np.eye(32))).max() < 1e-14
 
 
+def test_assemble_refuses_an_under_resolved_truncation(wave08, kawahara):
+    # 8 modes of the k = 0.8 wave leave a tail of 1e-5, above profile.TAIL_RTOL
+    _, psi = wave08
+    with pytest.raises(ValueError, match="operator truncation N=8"):
+        assemble(psi, 1.0, kawahara, N=8)
+
+
 def test_symmetry(op08):
     assert np.abs(op08.even - op08.even.T).max() < 1e-13
     assert np.abs(op08.odd - op08.odd.T).max() < 1e-13
@@ -208,8 +215,8 @@ def _dense_constrained_min(op, even=None, odd=None):
     (0.8, 1.0, 64), (0.7, 0.5, 128), (0.6, 0.5, 256), (0.7, 0.5, 512),
     (0.8, 0.5, 512),
 ])
-def test_constrained_min_matches_dense_oracle(branch_points, kawahara, k, omega, N):
-    _, psi = build_dnoidal(k, branch_points[k].L, omega, N=128)
+def test_constrained_min_matches_dense_oracle(branch_L, kawahara, k, omega, N):
+    _, psi = build_dnoidal(k, branch_L[k], omega, N=128)
     op = assemble(psi, omega, kawahara, N=N)
     tol = 1e-9 * max(1.0, abs(spectrum(op).eigenvalues[0]))
     psi_c = psi.orthonormal(op.N)
@@ -338,10 +345,10 @@ def _dense_spectrum(op):
 
 @pytest.mark.parametrize("N", [128, 256, 512])
 @pytest.mark.parametrize("k, omega", [(0.8, 1.0), (0.7, 0.5), (0.9, 1.0)])
-def test_eigenvalue_only_path_matches_dense_eigh(branch_points, kawahara, k, omega, N):
+def test_eigenvalue_only_path_matches_dense_eigh(branch_L, kawahara, k, omega, N):
     # (0.8, 1.0) takes the determinant route, (0.7, 0.5) the coercivity
     # route and (0.9, 1.0), whose average is below the speed, is inconclusive
-    _, psi = build_dnoidal(k, branch_points[k].L, omega, N=128)
+    _, psi = build_dnoidal(k, branch_L[k], omega, N=128)
     op = assemble(psi, omega, kawahara, N=N)
     rep = spectrum(op)
     oracle, chi, (ref_e, ref_o) = _dense_spectrum(op)

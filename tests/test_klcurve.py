@@ -12,8 +12,7 @@ from wavestab.klcurve import (
     cubic_coefficients,
     cubic_residual,
     p_of_k,
-    positive_roots,
-    solve_L1,
+    solve_branch,
     sweep,
 )
 from wavestab.profile import build_dnoidal, dnoidal_coefficients
@@ -26,22 +25,22 @@ def _cubic(k):
 
 
 def test_analytic_point_closed_form():
-    point, roots = solve_L1(K_ANALYTIC)
+    L1 = solve_branch(K_ANALYTIC)[0]
     K = complete_integrals(K_ANALYTIC).K
     closed = math.sqrt((908544.0 / 31.0) * 0.75) * K * K
-    assert point.L1 == pytest.approx(closed, rel=1e-12)
-    assert abs(cubic_residual(K_ANALYTIC, point.L1)) < 1e-12
+    assert L1 == pytest.approx(closed, rel=1e-12)
+    assert abs(cubic_residual(K_ANALYTIC, L1)) < 1e-12
 
 
 def test_bisection_oracle_agreement():
     # independent oracle: bracketing bisection around each reported root
     for k in (0.6, 0.75, 0.9):
-        point, _ = solve_L1(k)
+        L1 = solve_branch(k)[0]
         f = _cubic(k)
-        lo, hi = 0.9 * point.L1, 1.1 * point.L1
+        lo, hi = 0.9 * L1, 1.1 * L1
         assert f(lo) * f(hi) < 0
         oracle = brentq(f, lo, hi, xtol=1e-12, rtol=1e-14)
-        assert point.L1 == pytest.approx(oracle, rel=1e-10)
+        assert L1 == pytest.approx(oracle, rel=1e-10)
     # and on a whole grid, at the accuracy of the array kernel's polish
     for row in sweep(np.linspace(0.54, 0.99, 200)):
         f = _cubic(row["k"])
@@ -59,24 +58,20 @@ def test_global_scan_k09():
     changes = np.nonzero(np.diff(signs))[0]
     assert len(changes) == 1
     oracle = brentq(f, grid[changes[0]], grid[changes[0] + 1], rtol=1e-14)
-    point, _ = solve_L1(0.9)
-    assert point.L1 == pytest.approx(oracle, rel=1e-10)
+    assert solve_branch(0.9)[0] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_no_root_below_fold():
     # at k = 0.5 the cubic is positive on the whole positive axis
-    point, roots = solve_L1(0.5)
-    assert point is None and roots == ()
+    assert all(math.isnan(x) for x in solve_branch(0.5))
     f = _cubic(0.5)
     assert min(f(x) for x in np.logspace(-6, 6, 400)) > 0
 
 
 def test_two_roots_below_analytic_point():
-    roots = positive_roots(0.6)
-    assert len(roots) == 2
-    point, _ = solve_L1(0.6)
+    L1, _, _, lower = solve_branch(0.6)
     # the smooth branch through 1/sqrt(2) is the larger root here
-    assert point.L1 == pytest.approx(roots[-1], rel=1e-12)
+    assert 0.0 < lower < L1
 
 
 def test_sweep_residuals_and_continuity():
@@ -109,17 +104,15 @@ def test_sweep_markers_and_edge_cases():
     rows = sweep([0.5])
     assert rows[0]["stable"] == "no_root" and rows[0]["L1"] is None
     rows = sweep([0.8])
-    point, _ = solve_L1(0.8)
-    assert rows[0]["L1"] == pytest.approx(point.L1, rel=1e-14)
+    assert rows[0]["L1"] == pytest.approx(solve_branch(0.8)[0], rel=1e-14)
     assert sweep([]) == []
     # a grid row is the single-modulus answer bit for bit, on and off the branch
     for row in sweep(np.linspace(0.05, 0.99, 200)):
-        point, _ = solve_L1(row["k"])
-        if point is None:
+        L1, L, p, _ = solve_branch(row["k"])
+        if math.isnan(L1):
             assert row["stable"] == "no_root", row["k"]
         else:
-            assert (row["L1"], row["L"], row["p"]) == (
-                point.L1, point.L, point.p_value), row["k"]
+            assert (row["L1"], row["L"], row["p"]) == (L1, L, p), row["k"]
 
 
 def test_positive_p_region_and_sign_change():
@@ -129,14 +122,14 @@ def test_positive_p_region_and_sign_change():
     assert any(p < 0 for p in ps)
 
     def p_on_branch(k):
-        return solve_L1(k)[0].p_value
+        return solve_branch(k)[2]
 
     k_star = brentq(p_on_branch, 0.8, 0.9, xtol=1e-10)
     # recorded location of the sign change for the corrected p
     assert k_star == pytest.approx(0.8489078546965656, abs=1e-6)
 
     def p_uncorrected(k):
-        return plain_p(k, solve_L1(k)[0].L)
+        return plain_p(k, solve_branch(k)[1])
 
     k_star_uncorrected = brentq(p_uncorrected, 0.9, 0.95, xtol=1e-10)
     assert k_star_uncorrected == pytest.approx(0.9218, abs=1e-3)
@@ -144,9 +137,9 @@ def test_positive_p_region_and_sign_change():
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        solve_L1(0.0)
+        solve_branch(0.0)
     with pytest.raises(ValueError):
-        solve_L1(1.0)
+        solve_branch(1.0)
 
 
 def _walk_branch(k_target, step=2e-3):
@@ -159,7 +152,8 @@ def _walk_branch(k_target, step=2e-3):
         return L1
     nsteps = max(1, int(math.ceil(abs(k_target - k0) / step)))
     for i in range(1, nsteps + 1):
-        roots = positive_roots(k0 + (k_target - k0) * (i / nsteps))
+        L1_k, _, _, lower = solve_branch(k0 + (k_target - k0) * (i / nsteps))
+        roots = [x for x in (lower, L1_k) if not math.isnan(x)]
         if not roots:
             return None
         L1_next = min(roots, key=lambda x: abs(x - L1))
@@ -175,13 +169,13 @@ def test_larger_root_matches_continuation_oracle():
                            np.linspace(0.534, 0.535, 201)])
     missing = 0
     for k in grid:
-        point, _ = solve_L1(k)
+        L1 = solve_branch(k)[0]
         walked = _walk_branch(k)
-        assert (point is None) == (walked is None), k
-        if point is None:
+        assert math.isnan(L1) == (walked is None), k
+        if walked is None:
             missing += 1
         else:
-            assert point.L1 == walked, k
+            assert L1 == walked, k
     assert 0 < missing < len(grid)
 
 
@@ -226,7 +220,7 @@ def test_branch_work_budget(monkeypatch, tmp_path):
     assert len(calls) <= 1 + 9
 
 
-@pytest.mark.parametrize("case", ["sweep200", "solve_L1"])
+@pytest.mark.parametrize("case", ["sweep200", "solve_branch"])
 def test_sweep_timing(benchmark, case):
     # layer timing of the branch kernel; the time is reported, never asserted
     if case == "sweep200":
@@ -234,13 +228,13 @@ def test_sweep_timing(benchmark, case):
         rows = benchmark.pedantic(sweep, args=(grid,), rounds=20, iterations=1)
         assert len(rows) == 200 and all(r["stable"] != "no_root" for r in rows)
     else:
-        point, _ = benchmark.pedantic(solve_L1, args=(0.8,), rounds=20, iterations=5)
-        assert point == solve_L1(0.8)[0]
+        out = benchmark.pedantic(solve_branch, args=(0.8,), rounds=20, iterations=5)
+        assert repr(out) == repr(solve_branch(0.8))
 
 
 def test_build_dnoidal_makes_two_agm_passes(monkeypatch):
     # K and E once, then the dn samples; the complementary modulus is not read
-    L = solve_L1(0.8)[0].L
+    L = solve_branch(0.8)[1]
     passes = []
 
     def counted_agm(k, _fn=elliptic._agm_levels):
@@ -254,12 +248,9 @@ def test_build_dnoidal_makes_two_agm_passes(monkeypatch):
 
 @pytest.mark.parametrize("k", [0.3, 0.6, K_ANALYTIC, 0.8, 0.999999])
 def test_solve_L1_float_and_numpy_scalar_agree(k):
-    point, roots = solve_L1(float(k))
-    np_point, np_roots = solve_L1(np.float64(k))
-    assert np_point == point and np_roots == roots
-    assert all(type(x) is float for x in roots)
-    if point is not None:
-        assert all(type(getattr(point, f)) is float
-                   for f in ("k", "L1", "L", "p_value"))
-        assert all(type(getattr(np_point, f)) is float
-                   for f in ("k", "L1", "L", "p_value"))
+    # solving for the branch root L1 (and L, p, lower) from a float or from a
+    # numpy scalar gives the same four Python floats; repr equates the NaNs
+    out = solve_branch(float(k))
+    np_out = solve_branch(np.float64(k))
+    assert repr(np_out) == repr(out)
+    assert all(type(x) is float for x in out + np_out)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from wavestab.elliptic import complete_integrals
-from wavestab.klcurve import solve_L1
+from wavestab.klcurve import solve_branch
 from wavestab.profile import (
     FourierProfile,
     build_dnoidal,
@@ -113,8 +113,7 @@ def test_mean_equals_a_via_quadrature_oracle():
     assert m4_quad / (2 * K) == pytest.approx(
         (2 - k**2) * 2 * E / (3 * K) - (1 - k**2) / 3, abs=1e-12
     )
-    point, _ = solve_L1(k)
-    params, psi = build_dnoidal(k, point.L, 1.0)
+    params, psi = build_dnoidal(k, solve_branch(k)[1], 1.0)
     assert abs(psi.mean() - params.a) < 1e-10
 
 
@@ -140,6 +139,22 @@ def test_profile_even_and_periodic(wave08):
 def test_truncation_guard():
     with pytest.raises(ValueError):
         build_dnoidal(0.8, 25.0, 1.0, N=7)
+    # N = 8 is accepted as a size, but leaves a tail of 1e-5 at k = 0.8
+    with pytest.raises(ValueError, match="truncation N=8"):
+        build_dnoidal(0.8, 25.0, 1.0, N=8)
+
+
+def test_build_dnoidal_A_is_extract_A_bit_for_bit(kawahara):
+    # build_dnoidal reads A as h_0 - omega c_0; extract_A, the reference,
+    # takes minus the mean of the whole residual; on and off the branch
+    for k in (0.6, 0.7, 0.8, 0.9, 0.95):
+        L_branch = solve_branch(k)[1]
+        for L in (L_branch, 0.8 * L_branch, 1.25 * L_branch, 20.0):
+            for omega in (-0.7, 0.3, 1.0, 2.5):
+                for N in (32, 64, 128, 256):
+                    params, psi = build_dnoidal(k, L, omega, N=N)
+                    A, _ = extract_A(psi, omega, kawahara)
+                    assert repr(params.A) == repr(A), (k, L, omega, N)
 
 
 def test_extract_A_constant_profile(kawahara):
@@ -150,36 +165,36 @@ def test_extract_A_constant_profile(kawahara):
     assert res < 1e-14
 
 
-def test_residual_on_branch(branch_points, kawahara):
+def test_residual_on_branch(branch_L, kawahara):
     for k in BRANCH_MODULI:
-        params, psi = build_dnoidal(k, branch_points[k].L, 1.0)
+        params, psi = build_dnoidal(k, branch_L[k], 1.0)
         _, res = extract_A(psi, 1.0, kawahara)
         assert res < 1e-8 * psi.sup_norm(), (k, res)
 
 
-def test_residual_uncorrected_a_is_large(branch_points, kawahara):
+def test_residual_uncorrected_a_is_large(branch_L, kawahara):
     # the uncorrected variant of `a` leaves an O(1e-2) defect
-    L = branch_points[0.8].L
+    L = branch_L[0.8]
     params, psi = build_dnoidal(0.8, L, 1.0)
     psi = psi.shifted(plain_dnoidal_a(0.8, L, 1.0) - params.a)
     _, res = extract_A(psi, 1.0, kawahara)
     assert res > 1e-3
 
 
-def test_detuned_negative_control(branch_points, kawahara):
-    point = branch_points[0.8]
-    params, psi = build_dnoidal(0.8, point.L, 1.0)
+def test_detuned_negative_control(branch_L, kawahara):
+    L = branch_L[0.8]
+    params, psi = build_dnoidal(0.8, L, 1.0)
     pair = complete_integrals(0.8)
     K, E = pair.K, pair.E
     M = 4 * 129
-    x = np.arange(M) * (point.L / M)
-    _, _, dnv, _ = ellipj(2 * K * x / point.L, 0.64)
+    x = np.arange(M) * (L / M)
+    _, _, dnv, _ = ellipj(2 * K * x / L, 0.64)
     mean2 = E / K
     mean4 = (2 - 0.64) * 2 * E / (3 * K) - (1 - 0.64) / 3
     for factor, floor in ((1.01, 1e-4), (1.10, 1e-3)):
         vals = (params.a + factor * params.b * (dnv**2 - mean2)
                 + params.d * (dnv**4 - mean4))
-        bad, _ = FourierProfile.from_samples(point.L, vals, 128)
+        bad, _ = FourierProfile.from_samples(L, vals, 128)
         _, res = extract_A(bad, 1.0, kawahara)
         assert res > floor, (factor, res)
 
@@ -207,9 +222,8 @@ def test_decay_ratio_fixed_variant():
     assert abs(sig[20] / sig[19] - limit) < 1e-3
 
 
-def test_decay_ratio_derived_variant(branch_points):
-    point = branch_points[0.8]
-    params, _ = build_dnoidal(0.8, point.L, 1.0)
+def test_decay_ratio_derived_variant(branch_L):
+    params, _ = build_dnoidal(0.8, branch_L[0.8], 1.0)
     sig = csch_coefficients(params, 81)
     limit = math.exp(-math.pi * complete_integrals(params.k).Kp / params.K)
     ratios = sig[1:] / sig[:-1]
@@ -226,19 +240,19 @@ def test_log_concavity():
         assert np.all(mid * mid >= sig[:-2] * sig[2:] * (1 - 1e-12))
 
 
-def test_fft_matches_derived_formula(branch_points):
-    params, psi = build_dnoidal(0.8, branch_points[0.8].L, 1.0)
+def test_fft_matches_derived_formula(branch_L):
+    params, psi = build_dnoidal(0.8, branch_L[0.8], 1.0)
     hat = psi.psi_hat(10)
     derived = csch_coefficients(params, 10)
     for n in range(1, 11):
         assert abs(derived[n - 1] - hat[n]) < 1e-6 * abs(hat[n]), n
 
 
-def test_galilean_family(branch_points):
-    point = branch_points[0.7]
+def test_galilean_family(branch_L):
+    L = branch_L[0.7]
     alpha = 0.41
-    _, psi1 = build_dnoidal(0.7, point.L, 1.0)
-    _, psi2 = build_dnoidal(0.7, point.L, 1.0 + alpha)
+    _, psi1 = build_dnoidal(0.7, L, 1.0)
+    _, psi2 = build_dnoidal(0.7, L, 1.0 + alpha)
     assert psi2.coeffs[0] - psi1.coeffs[0] == pytest.approx(alpha, rel=1e-12)
     assert np.abs(psi2.coeffs[1:] - psi1.coeffs[1:]).max() < 1e-14
 
