@@ -56,10 +56,17 @@ MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root e
 MAX_PATCH_POINTS = 10_000  # continue patch points: one Newton solve each
 
 # reproduce-figure1 narrows the sign change of p in passes of solve_branch,
-# each over 2**SIGN_CHANGE_HALVINGS equal parts of the bracket; at most
-# SIGN_CHANGE_PASSES passes, and none once the bracket is two adjacent doubles
+# each over 2**SIGN_CHANGE_HALVINGS equal parts of a window inside the
+# bracket.  The window reaches SIGN_CHANGE_WINDOW times the last term of an
+# inverse cubic to each side of its root estimate, at least
+# SIGN_CHANGE_MIN_ULPS ulps, until a pass finds the sign change outside it;
+# from then on the window is the whole bracket.  No window is wider than the
+# bracket and at most one pass misses, so SIGN_CHANGE_PASSES passes take a
+# bracket in (0, 1) to two adjacent doubles, where the search stops.
 SIGN_CHANGE_HALVINGS = 6
 SIGN_CHANGE_PASSES = 10
+SIGN_CHANGE_WINDOW = 8.0
+SIGN_CHANGE_MIN_ULPS = 32
 
 
 def _fmt(x):
@@ -320,6 +327,65 @@ def cmd_evolve(args):
     return code
 
 
+def _inverse_cubic(ks, ps):
+    """The root of the polynomial k(p) through the points (ps, ks), in
+    Newton's divided-difference form, and the size of its last term."""
+    c = list(ks)
+    for j in range(1, len(c)):
+        for m in range(len(c) - 1, j - 1, -1):
+            c[m] = (c[m] - c[m - 1]) / (ps[m] - ps[m - j])
+    root, prod, term = c[0], 1.0, 0.0
+    for m in range(1, len(c)):
+        prod *= -ps[m - 1]
+        term = c[m] * prod
+        root += term
+    return root, abs(term)
+
+
+def _sign_change(ks, ps):
+    """Narrow the first sign change of p between the ascending branch points
+    ks, where p takes the values ps, to two adjacent doubles.
+
+    Returns (lo, hi, passes): p > 0 holds at one of lo, hi and not at the
+    other, and passes counts the solve_branch calls.  (None, None, 0) if
+    the sign of p never changes.
+    """
+    ks, ps = np.asarray(ks, dtype=float), np.asarray(ps, dtype=float)
+    positive = ps > 0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
+    if not flips.size:
+        return None, None, 0
+    i = int(flips[0])
+    lo_positive = positive[i]   # the sign at lo, which every bracket keeps
+    passes, windowed = 0, True
+    while passes < SIGN_CHANGE_PASSES:
+        lo, hi = float(ks[i]), float(ks[i + 1])
+        if math.nextafter(lo, hi) == hi:
+            break
+        a, b = lo, hi
+        if windowed:
+            # the bracket's ends, then their nearest neighbours of another p
+            nodes = [i, i + 1]
+            for m in (i - 1, i + 2):
+                if 0 <= m < len(ks) and ps[m] not in ps[nodes]:
+                    nodes.append(m)
+            root, last = _inverse_cubic(ks[nodes].tolist(), ps[nodes].tolist())
+            if math.isfinite(root) and math.isfinite(last):
+                root = min(max(root, lo), hi)
+                half = max(SIGN_CHANGE_WINDOW * last,
+                           SIGN_CHANGE_MIN_ULPS * math.ulp(root))
+                a, b = max(lo, root - half), min(hi, root + half)
+        grid = np.linspace(a, b, 2**SIGN_CHANGE_HALVINGS + 1)[1:-1]
+        grid = grid[(lo < grid) & (grid < hi)]
+        ks = np.concatenate((ks[:i + 1], grid, ks[i + 1:]))
+        ps = np.concatenate((ps[:i + 1], solve_branch(grid)[2], ps[i + 1:]))
+        passes += 1
+        # the first point past lo where the sign differs; hi's does
+        i += int(np.argmax((ps[i + 1:i + grid.size + 2] > 0) != lo_positive))
+        windowed = windowed and a <= ks[i] and ks[i + 1] <= b
+    return float(ks[i]), float(ks[i + 1]), passes
+
+
 def cmd_reproduce_figure1(args):
     rows = sweep(_k_grid(args))
     left = [(r["k"], r["L1"]) for r in rows]
@@ -328,27 +394,15 @@ def cmd_reproduce_figure1(args):
     _write_csv(args.out_L1, "reproduce-figure1", meta, ["k", "L1"], left)
     _write_csv(args.out_p, "reproduce-figure1", meta, ["k", "p"], right)
 
-    # locate the sign change of p along the branch
     ks = [r["k"] for r in rows if r["p"] is not None]
     ps = [r["p"] for r in rows if r["p"] is not None]
-    k_star = None
-    for i in range(len(ks) - 1):
-        if (ps[i] > 0) != (ps[i + 1] > 0):
-            lo, hi = ks[i], ks[i + 1]
-            for _ in range(SIGN_CHANGE_PASSES):
-                if np.nextafter(lo, hi) == hi:
-                    break
-                grid = np.linspace(lo, hi, 2**SIGN_CHANGE_HALVINGS + 1)
-                flipped = (solve_branch(grid[1:-1])[2] > 0) != (ps[i] > 0)
-                j = int(np.argmax(np.append(flipped, True)))  # hi has flipped
-                lo, hi = float(grid[j]), float(grid[j + 1])
-            k_star = 0.5 * (lo + hi)
-            break
+    lo, hi, passes = _sign_change(ks, ps)
     n_pos = sum(1 for p in ps if p > 0)
     _emit_record({
         "points_on_branch": len(ks),
         "points_with_p_positive": n_pos,
-        "p_sign_change_k": k_star,
+        "p_sign_change_k": None if lo is None else 0.5 * (lo + hi),
+        "sign_change_passes": passes,
         "analytic_point_k": K_ANALYTIC,
         "tol_cubic_residual_rel": 1e-10,
         "tol_sign_change_bisections": SIGN_CHANGE_PASSES * SIGN_CHANGE_HALVINGS,

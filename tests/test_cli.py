@@ -243,7 +243,8 @@ def test_reproduce_figure1(tmp_path):
                     "--record-out", str(rec)]) == 0
     record = json.loads(read(rec))
     assert record["points_with_p_positive"] > 0
-    assert record["p_sign_change_k"] is not None
+    assert repr(record["p_sign_change_k"]) == "0.8489078546965656"
+    assert 1 <= record["sign_change_passes"] <= cli.SIGN_CHANGE_PASSES
     assert body_of(read(f1)).splitlines()[0] == "k,L1"
     assert body_of(read(f2)).splitlines()[0] == "k,p"
 
@@ -258,7 +259,9 @@ def test_reproduce_figure1_without_positive_p_exits_3(tmp_path, capsys, kmin, km
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("reproduce-figure1: ")
-    assert json.loads(read(rec))["points_with_p_positive"] == 0
+    record = json.loads(read(rec))
+    assert record["points_with_p_positive"] == 0
+    assert record["p_sign_change_k"] is None and record["sign_change_passes"] == 0
     assert f1.exists() and f2.exists()
 
 

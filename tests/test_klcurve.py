@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -190,12 +191,14 @@ def test_branch_reaches_k_near_one(tmp_path):
 
 def test_branch_work_budget(monkeypatch, tmp_path):
     # one array pass of the branch kernel, and one AGM loop, per grid: the
-    # sweep grid, plus one per 64-way split of the sign-change bracket
-    calls, passes = [], []
+    # sweep grid, then each pass of the sign-change search
+    calls, passes, points = [], [], []
 
     def counted(k, _fn=klcurve.solve_branch):
         calls.append(np.size(k))
-        return _fn(k)
+        out = _fn(k)
+        points.append((np.atleast_1d(k).tolist(), np.atleast_1d(out[2]).tolist()))
+        return out
 
     def counted_agm(k, _fn=elliptic._agm_levels):
         passes.append(np.size(k))
@@ -208,28 +211,98 @@ def test_branch_work_budget(monkeypatch, tmp_path):
     assert calls == passes == [200]
     calls.clear()
     passes.clear()
+    points.clear()
     assert main(["reproduce-figure1", "--steps", "200",
                  "--out-L1", str(tmp_path / "L1.csv"),
                  "--out-p", str(tmp_path / "p.csv"),
                  "--record-out", str(tmp_path / "r.json")]) == 0
-    # the search stops at adjacent doubles: p changes sign in [0.5, 1), where
-    # doubles are 2**-53 apart, so a bracket there takes at most 53 halvings,
-    # which is 9 splits into 64
+    record = json.loads((tmp_path / "r.json").read_text())
+    assert repr(record["p_sign_change_k"]) == "0.8489078546965656"
+    # the interpolated windows reach adjacent doubles in at most 3 passes
     assert calls == passes
-    assert calls[0] == 200 and set(calls[1:]) == {63}
-    assert len(calls) <= 1 + 9
+    assert calls[0] == 200 and 1 <= len(calls) - 1 <= 3
+    assert record["sign_change_passes"] == len(calls) - 1
+    # each pass solves at most 63 moduli, all strictly inside the bracket
+    # that the moduli solved before it leave
+    known = {k: p for k, p in zip(*points[0]) if not math.isnan(p)}
+    for ks, ps in points[1:]:
+        K = sorted(known)
+        i = next(i for i in range(len(K) - 1)
+                 if (known[K[i]] > 0) != (known[K[i + 1]] > 0))
+        assert 0 < len(ks) <= 63 and all(K[i] < k < K[i + 1] for k in ks)
+        known.update(zip(ks, ps))
 
 
-@pytest.mark.parametrize("case", ["sweep200", "solve_branch"])
-def test_sweep_timing(benchmark, case):
-    # layer timing of the branch kernel; the time is reported, never asserted
+def _even_split_sign_change(ks, ps):
+    """Reference: the first sign change of p narrowed by splitting the whole
+    bracket into 64 equal parts per pass, until it is two adjacent doubles."""
+    for i in range(len(ks) - 1):
+        if (ps[i] > 0) != (ps[i + 1] > 0):
+            lo, hi = ks[i], ks[i + 1]
+            for _ in range(cli.SIGN_CHANGE_PASSES):
+                if np.nextafter(lo, hi) == hi:
+                    break
+                grid = np.linspace(lo, hi, 2**cli.SIGN_CHANGE_HALVINGS + 1)
+                flipped = (solve_branch(grid[1:-1])[2] > 0) != (ps[i] > 0)
+                j = int(np.argmax(np.append(flipped, True)))  # hi has flipped
+                lo, hi = float(grid[j]), float(grid[j + 1])
+            return 0.5 * (lo + hi)
+    return None
+
+
+def test_sign_change_matches_even_split_oracle():
+    # seeded grids; the first 20 are coarse (3 to 10 steps), where the first
+    # window can miss and the search falls back to the even split
+    rng = np.random.default_rng(18)
+    found = []
+    for t in range(130):
+        steps = int(rng.integers(3, 11 if t < 20 else 1001))
+        grid = np.linspace(rng.uniform(0.05, 0.8), rng.uniform(0.86, 0.99), steps)
+        rows = [r for r in sweep(grid) if r["p"] is not None]
+        ks, ps = [r["k"] for r in rows], [r["p"] for r in rows]
+        lo, hi, n = cli._sign_change(ks, ps)
+        k_star = None if lo is None else 0.5 * (lo + hi)
+        assert repr(k_star) == repr(_even_split_sign_change(ks, ps)), grid
+        assert n <= cli.SIGN_CHANGE_PASSES
+        if lo is not None:
+            assert math.nextafter(lo, hi) == hi
+            assert (solve_branch(lo)[2] > 0) != (solve_branch(hi)[2] > 0)
+            found.append(n)
+    assert len(found) >= 100
+    assert max(found) > 3   # some window missed
+
+
+@pytest.mark.parametrize("p", [lambda k: (k - 0.8489) ** 3,
+                               lambda k: np.where(k < 0.8489, k - 0.8489, 1e6 * (k - 0.8489)),
+                               lambda k: np.where(k < 0.8489, -1.0, 1.0)],
+                         ids=["triple_root", "kink", "jump"])
+def test_sign_change_falls_back_to_even_split(monkeypatch, p):
+    # p where the inverse cubic misses: once a window misses, the even split
+    # still ends at two adjacent doubles within SIGN_CHANGE_PASSES passes
+    monkeypatch.setattr(cli, "solve_branch", lambda k: (None, None, p(k), None))
+    ks = np.linspace(0.6, 0.95, 8)
+    lo, hi, n = cli._sign_change(ks, p(ks))
+    assert math.nextafter(lo, hi) == hi and (p(lo) > 0) != (p(hi) > 0)
+    assert n <= cli.SIGN_CHANGE_PASSES
+
+
+@pytest.mark.parametrize("case", ["sweep200", "solve_branch", "figure200"])
+def test_sweep_timing(benchmark, case, tmp_path):
+    # layer timing of the branch kernel and of the figure; the time is
+    # reported, never asserted
     if case == "sweep200":
         grid = np.linspace(0.55, 0.95, 200)
         rows = benchmark.pedantic(sweep, args=(grid,), rounds=20, iterations=1)
         assert len(rows) == 200 and all(r["stable"] != "no_root" for r in rows)
-    else:
+    elif case == "solve_branch":
         out = benchmark.pedantic(solve_branch, args=(0.8,), rounds=20, iterations=5)
         assert repr(out) == repr(solve_branch(0.8))
+    else:
+        argv = ["reproduce-figure1", "--steps", "200",
+                "--out-L1", str(tmp_path / "L1.csv"),
+                "--out-p", str(tmp_path / "p.csv"),
+                "--record-out", str(tmp_path / "r.json")]
+        assert benchmark.pedantic(main, args=(argv,), rounds=20, iterations=1) == 0
 
 
 def test_build_dnoidal_makes_two_agm_passes(monkeypatch):
