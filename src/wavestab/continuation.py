@@ -8,11 +8,10 @@ which is invertible precisely because the kernel direction psi' is odd.
 `surface_patch` starts each Newton solve from the first-order (Keller)
 predictor psi + d_omega eta + d_A beta at the neighbouring point, where
 eta = dpsi/domega and beta = dpsi/dA come from the one LU of
-`_variation_solve`: 3 iterations a point instead of 4 at steps of 5e-3.
-It stays first order because next to a fold of the family (smallest even
-eigenvalue near 0.01) the start decides whether Newton lands: a
-second-order term, or one tangent for the whole patch, changed which
-corners converge.
+`_variation_solve`.  It stays first order because next to a fold of the
+family (smallest even eigenvalue near 0.01) the start decides whether
+Newton lands: a second-order term, or one tangent for the whole patch,
+changed which corners converge.
 """
 
 from dataclasses import dataclass
@@ -109,7 +108,7 @@ def surface_patch(center, domega, dA, extent, sym):
     def extend(frm, di, dj):
         prev = patch.get(frm)
         if prev is None:
-            return None
+            return
         omega, A = center.omega + di * domega, center.A + dj * dA
         try:
             if frm not in tangents:
@@ -121,23 +120,16 @@ def surface_patch(center, domega, dA, extent, sym):
                                    + (A - prev.A) * beta.coeffs)
             pt = newton_solve(start, omega, A, sym)
         except (DegenerateOperatorError, NewtonDivergenceError):
-            return None
+            return
         patch[(di, dj)] = pt
-        return pt
 
-    for di in list(range(1, iw + 1)):
-        if extend((di - 1, 0), di, 0) is None:
-            break
-    for di in list(range(-1, -iw - 1, -1)):
-        if extend((di + 1, 0), di, 0) is None:
-            break
+    for di in range(1, iw + 1):
+        extend((di - 1, 0), di, 0)
+    for di in range(-1, -iw - 1, -1):
+        extend((di + 1, 0), di, 0)
     for di in range(-iw, iw + 1):
-        if (di, 0) not in patch:
-            continue
         for dj in range(1, ia + 1):
-            if extend((di, dj - 1), di, dj) is None:
-                break
+            extend((di, dj - 1), di, dj)
         for dj in range(-1, -ia - 1, -1):
-            if extend((di, dj + 1), di, dj) is None:
-                break
+            extend((di, dj + 1), di, dj)
     return patch

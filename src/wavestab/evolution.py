@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import TAIL_RTOL, extract_A
+from .profile import extract_A
 
 __all__ = [
     "EvolutionState",
@@ -84,14 +84,10 @@ def state_from_profile(psi, grid_size=256):
     """Load the profile's modes in the dealiased band, n <= grid // 3.
 
     Raises ValueError when a dropped coefficient exceeds TAIL_RTOL of the
-    largest oscillating one (FourierProfile.tail_ratio).
+    largest oscillating one (FourierProfile.require_resolved).
     """
     band = grid_size // 3
-    dropped = psi.tail_ratio(band)
-    if dropped > TAIL_RTOL:
-        raise ValueError(f"grid {grid_size} keeps modes up to {band} and drops a "
-                         f"wave coefficient {dropped:.2e} of the largest oscillating "
-                         f"one, above {TAIL_RTOL:g}")
+    psi.require_resolved(f"grid {grid_size} (modes up to {band})", band)
     return EvolutionState(t=0.0, modes=grid_size * psi.psi_hat(band), L0=psi.L0,
                           grid_size=grid_size)
 
@@ -185,18 +181,14 @@ class Evolver:
 
 
 def default_dt(state, sym, safety=0.5):
-    """dt = safety / theta(xi_eff), xi_eff the largest content-carrying wavenumber.
+    """(dt, xi_eff, theta(xi_eff)) with dt = safety / max(theta(xi_eff), 1),
+    xi_eff the largest content-carrying wavenumber.
 
     Content is a mode magnitude above 1e-12 times the largest; the exact
     linear propagation keeps the scheme stable well beyond this, so the
     bound is an accuracy heuristic, gated in practice by the conservation
     drift checks.
     """
-    return _dt_rule(state, sym, safety)[0]
-
-
-def _dt_rule(state, sym, safety):
-    """(dt, xi_eff, theta(xi_eff)) of default_dt."""
     mags = np.abs(state.mode_coefficients())
     top = mags.max()
     idx = np.nonzero(mags > 1e-12 * top)[0]
@@ -274,7 +266,8 @@ def orbital_distance(state, psi, sym):
 def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
     """Perturbation values on the grid, amplitude delta.
 
-    kind="mode": delta * cos(2 pi mode x / L0), mean preserving;
+    kind="mode": delta * cos(2 pi mode x / L0), mean preserving, for a mode
+    in the dealiased band 1..grid_size // 3 (ValueError otherwise);
     kind="random": seeded band-limited random trigonometric polynomial
     (modes 1..8, both parities, O(1) amplitude), mean preserving;
     kind="mean": the constant delta, which moves the wave average.
@@ -282,6 +275,9 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
     L0 = psi.L0
     x = np.arange(grid_size) * (L0 / grid_size)
     if kind == "mode":
+        if not 1 <= mode <= grid_size // 3:
+            raise ValueError(f"mode {mode} is outside 1..{grid_size // 3}, "
+                             f"the dealiased band of grid {grid_size}")
         return delta * np.cos(2.0 * math.pi * mode * x / L0)
     if kind == "random":
         rng = np.random.default_rng(seed)
@@ -300,12 +296,13 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
 
 def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
                          grid_size=256, dt=None, seed=0, n_samples=200,
-                         A=None, mode=1, dt_safety=0.5):
+                         mode=1, dt_safety=0.5):
     """Evolve psi + delta*v and record (t, rho, E, F, M, deltaP) time series.
 
     The horizon is `periods` temporal periods L0/omega.  deltaP is the
     conserved-combination difference P(u(t)) - P(psi) with P = E + omega F
-    + A M; it stays constant in t because all three pieces are conserved.
+    + A M, A from extract_A; it stays constant in t because all three
+    pieces are conserved.
     The first record also gives the membership of u0 in the fixed-(F, M)
     manifold, the dt used, the step count and the Evolver's transform; when
     dt is None, also dt_safety, xi_eff and theta_eff of the default_dt rule
@@ -313,15 +310,14 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     MAX_STEPS steps raises ValueError before any step is taken.  On blow-up
     the partial series is attached to the exception.
     """
-    if A is None:
-        A, _ = extract_A(psi, omega, sym)
     v = make_perturbation(kind, psi, delta, grid_size=grid_size, mode=mode,
                           seed=seed)
+    A, _ = extract_A(psi, omega, sym)
     psi_state = state_from_profile(psi, grid_size)
     state = state_from_values(psi_state.values() + v, psi.L0)
     rule = {}
     if dt is None:
-        dt, xi_eff, theta_eff = _dt_rule(state, sym, dt_safety)
+        dt, xi_eff, theta_eff = default_dt(state, sym, dt_safety)
         rule = {"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
     nsteps_float = periods * psi.L0 / omega / dt
     if not nsteps_float <= MAX_STEPS:  # also catches inf and NaN

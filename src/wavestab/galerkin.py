@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .profile import TAIL_RTOL, FourierProfile
+from .profile import FourierProfile
 
 __all__ = [
     "GalerkinOperator",
@@ -172,10 +172,7 @@ def assemble(psi, omega, sym, N=None):
         N = psi.N
     if psi.N > N:
         psi = psi.truncated(N)
-    tail = psi.tail_ratio()
-    if tail > TAIL_RTOL:
-        raise ValueError(f"operator truncation N={N} leaves a profile tail {tail:.2e} "
-                         f"of the largest oscillating coefficient, above {TAIL_RTOL:g}")
+    psi.require_resolved(f"operator truncation N={N}")
     return GalerkinOperator(psi, omega, sym, N)
 
 

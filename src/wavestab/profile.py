@@ -33,8 +33,8 @@ __all__ = [
     "pi_residual",
 ]
 
-# a profile is resolved when its tail_ratio() is at most this; build_dnoidal,
-# galerkin.assemble and evolution.state_from_profile refuse one above it
+# a profile is resolved when its tail_ratio() is at most this; require_resolved
+# refuses one above it, extract_A warns
 TAIL_RTOL = 1e-10
 
 
@@ -117,6 +117,14 @@ class FourierProfile:
             return 0.0
         return float(c[n:].max(initial=0.0) / top)
 
+    def require_resolved(self, what, n=None):
+        """Raise ValueError when tail_ratio(n) is above TAIL_RTOL; `what`
+        names the truncation in the message."""
+        tail = self.tail_ratio(n)
+        if tail > TAIL_RTOL:
+            raise ValueError(f"{what} leaves a profile tail {tail:.2e} of the "
+                             f"largest oscillating coefficient, above {TAIL_RTOL:g}")
+
     def psi_hat(self, n_max):
         """One-sided complex Fourier coefficients hat(psi)(n), n = 0..n_max."""
         h = np.zeros(n_max + 1)
@@ -191,18 +199,14 @@ class DnoidalParams:
     E: float
 
 
-def dnoidal_coefficients(k, L, omega):
+def dnoidal_coefficients(k, L, omega, pair=None):
     """Ansatz coefficients (a, b, d) for modulus k, period L, speed omega.
 
     `a` carries the correction of the module note, so that the sampled
     ansatz solves the traveling-wave equation to machine precision; its
     (k, L) part is the one klcurve.p_of_k uses.
     """
-    return _coefficients(k, L, omega, complete_integrals(k))
-
-
-def _coefficients(k, L, omega, pair):
-    """dnoidal_coefficients with the complete integrals of k given."""
+    pair = pair or complete_integrals(k)
     K, E = pair.K, pair.E
     if k <= 0.0 or L <= 0.0:
         raise ValueError("need 0 < k < 1 and L > 0")
@@ -225,29 +229,30 @@ def build_dnoidal(k, L, omega, N=128):
     of them and bit for bit the A of extract_A.  The caller is responsible
     for choosing (k, L) on the period-constraint curve if an exact solution
     is wanted; off-curve input is allowed and simply yields a large residual
-    in extract_A.  Raises ValueError when truncation N leaves a tail_ratio()
-    above TAIL_RTOL.
+    in extract_A.  Raises FloatingPointError when a coefficient of the wave,
+    A, a, b or d is not finite, and ValueError when truncation N leaves a
+    tail_ratio() above TAIL_RTOL.
     """
     if N < 8:
         raise ValueError("truncation N < 8 is under-resolved")
     pair = complete_integrals(k)
     K, E = pair.K, pair.E
-    a, b, d = _coefficients(k, L, omega, pair)
-    M = 4 * (N + 1)
-    x = np.arange(M) * (L / M)
-    _, _, dnv = jacobi_sn_cn_dn(2.0 * K * x / L, k)
-    mean2 = E / K
-    mean4 = (2.0 - k**2) * (2.0 * E) / (3.0 * K) - (1.0 - k**2) / 3.0
-    vals = a + b * (dnv**2 - mean2) + d * (dnv**4 - mean4)
-    psi, odd_energy = FourierProfile.from_samples(L, vals, N)
+    # an overflowing wave is reported once, by the finiteness check below
+    with np.errstate(all="ignore"):
+        a, b, d = dnoidal_coefficients(k, L, omega, pair)
+        M = 4 * (N + 1)
+        x = np.arange(M) * (L / M)
+        _, _, dnv = jacobi_sn_cn_dn(2.0 * K * x / L, k)
+        mean2 = E / K
+        mean4 = (2.0 - k**2) * (2.0 * E) / (3.0 * K) - (1.0 - k**2) / 3.0
+        vals = a + b * (dnv**2 - mean2) + d * (dnv**4 - mean4)
+        psi, odd_energy = FourierProfile.from_samples(L, vals, N)
+        A = float(psi.half_square().coeffs[0] - omega * psi.coeffs[0])
+    if not np.isfinite(np.append(psi.coeffs, (A, a, b, d))).all():
+        raise FloatingPointError(f"non-finite wave at k={k}, L={L}, omega={omega}")
     if odd_energy > 1e-12:
         raise RuntimeError(f"dnoidal sampling produced odd content {odd_energy:.2e}")
-    # NaN compares False here, so a non-finite wave reaches the caller's check
-    tail = psi.tail_ratio()
-    if tail > TAIL_RTOL:
-        raise ValueError(f"truncation N={N} leaves a profile tail {tail:.2e} of the "
-                         f"largest oscillating coefficient, above {TAIL_RTOL:g}")
-    A = float(psi.half_square().coeffs[0] - omega * psi.coeffs[0])
+    psi.require_resolved(f"truncation N={N}")
     params = DnoidalParams(
         k=float(k), L=float(L), omega=float(omega), A=A,
         a=a, b=b, d=d, K=K, E=E,

@@ -239,7 +239,7 @@ def test_criterion_8_evolution_gates(wave08, kawahara):
     params, psi = wave08
     grid = 256
     st = state_from_profile(psi, grid)
-    dt = default_dt(st, kawahara)
+    dt = default_dt(st, kawahara)[0]
     stepper = Evolver(psi.L0, grid, kawahara, dt)
 
     # (a) exact advection over 10 temporal periods
@@ -263,8 +263,7 @@ def test_criterion_8_evolution_gates(wave08, kawahara):
     for seed in range(5):
         series = stability_experiment(
             psi, params.omega, kawahara, kind="random", delta=1e-3,
-            periods=50.0, grid_size=128, seed=seed, n_samples=60, A=params.A,
-            dt_safety=0.35,
+            periods=50.0, grid_size=128, seed=seed, n_samples=60, dt_safety=0.35,
         )
         rho0 = series[0]["rho"]
         worst_ratio = max(worst_ratio,

@@ -96,7 +96,7 @@ def test_kawahara_direct_form_matches_symbol(kawahara):
 def test_dnoidal_advection_ten_periods(wave08, kawahara):
     params, psi = wave08
     st = ev.state_from_profile(psi, GRID)
-    dt = ev.default_dt(st, kawahara)
+    dt = ev.default_dt(st, kawahara)[0]
     stepper = ev.Evolver(psi.L0, GRID, kawahara, dt)
     nsteps = int(round(10 * psi.L0 / params.omega / dt))
     out = stepper.run(st, nsteps)
@@ -236,6 +236,23 @@ def test_run_rejects_incompatible_state(kawahara):
         ev.Evolver(21.0, GRID, kawahara, 1e-3).run(st, 3)
 
 
+@pytest.mark.parametrize("mode", [0, 22, 500])
+def test_mode_outside_dealiased_band_refused(wave08, kawahara, monkeypatch, mode):
+    # grid 64 keeps modes 1..21: mode 22 would be dropped by the dealiasing
+    # and mode 500 would alias to another mode; each is refused before a step
+    params, psi = wave08
+    with pytest.raises(ValueError, match=f"mode {mode} is outside 1..21"):
+        ev.make_perturbation("mode", psi, 1e-3, 64, mode=mode)
+
+    def no_evolver(*args):
+        raise AssertionError("an Evolver was built")
+
+    monkeypatch.setattr(ev, "Evolver", no_evolver)
+    with pytest.raises(ValueError, match=f"mode {mode} is outside 1..21"):
+        ev.stability_experiment(psi, params.omega, kawahara, kind="mode",
+                                mode=mode, grid_size=64, periods=0.1)
+
+
 def test_experiment_blowup_carries_partial_series(wave08, kawahara):
     params, psi = wave08
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,7 +335,7 @@ def _perturbed_state(psi, grid, seed=1, delta=1e-2):
 def test_half_spectrum_run_matches_complex_oracle(wave08, kawahara, grid, nonlinear):
     _, psi = wave08
     st = _perturbed_state(psi, grid)
-    dt = ev.default_dt(st, kawahara)
+    dt = ev.default_dt(st, kawahara)[0]
     stepper = (ev.Evolver if nonlinear else LinearEvolver)(psi.L0, grid, kawahara, dt)
     out = stepper.run(st, 1000)
     ref = _ComplexStepOracle(psi.L0, grid, kawahara, dt, nonlinear).run(
@@ -426,7 +443,7 @@ def test_run_timing(benchmark, wave08, kawahara, grid):
     # layer timing of Evolver.run; the time is reported, never asserted
     _, psi = wave08
     st = _perturbed_state(psi, grid)
-    stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(st, kawahara))
+    stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(st, kawahara)[0])
     out = benchmark.pedantic(stepper.run, args=(st, 100), rounds=5, iterations=1)
     ref = stepper.run(st, 100)
     assert out.t == ref.t and np.array_equal(out.modes, ref.modes)

@@ -164,14 +164,47 @@ def _walk_branch(k_target, step=2e-3):
     return L1
 
 
+def _walk_branches(k_targets, step=2e-3):
+    """_walk_branch for every target at once: step i takes the i-th point of
+    every walk still running, all in one solve_branch call."""
+    k0 = K_ANALYTIC
+    kt = np.asarray(k_targets, dtype=float)
+    L1 = np.full(kt.shape, math.sqrt((908544.0 / 31.0) * 0.75)
+                 * complete_integrals(k0).K ** 2)
+    nsteps = np.maximum(1, np.ceil(np.abs(kt - k0) / step)).astype(int)
+    nsteps[np.abs(kt - k0) < 1e-14] = 0
+    running = nsteps > 0
+    for i in range(1, nsteps.max(initial=0) + 1):
+        running &= i <= nsteps
+        idx = np.flatnonzero(running)
+        top, _, _, lower = solve_branch(k0 + (kt[idx] - k0) * (i / nsteps[idx]))
+        prev = L1[idx]
+        # the nearest root; on a tie the lower, which min() meets first
+        take_lower = ~np.isnan(lower) & ~(np.abs(top - prev) < np.abs(lower - prev))
+        nearest = np.where(take_lower, lower, top)
+        ok = ~np.isnan(nearest) & ~(np.abs(nearest - prev)
+                                    > 0.25 * np.maximum(prev, 1.0))
+        L1[idx] = np.where(ok, nearest, np.nan)
+        running[idx[~ok]] = False
+    return [None if math.isnan(x) else x for x in L1.tolist()]
+
+
+def test_batched_walk_matches_scalar_walk():
+    targets = np.concatenate([np.linspace(0.30, 0.998, 12),
+                              np.linspace(0.534, 0.535, 8), [K_ANALYTIC]])
+    batched = _walk_branches(targets)
+    assert sum(x is None for x in batched) not in (0, len(targets))
+    for k, walked in zip(targets, batched):
+        assert repr(walked) == repr(_walk_branch(k)), k
+
+
 def test_larger_root_matches_continuation_oracle():
     # the fold sits near 0.5345; the walk's jump guard misfires above ~0.9987
     grid = np.concatenate([np.linspace(0.30, 0.998, 1000),
                            np.linspace(0.534, 0.535, 201)])
     missing = 0
-    for k in grid:
+    for k, walked in zip(grid, _walk_branches(grid)):
         L1 = solve_branch(k)[0]
-        walked = _walk_branch(k)
         assert math.isnan(L1) == (walked is None), k
         if walked is None:
             missing += 1

@@ -144,6 +144,14 @@ def test_truncation_guard():
         build_dnoidal(0.8, 25.0, 1.0, N=8)
 
 
+def test_non_finite_wave_refused():
+    # a huge omega overflows a and the samples; build_dnoidal reports it
+    # once, and no RuntimeWarning escapes (pytest turns one into an error)
+    L = solve_branch(0.8)[1]
+    with pytest.raises(FloatingPointError, match="non-finite wave at k=0.8"):
+        build_dnoidal(0.8, L, 1e308)
+
+
 def test_build_dnoidal_A_is_extract_A_bit_for_bit(kawahara):
     # build_dnoidal reads A as h_0 - omega c_0; extract_A, the reference,
     # takes minus the mean of the whole residual; on and off the branch
