@@ -16,13 +16,22 @@ were faster in every measured pass, with one BLAS thread as with two.  Above
 it the matrices grow as grid^2 (about 400 MB at grid 6144) and their products
 lose to the FFT pair, so the step uses irfft/rfft.
 
+At these sizes a step's cost is numpy call dispatch, so each stage writes
+into work buffers that Evolver.run allocates once: the transforms and every
+line of the step's algebra take out=, in the operation order of the plain
+expressions, so the bits are those of an allocating step.  The band may carry
+a leading stack axis, (S, band) for S states stepped together: the dense
+products become matrix-matrix ones and the FFTs run along the last axis.
+stability_experiment steps a sequence of seeds this way.
+
 Conserved quantities: E = 1/2 int (M^{1/2}u)^2 - (1/6) int u^3, F, M.  The
 cubic coefficient 1/6 is the one the flux form u_t = (Mu - u^2/2)_x
 conserves, and it makes E + omega F + A M stationary at the wave.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,15 +53,19 @@ BLOWUP_SUP = 1e6
 BLOWUP_CHECK_EVERY = 1000   # steps between sup-norm checks; the last step is checked too
 CONTOUR_POINTS = 32
 NEWTON_MAX_ITER = 20
-MAX_STEPS = 10_000_000      # stability_experiment's cap: ~20 min at grid 256
+MAX_STEPS = 10_000_000      # stability_experiment's cap: ~17 min at grid 256
 DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (measured crossover)
 
 
 class BlowUpError(RuntimeError):
-    """Sup norm exceeded the blow-up threshold; carries the partial series."""
+    """Sup norm exceeded the blow-up threshold; carries the partial series.
 
-    def __init__(self, message):
+    `rows` are the failed rows of a stepped stack ((0,) for one state).
+    """
+
+    def __init__(self, message, rows):
         super().__init__(message)
+        self.rows = rows
         self.series = []
 
 
@@ -61,7 +74,8 @@ class EvolutionState:
     """Solution snapshot: the dealiased rfft modes of a real periodic field."""
 
     t: float
-    modes: np.ndarray        # rfft modes 0..grid_size // 3; irfft pads the rest with zeros
+    modes: np.ndarray        # rfft modes 0..grid_size // 3 (last axis; a stack of
+                             # states leads with its own axis); irfft pads the rest
     L0: float
     grid_size: int           # not derivable from len(modes): three grids share a band
 
@@ -98,6 +112,17 @@ def state_from_values(values, L0):
     return EvolutionState(t=0.0, modes=modes, L0=float(L0), grid_size=len(values))
 
 
+class _Work(NamedTuple):
+    """Work buffers of one Evolver.run, allocated once for its state's shape."""
+
+    phys: np.ndarray    # grid values of a stage input, squared in place
+    sink: tuple         # where stage i's transform back to the band writes
+    N: tuple            # the four stage terms: band views of the sinks
+    ev: np.ndarray      # E2 vh, then E2 a
+    a: np.ndarray       # the second stage input, then the step's sum terms
+    b: np.ndarray       # the third and fourth stage inputs
+
+
 class Evolver:
     """ETDRK4 stepper with precomputed weights for one (grid, dt, symbol).
 
@@ -107,15 +132,16 @@ class Evolver:
     "dense" (grid <= DENSE_GRID_MAX) multiplies the band, viewed as
     interleaved real and imaginary parts, by a synthesis and an analysis
     matrix; "fft" uses an irfft/rfft pair, whose cost and memory stay bounded
-    at large grids.
+    at large grids.  `run` takes the band of one state, or a stack of S
+    states as an (S, band) array, which it steps as one.
     """
 
     def __init__(self, L0, grid_size, sym, dt):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        self.dt = dt = float(dt)
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, not {dt!r}")
         self.L0 = float(L0)
         self.grid_size = G = int(grid_size)
-        self.dt = dt = float(dt)
         self.band = G // 3 + 1
         xi = 2.0 * math.pi * np.fft.rfftfreq(G, d=self.L0 / G)[: self.band]
         lin = 1j * xi * np.asarray(sym(xi), dtype=float)
@@ -141,41 +167,86 @@ class Evolver:
             self._synth = np.stack((weight * cos, -weight * sin), 1).reshape(-1, G)
             self._anal = np.ascontiguousarray(np.stack((cos, -sin), 1).reshape(-1, G).T)
 
-    def _nonlin(self, vh):
-        """Band of rfft(u^2) for the band modes vh of u."""
-        if self._synth is None:
-            return np.fft.rfft(np.fft.irfft(vh, self.grid_size) ** 2)[..., : self.band]
-        return (np.square(vh.view(float) @ self._synth) @ self._anal).view(complex)
+    def _work(self, shape):
+        """Buffers for band modes of `shape`, (band,) or a stack (S, band).
 
-    def _step(self, vh):
-        """One step of the band modes vh; four nonlinear terms."""
-        N1 = self._nonlin(vh)
-        Ev = self.E2 * vh
-        a = Ev + self.Q * N1
-        N2 = self._nonlin(a)
-        N3 = self._nonlin(Ev + self.Q * N2)
-        N4 = self._nonlin(self.E2 * a + self.Q * (2.0 * N3 - N1))
-        return self.E1 * vh + self.f1 * N1 + self.f2 * (N2 + N3) + self.f3 * N4
+        The dense transform writes stage i's term into a float view of the
+        band row N[i]; the FFT writes the full rfft row and N[i] is its band.
+        """
+        lead = shape[:-1]
+        if self._synth is None:
+            full = np.empty((4, *lead, self.grid_size // 2 + 1), dtype=complex)
+            sink = tuple(full)
+            N = tuple(full[..., : self.band])
+        else:
+            N = tuple(np.empty((4, *shape), dtype=complex))
+            sink = tuple(n.view(float) for n in N)
+        ev, a, b = np.empty((3, *shape), dtype=complex)
+        return _Work(np.empty((*lead, self.grid_size)), sink, N, ev, a, b)
+
+    def _nonlin(self, x, i, work):
+        """Band of rfft(u^2) for the band modes x of u, as the view work.N[i]."""
+        phys = work.phys
+        if self._synth is None:
+            np.fft.irfft(x, self.grid_size, out=phys)
+            np.square(phys, out=phys)
+            np.fft.rfft(phys, out=work.sink[i])
+        else:
+            np.dot(x.view(float), self._synth, out=phys)
+            np.square(phys, out=phys)
+            np.dot(phys, self._anal, out=work.sink[i])
+        return work.N[i]
+
+    def _step(self, vh, work):
+        """One step of the band modes vh, in place; four nonlinear terms.
+
+        Each line is the out= form of
+            Ev = E2 vh;  a = Ev + Q N1;  b = Ev + Q N2
+            c = E2 a + Q (2 N3 - N1)
+            vh <- E1 vh + f1 N1 + f2 (N2 + N3) + f3 N4
+        with the same operands in the same order, so the bits are the same.
+        """
+        E2, Q, ev, a, b = self.E2, self.Q, work.ev, work.a, work.b
+        N1 = self._nonlin(vh, 0, work)
+        np.multiply(E2, vh, out=ev)
+        np.add(ev, np.multiply(Q, N1, out=a), out=a)
+        N2 = self._nonlin(a, 1, work)
+        np.add(ev, np.multiply(Q, N2, out=b), out=b)
+        N3 = self._nonlin(b, 2, work)
+        np.subtract(np.multiply(2.0, N3, out=b), N1, out=b)
+        np.add(np.multiply(E2, a, out=ev), np.multiply(Q, b, out=b), out=b)
+        N4 = self._nonlin(b, 3, work)
+        np.multiply(self.E1, vh, out=vh)
+        np.add(vh, np.multiply(self.f1, N1, out=a), out=vh)
+        np.add(vh, np.multiply(self.f2, np.add(N2, N3, out=a), out=a), out=vh)
+        np.add(vh, np.multiply(self.f3, N4, out=a), out=vh)
 
     def step(self, state):
         return self.run(state, 1)
 
     def run(self, state, nsteps):
-        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps."""
+        """Advance nsteps; blow-up is checked every BLOWUP_CHECK_EVERY steps.
+
+        The returned state owns its modes.  For a stack, BlowUpError.rows
+        names the rows whose sup norm failed the check.
+        """
         G = self.grid_size
         if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
         vh = np.array(state.modes, dtype=complex)
+        work = self._work(vh.shape)
         # a blowing-up state overflows before the check below sees it; the
         # BlowUpError is its one report
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(nsteps):
-                vh = self._step(vh)
+                self._step(vh, work)
                 if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
-                    sup = float(np.abs(np.fft.irfft(vh, G)).max())
-                    if not (sup <= BLOWUP_SUP):  # also catches NaN
+                    sup = np.abs(np.fft.irfft(vh, G)).max(axis=-1)
+                    failed = ~(sup <= BLOWUP_SUP)  # also catches NaN
+                    if failed.any():
                         raise BlowUpError(
-                            f"blow-up at t={state.t + (s + 1) * self.dt:.6g}")
+                            f"blow-up at t={state.t + (s + 1) * self.dt:.6g}",
+                            rows=tuple(np.flatnonzero(failed).tolist()))
         return EvolutionState(t=state.t + nsteps * self.dt, modes=vh, L0=self.L0,
                               grid_size=G)
 
@@ -309,16 +380,34 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     that chose it.  A horizon of more than
     MAX_STEPS steps raises ValueError before any step is taken.  On blow-up
     the partial series is attached to the exception.
+
+    `seed` may be a sequence of seeds: their states are stepped as one
+    (S, band) stack and one series per seed is returned, each with the
+    records of a single-seed run up to round-off: the dense transform's
+    matrix-matrix products round differently from one seed's vector-matrix
+    ones.  With dt None the seeds must share their default_dt (ValueError
+    otherwise), so no seed steps at another's dt.  A blow-up names the
+    failed seeds and carries every seed's partial series.
     """
-    v = make_perturbation(kind, psi, delta, grid_size=grid_size, mode=mode,
-                          seed=seed)
+    batched = np.ndim(seed) > 0
+    seeds = list(seed) if batched else [seed]
+    if not seeds:
+        raise ValueError("seed is an empty sequence")
+    vs = [make_perturbation(kind, psi, delta, grid_size=grid_size, mode=mode,
+                            seed=s) for s in seeds]
     A, _ = extract_A(psi, omega, sym)
     psi_state = state_from_profile(psi, grid_size)
-    state = state_from_values(psi_state.values() + v, psi.L0)
-    rule = {}
+    states = [state_from_values(psi_state.values() + v, psi.L0) for v in vs]
+    rules = [{}] * len(states)
     if dt is None:
-        dt, xi_eff, theta_eff = default_dt(state, sym, dt_safety)
-        rule = {"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
+        picks = [default_dt(st, sym, dt_safety) for st in states]
+        dts = sorted({p[0] for p in picks})
+        if len(dts) > 1:
+            raise ValueError(f"seeds {seeds} have default dt {dts}; a stack "
+                             f"steps at one dt")
+        dt = dts[0]
+        rules = [{"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
+                 for _, xi_eff, theta_eff in picks]
     nsteps_float = periods * psi.L0 / omega / dt
     if not nsteps_float <= MAX_STEPS:  # also catches inf and NaN
         raise ValueError(f"{nsteps_float:.3g} steps of dt={dt:.3g} exceed the "
@@ -336,21 +425,32 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
         return {"t": st.t, "rho": rho, "E": c.E, "F": c.F, "M": c.M,
                 "deltaP": dP}
 
-    series = [record(state)]
-    first = series[0]
-    first["on_manifold"] = bool(
-        abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
-        and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
-    )
-    first.update(dt=dt, steps=nsteps_total, transform=ev.transform, **rule)
+    def members(st):
+        return [replace(st, modes=m) for m in st.modes] if batched else [st]
+
+    series = [[record(st)] for st in states]
+    for (first,), rule in zip(series, rules):
+        first["on_manifold"] = bool(
+            abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
+            and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
+        )
+        first.update(dt=dt, steps=nsteps_total, transform=ev.transform, **rule)
+    stack = replace(states[0], modes=np.stack([st.modes for st in states])) \
+        if batched else states[0]
     done = 0
     try:
         while done < nsteps_total:
             n = min(stride, nsteps_total - done)
-            state = ev.run(state, n)
+            stack = ev.run(stack, n)
             done += n
-            series.append(record(state))
+            for s, st in zip(series, members(stack)):
+                s.append(record(st))
     except BlowUpError as exc:
-        exc.series = series
-        raise
-    return series
+        if not batched:
+            exc.series = series[0]
+            raise
+        failed = ", ".join(str(seeds[r]) for r in exc.rows)
+        err = BlowUpError(f"seed {failed}: {exc}", exc.rows)
+        err.series = series
+        raise err from exc
+    return series if batched else series[0]

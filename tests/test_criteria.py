@@ -209,3 +209,12 @@ def test_report_record_fields(wave08, kawahara):
     for key in ("verdict", "detD", "I", "avg_minus_speed", "tol_zero_band",
                 "tol_identity_rtol", "n_neg", "n_zero"):
         assert key in rec
+
+
+def test_evaluate_wave_timing(benchmark, wave08, kawahara):
+    # layer timing of evaluate_wave at N_op 256 on the determinant route;
+    # the time is reported, never asserted
+    params, psi = wave08
+    report = benchmark.pedantic(evaluate_wave, args=(psi, params.omega, kawahara, 256),
+                                rounds=5, iterations=1)
+    assert report.verdict == VERDICT_DETERMINANT and report.w_psi is None

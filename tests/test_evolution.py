@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def translate_state(state, y):
 class LinearEvolver(ev.Evolver):
     """The stepper with the nonlinear term switched off."""
 
-    def _nonlin(self, vh):
+    def _nonlin(self, x, i, work):
         return 0.0
 
 
@@ -230,6 +231,13 @@ def test_blowup_detection(kawahara):
         stepper.step(st)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_dt_not_finite_positive_refused(kawahara, dt):
+    # NaN and inf passed a `dt <= 0` check and ran into a false blow-up
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        ev.Evolver(20.0, GRID, kawahara, dt)
+
+
 def test_run_rejects_incompatible_state(kawahara):
     st = ev.state_from_values(np.zeros(GRID), 20.0)
     with pytest.raises(ValueError):
@@ -429,7 +437,7 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
         st = _perturbed_state(psi, grid)
         stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
         counts.update(dict.fromkeys(counts, 0))
-        stepper._step(st.modes)
+        stepper._step(st.modes.copy(), stepper._work(st.modes.shape))
         assert counts == {"fft": 0, "ifft": 0, "rfft": per_pair, "irfft": per_pair}
         counts.update(dict.fromkeys(counts, 0))
         stepper.run(st, 10)
@@ -438,12 +446,133 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
                           "irfft": 10 * per_pair + 1}
 
 
-@pytest.mark.parametrize("grid", [128, 256])
-def test_run_timing(benchmark, wave08, kawahara, grid):
-    # layer timing of Evolver.run; the time is reported, never asserted
+def _allocating_step(stepper, vh):
+    """The step before its work buffers, one allocation per operation, kept
+    as the reference: the buffered step must give the same bits."""
+    def nonlin(v):
+        if stepper._synth is None:
+            return np.fft.rfft(np.fft.irfft(v, stepper.grid_size) ** 2)[..., : stepper.band]
+        return (np.square(v.view(float) @ stepper._synth) @ stepper._anal).view(complex)
+
+    N1 = nonlin(vh)
+    Ev = stepper.E2 * vh
+    a = Ev + stepper.Q * N1
+    N2 = nonlin(a)
+    N3 = nonlin(Ev + stepper.Q * N2)
+    N4 = nonlin(stepper.E2 * a + stepper.Q * (2.0 * N3 - N1))
+    return (stepper.E1 * vh + stepper.f1 * N1 + stepper.f2 * (N2 + N3)
+            + stepper.f3 * N4)
+
+
+@pytest.mark.parametrize("grid, transform", [(128, "dense"), (256, "fft")])
+def test_buffered_step_matches_allocating_step(wave08, kawahara, grid, transform):
     _, psi = wave08
     st = _perturbed_state(psi, grid)
     stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(st, kawahara)[0])
+    assert stepper.transform == transform
+    vh = st.modes
+    for _ in range(1000):
+        vh = _allocating_step(stepper, vh)
+    assert np.array_equal(stepper.run(st, 1000).modes, vh)
+
+
+@pytest.mark.parametrize("grid", [DENSE_GRID, FFT_GRID])
+def test_run_returns_state_it_owns(wave08, kawahara, grid):
+    _, psi = wave08
+    st = _perturbed_state(psi, grid)
+    given = st.modes.copy()
+    stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
+    first = stepper.run(st, 20)
+    kept = first.modes.copy()
+    second = stepper.run(first, 20)
+    assert np.array_equal(st.modes, given) and np.array_equal(first.modes, kept)
+    assert not np.shares_memory(first.modes, second.modes)
+
+
+# a stack's matrix-matrix products (dense transform) round differently from
+# one state's vector-matrix ones: the series agree to round-off of the O(1)
+# state, measured at about 1e-15
+STACK_ATOL = 1e-12
+
+
+@pytest.mark.parametrize("grid", [DENSE_GRID, FFT_GRID])
+def test_seed_stack_matches_single_seed_runs(wave08, kawahara, grid):
+    params, psi = wave08
+    seeds = [0, 3, 4]
+    kw = dict(kind="random", delta=1e-3, periods=1.0, grid_size=grid, n_samples=5,
+              dt_safety=0.35)
+    batched = ev.stability_experiment(psi, params.omega, kawahara, seed=seeds, **kw)
+    assert len(batched) == len(seeds)
+    for seed, series in zip(seeds, batched):
+        single = ev.stability_experiment(psi, params.omega, kawahara, seed=seed, **kw)
+        assert len(series) == len(single) >= 6
+        for rec, ref in zip(series, single):
+            assert rec.keys() == ref.keys()
+            for key, value in ref.items():
+                if key in ("rho", "E", "F", "M", "deltaP"):
+                    assert abs(rec[key] - value) <= STACK_ATOL * max(1.0, abs(value))
+                else:
+                    assert rec[key] == value
+
+
+def test_seed_stack_with_differing_default_dt_refused(wave08, kawahara, monkeypatch):
+    # at delta 20 on grid 64 the perturbation moves the largest mode, and with
+    # it the content cut of default_dt: seed 0 gets dt 0.0085, seed 1 0.0061
+    params, psi = wave08
+
+    def no_evolver(*args):
+        raise AssertionError("an Evolver was built")
+
+    monkeypatch.setattr(ev, "Evolver", no_evolver)
+    with pytest.raises(ValueError, match=r"seeds \[0, 1\] have default dt"):
+        ev.stability_experiment(psi, params.omega, kawahara, kind="random",
+                                delta=20.0, grid_size=64, seed=[0, 1], periods=0.1)
+
+
+def test_seed_stack_blowup_names_the_seed(wave08, kawahara):
+    # at delta 20 and dt 0.006 on grid 64, seed 3 blows up and 0 and 1 do not
+    params, psi = wave08
+    kw = dict(kind="random", delta=20.0, grid_size=64, dt=0.006, periods=0.2,
+              n_samples=4)
+    with pytest.raises(ev.BlowUpError) as single:
+        ev.stability_experiment(psi, params.omega, kawahara, seed=3, **kw)
+    with pytest.raises(ev.BlowUpError) as stacked:
+        ev.stability_experiment(psi, params.omega, kawahara, seed=[0, 1, 3], **kw)
+    assert str(stacked.value) == f"seed 3: {single.value}"
+    assert stacked.value.rows == (2,)
+    series = stacked.value.series
+    assert len(series) == 3 and len(series[2]) == len(single.value.series)
+    assert len(series[0]) == len(series[1]) == len(series[2]) >= 2
+    for seed, partial in zip((0, 1), series):
+        full = ev.stability_experiment(psi, params.omega, kawahara, seed=seed, **kw)
+        for rec, ref in zip(partial, full):
+            assert abs(rec["rho"] - ref["rho"]) <= STACK_ATOL * max(1.0, ref["rho"])
+
+
+@pytest.mark.parametrize("grid, seeds", [pytest.param(128, 1, id="128"),
+                                         pytest.param(256, 1, id="256"),
+                                         pytest.param(128, 5, id="128x5")])
+def test_run_timing(benchmark, wave08, kawahara, grid, seeds):
+    # layer timing of Evolver.run, 100 steps of one state or of a stack of
+    # seeds; the time is reported, never asserted
+    _, psi = wave08
+    states = [_perturbed_state(psi, grid, seed) for seed in range(1, seeds + 1)]
+    st = states[0] if seeds == 1 else \
+        replace(states[0], modes=np.stack([s.modes for s in states]))
+    stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(states[0], kawahara)[0])
     out = benchmark.pedantic(stepper.run, args=(st, 100), rounds=5, iterations=1)
     ref = stepper.run(st, 100)
     assert out.t == ref.t and np.array_equal(out.modes, ref.modes)
+
+
+def test_records_timing(benchmark, wave08, kawahara):
+    # layer timing of one record at grid 256: orbital_distance plus conserved;
+    # the time is reported, never asserted
+    _, psi = wave08
+    st = _perturbed_state(psi, 256)
+
+    def record():
+        return ev.orbital_distance(st, psi, kawahara)[0], ev.conserved(st, kawahara)
+
+    rho, cons = benchmark.pedantic(record, rounds=20, iterations=5)
+    assert rho > 0.0 and cons == ev.conserved(st, kawahara)
