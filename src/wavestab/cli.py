@@ -37,7 +37,7 @@ from .criteria import evaluate_wave, functionals
 from .elliptic import MODULUS_CAP, complete_integrals, jacobi_sn_cn_dn
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
-from .klcurve import K_ANALYTIC, solve_branch, sweep
+from .klcurve import K_ANALYTIC, branch_columns, solve_branch
 from .multiplier import BUILTIN_NAMES, builtin_symbol
 from .profile import build_dnoidal
 
@@ -98,11 +98,27 @@ def _write(text, path):
             f.write(text)
 
 
-def _write_csv(path, command, params, header, rows):
+def _cells(values):
+    """The CSV cells of a float column, repr of each element in one pass
+    (what _fmt gives a float or a numpy floating scalar)."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _branch_cells(values):
+    """_cells of a branch column; a modulus with no branch root (NaN in
+    klcurve.branch_columns) writes an empty cell."""
+    cells = _cells(values)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _write_csv(path, command, params, header, columns):
+    """Provenance, the header and the body; `columns` holds each column's
+    cells as text, all of one length."""
     lines = _provenance(command, params)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    lines.extend(map(",".join, zip(*columns)))
     _write("\n".join(lines) + "\n", path)
 
 
@@ -180,7 +196,8 @@ def cmd_elliptic_check(args):
             ok = ok and val < 1e-12
             rows.append((round(float(k), 12), name, val, "PASS" if val < 1e-12 else "FAIL"))
     _write_csv(args.out, "elliptic-check", {"tolerance": 1e-12},
-               ["k", "check", "residual", "status"], rows)
+               ["k", "check", "residual", "status"],
+               [list(map(_fmt, column)) for column in zip(*rows)])
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
@@ -192,10 +209,11 @@ def _k_grid(args):
 
 
 def cmd_sweep(args):
-    rows = [(r["k"], r["L1"], r["L"], r["p"], r["stable"]) for r in sweep(_k_grid(args))]
+    ks, L1, L, p, stable = branch_columns(_k_grid(args))
     _write_csv(args.out, "sweep",
                {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps},
-               ["k", "L1", "L", "p", "stable"], rows)
+               ["k", "L1", "L", "p", "stable"],
+               [_cells(ks), _branch_cells(L1), _branch_cells(L), _branch_cells(p), stable])
     return EXIT_OK
 
 
@@ -213,23 +231,21 @@ def cmd_profile(args):
             "A": params.A, "a": params.a, "b": params.b, "d": params.d}
     if args.what == "samples":
         M = 4 * (psi.N + 1)
-        xs = psi.grid(M)
-        vals = psi.values(M)
-        rows = list(zip(xs.tolist(), vals.tolist()))
-        _write_csv(args.out, "profile", meta, ["x", "psi"], rows)
+        _write_csv(args.out, "profile", meta, ["x", "psi"],
+                   [_cells(psi.grid(M)), _cells(psi.values(M))])
     else:
-        rows = list(enumerate(psi.coeffs.tolist()))
-        _write_csv(args.out, "profile", meta, ["n", "c_n"], rows)
+        _write_csv(args.out, "profile", meta, ["n", "c_n"],
+                   [list(map(str, range(psi.coeffs.size))), _cells(psi.coeffs)])
     return EXIT_OK
 
 
 def cmd_spectrum(args):
     params, psi = _resolve_wave(args)
     rep = spectrum(assemble(psi, args.omega, args.sym, N=args.N_op))
-    rows = list(enumerate(rep.eigenvalues.tolist()))
     meta = {"k": args.k, "omega": args.omega, "N_op": args.N_op,
             "tol_zero": rep.tol_zero}
-    _write_csv(args.out, "spectrum", meta, ["index", "eigenvalue"], rows)
+    _write_csv(args.out, "spectrum", meta, ["index", "eigenvalue"],
+               [list(map(str, range(rep.eigenvalues.size))), _cells(rep.eigenvalues)])
     _emit_record({
         "n_neg": rep.n_neg, "n_zero": rep.n_zero,
         "kernel_corr": rep.kernel_corr, "gap": rep.gap,
@@ -257,15 +273,14 @@ def cmd_continue(args):
     center = newton_solve(psi, args.omega, params.A, args.sym)
     iw, ia = args.extent_omega, args.extent_A
     patch = surface_patch(center, args.domega, args.dA, (iw, ia), args.sym)
-    rows = []
-    for (di, dj), pt in sorted(patch.items()):
-        M, F = functionals(pt.psi)
-        rows.append((pt.omega, pt.A, pt.psi.mean(), F, pt.residual_norm,
-                     pt.newton_iters))
+    solved = [pt for _, pt in sorted(patch.items())]   # the center at least
+    floats = zip(*[(pt.omega, pt.A, pt.psi.mean(), functionals(pt.psi)[1],
+                    pt.residual_norm) for pt in solved])
+    columns = [*map(_cells, floats), [str(pt.newton_iters) for pt in solved]]
     _write_csv(args.out, "continue",
                {"k": args.k, "omega": args.omega, "domega": args.domega,
                 "dA": args.dA, "extent_omega": iw, "extent_A": ia, "N": args.N},
-               ["omega", "A", "mean_psi", "F", "residual", "newton_iters"], rows)
+               ["omega", "A", "mean_psi", "F", "residual", "newton_iters"], columns)
     missing = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)
                if (di, dj) not in patch]
     if missing:
@@ -306,10 +321,9 @@ def cmd_evolve(args):
             meta["mode"] = mode
         if kind == "random":
             meta["seed"] = seed
-    rows = [(r["t"], r["rho"], r["E"], r["F"], r["M"], r["deltaP"])
-            for r in series]
-    _write_csv(args.out, "evolve", meta,
-               ["t", "rho", "E", "F", "M", "deltaP"], rows)
+    header = ["t", "rho", "E", "F", "M", "deltaP"]
+    _write_csv(args.out, "evolve", meta, header,
+               [_cells([r[key] for r in series]) for key in header])
     return code
 
 
@@ -373,17 +387,18 @@ def _sign_change(ks, ps):
 
 
 def cmd_reproduce_figure1(args):
-    rows = sweep(_k_grid(args))
-    left = [(r["k"], r["L1"]) for r in rows]
-    right = [(r["k"], r["p"]) for r in rows]
+    ks, L1, _, p, _ = branch_columns(_k_grid(args))
+    k_cells = _cells(ks)
     meta = {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps}
-    _write_csv(args.out_L1, "reproduce-figure1", meta, ["k", "L1"], left)
-    _write_csv(args.out_p, "reproduce-figure1", meta, ["k", "p"], right)
+    _write_csv(args.out_L1, "reproduce-figure1", meta, ["k", "L1"],
+               [k_cells, _branch_cells(L1)])
+    _write_csv(args.out_p, "reproduce-figure1", meta, ["k", "p"],
+               [k_cells, _branch_cells(p)])
 
-    ks = [r["k"] for r in rows if r["p"] is not None]
-    ps = [r["p"] for r in rows if r["p"] is not None]
+    on_branch = ~np.isnan(L1)
+    ks, ps = ks[on_branch], p[on_branch]
     lo, hi, passes = _sign_change(ks, ps)
-    n_pos = sum(1 for p in ps if p > 0)
+    n_pos = int(np.count_nonzero(ps > 0))
     _emit_record({
         "points_on_branch": len(ks),
         "points_with_p_positive": n_pos,

@@ -14,6 +14,7 @@ Newton lands: a second-order term, or one tangent for the whole patch,
 changed which corners converge.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +46,26 @@ class ContinuationPoint:
     newton_iters: int
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow is refused, not warned
 def newton_solve(psi, omega, A, sym, tol=1e-12):
     """Damped Newton iteration for Pi(omega, A, psi) = 0 in the even subspace.
 
     Converges quadratically near a root; raises NewtonDivergenceError after
-    MAX_ITER iterations, when the damped step cannot reduce the residual, or
-    on a singular Jacobian.
+    MAX_ITER iterations, when the damped step cannot reduce the residual, on
+    a singular Jacobian, and when the start's residual or the scale
+    max(1, |psi|) is not finite.  A damped step counts only with a finite
+    residual, and the iteration stops only at a finite residual at or below
+    a finite tol * scale.
     """
     scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
     res = pi_residual(psi, omega, A, sym)
     r = res.orthonormal(psi.N)
     rnorm = float(np.linalg.norm(r))
+    if not (math.isfinite(rnorm) and math.isfinite(scale)):
+        raise NewtonDivergenceError(
+            f"non-finite start (residual {rnorm:.3e}, scale {scale:.3e})")
     iters = 0
-    while rnorm > tol * scale:
+    while not rnorm <= tol * scale:
         if iters >= MAX_ITER:
             raise NewtonDivergenceError(
                 f"no convergence in {MAX_ITER} iterations (residual {rnorm:.3e})"
@@ -74,7 +82,8 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
             res_new = pi_residual(cand, omega, A, sym)
             r_new = res_new.orthonormal(psi.N)
             rnorm_new = float(np.linalg.norm(r_new))
-            if rnorm_new < rnorm or rnorm_new <= tol * scale:
+            if math.isfinite(rnorm_new) and (rnorm_new < rnorm
+                                              or rnorm_new <= tol * scale):
                 break
             step *= 0.5
         else:
@@ -83,6 +92,8 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
             )
         psi, res, r, rnorm = cand, res_new, r_new, rnorm_new
         scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
+        if not math.isfinite(scale):
+            raise NewtonDivergenceError(f"non-finite scale at residual {rnorm:.3e}")
         iters += 1
     return ContinuationPoint(
         omega=float(omega), A=float(A), psi=psi,
@@ -115,9 +126,12 @@ def surface_patch(center, domega, dA, extent, sym):
                 op = GalerkinOperator(prev.psi, prev.omega, sym, prev.psi.N)
                 tangents[frm] = _variation_solve(op)
             eta, beta = tangents[frm]
-            start = FourierProfile(prev.psi.L0, prev.psi.coeffs
-                                   + (omega - prev.omega) * eta.coeffs
-                                   + (A - prev.A) * beta.coeffs)
+            # a step that overflows the predictor gives a non-finite start,
+            # which newton_solve refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = FourierProfile(prev.psi.L0, prev.psi.coeffs
+                                       + (omega - prev.omega) * eta.coeffs
+                                       + (A - prev.A) * beta.coeffs)
             pt = newton_solve(start, omega, A, sym)
         except (DegenerateOperatorError, NewtonDivergenceError):
             return

@@ -147,14 +147,21 @@ class Evolver:
         lin = 1j * xi * np.asarray(sym(xi), dtype=float)
         nl = -0.5j * xi
         r = np.exp(2j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
-        LR = dt * lin[:, None] + r[None, :]
-        eLR = np.exp(LR)
-        self.E1 = np.exp(dt * lin)
-        self.E2 = np.exp(0.5 * dt * lin)
-        self.Q = nl * dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(1)
-        self.f1 = nl * dt * ((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2)) / LR**3).mean(1)
-        self.f2 = 2.0 * nl * dt * ((2.0 + LR + eLR * (LR - 2.0)) / LR**3).mean(1)
-        self.f3 = nl * dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3).mean(1)
+        # a dt so large that the weights overflow is refused below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            LR = dt * lin[:, None] + r[None, :]
+            eLR = np.exp(LR)
+            self.E1 = np.exp(dt * lin)
+            self.E2 = np.exp(0.5 * dt * lin)
+            self.Q = nl * dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(1)
+            self.f1 = nl * dt * ((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2))
+                                 / LR**3).mean(1)
+            self.f2 = 2.0 * nl * dt * ((2.0 + LR + eLR * (LR - 2.0)) / LR**3).mean(1)
+            self.f3 = nl * dt * ((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR))
+                                 / LR**3).mean(1)
+        if not all(np.isfinite(w).all()
+                   for w in (self.E1, self.E2, self.Q, self.f1, self.f2, self.f3)):
+            raise ValueError(f"dt={dt!r} gives non-finite ETDRK4 weights")
         self.transform = "dense" if G <= DENSE_GRID_MAX else "fft"
         self._synth = self._anal = None
         if self.transform == "dense":
@@ -378,8 +385,9 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     manifold, the dt used, the step count and the Evolver's transform; when
     dt is None, also dt_safety, xi_eff and theta_eff of the default_dt rule
     that chose it.  A horizon of more than
-    MAX_STEPS steps raises ValueError before any step is taken.  On blow-up
-    the partial series is attached to the exception.
+    MAX_STEPS steps raises ValueError before any step is taken, and a first
+    record that is not finite (an overflowing delta) FloatingPointError.  On
+    blow-up the partial series is attached to the exception.
 
     `seed` may be a sequence of seeds: their states are stepped as one
     (S, band) stack and one series per seed is returned, each with the
@@ -415,8 +423,6 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     nsteps_total = max(1, int(math.ceil(nsteps_float)))
     stride = max(1, nsteps_total // n_samples)
     ev = Evolver(psi.L0, grid_size, sym, dt)
-    cons_psi = conserved(psi_state, sym)
-    P_psi = cons_psi.E + omega * cons_psi.F + A * cons_psi.M
 
     def record(st):
         rho, _ = orbital_distance(st, psi, sym)
@@ -428,7 +434,14 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     def members(st):
         return [replace(st, modes=m) for m in st.modes] if batched else [st]
 
-    series = [[record(st)] for st in states]
+    # an initial state that overflows is refused here, not warned; after a
+    # step the blow-up check bounds the state
+    with np.errstate(over="ignore", invalid="ignore"):
+        cons_psi = conserved(psi_state, sym)
+        P_psi = cons_psi.E + omega * cons_psi.F + A * cons_psi.M
+        series = [[record(st)] for st in states]
+    if not all(math.isfinite(v) for (first,) in series for v in first.values()):
+        raise FloatingPointError(f"non-finite first record at delta={delta!r}")
     for (first,), rule in zip(series, rules):
         first["on_manifold"] = bool(
             abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))

@@ -19,10 +19,10 @@ branch stays the larger root on (0.5345, 1) and does not exist below.
 `solve_branch` is the one branch kernel.  For an array of moduli it runs one
 AGM loop (`complete_integrals` over the array), then the cubic's
 coefficients, its Cardano roots, a Newton polish and p, each elementwise
-over the whole array, and it is the only entry to the branch: `sweep` makes
-one call per grid, and a single modulus is a grid of one.  Every element of
-every step stops on its own, so a sweep row equals `solve_branch` at its
-modulus bit for bit.
+over the whole array, and it is the only entry to the branch:
+`branch_columns` makes one call per grid, and a single modulus is a grid of
+one.  Every element of every step stops on its own, so a sweep row equals
+`solve_branch` at its modulus bit for bit.
 """
 
 import math
@@ -31,8 +31,8 @@ import numpy as np
 
 from .elliptic import complete_integrals
 
-__all__ = ["cubic_coefficients", "cubic_residual", "solve_branch", "p_of_k", "sweep",
-           "K_ANALYTIC"]
+__all__ = ["cubic_coefficients", "cubic_residual", "solve_branch", "p_of_k",
+           "branch_columns", "sweep", "K_ANALYTIC"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
 # times K^4, off the plain closed form of p; P_CORRECTION / 507 = 3584/3 (times
@@ -153,22 +153,26 @@ def p_of_k(k, L, pair=None):
     return p
 
 
-def sweep(k_grid):
-    """One row per modulus: dict with k, L1, L, p, stable.
+def branch_columns(k_grid):
+    """The branch over a grid as columns, from one solve_branch call.
 
-    Rows where the branch does not exist carry L1 = L = p = None and
-    stable = "no_root".  The stability flag is the sign of p (positive
-    means wave average exceeds any positive speed by the gauge-invariant
-    margin p/(507 L^4)).  The whole grid is one solve_branch call.
+    Returns (k, L1, L, p, stable): four float arrays, with L1 = L = p = NaN
+    where the branch does not exist, and a list of stability flags, "no_root"
+    there, else "1" where p > 0 (the wave average exceeds any positive speed
+    by the gauge-invariant margin p/(507 L^4)) and "0" elsewhere.
     """
     ks = np.asarray(k_grid, dtype=float).reshape(-1)
     L1, L, p, _ = solve_branch(ks)
-    rows = []
-    for k, L1_k, L_k, p_k in zip(ks.tolist(), L1.tolist(), L.tolist(), p.tolist()):
-        if math.isnan(L1_k):
-            rows.append({"k": k, "L1": None, "L": None, "p": None,
-                         "stable": "no_root"})
-        else:
-            rows.append({"k": k, "L1": L1_k, "L": L_k, "p": p_k,
-                         "stable": "1" if p_k > 0 else "0"})
-    return rows
+    stable = np.where(np.isnan(L1), "no_root", np.where(p > 0, "1", "0")).tolist()
+    return ks, L1, L, p, stable
+
+
+def sweep(k_grid):
+    """One row per modulus: dict with k, L1, L, p, stable, from
+    branch_columns; a row with no branch root carries L1 = L = p = None."""
+    ks, L1, L, p, stable = branch_columns(k_grid)
+    return [{"k": k, "L1": None, "L": None, "p": None, "stable": flag}
+            if flag == "no_root" else
+            {"k": k, "L1": L1_k, "L": L_k, "p": p_k, "stable": flag}
+            for k, L1_k, L_k, p_k, flag
+            in zip(ks.tolist(), L1.tolist(), L.tolist(), p.tolist(), stable)]

@@ -167,6 +167,32 @@ def test_blowup_prints_one_stderr_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("evolve: blow-up at t="), lines
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    (["--dt", "1e300"], 2, "evolve: dt=1e+300 gives non-finite ETDRK4 weights"),
+    (["--delta", "1e300"], 3, "evolve: numerical failure: FloatingPointError("
+                              "'non-finite first record at delta=1e+300')"),
+], ids=["dt", "delta"])
+def test_evolve_overflow_refused(tmp_path, capsys, flags, code, message):
+    # both printed RuntimeWarnings; --dt 1e300 then claimed a blow-up
+    out = tmp_path / "w.csv"
+    assert run_cli(["evolve", "--k", "0.8", "--T", "0.5", "--grid", "64",
+                    *flags, "--out", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_continue_overflowing_step_writes_finite_rows(tmp_path, capsys):
+    # --domega 1e300 wrote rows with F inf, residual nan and newton_iters 0
+    out = tmp_path / "patch.csv"
+    assert run_cli(["continue", "--k", "0.8", "--domega", "1e300",
+                    "--out", str(out)]) == 0
+    rows = [r.split(",") for r in body_of(read(out)).splitlines()[1:]]
+    assert len(rows) == 5 and all(np.isfinite(float(c)) for r in rows for c in r)
+    err = capsys.readouterr().err
+    assert err.startswith("continue: 20 of 25 patch points missing: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_evolve_series(tmp_path):
     out = tmp_path / "evolve.csv"
     assert run_cli(["evolve", "--k", "0.8", "--omega", "1.0", "--T", "0.2",
@@ -407,7 +433,10 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
 @pytest.mark.parametrize("command, target", [
     ("profile", "_resolve_wave"), ("spectrum", "_resolve_wave"),
     ("criteria", "_resolve_wave"), ("continue", "_resolve_wave"),
-    ("evolve", "_resolve_wave"), ("sweep", "sweep"), ("reproduce-figure1", "sweep"),
+    ("evolve", "_resolve_wave"),
+    # the ids keep the name of the branch entry before branch_columns
+    pytest.param("sweep", "branch_columns", id="sweep-sweep"),
+    pytest.param("reproduce-figure1", "branch_columns", id="reproduce-figure1-sweep"),
 ])
 def test_failure_map(tmp_path, capsys, monkeypatch, command, target, error):
     # main alone maps a failure to an exit code: 2 for ValueError, 3 for the
@@ -417,7 +446,7 @@ def test_failure_map(tmp_path, capsys, monkeypatch, command, target, error):
 
     monkeypatch.setattr(cli, target, fail)
     monkeypatch.chdir(tmp_path)
-    argv = [command] if target == "sweep" else [command, "--k", "0.8"]
+    argv = [command] if target == "branch_columns" else [command, "--k", "0.8"]
     assert exit_code(argv) == (2 if error is ValueError else 3)
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

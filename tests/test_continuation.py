@@ -55,6 +55,27 @@ def test_noise_start_diverges(wave08, kawahara):
         newton_solve(noisy, params.omega, params.A, kawahara)
 
 
+@pytest.mark.parametrize("size", [1e200, np.inf, np.nan])
+def test_non_finite_start_refused(wave08, kawahara, size):
+    # a NaN residual failed `rnorm > tol * scale` and passed as converged,
+    # and so did any residual once max(1, |psi|) overflowed to inf
+    params, psi = wave08
+    start = FourierProfile(psi.L0, psi.coeffs + size)
+    with pytest.raises(NewtonDivergenceError, match="non-finite start"):
+        newton_solve(start, params.omega, params.A, kawahara)
+
+
+def test_overflowing_patch_step_leaves_points_missing(wave08, kawahara):
+    # a step of 1e300 in omega overflows the predictor: those points are
+    # missing, the omega = center column is solved, and nothing warns
+    params, psi = wave08
+    center = newton_solve(psi, params.omega, params.A, kawahara)
+    patch = surface_patch(center, 1e300, 1e-3, (1, 1), kawahara)
+    assert sorted(patch) == [(0, -1), (0, 0), (0, 1)]
+    assert all(np.isfinite(pt.psi.coeffs).all() and np.isfinite(pt.residual_norm)
+               for pt in patch.values())
+
+
 def test_quadratic_convergence(wave08, kawahara, history):
     params, psi = wave08
     bumped = FourierProfile(psi.L0, psi.coeffs * (1.0 + 2e-3))
@@ -202,6 +223,15 @@ def test_patch_newton_budget(wave08, kawahara):
     readme = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
     assert len(readme) == 25
     assert sum(pt.newton_iters for pt in readme.values()) <= 74
+
+
+def test_newton_solve_timing(benchmark, wave08, kawahara):
+    # layer timing of one Newton solve from the dnoidal seed at N 128; the
+    # time is reported, never asserted
+    params, psi = wave08
+    args = (psi, params.omega, params.A, kawahara)
+    out = benchmark.pedantic(newton_solve, args=args, rounds=20, iterations=1)
+    assert np.array_equal(out.psi.coeffs, newton_solve(*args).psi.coeffs)
 
 
 def test_patch_timing(benchmark, wave08, kawahara):

@@ -140,3 +140,12 @@ def test_dn_range_and_evenness(k, u):
     kp = math.sqrt(1 - k * k)
     assert kp - 1e-10 <= val <= 1.0 + 1e-10
     assert val == pytest.approx(dn(-u, k), abs=1e-11)
+
+
+@pytest.mark.parametrize("moduli", [0.8, np.linspace(0.55, 0.95, 200)],
+                         ids=["one", "array200"])
+def test_complete_integrals_timing(benchmark, moduli):
+    # layer timing of the AGM kernel; the time is reported, never asserted
+    pair = benchmark.pedantic(complete_integrals, args=(moduli,), rounds=20,
+                              iterations=5)
+    assert np.array_equal(pair.K, complete_integrals(moduli).K)

@@ -238,6 +238,22 @@ def test_dt_not_finite_positive_refused(kawahara, dt):
         ev.Evolver(20.0, GRID, kawahara, dt)
 
 
+def test_overflowing_weights_refused(kawahara):
+    # a finite dt whose ETDRK4 weights overflow ran into a false blow-up
+    # at t = dt, after a screen of RuntimeWarnings
+    with pytest.raises(ValueError, match="non-finite ETDRK4 weights"):
+        ev.Evolver(20.0, GRID, kawahara, 1e300)
+
+
+def test_overflowing_first_record_refused(wave08, kawahara):
+    # delta = 1e300 overflowed the first record's conserved quantities and
+    # orbital distance, with warnings, before any step
+    _, psi = wave08
+    with pytest.raises(FloatingPointError, match="non-finite first record"):
+        ev.stability_experiment(psi, 1.0, kawahara, delta=1e300, periods=0.5,
+                                grid_size=64, n_samples=2)
+
+
 def test_run_rejects_incompatible_state(kawahara):
     st = ev.state_from_values(np.zeros(GRID), 20.0)
     with pytest.raises(ValueError):

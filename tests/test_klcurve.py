@@ -319,14 +319,26 @@ def test_sign_change_falls_back_to_even_split(monkeypatch, p):
     assert n <= cli.SIGN_CHANGE_PASSES
 
 
-@pytest.mark.parametrize("case", ["sweep200", "solve_branch", "figure200"])
+@pytest.mark.parametrize("case", ["sweep200", "solve_branch", "figure200", "write200"])
 def test_sweep_timing(benchmark, case, tmp_path):
-    # layer timing of the branch kernel and of the figure; the time is
-    # reported, never asserted
+    # layer timing of the branch kernel, of the figure and of the 200-row
+    # sweep body's formatting and write; the time is reported, never asserted
     if case == "sweep200":
         grid = np.linspace(0.55, 0.95, 200)
         rows = benchmark.pedantic(sweep, args=(grid,), rounds=20, iterations=1)
         assert len(rows) == 200 and all(r["stable"] != "no_root" for r in rows)
+    elif case == "write200":
+        ks, L1, L, p, stable = klcurve.branch_columns(np.linspace(0.55, 0.95, 200))
+        out = tmp_path / "sweep.csv"
+
+        def write():
+            cli._write_csv(str(out), "sweep", {}, ["k", "L1", "L", "p", "stable"],
+                           [cli._cells(ks), cli._branch_cells(L1), cli._branch_cells(L),
+                            cli._branch_cells(p), stable])
+
+        benchmark.pedantic(write, rounds=20, iterations=5)
+        # version and command lines, the header, the rows
+        assert len(out.read_text().splitlines()) == 203
     elif case == "solve_branch":
         out = benchmark.pedantic(solve_branch, args=(0.8,), rounds=20, iterations=5)
         assert repr(out) == repr(solve_branch(0.8))

@@ -360,3 +360,11 @@ def test_extract_A_is_the_mean_of_pi_residual(p, omega, kawahara):
     r = pi_residual(p, omega, A, kawahara)
     assert r.coeffs[0] == 0.0
     assert res == r.sup_norm()
+
+
+def test_build_dnoidal_timing(benchmark, branch_L):
+    # layer timing of the wave at N 128; the time is reported, never asserted
+    args = (0.8, branch_L[0.8], 1.0)
+    _, psi = benchmark.pedantic(build_dnoidal, args=args, kwargs={"N": 128},
+                                rounds=20, iterations=1)
+    assert np.array_equal(psi.coeffs, build_dnoidal(*args, N=128)[1].coeffs)
