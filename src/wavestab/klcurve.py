@@ -171,8 +171,10 @@ def sweep(k_grid):
     """One row per modulus: dict with k, L1, L, p, stable, from
     branch_columns; a row with no branch root carries L1 = L = p = None."""
     ks, L1, L, p, stable = branch_columns(k_grid)
-    return [{"k": k, "L1": None, "L": None, "p": None, "stable": flag}
-            if flag == "no_root" else
-            {"k": k, "L1": L1_k, "L": L_k, "p": p_k, "stable": flag}
-            for k, L1_k, L_k, p_k, flag
-            in zip(ks.tolist(), L1.tolist(), L.tolist(), p.tolist(), stable)]
+    rows = []
+    for k, L1_k, L_k, p_k, flag in zip(ks.tolist(), L1.tolist(), L.tolist(),
+                                       p.tolist(), stable):
+        if flag == "no_root":
+            L1_k = L_k = p_k = None
+        rows.append({"k": k, "L1": L1_k, "L": L_k, "p": p_k, "stable": flag})
+    return rows

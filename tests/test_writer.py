@@ -104,7 +104,8 @@ def test_profile_body(tmp_path, what):
     _, psi = wave08()
     if what == "samples":
         M = 4 * (psi.N + 1)
-        expected = row_body(["x", "psi"], zip(psi.grid(M).tolist(), psi.values(M).tolist()))
+        expected = row_body(["x", "psi"],
+                            zip(psi.grid(M).tolist(), psi.values(M).tolist()))
     else:
         expected = row_body(["n", "c_n"], enumerate(psi.coeffs.tolist()))
     assert body(out) == expected
