@@ -34,10 +34,11 @@ import numpy as np
 from . import __version__
 from .continuation import NewtonDivergenceError, newton_solve, surface_patch
 from .criteria import evaluate_wave, functionals
-from .elliptic import MODULUS_CAP, complete_integrals, jacobi_sn_cn_dn
+from .elliptic import IDENTITY_TOL, MODULUS_CAP, identity_battery
 from .evolution import BlowUpError, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
-from .klcurve import K_ANALYTIC, branch_columns, solve_branch
+from .klcurve import (K_ANALYTIC, SIGN_CHANGE_HALVINGS, SIGN_CHANGE_PASSES,
+                      branch_columns, sign_change)
 from .multiplier import BUILTIN_NAMES, builtin_symbol
 from .profile import build_dnoidal
 
@@ -54,20 +55,6 @@ MAX_GRID = 6144         # --grid: grid // 3 = MAX_MODES
 MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
 MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root each
 MAX_PATCH_POINTS = 10_000  # continue patch points: one Newton solve each
-
-# reproduce-figure1 narrows the sign change of p in passes of solve_branch,
-# each over 2**SIGN_CHANGE_HALVINGS equal parts of a window inside the
-# bracket.  The window reaches SIGN_CHANGE_WINDOW times the last term of an
-# inverse cubic to each side of its root estimate, at least
-# SIGN_CHANGE_MIN_ULPS ulps, until a pass finds the sign change outside it;
-# from then on the window is the whole bracket.  No window is wider than the
-# bracket and at most one pass misses, so SIGN_CHANGE_PASSES passes take a
-# bracket in (0, 1) to two adjacent doubles, where the search stops.
-SIGN_CHANGE_HALVINGS = 6
-SIGN_CHANGE_PASSES = 10
-SIGN_CHANGE_WINDOW = 8.0
-SIGN_CHANGE_MIN_ULPS = 32
-
 
 def _fmt(x):
     if type(x) is float:   # most cells; the float branch below gives the same
@@ -177,28 +164,12 @@ _modes = _int_at_least(8, MAX_MODES)   # 8: the smallest truncation build_dnoida
 
 
 def cmd_elliptic_check(args):
-    rows = []
-    ok = True
-    for k in np.arange(0.1, 0.95, 0.1):
-        pair = complete_integrals(k)
-        res = abs(pair.legendre_residual())
-        u = np.linspace(0.0, 2.0 * pair.K, 64)
-        s, c, d = jacobi_sn_cn_dn(u, k)
-        d_shift = jacobi_sn_cn_dn(u + 2.0 * pair.K, k)[2]
-        checks = {
-            "legendre": res,
-            "dn0": abs(jacobi_sn_cn_dn(0.0, k)[2] - 1.0),
-            "dnK": abs(jacobi_sn_cn_dn(pair.K, k)[2] - math.sqrt(1.0 - k * k)),
-            "period": float(np.abs(d_shift - d).max()),
-            "pythagoras": float(np.abs(d * d + k * k * s * s - 1.0).max()),
-        }
-        for name, val in checks.items():
-            ok = ok and val < 1e-12
-            rows.append((round(float(k), 12), name, val, "PASS" if val < 1e-12 else "FAIL"))
-    _write_csv(args.out, "elliptic-check", {"tolerance": 1e-12},
+    rows = [(k, check, residual, "PASS" if passed else "FAIL")
+            for k, check, residual, passed in identity_battery()]
+    _write_csv(args.out, "elliptic-check", {"tolerance": IDENTITY_TOL},
                ["k", "check", "residual", "status"],
                [list(map(_fmt, column)) for column in zip(*rows)])
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if all(row[3] == "PASS" for row in rows) else EXIT_NUMERICAL
 
 
 def _k_grid(args):
@@ -217,16 +188,8 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _resolve_wave(args):
-    """(params, psi) for --k on the branch, or explicit --L override."""
-    L = args.L if args.L is not None else solve_branch(args.k)[1]
-    if math.isnan(L):
-        raise ValueError(f"no branch root at k={args.k}")
-    return build_dnoidal(args.k, L, args.omega, N=args.N)
-
-
 def cmd_profile(args):
-    params, psi = _resolve_wave(args)
+    params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     meta = {"k": args.k, "omega": args.omega, "N": args.N, "L": psi.L0,
             "A": params.A, "a": params.a, "b": params.b, "d": params.d}
     if args.what == "samples":
@@ -240,7 +203,7 @@ def cmd_profile(args):
 
 
 def cmd_spectrum(args):
-    params, psi = _resolve_wave(args)
+    params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     rep = spectrum(assemble(psi, args.omega, args.sym, N=args.N_op))
     meta = {"k": args.k, "omega": args.omega, "N_op": args.N_op,
             "tol_zero": rep.tol_zero}
@@ -256,7 +219,7 @@ def cmd_spectrum(args):
 
 
 def cmd_criteria(args):
-    params, psi = _resolve_wave(args)
+    params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
     rec = {"k": args.k, "A": params.A}
     rec.update(report.as_record())
@@ -269,10 +232,10 @@ def cmd_continue(args):
     if points > MAX_PATCH_POINTS:
         raise ValueError(f"a patch of {points} points is over the cap "
                          f"of {MAX_PATCH_POINTS}")
-    params, psi = _resolve_wave(args)
+    params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     center = newton_solve(psi, args.omega, params.A, args.sym)
     iw, ia = args.extent_omega, args.extent_A
-    patch = surface_patch(center, args.domega, args.dA, (iw, ia), args.sym)
+    patch, missing = surface_patch(center, args.domega, args.dA, (iw, ia), args.sym)
     solved = [pt for _, pt in sorted(patch.items())]   # the center at least
     floats = zip(*[(pt.omega, pt.A, pt.psi.mean(), functionals(pt.psi)[1],
                     pt.residual_norm) for pt in solved])
@@ -281,8 +244,6 @@ def cmd_continue(args):
                {"k": args.k, "omega": args.omega, "domega": args.domega,
                 "dA": args.dA, "extent_omega": iw, "extent_A": ia, "N": args.N},
                ["omega", "A", "mean_psi", "F", "residual", "newton_iters"], columns)
-    missing = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)
-               if (di, dj) not in patch]
     if missing:
         print(f"continue: {len(missing)} of {points} patch points missing: "
               + ", ".join(map(str, missing)), file=sys.stderr)
@@ -297,7 +258,7 @@ def cmd_evolve(args):
                              f"{used_by}, not {kind}")
     mode = 1 if args.mode is None else args.mode
     seed = 0 if args.seed is None else args.seed
-    _, psi = _resolve_wave(args)
+    _, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     try:
         series = stability_experiment(
             psi, args.omega, args.sym, kind=kind, delta=args.delta,
@@ -327,65 +288,6 @@ def cmd_evolve(args):
     return code
 
 
-def _inverse_cubic(ks, ps):
-    """The root of the polynomial k(p) through the points (ps, ks), in
-    Newton's divided-difference form, and the size of its last term."""
-    c = list(ks)
-    for j in range(1, len(c)):
-        for m in range(len(c) - 1, j - 1, -1):
-            c[m] = (c[m] - c[m - 1]) / (ps[m] - ps[m - j])
-    root, prod, term = c[0], 1.0, 0.0
-    for m in range(1, len(c)):
-        prod *= -ps[m - 1]
-        term = c[m] * prod
-        root += term
-    return root, abs(term)
-
-
-def _sign_change(ks, ps):
-    """Narrow the first sign change of p between the ascending branch points
-    ks, where p takes the values ps, to two adjacent doubles.
-
-    Returns (lo, hi, passes): p > 0 holds at one of lo, hi and not at the
-    other, and passes counts the solve_branch calls.  (None, None, 0) if
-    the sign of p never changes.
-    """
-    ks, ps = np.asarray(ks, dtype=float), np.asarray(ps, dtype=float)
-    positive = ps > 0
-    flips = np.flatnonzero(positive[1:] != positive[:-1])
-    if not flips.size:
-        return None, None, 0
-    i = int(flips[0])
-    lo_positive = positive[i]   # the sign at lo, which every bracket keeps
-    passes, windowed = 0, True
-    while passes < SIGN_CHANGE_PASSES:
-        lo, hi = float(ks[i]), float(ks[i + 1])
-        if math.nextafter(lo, hi) == hi:
-            break
-        a, b = lo, hi
-        if windowed:
-            # the bracket's ends, then their nearest neighbours of another p
-            nodes = [i, i + 1]
-            for m in (i - 1, i + 2):
-                if 0 <= m < len(ks) and ps[m] not in ps[nodes]:
-                    nodes.append(m)
-            root, last = _inverse_cubic(ks[nodes].tolist(), ps[nodes].tolist())
-            if math.isfinite(root) and math.isfinite(last):
-                root = min(max(root, lo), hi)
-                half = max(SIGN_CHANGE_WINDOW * last,
-                           SIGN_CHANGE_MIN_ULPS * math.ulp(root))
-                a, b = max(lo, root - half), min(hi, root + half)
-        grid = np.linspace(a, b, 2**SIGN_CHANGE_HALVINGS + 1)[1:-1]
-        grid = grid[(lo < grid) & (grid < hi)]
-        ks = np.concatenate((ks[:i + 1], grid, ks[i + 1:]))
-        ps = np.concatenate((ps[:i + 1], solve_branch(grid)[2], ps[i + 1:]))
-        passes += 1
-        # the first point past lo where the sign differs; hi's does
-        i += int(np.argmax((ps[i + 1:i + grid.size + 2] > 0) != lo_positive))
-        windowed = windowed and a <= ks[i] and ks[i + 1] <= b
-    return float(ks[i]), float(ks[i + 1]), passes
-
-
 def cmd_reproduce_figure1(args):
     ks, L1, _, p, _ = branch_columns(_k_grid(args))
     k_cells = _cells(ks)
@@ -397,7 +299,7 @@ def cmd_reproduce_figure1(args):
 
     on_branch = ~np.isnan(L1)
     ks, ps = ks[on_branch], p[on_branch]
-    lo, hi, passes = _sign_change(ks, ps)
+    lo, hi, passes = sign_change(ks, ps)
     n_pos = int(np.count_nonzero(ps > 0))
     _emit_record({
         "points_on_branch": len(ks),

@@ -107,19 +107,23 @@ def surface_patch(center, domega, dA, extent, sym):
     `extent` = (iw, ia): grid offsets run over -iw..iw and -ia..ia around
     the center, at fixed period.  Each point is solved from the tangent
     predictor at its neighbour toward the center (module note), one
-    `_variation_solve` per neighbour.  Returns {(di, dj): ContinuationPoint}
-    for every converged point; a Newton failure, or a singular even block
-    at the neighbour, ends that ray (points farther out on the same ray are
-    not attempted).
+    `_variation_solve` per neighbour.  Returns (patch, missing): patch is
+    {(di, dj): ContinuationPoint} for every converged point, and missing
+    lists the other offsets in ascending order.  A Newton failure, or a
+    singular even block at the neighbour, ends that ray (points farther out
+    on the same ray are not attempted).
     """
     iw, ia = extent
+    offsets = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)]
     patch = {(0, 0): center}
     tangents = {}
-
-    def extend(frm, di, dj):
+    # the omega axis outward first, then outward in A: every point comes
+    # after frm, its neighbour one step toward the center
+    for di, dj in sorted(offsets, key=lambda o: (abs(o[1]), abs(o[0])))[1:]:
+        frm = (di, dj + (dj < 0) - (dj > 0)) if dj else (di + (di < 0) - (di > 0), 0)
         prev = patch.get(frm)
         if prev is None:
-            return
+            continue
         omega, A = center.omega + di * domega, center.A + dj * dA
         try:
             if frm not in tangents:
@@ -132,18 +136,7 @@ def surface_patch(center, domega, dA, extent, sym):
                 start = FourierProfile(prev.psi.L0, prev.psi.coeffs
                                        + (omega - prev.omega) * eta.coeffs
                                        + (A - prev.A) * beta.coeffs)
-            pt = newton_solve(start, omega, A, sym)
+            patch[(di, dj)] = newton_solve(start, omega, A, sym)
         except (DegenerateOperatorError, NewtonDivergenceError):
-            return
-        patch[(di, dj)] = pt
-
-    for di in range(1, iw + 1):
-        extend((di - 1, 0), di, 0)
-    for di in range(-1, -iw - 1, -1):
-        extend((di + 1, 0), di, 0)
-    for di in range(-iw, iw + 1):
-        for dj in range(1, ia + 1):
-            extend((di, dj - 1), di, dj)
-        for dj in range(-1, -ia - 1, -1):
-            extend((di, dj + 1), di, dj)
-    return patch
+            continue
+    return patch, [o for o in offsets if o not in patch]

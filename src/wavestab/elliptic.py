@@ -26,11 +26,13 @@ __all__ = [
     "complete_integrals",
     "jacobi_sn_cn_dn",
     "dn",
+    "identity_battery",
 ]
 
 AGM_TOL = 1e-15
 AGM_MAX_ITER = 40
 MODULUS_CAP = 1.0 - 1e-12  # refuse k beyond this; K(k) blows up logarithmically
+IDENTITY_TOL = 1e-12       # a residual of identity_battery passes below this
 
 
 class EllipticDomainError(ValueError):
@@ -188,3 +190,26 @@ def jacobi_sn_cn_dn(u, k):
 def dn(u, k):
     """Jacobi dnoidal function; even, 2K-periodic, range [sqrt(1-k^2), 1]."""
     return jacobi_sn_cn_dn(u, k)[2]
+
+
+def identity_battery():
+    """Rows (k, check, residual, passed) of the kernels' self-checks at
+    k = 0.1, ..., 0.9, passed when the residual is below IDENTITY_TOL: the
+    Legendre relation, dn(0) = 1, dn(K) = k', the period 2K of dn and
+    dn^2 + k^2 sn^2 = 1, the last two on 64 points of [0, 2K]."""
+    rows = []
+    for k in np.arange(0.1, 0.95, 0.1):
+        pair = complete_integrals(k)
+        u = np.linspace(0.0, 2.0 * pair.K, 64)
+        s, c, d = jacobi_sn_cn_dn(u, k)
+        d_shift = jacobi_sn_cn_dn(u + 2.0 * pair.K, k)[2]
+        checks = {
+            "legendre": abs(pair.legendre_residual()),
+            "dn0": abs(jacobi_sn_cn_dn(0.0, k)[2] - 1.0),
+            "dnK": abs(jacobi_sn_cn_dn(pair.K, k)[2] - math.sqrt(1.0 - k * k)),
+            "period": float(np.abs(d_shift - d).max()),
+            "pythagoras": float(np.abs(d * d + k * k * s * s - 1.0).max()),
+        }
+        rows.extend((round(float(k), 12), name, val, val < IDENTITY_TOL)
+                    for name, val in checks.items())
+    return rows

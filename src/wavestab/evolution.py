@@ -262,14 +262,15 @@ def default_dt(state, sym, safety=0.5):
     """(dt, xi_eff, theta(xi_eff)) with dt = safety / max(theta(xi_eff), 1),
     xi_eff the largest content-carrying wavenumber.
 
-    Content is a mode magnitude above 1e-12 times the largest; the exact
-    linear propagation keeps the scheme stable well beyond this, so the
-    bound is an accuracy heuristic, gated in practice by the conservation
-    drift checks.
+    Content is a mode magnitude above 1e-12 times the largest of its own
+    state; in a stack of states, xi_eff is the largest over them.  The
+    exact linear propagation keeps the scheme stable well beyond this, so
+    the bound is an accuracy heuristic, gated in practice by the
+    conservation drift checks.
     """
-    mags = np.abs(state.mode_coefficients())
-    top = mags.max()
-    idx = np.nonzero(mags > 1e-12 * top)[0]
+    mags = np.abs(np.atleast_2d(state.mode_coefficients()))
+    content = mags > 1e-12 * mags.max(axis=1, keepdims=True)
+    idx = np.nonzero(content.any(axis=0))[0]
     n_eff = max(int(idx.max()), 1) if len(idx) else 1
     xi_eff = 2.0 * math.pi * n_eff / state.L0
     th = float(sym(xi_eff))
@@ -384,18 +385,20 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     The first record also gives the membership of u0 in the fixed-(F, M)
     manifold, the dt used, the step count and the Evolver's transform; when
     dt is None, also dt_safety, xi_eff and theta_eff of the default_dt rule
-    that chose it.  A horizon of more than
-    MAX_STEPS steps raises ValueError before any step is taken, and a first
-    record that is not finite (an overflowing delta) FloatingPointError.  On
-    blow-up the partial series is attached to the exception.
+    that chose it, applied to the wave and the perturbations as one stack,
+    each against its own largest mode.  A dt longer than the horizon, or a
+    horizon of more than MAX_STEPS steps, raises ValueError before any step
+    is taken; the last step may end up to one dt past the horizon.  A first
+    record that is not finite (an overflowing delta) raises
+    FloatingPointError.  On blow-up the partial series is attached to the
+    exception.
 
     `seed` may be a sequence of seeds: their states are stepped as one
     (S, band) stack and one series per seed is returned, each with the
     records of a single-seed run up to round-off: the dense transform's
     matrix-matrix products round differently from one seed's vector-matrix
-    ones.  With dt None the seeds must share their default_dt (ValueError
-    otherwise), so no seed steps at another's dt.  A blow-up names the
-    failed seeds and carries every seed's partial series.
+    ones.  A blow-up names the failed seeds and carries every seed's
+    partial series.
     """
     batched = np.ndim(seed) > 0
     seeds = list(seed) if batched else [seed]
@@ -406,20 +409,19 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     A, _ = extract_A(psi, omega, sym)
     psi_state = state_from_profile(psi, grid_size)
     states = [state_from_values(psi_state.values() + v, psi.L0) for v in vs]
-    rules = [{}] * len(states)
+    rule = {}
     if dt is None:
-        picks = [default_dt(st, sym, dt_safety) for st in states]
-        dts = sorted({p[0] for p in picks})
-        if len(dts) > 1:
-            raise ValueError(f"seeds {seeds} have default dt {dts}; a stack "
-                             f"steps at one dt")
-        dt = dts[0]
-        rules = [{"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
-                 for _, xi_eff, theta_eff in picks]
-    nsteps_float = periods * psi.L0 / omega / dt
+        parts = [psi_state.modes, *(state_from_values(v, psi.L0).modes for v in vs)]
+        dt, xi_eff, theta_eff = default_dt(replace(psi_state, modes=np.stack(parts)),
+                                           sym, dt_safety)
+        rule = {"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
+    horizon = periods * psi.L0 / omega
+    nsteps_float = horizon / dt
     if not nsteps_float <= MAX_STEPS:  # also catches inf and NaN
         raise ValueError(f"{nsteps_float:.3g} steps of dt={dt:.3g} exceed the "
                          f"{MAX_STEPS} step cap")
+    if dt > horizon:
+        raise ValueError(f"dt={dt:.6g} is longer than the horizon t={horizon:.6g}")
     nsteps_total = max(1, int(math.ceil(nsteps_float)))
     stride = max(1, nsteps_total // n_samples)
     ev = Evolver(psi.L0, grid_size, sym, dt)
@@ -442,7 +444,7 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
         series = [[record(st)] for st in states]
     if not all(math.isfinite(v) for (first,) in series for v in first.values()):
         raise FloatingPointError(f"non-finite first record at delta={delta!r}")
-    for (first,), rule in zip(series, rules):
+    for (first,) in series:
         first["on_manifold"] = bool(
             abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
             and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))

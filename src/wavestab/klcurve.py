@@ -32,7 +32,7 @@ import numpy as np
 from .elliptic import complete_integrals
 
 __all__ = ["cubic_coefficients", "cubic_residual", "solve_branch", "p_of_k",
-           "branch_columns", "sweep", "K_ANALYTIC"]
+           "branch_columns", "sweep", "sign_change", "K_ANALYTIC"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
 # times K^4, off the plain closed form of p; P_CORRECTION / 507 = 3584/3 (times
@@ -40,6 +40,19 @@ K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term van
 P_CORRECTION = 605696.0
 POLISH_RTOL = 4.0 * np.finfo(float).eps   # a Newton step this small is round-off
 POLISH_MAX_ITER = 50
+
+# sign_change narrows the sign change of p in passes of solve_branch, each
+# over 2**SIGN_CHANGE_HALVINGS equal parts of a window inside the bracket.
+# The window reaches SIGN_CHANGE_WINDOW times the last term of an inverse
+# cubic to each side of its root estimate, at least SIGN_CHANGE_MIN_ULPS
+# ulps, until a pass finds the sign change outside it; from then on the
+# window is the whole bracket.  No window is wider than the bracket and at
+# most one pass misses, so SIGN_CHANGE_PASSES passes take a bracket in
+# (0, 1) to two adjacent doubles, where the search stops.
+SIGN_CHANGE_HALVINGS = 6
+SIGN_CHANGE_PASSES = 10
+SIGN_CHANGE_WINDOW = 8.0
+SIGN_CHANGE_MIN_ULPS = 32
 
 
 def cubic_coefficients(k, pair=None):
@@ -178,3 +191,62 @@ def sweep(k_grid):
             L1_k = L_k = p_k = None
         rows.append({"k": k, "L1": L1_k, "L": L_k, "p": p_k, "stable": flag})
     return rows
+
+
+def _inverse_cubic(ks, ps):
+    """The root of the polynomial k(p) through the points (ps, ks), in
+    Newton's divided-difference form, and the size of its last term."""
+    c = list(ks)
+    for j in range(1, len(c)):
+        for m in range(len(c) - 1, j - 1, -1):
+            c[m] = (c[m] - c[m - 1]) / (ps[m] - ps[m - j])
+    root, prod, term = c[0], 1.0, 0.0
+    for m in range(1, len(c)):
+        prod *= -ps[m - 1]
+        term = c[m] * prod
+        root += term
+    return root, abs(term)
+
+
+def sign_change(ks, ps):
+    """Narrow the first sign change of p between the ascending branch points
+    ks, where p takes the values ps, to two adjacent doubles.
+
+    Returns (lo, hi, passes): p > 0 holds at one of lo, hi and not at the
+    other, and passes counts the solve_branch calls.  (None, None, 0) if
+    the sign of p never changes.
+    """
+    ks, ps = np.asarray(ks, dtype=float), np.asarray(ps, dtype=float)
+    positive = ps > 0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
+    if not flips.size:
+        return None, None, 0
+    i = int(flips[0])
+    lo_positive = positive[i]   # the sign at lo, which every bracket keeps
+    passes, windowed = 0, True
+    while passes < SIGN_CHANGE_PASSES:
+        lo, hi = float(ks[i]), float(ks[i + 1])
+        if math.nextafter(lo, hi) == hi:
+            break
+        a, b = lo, hi
+        if windowed:
+            # the bracket's ends, then their nearest neighbours of another p
+            nodes = [i, i + 1]
+            for m in (i - 1, i + 2):
+                if 0 <= m < len(ks) and ps[m] not in ps[nodes]:
+                    nodes.append(m)
+            root, last = _inverse_cubic(ks[nodes].tolist(), ps[nodes].tolist())
+            if math.isfinite(root) and math.isfinite(last):
+                root = min(max(root, lo), hi)
+                half = max(SIGN_CHANGE_WINDOW * last,
+                           SIGN_CHANGE_MIN_ULPS * math.ulp(root))
+                a, b = max(lo, root - half), min(hi, root + half)
+        grid = np.linspace(a, b, 2**SIGN_CHANGE_HALVINGS + 1)[1:-1]
+        grid = grid[(lo < grid) & (grid < hi)]
+        ks = np.concatenate((ks[:i + 1], grid, ks[i + 1:]))
+        ps = np.concatenate((ps[:i + 1], solve_branch(grid)[2], ps[i + 1:]))
+        passes += 1
+        # the first point past lo where the sign differs; hi's does
+        i += int(np.argmax((ps[i + 1:i + grid.size + 2] > 0) != lo_positive))
+        windowed = windowed and a <= ks[i] and ks[i + 1] <= b
+    return float(ks[i]), float(ks[i + 1]), passes

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_integrals, jacobi_sn_cn_dn
-from .klcurve import P_CORRECTION, _closed_form_terms
+from .klcurve import P_CORRECTION, _closed_form_terms, solve_branch
 
 __all__ = [
     "FourierProfile",
@@ -226,13 +226,17 @@ def build_dnoidal(k, L, omega, N=128):
 
     The integration constant A is minus the residual mean, h_0 - omega c_0
     with h = psi^2/2: theta(0) = 0 for every symbol, so A is the same for all
-    of them and bit for bit the A of extract_A.  The caller is responsible
-    for choosing (k, L) on the period-constraint curve if an exact solution
-    is wanted; off-curve input is allowed and simply yields a large residual
-    in extract_A.  Raises FloatingPointError when a coefficient of the wave,
+    of them and bit for bit the A of extract_A.  L=None takes the branch
+    period solve_branch(k), and raises ValueError where the branch does not
+    reach k; an L off the branch simply yields a large residual in
+    extract_A.  Raises FloatingPointError when a coefficient of the wave,
     A, a, b or d is not finite, and ValueError when truncation N leaves a
     tail_ratio() above TAIL_RTOL.
     """
+    if L is None:
+        L = solve_branch(k)[1]
+        if math.isnan(L):
+            raise ValueError(f"no branch root at k={k}")
     if N < 8:
         raise ValueError("truncation N < 8 is under-resolved")
     pair = complete_integrals(k)

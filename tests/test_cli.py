@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavestab
-from wavestab import cli
+from wavestab import cli, klcurve
 from wavestab.cli import build_parser, main
 from wavestab.continuation import NewtonDivergenceError
 from wavestab.galerkin import DegenerateOperatorError
@@ -168,7 +169,9 @@ def test_blowup_prints_one_stderr_line(tmp_path):
 
 
 @pytest.mark.parametrize("flags, code, message", [
-    (["--dt", "1e300"], 2, "evolve: dt=1e+300 gives non-finite ETDRK4 weights"),
+    # a horizon of 1e300 periods keeps this dt shorter than the horizon
+    (["--dt", "1e300", "--T", "1e300"], 2,
+     "evolve: dt=1e+300 gives non-finite ETDRK4 weights"),
     (["--delta", "1e300"], 3, "evolve: numerical failure: FloatingPointError("
                               "'non-finite first record at delta=1e+300')"),
 ], ids=["dt", "delta"])
@@ -270,7 +273,7 @@ def test_reproduce_figure1(tmp_path):
     record = json.loads(read(rec))
     assert record["points_with_p_positive"] > 0
     assert repr(record["p_sign_change_k"]) == "0.8489078546965656"
-    assert 1 <= record["sign_change_passes"] <= cli.SIGN_CHANGE_PASSES
+    assert 1 <= record["sign_change_passes"] <= klcurve.SIGN_CHANGE_PASSES
     assert body_of(read(f1)).splitlines()[0] == "k,L1"
     assert body_of(read(f2)).splitlines()[0] == "k,p"
 
@@ -384,6 +387,8 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["evolve", "--k", "0.8", "--grid", "24", "--omega", "10000"], None),
     (["evolve", "--k", "0.6", "--grid", "24"], None),
     (["evolve", "--k", "0.8", "--samples", "100001"], None),
+    # one step of dt 100 would overshoot the horizon t = 12.9 by 87
+    (["evolve", "--k", "0.8", "--dt", "100", "--T", "0.5", "--grid", "64"], None),
     (["sweep", "--steps", "-3"], None),
     (["sweep", "--steps", "100001"], None),
     (["reproduce-figure1", "--steps", "100001"], None),
@@ -431,17 +436,17 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
                                    DegenerateOperatorError, NewtonDivergenceError,
                                    FloatingPointError], ids=lambda e: e.__name__)
 @pytest.mark.parametrize("command, target", [
-    ("profile", "_resolve_wave"), ("spectrum", "_resolve_wave"),
-    ("criteria", "_resolve_wave"), ("continue", "_resolve_wave"),
-    ("evolve", "_resolve_wave"),
-    # the ids keep the name of the branch entry before branch_columns
+    # the ids keep the names of the wave and branch entries before
+    # build_dnoidal and branch_columns
+    *(pytest.param(command, "build_dnoidal", id=f"{command}-_resolve_wave")
+      for command in ("profile", "spectrum", "criteria", "continue", "evolve")),
     pytest.param("sweep", "branch_columns", id="sweep-sweep"),
     pytest.param("reproduce-figure1", "branch_columns", id="reproduce-figure1-sweep"),
 ])
 def test_failure_map(tmp_path, capsys, monkeypatch, command, target, error):
     # main alone maps a failure to an exit code: 2 for ValueError, 3 for the
     # numerical failures, LinAlgError included although it is a ValueError
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise error("injected")
 
     monkeypatch.setattr(cli, target, fail)
@@ -546,6 +551,104 @@ def test_random_flags_and_config_exit_cleanly(invocation):
             code = exit_code(argv)
     assert code in (0, 2, 3, 4), (argv, config, code)
     assert "Traceback" not in err.getvalue()
+
+
+# the contract fuzz's menu of edge values; the work flags stay small
+_EDGE = {
+    "k": ["1e-9", "0.3", "0.6", "0.8", "0.95", "0.999999"],
+    "omega": ["1.0", "0.5", "-1.0", "100", "1e300", "-1e300", "1e-300", "-1e-300"],
+    "L": ["20", "1e300", "1e-300"],
+    "alpha": ["nan", "inf", "0", "-1", "1.5"],
+    "domega": ["5e-3", "1e300", "1e-300"],
+    "dA": ["5e-3", "1e300", "1e-300"],
+    "delta": ["1e-3", "0", "-5", "20", "1e300", "1e-300"],
+    "dt": ["0.01", "100", "1e300", "1e-300"],
+    "N": ["16", "32"],
+    "N-op": ["16", "32", "64"],
+    "grid": ["24", "48", "64"],
+    "T": ["0.01", "0.05"],
+    "samples": ["1", "3"],
+    "extent-omega": ["0", "1"],
+    "extent-A": ["0", "1"],
+    "perturbation": ["mode", "random", "mean"],
+    "mode": ["1", "3", "30"],
+    "seed": ["0", "5"],
+}
+_FUZZ_FLAGS = {
+    "profile": ["omega", "L", "N"],
+    "spectrum": ["omega", "L", "N", "N-op"],
+    "criteria": ["omega", "L", "N", "N-op"],
+    "continue": ["omega", "L", "N", "domega", "dA", "extent-omega", "extent-A"],
+    "evolve": ["omega", "L", "N", "delta", "dt", "grid", "T", "samples"],
+}
+
+
+def _fuzz_argv(rng, out):
+    """One invocation: a wave command, --k, some of its flags from _EDGE, the
+    perturbation of evolve, a symbol (with or without --alpha) for the
+    commands that take one, and the outputs."""
+    command = rng.choice(sorted(_FUZZ_FLAGS))
+    # --flag=value, so that a negative value is not taken for a flag
+    argv = [command, "--k=" + rng.choice(_EDGE["k"])]
+    for flag in _FUZZ_FLAGS[command]:
+        if rng.random() < 0.4:
+            argv.append(f"--{flag}={rng.choice(_EDGE[flag])}")
+    if command == "evolve":
+        # --mode and --seed only with the kind that reads them; the mismatch
+        # is a test_invalid_input_exits_2 row
+        kind = rng.choice(_EDGE["perturbation"])
+        argv.append(f"--perturbation={kind}")
+        flag = {"mode": "mode", "random": "seed"}.get(kind)
+        if flag and rng.random() < 0.5:
+            argv.append(f"--{flag}={rng.choice(_EDGE[flag])}")
+    if command != "profile" and rng.random() < 0.3:
+        symbol = rng.choice(["kawahara", "kdv", "bo", "fractional"])
+        argv.append(f"--symbol={symbol}")
+        if rng.random() < (0.8 if symbol == "fractional" else 0.1):
+            argv.append(f"--alpha={rng.choice(_EDGE['alpha'])}")
+    # small defaults for the work flags no draw has set
+    for flag, small in (("N", "16"), ("N-op", "32"), ("grid", "48"), ("T", "0.02"),
+                        ("samples", "2"), ("extent-omega", "1"), ("extent-A", "1")):
+        if flag in _FUZZ_FLAGS[command] and not any(a.startswith(f"--{flag}=")
+                                                    for a in argv):
+            argv.append(f"--{flag}={small}")
+    argv.append(f"--out={out / 'body'}")
+    if command == "spectrum":
+        argv.append(f"--record-out={out / 'record'}")
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_contract_fuzz(tmp_path, seed):
+    # exit 0, 2, 3 or 4; at most one stderr line unless argparse prints its
+    # usage block; no nan or inf cell in an exit-0 body.  A numpy warning
+    # fails the test through filterwarnings = error.
+    rng = random.Random(seed)
+    codes = set()
+    for _ in range(100):
+        argv = _fuzz_argv(rng, tmp_path)
+        for name in ("body", "record"):
+            (tmp_path / name).unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = exit_code(argv)
+        codes.add(code)
+        assert code in (0, 2, 3, 4), argv
+        text = err.getvalue()
+        assert "Traceback" not in text and "Warning" not in text, argv
+        if not text.startswith("usage:"):
+            assert len(text.splitlines()) <= 1, (argv, text)
+        if code == 0:
+            out = read(tmp_path / "body")
+            if argv[0] in ("spectrum", "criteria"):
+                cells = [v for v in json.loads(out if argv[0] == "criteria" else
+                                               read(tmp_path / "record")).values()
+                         if isinstance(v, float)]
+                assert all(np.isfinite(cells)), argv
+            if argv[0] != "criteria":
+                cells = ",".join(body_of(out).splitlines()[1:]).split(",")
+                assert all(np.isfinite(float(c)) for c in cells if c), argv
+    assert {0, 2} <= codes
 
 
 def test_readme_invocations_parse():

@@ -70,10 +70,20 @@ def test_overflowing_patch_step_leaves_points_missing(wave08, kawahara):
     # missing, the omega = center column is solved, and nothing warns
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
-    patch = surface_patch(center, 1e300, 1e-3, (1, 1), kawahara)
+    patch, _ = surface_patch(center, 1e300, 1e-3, (1, 1), kawahara)
     assert sorted(patch) == [(0, -1), (0, 0), (0, 1)]
     assert all(np.isfinite(pt.psi.coeffs).all() and np.isfinite(pt.residual_norm)
                for pt in patch.values())
+
+
+@pytest.mark.parametrize("domega", [5e-3, 1e300], ids=["readme", "overflow"])
+def test_patch_missing_offsets_are_the_grid_minus_the_patch(wave08, kawahara, domega):
+    params, psi = wave08
+    center = newton_solve(psi, params.omega, params.A, kawahara)
+    patch, missing = surface_patch(center, domega, 5e-3, (2, 2), kawahara)
+    grid = [(di, dj) for di in range(-2, 3) for dj in range(-2, 3)]
+    assert missing == [o for o in grid if o not in patch]
+    assert len(missing) == (0 if domega == 5e-3 else 20)
 
 
 def test_quadratic_convergence(wave08, kawahara, history):
@@ -118,15 +128,15 @@ def test_evenness_structural(wave08, kawahara):
 def test_single_point_patch(wave08, kawahara):
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
-    patch = surface_patch(center, 1e-3, 1e-3, (0, 0), kawahara)
+    patch, missing = surface_patch(center, 1e-3, 1e-3, (0, 0), kawahara)
     assert list(patch.keys()) == [(0, 0)]
-    assert patch[(0, 0)] is center
+    assert patch[(0, 0)] is center and missing == []
 
 
 def test_patch_residuals_and_smoothness(wave08, kawahara):
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
-    patch = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
+    patch, _ = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
     assert len(patch) == 25
     scale = max(1.0, psi.sup_norm())
     for pt in patch.values():
@@ -210,7 +220,7 @@ def test_patch_newton_budget(wave08, kawahara):
     # the benchmark's step) and lands on the same waves as a cold start
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
-    patch = surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
+    patch, _ = surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
     assert len(patch) == 9
     for key, pt in patch.items():
         if key == (0, 0):
@@ -220,7 +230,7 @@ def test_patch_newton_budget(wave08, kawahara):
         scale = max(1.0, cold.psi.sup_norm())
         assert np.abs(pt.psi.coeffs - cold.psi.coeffs).max() < 1e-10 * scale
     # the README patch: 98 iterations from the neighbour unchanged
-    readme = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
+    readme, _ = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
     assert len(readme) == 25
     assert sum(pt.newton_iters for pt in readme.values()) <= 74
 
@@ -240,7 +250,7 @@ def test_patch_timing(benchmark, wave08, kawahara):
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
     args = (center, 5e-3, 5e-3, (1, 1), kawahara)
-    out = benchmark.pedantic(surface_patch, args=args, rounds=5, iterations=1)
-    ref = surface_patch(*args)
+    out, _ = benchmark.pedantic(surface_patch, args=args, rounds=5, iterations=1)
+    ref, _ = surface_patch(*args)
     assert out.keys() == ref.keys()
     assert all(np.array_equal(out[key].psi.coeffs, ref[key].psi.coeffs) for key in ref)

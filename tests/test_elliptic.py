@@ -11,6 +11,7 @@ from wavestab.elliptic import (
     EllipticDomainError,
     complete_integrals,
     dn,
+    identity_battery,
     jacobi_sn_cn_dn,
 )
 
@@ -149,3 +150,20 @@ def test_complete_integrals_timing(benchmark, moduli):
     pair = benchmark.pedantic(complete_integrals, args=(moduli,), rounds=20,
                               iterations=5)
     assert np.array_equal(pair.K, complete_integrals(moduli).K)
+
+
+def test_jacobi_sn_cn_dn_timing(benchmark):
+    # layer timing of the Landen kernel on the 516 samples of build_dnoidal
+    # at N 128; the time is reported, never asserted
+    u = np.linspace(0.0, 4.0 * complete_integrals(0.8).K, 516)
+    out = benchmark.pedantic(jacobi_sn_cn_dn, args=(u, 0.8), rounds=20, iterations=5)
+    assert all(np.array_equal(a, b) for a, b in zip(out, jacobi_sn_cn_dn(u, 0.8)))
+
+
+def test_identity_battery_rows():
+    # five checks at each of k = 0.1, ..., 0.9, every one below IDENTITY_TOL
+    rows = identity_battery()
+    assert [row[0] for row in rows[::5]] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    assert [row[1] for row in rows[:5]] == ["legendre", "dn0", "dnK", "period",
+                                           "pythagoras"]
+    assert len(rows) == 45 and all(passed for *_, passed in rows)

@@ -531,18 +531,32 @@ def test_seed_stack_matches_single_seed_runs(wave08, kawahara, grid):
                     assert rec[key] == value
 
 
-def test_seed_stack_with_differing_default_dt_refused(wave08, kawahara, monkeypatch):
-    # at delta 20 on grid 64 the perturbation moves the largest mode, and with
-    # it the content cut of default_dt: seed 0 gets dt 0.0085, seed 1 0.0061
+@pytest.mark.parametrize("delta", [1e-3, 20.0])
+def test_one_default_dt_from_the_wave_and_the_perturbation(wave08, kawahara, delta):
+    # the wave and the perturbation are each measured against their own
+    # largest mode; a cut at 1e-12 of the perturbed state's largest mode gave
+    # seed 0 dt 0.0085 and seed 1 dt 0.0061 at delta 20 on grid 64
+    params, psi = wave08
+    wave_dt = ev.default_dt(ev.state_from_profile(psi, 64), kawahara)[0]
+    assert wave_dt == 0.0061407698859101325
+    kw = dict(kind="random", delta=delta, grid_size=64, periods=0.1, n_samples=1)
+    stacked = ev.stability_experiment(psi, params.omega, kawahara, seed=[0, 1], **kw)
+    for seed in (0, 1):
+        single = ev.stability_experiment(psi, params.omega, kawahara, seed=seed, **kw)
+        assert single[0]["dt"] == stacked[seed][0]["dt"] == wave_dt
+
+
+def test_dt_longer_than_the_horizon_refused(wave08, kawahara, monkeypatch):
+    # one step of dt 100 took the state to t = 100 for a horizon of t = 12.9
     params, psi = wave08
 
     def no_evolver(*args):
         raise AssertionError("an Evolver was built")
 
     monkeypatch.setattr(ev, "Evolver", no_evolver)
-    with pytest.raises(ValueError, match=r"seeds \[0, 1\] have default dt"):
-        ev.stability_experiment(psi, params.omega, kawahara, kind="random",
-                                delta=20.0, grid_size=64, seed=[0, 1], periods=0.1)
+    with pytest.raises(ValueError, match="longer than the horizon t=12.90"):
+        ev.stability_experiment(psi, params.omega, kawahara, dt=100.0, periods=0.5,
+                                grid_size=64)
 
 
 def test_seed_stack_blowup_names_the_seed(wave08, kawahara):

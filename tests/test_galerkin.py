@@ -9,6 +9,7 @@ from wavestab.galerkin import (
     DegenerateOperatorError,
     SpectrumReport,
     _secular_min,
+    _variation_solve,
     assemble,
     constrained_min,
     default_tol_zero,
@@ -398,3 +399,38 @@ def test_shifted_eigenvector_from_orthogonal_start(op08):
     # once eigh has run, its columns are returned as they are
     op.eig_odd
     assert np.array_equal(op.eigenvector("odd", i, start), op.eig_odd.eigenvectors[:, i])
+
+
+# layer timings at N_op 256 for the benchmark's wave; the times are reported,
+# never asserted
+
+def test_assemble_eigh_timing(benchmark, wave08, kawahara):
+    # a fresh operator per round, so both eigendecompositions are timed
+    _, psi = wave08
+
+    def assemble_eigh():
+        op = assemble(psi, 1.0, kawahara, N=256)
+        return op.eig_even, op.eig_odd
+
+    even, odd = benchmark.pedantic(assemble_eigh, rounds=5, iterations=1)
+    ref = assemble(psi, 1.0, kawahara, N=256)
+    assert np.array_equal(even.eigenvalues, ref.eig_even.eigenvalues)
+    assert np.array_equal(odd.eigenvalues, ref.eig_odd.eigenvalues)
+
+
+def test_variation_solve_timing(benchmark, op08):
+    eta, beta = benchmark.pedantic(_variation_solve, args=(op08,), rounds=20,
+                                   iterations=1)
+    ref_eta, ref_beta = _variation_solve(op08)
+    assert np.array_equal(eta.coeffs, ref_eta.coeffs)
+    assert np.array_equal(beta.coeffs, ref_beta.coeffs)
+
+
+def test_constrained_min_timing(benchmark, op08, wave08):
+    # on the operator's cached eigenpairs, as evaluate_wave calls it
+    _, psi = wave08
+    kw = dict(even=psi.orthonormal(op08.N),
+              odd=op08.psi.half_square().derivative_orthonormal(op08.N))
+    ref = constrained_min(op08, **kw)
+    assert benchmark.pedantic(constrained_min, args=(op08,), kwargs=kw,
+                              rounds=20, iterations=5) == ref

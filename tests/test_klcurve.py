@@ -238,7 +238,6 @@ def test_branch_work_budget(monkeypatch, tmp_path):
         return _fn(k)
 
     monkeypatch.setattr(klcurve, "solve_branch", counted)
-    monkeypatch.setattr(cli, "solve_branch", counted)
     monkeypatch.setattr(elliptic, "_agm_levels", counted_agm)
     assert main(["sweep", "--steps", "200", "--out", str(tmp_path / "s.csv")]) == 0
     assert calls == passes == [200]
@@ -272,10 +271,10 @@ def _even_split_sign_change(ks, ps):
     for i in range(len(ks) - 1):
         if (ps[i] > 0) != (ps[i + 1] > 0):
             lo, hi = ks[i], ks[i + 1]
-            for _ in range(cli.SIGN_CHANGE_PASSES):
+            for _ in range(klcurve.SIGN_CHANGE_PASSES):
                 if np.nextafter(lo, hi) == hi:
                     break
-                grid = np.linspace(lo, hi, 2**cli.SIGN_CHANGE_HALVINGS + 1)
+                grid = np.linspace(lo, hi, 2**klcurve.SIGN_CHANGE_HALVINGS + 1)
                 flipped = (solve_branch(grid[1:-1])[2] > 0) != (ps[i] > 0)
                 j = int(np.argmax(np.append(flipped, True)))  # hi has flipped
                 lo, hi = float(grid[j]), float(grid[j + 1])
@@ -293,10 +292,10 @@ def test_sign_change_matches_even_split_oracle():
         grid = np.linspace(rng.uniform(0.05, 0.8), rng.uniform(0.86, 0.99), steps)
         rows = [r for r in sweep(grid) if r["p"] is not None]
         ks, ps = [r["k"] for r in rows], [r["p"] for r in rows]
-        lo, hi, n = cli._sign_change(ks, ps)
+        lo, hi, n = klcurve.sign_change(ks, ps)
         k_star = None if lo is None else 0.5 * (lo + hi)
         assert repr(k_star) == repr(_even_split_sign_change(ks, ps)), grid
-        assert n <= cli.SIGN_CHANGE_PASSES
+        assert n <= klcurve.SIGN_CHANGE_PASSES
         if lo is not None:
             assert math.nextafter(lo, hi) == hi
             assert (solve_branch(lo)[2] > 0) != (solve_branch(hi)[2] > 0)
@@ -312,11 +311,11 @@ def test_sign_change_matches_even_split_oracle():
 def test_sign_change_falls_back_to_even_split(monkeypatch, p):
     # p where the inverse cubic misses: once a window misses, the even split
     # still ends at two adjacent doubles within SIGN_CHANGE_PASSES passes
-    monkeypatch.setattr(cli, "solve_branch", lambda k: (None, None, p(k), None))
+    monkeypatch.setattr(klcurve, "solve_branch", lambda k: (None, None, p(k), None))
     ks = np.linspace(0.6, 0.95, 8)
-    lo, hi, n = cli._sign_change(ks, p(ks))
+    lo, hi, n = klcurve.sign_change(ks, p(ks))
     assert math.nextafter(lo, hi) == hi and (p(lo) > 0) != (p(hi) > 0)
-    assert n <= cli.SIGN_CHANGE_PASSES
+    assert n <= klcurve.SIGN_CHANGE_PASSES
 
 
 @pytest.mark.parametrize("case", ["sweep200", "solve_branch", "figure200", "write200"])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from wavestab import cli
+from wavestab import klcurve
 from wavestab.cli import _fmt, main
 from wavestab.continuation import newton_solve, surface_patch
 from wavestab.criteria import functionals
@@ -85,7 +85,7 @@ def test_figure_bodies(tmp_path, name):
     assert body(paths["p"]) == row_body(["k", "p"], [(r[0], r[3]) for r in rows])
     ks = [r[0] for r in rows if r[3] is not None]
     ps = [r[3] for r in rows if r[3] is not None]
-    lo, hi, passes = cli._sign_change(ks, ps)
+    lo, hi, passes = klcurve.sign_change(ks, ps)
     with open(rec) as f:
         record = json.load(f)
     assert (record["points_on_branch"], record["points_with_p_positive"],
@@ -150,7 +150,7 @@ def test_continue_body(tmp_path):
     params, psi = wave08()
     sym = builtin_symbol("kawahara")
     center = newton_solve(psi, 1.0, params.A, sym)
-    patch = surface_patch(center, 5e-3, 5e-3, (2, 2), sym)
+    patch, _ = surface_patch(center, 5e-3, 5e-3, (2, 2), sym)
     rows = [(pt.omega, pt.A, pt.psi.mean(), functionals(pt.psi)[1],
              pt.residual_norm, pt.newton_iters) for _, pt in sorted(patch.items())]
     assert body(out) == row_body(
