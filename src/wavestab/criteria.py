@@ -183,7 +183,7 @@ def evaluate_wave(psi, omega, sym=None, N=None):
     # the first one: the coercivity route (M_w >= 0) reads every eigenvector
     # in constrained_min and takes eigh; the others read two eigenvectors
     # and take eigvalsh plus one shifted solve each
-    eta, beta = _variation_solve(op)
+    eta, beta = _variation_solve(op.even, op.psi)
     M, F = functionals(psi)
     M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
     if M_w >= 0.0:

@@ -16,9 +16,11 @@ each adds its diagonal along the strided diagonal, with no diagonal matrix
 and no second full-size subtraction.  The bits are those of diag - S, since
 d - s = (0 - s) + d in IEEE arithmetic; 0 - s also keeps a zero entry
 +0.0, where negation would give -0.0 and LAPACK's Householder sign choices
-could differ.  The even block is assembled with the operator and the odd
-block on first use (`odd`).  Each block is decomposed once, on first use,
-and every consumer reads that decomposition, so the blocks must not be
+could differ.  The even block is assembled with the operator, by
+`_even_assembly`, and the odd block on first use (`odd`); the continuation's
+Newton stacks call `_even_assembly` on a stack of profiles, which gives
+each block the bits it has alone.  Each block is decomposed once, on first
+use, and every consumer reads that decomposition, so the blocks must not be
 modified after assembly.  A caller that reads every eigenvector (the
 constrained minima) asks for `eig_even`/`eig_odd` (eigh) first; otherwise
 `values_even`/`values_odd` take eigvalsh, which forms no eigenvectors and
@@ -26,11 +28,11 @@ costs about half as much, and `eigenvector` recovers the one or two vectors
 a report reads by one shifted solve each (inverse iteration).  `spectrum`
 reads the eigenvalues and the odd mode nearest zero.  The solves for eta
 and beta (the criteria, and the continuation predictor) need no
-decomposition (`_variation_solve`: one LU, both right-hand sides);
-`_check_even_band` reads the even eigenvalues only to reject a zero-band
-even eigenvalue.  Coordinates in the orthonormal basis come from
-`FourierProfile` (`orthonormal`, `from_orthonormal`,
-`derivative_orthonormal`).
+decomposition (`_variation_solve`: one LU per block, both right-hand sides,
+for a block or a stack of them); `_check_even_band` reads the even
+eigenvalues only to reject a zero-band even eigenvalue.  Coordinates in the
+orthonormal basis come from `FourierProfile` (`orthonormal`,
+`from_orthonormal`, `derivative_orthonormal`).
 
 `constrained_min(op, even=None, odd=None)` takes at most one constraint per
 block, in that block's orthonormal coordinates, and returns the smaller of
@@ -77,30 +79,8 @@ class GalerkinOperator:
         self.sym = sym
         self.N = int(N)
         self.L0 = psi.L0
-        xi = 2.0 * math.pi * np.arange(self.N + 1) / self.L0
-        self.theta = np.asarray(sym(xi), dtype=float)
-        # omega - mean(psi) combined first: a gauge shift (psi+a, omega+a)
-        # cancels here before it can touch the theta-scaled diagonal, so the
-        # assembled matrix is invariant to rounding level
-        h = psi.psi_hat(2 * self.N)  # one-sided hat(psi)(0..2N)
-        shift = self.omega - h[0]
-        h0 = h.copy()
-        h0[0] = 0.0
-        self._h0 = h0
-        self._diag = self.theta + shift
-
-        # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}:
-        # Hankel h0[i + j] plus Toeplitz h0[|i - j|], both strided views of h0
-        n1 = self.N + 1
-        reflected = np.concatenate([h0[n1 - 1 : 0 : -1], h0[:n1]])  # h0[|m|], |m| <= N
-        self._toeplitz = sliding_window_view(reflected, n1)[::-1]
-        S = sliding_window_view(h0, n1) + self._toeplitz
-        S[0, 0] = 0.0
-        S[0, 1:] = math.sqrt(2.0) * h0[1:n1]
-        S[1:, 0] = S[0, 1:]
-        np.subtract(0.0, S, out=S)   # not np.negative: a zero stays +0.0
-        S.flat[:: n1 + 1] += self._diag
-        self.even = S
+        self.even, self._h0, self._toeplitz, self._diag = _even_assembly(
+            psi, self.omega, sym, self.N)
 
     @cached_property
     def odd(self):
@@ -160,6 +140,39 @@ class GalerkinOperator:
         shifted.flat[:: n + 1] -= sigma
         x = np.linalg.solve(shifted, s)
         return x / np.linalg.norm(x)
+
+
+def _even_assembly(psi, omega, sym, N):
+    """Even block of M + omega - psi on modes 0..N, with the pieces the odd
+    block reuses: (even, h0, toeplitz, diag).
+
+    A stack of profiles (leading axes of psi.coeffs) with omega of the
+    stack's shape gives the stack of blocks, each with the bits of its
+    profile alone.
+    """
+    xi = 2.0 * math.pi * np.arange(N + 1) / psi.L0
+    theta = np.asarray(sym(xi), dtype=float)
+    # omega - mean(psi) combined first: a gauge shift (psi+a, omega+a)
+    # cancels here before it can touch the theta-scaled diagonal, so the
+    # assembled matrix is invariant to rounding level
+    h0 = psi.psi_hat(2 * N)  # one-sided hat(psi)(0..2N)
+    shift = omega - h0[..., 0]
+    h0[..., 0] = 0.0
+    diag = theta + np.asarray(shift)[..., None]
+
+    # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}:
+    # Hankel h0[i + j] plus Toeplitz h0[|i - j|], both strided views of h0
+    n1 = N + 1
+    reflected = np.concatenate([h0[..., n1 - 1 : 0 : -1], h0[..., :n1]],
+                               axis=-1)  # h0[|m|], |m| <= N
+    toeplitz = sliding_window_view(reflected, n1, axis=-1)[..., ::-1, :]
+    S = sliding_window_view(h0, n1, axis=-1) + toeplitz
+    S[..., 0, 0] = 0.0
+    S[..., 0, 1:] = math.sqrt(2.0) * h0[..., 1:n1]
+    S[..., 1:, 0] = S[..., 0, 1:]
+    np.subtract(0.0, S, out=S)   # not np.negative: a zero stays +0.0
+    S.reshape(S.shape[:-2] + (-1,))[..., :: n1 + 1] += diag
+    return S, h0, toeplitz, diag
 
 
 def assemble(psi, omega, sym, N=None):
@@ -238,20 +251,25 @@ def spectrum(op):
     )
 
 
-def _variation_solve(op):
-    """eta and beta from one LU of the even block, with no eigensolve.
+def _variation_solve(even, psi):
+    """eta and beta from one LU of the even block at psi, with no eigensolve.
 
-    An exactly singular block raises DegenerateOperatorError; a nearly
-    singular one is caught only by `_check_even_band`.
+    `even` is the block (`GalerkinOperator.even`) on modes 0..N.  A stack of
+    blocks and profiles gives stacks of eta and beta, one LU per block; a
+    singular block then refuses the whole stack.  An exactly singular block
+    raises DegenerateOperatorError; a nearly singular one is caught only by
+    `_check_even_band`.
     """
-    rhs = np.stack([-op.psi.orthonormal(op.N),
-                    FourierProfile(op.L0, [-1.0]).orthonormal(op.N)], axis=1)
+    N = even.shape[-1] - 1
+    v = -psi.orthonormal(N)
+    rhs = np.stack([v, np.broadcast_to(
+        FourierProfile(psi.L0, [-1.0]).orthonormal(N), v.shape)], axis=-1)
     try:
-        x = np.linalg.solve(op.even, rhs)
+        x = np.linalg.solve(even, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
-    return (FourierProfile.from_orthonormal(op.L0, x[:, 0]),
-            FourierProfile.from_orthonormal(op.L0, x[:, 1]))
+    return (FourierProfile.from_orthonormal(psi.L0, x[..., 0]),
+            FourierProfile.from_orthonormal(psi.L0, x[..., 1]))
 
 
 def _check_even_band(op):

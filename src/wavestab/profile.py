@@ -45,6 +45,13 @@ class FourierProfile:
     is structural: only cosine coefficients are stored.  This class is the
     one place that maps coefficients to orthonormal-basis coordinates,
     alias-free products and L2 inner products; other modules call it.
+
+    `coeffs` may carry leading stack axes, one profile per row of the last
+    axis, all of period L0.  The coefficient maps (`from_samples`, `values`,
+    `psi_hat`, `orthonormal`, `from_orthonormal`, `half_square`,
+    `truncated`) act row by row with the arithmetic of one profile, so a
+    row's bits do not depend on its stack; the methods that return a float
+    take one profile.
     """
 
     def __init__(self, L0, coeffs):
@@ -52,12 +59,12 @@ class FourierProfile:
             raise ValueError("period L0 must be positive")
         self.L0 = float(L0)
         self.coeffs = np.asarray(coeffs, dtype=float).copy()
-        if self.coeffs.ndim != 1 or len(self.coeffs) < 1:
-            raise ValueError("coeffs must be a 1-d array with at least c_0")
+        if self.coeffs.ndim < 1 or self.coeffs.shape[-1] < 1:
+            raise ValueError("coeffs must be an array with at least c_0")
 
     @property
     def N(self):
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     @classmethod
     def from_samples(cls, L0, values, N):
@@ -65,19 +72,20 @@ class FourierProfile:
 
         Requires M >= 2N+1.  Returns (profile, odd_energy) where odd_energy
         is the relative l2 weight in the sine coefficients (should be at
-        rounding level for genuinely even data).
+        rounding level for genuinely even data); for a stack of sample rows
+        it measures the whole stack.
         """
         values = np.asarray(values, dtype=float)
-        M = len(values)
+        M = values.shape[-1]
         if M < 2 * N + 1:
             raise ValueError(f"need at least 2N+1={2*N+1} samples, got {M}")
         F = np.fft.rfft(values) / M
-        c = np.zeros(N + 1)
-        c[0] = F[0].real
-        upto = min(N, len(F) - 1)
-        c[1 : upto + 1] = 2.0 * F[1 : upto + 1].real
+        c = np.zeros(F.shape[:-1] + (N + 1,))
+        c[..., 0] = F[..., 0].real
+        upto = min(N, F.shape[-1] - 1)
+        c[..., 1 : upto + 1] = 2.0 * F[..., 1 : upto + 1].real
         scale = max(np.abs(F).max(), 1e-300)
-        odd_energy = float(np.abs(F[1:].imag).max() / scale)
+        odd_energy = float(np.abs(F[..., 1:].imag).max() / scale)
         return cls(L0, c), odd_energy
 
     def grid(self, M):
@@ -89,9 +97,9 @@ class FourierProfile:
             M = 4 * (self.N + 1)
         if M < 2 * self.N + 1:
             raise ValueError("sampling grid too coarse for the stored modes")
-        F = np.zeros(M // 2 + 1, dtype=complex)
-        F[0] = self.coeffs[0] * M
-        F[1 : self.N + 1] = self.coeffs[1:] * (M / 2.0)
+        F = np.zeros(self.coeffs.shape[:-1] + (M // 2 + 1,), dtype=complex)
+        F[..., 0] = self.coeffs[..., 0] * M
+        F[..., 1 : self.N + 1] = self.coeffs[..., 1:] * (M / 2.0)
         return np.fft.irfft(F, M)
 
     def mean(self):
@@ -127,10 +135,10 @@ class FourierProfile:
 
     def psi_hat(self, n_max):
         """One-sided complex Fourier coefficients hat(psi)(n), n = 0..n_max."""
-        h = np.zeros(n_max + 1)
-        h[0] = self.coeffs[0]
+        h = np.zeros(self.coeffs.shape[:-1] + (n_max + 1,))
+        h[..., 0] = self.coeffs[..., 0]
         upto = min(self.N, n_max)
-        h[1 : upto + 1] = 0.5 * self.coeffs[1 : upto + 1]
+        h[..., 1 : upto + 1] = 0.5 * self.coeffs[..., 1 : upto + 1]
         return h
 
     def wavenumbers(self):
@@ -139,8 +147,8 @@ class FourierProfile:
     def orthonormal(self, N):
         """Coordinates 0..N in the basis {1/sqrt(L0), sqrt(2/L0) cos_n}."""
         v = self.truncated(N).coeffs
-        v[0] *= math.sqrt(self.L0)
-        v[1:] *= math.sqrt(self.L0 / 2.0)
+        v[..., 0] *= math.sqrt(self.L0)
+        v[..., 1:] *= math.sqrt(self.L0 / 2.0)
         return v
 
     @classmethod
@@ -148,7 +156,7 @@ class FourierProfile:
         """The profile with orthonormal cosine coordinates v (see `orthonormal`)."""
         v = np.asarray(v, dtype=float)
         c = v * math.sqrt(2.0 / L0)
-        c[0] = v[0] / math.sqrt(L0)
+        c[..., 0] = v[..., 0] / math.sqrt(L0)
         return cls(L0, c)
 
     def derivative_orthonormal(self, N):
@@ -178,10 +186,10 @@ class FourierProfile:
 
     def truncated(self, N):
         if N >= self.N:
-            c = np.zeros(N + 1)
-            c[: self.N + 1] = self.coeffs
+            c = np.zeros(self.coeffs.shape[:-1] + (N + 1,))
+            c[..., : self.N + 1] = self.coeffs
             return FourierProfile(self.L0, c)
-        return FourierProfile(self.L0, self.coeffs[: N + 1])
+        return FourierProfile(self.L0, self.coeffs[..., : N + 1])
 
 
 @dataclass(frozen=True)
@@ -204,7 +212,8 @@ def dnoidal_coefficients(k, L, omega, pair=None):
 
     `a` carries the correction of the module note, so that the sampled
     ansatz solves the traveling-wave equation to machine precision; its
-    (k, L) part is the one klcurve.p_of_k uses.
+    (k, L) part is the one klcurve.p_of_k uses.  An L whose L^4 underflows
+    gives infinite coefficients, which build_dnoidal refuses.
     """
     pair = pair or complete_integrals(k)
     K, E = pair.K, pair.E
@@ -212,6 +221,8 @@ def dnoidal_coefficients(k, L, omega, pair=None):
         raise ValueError("need 0 < k < 1 and L > 0")
     L2 = L * L
     L4 = L2 * L2
+    if L4 == 0.0:   # underflow: every coefficient scales as K^4/L^4
+        return math.inf, math.inf, math.inf
     a = (1.0 / (507.0 * L4)) * (
         _closed_form_terms(k, L2, K, E) + L4 * (-31.0 + 507.0 * omega)
     )
@@ -266,10 +277,15 @@ def build_dnoidal(k, L, omega, N=128):
 
 def pi_residual(psi, omega, A, sym):
     """Residual M psi + omega psi - psi^2/2 + A of the traveling-wave map,
-    as a FourierProfile on modes 0..2N."""
+    as a FourierProfile on modes 0..2N.
+
+    A stack of profiles (leading axes of psi.coeffs) takes omega and A of
+    the stack's shape and gives the stack of residuals.
+    """
     rc = -psi.half_square().coeffs
-    rc[: psi.N + 1] += (sym(psi.wavenumbers()) + omega) * psi.coeffs
-    rc[0] += A
+    omega = np.asarray(omega)[..., None]
+    rc[..., : psi.N + 1] += (sym(psi.wavenumbers()) + omega) * psi.coeffs
+    rc[..., 0] += A
     return FourierProfile(psi.L0, rc)
 
 

@@ -53,7 +53,7 @@ def solve_variations(op):
     restriction is invertible at a clean wave; a singular even block, or an
     even eigenvalue in the zero band, raises DegenerateOperatorError.
     """
-    eta, beta = _variation_solve(op)
+    eta, beta = _variation_solve(op.even, op.psi)
     _check_even_band(op)
     return eta, beta
 

@@ -3,12 +3,13 @@ import pytest
 
 import wavestab.continuation as cont
 from wavestab.continuation import (
+    ContinuationPoint,
     NewtonDivergenceError,
     newton_solve,
     surface_patch,
 )
 from wavestab.criteria import derivatives, functionals
-from wavestab.galerkin import GalerkinOperator
+from wavestab.galerkin import DegenerateOperatorError, GalerkinOperator, _variation_solve
 from wavestab.profile import FourierProfile, build_dnoidal, pi_residual
 from conftest import galilean_shift
 
@@ -200,19 +201,21 @@ def test_gauge_ray(wave08, kawahara):
 
 
 def test_newton_leaves_odd_block_unassembled(wave08, kawahara, monkeypatch):
-    # the Newton Jacobian is the even block; the odd block is never read
-    built = []
+    # the Newton Jacobian is the even block alone: the iteration and the
+    # patch tangents assemble it by _even_assembly, and no odd block is read
+    assembled, read = [], []
 
-    class Recorded(GalerkinOperator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+    def recorded(*args, _fn=cont._even_assembly):
+        assembled.append(args)
+        return _fn(*args)
 
-    monkeypatch.setattr(cont, "GalerkinOperator", Recorded)
+    monkeypatch.setattr(cont, "_even_assembly", recorded)
+    monkeypatch.setattr(GalerkinOperator, "odd", property(read.append))
     params, psi = wave08
-    newton_solve(psi, params.omega + 1e-3, params.A, kawahara)
-    assert built
-    assert all("odd" not in op.__dict__ for op in built)
+    center = newton_solve(psi, params.omega + 1e-3, params.A, kawahara)
+    surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
+    assert assembled
+    assert not read
 
 
 def test_patch_newton_budget(wave08, kawahara):
@@ -244,13 +247,189 @@ def test_newton_solve_timing(benchmark, wave08, kawahara):
     assert np.array_equal(out.psi.coeffs, newton_solve(*args).psi.coeffs)
 
 
-def test_patch_timing(benchmark, wave08, kawahara):
-    # layer timing of surface_patch at the benchmark shape; the time is
-    # reported, never asserted
+@pytest.mark.parametrize("extent, step", [((1, 1), 5e-3), ((2, 2), 1e-3)],
+                         ids=["bench", "readme"])
+def test_patch_timing(benchmark, wave08, kawahara, extent, step):
+    # layer timing of surface_patch at the benchmark shape and at the
+    # README's default extent and steps; the time is reported, never asserted
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
-    args = (center, 5e-3, 5e-3, (1, 1), kawahara)
+    args = (center, step, step, extent, kawahara)
     out, _ = benchmark.pedantic(surface_patch, args=args, rounds=5, iterations=1)
     ref, _ = surface_patch(*args)
     assert out.keys() == ref.keys()
     assert all(np.array_equal(out[key].psi.coeffs, ref[key].psi.coeffs) for key in ref)
+
+
+def _pointwise_newton(psi, omega, A, sym, tol=1e-12):
+    """newton_solve before the stacked iteration, one operator, solve and
+    residual per point, kept as the reference: a stack must give its bits."""
+    scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
+    res = pi_residual(psi, omega, A, sym)
+    r = res.orthonormal(psi.N)
+    rnorm = float(np.linalg.norm(r))
+    if not (np.isfinite(rnorm) and np.isfinite(scale)):
+        raise NewtonDivergenceError("non-finite start")
+    iters = 0
+    while not rnorm <= tol * scale:
+        if iters >= cont.MAX_ITER:
+            raise NewtonDivergenceError("no convergence")
+        J = GalerkinOperator(psi, omega, sym, psi.N).even
+        try:
+            delta = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergenceError("singular Jacobian") from exc
+        step = 1.0
+        for _ in range(cont.MAX_HALVINGS + 1):
+            dc = FourierProfile.from_orthonormal(psi.L0, step * delta).coeffs
+            cand = FourierProfile(psi.L0, psi.coeffs + dc)
+            res_new = pi_residual(cand, omega, A, sym)
+            r_new = res_new.orthonormal(psi.N)
+            rnorm_new = float(np.linalg.norm(r_new))
+            if np.isfinite(rnorm_new) and (rnorm_new < rnorm or rnorm_new <= tol * scale):
+                break
+            step *= 0.5
+        else:
+            raise NewtonDivergenceError("damping failed")
+        psi, res, r, rnorm = cand, res_new, r_new, rnorm_new
+        scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
+        if not np.isfinite(scale):
+            raise NewtonDivergenceError("non-finite scale")
+        iters += 1
+    return ContinuationPoint(omega=float(omega), A=float(A), psi=psi,
+                             residual_norm=res.sup_norm(), newton_iters=iters)
+
+
+def _pointwise_patch(center, domega, dA, extent, sym):
+    """surface_patch before the frontier stacks, one tangent solve per
+    neighbour and one Newton solve per point in grid order, kept as the
+    reference."""
+    iw, ia = extent
+    offsets = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)]
+    patch = {(0, 0): center}
+    tangents = {}
+    for di, dj in sorted(offsets, key=lambda o: (abs(o[1]), abs(o[0])))[1:]:
+        frm = (di, dj + (dj < 0) - (dj > 0)) if dj else (di + (di < 0) - (di > 0), 0)
+        prev = patch.get(frm)
+        if prev is None:
+            continue
+        omega, A = center.omega + di * domega, center.A + dj * dA
+        try:
+            if frm not in tangents:
+                op = GalerkinOperator(prev.psi, prev.omega, sym, prev.psi.N)
+                tangents[frm] = _variation_solve(op.even, op.psi)
+            eta, beta = tangents[frm]
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = FourierProfile(prev.psi.L0, prev.psi.coeffs
+                                       + (omega - prev.omega) * eta.coeffs
+                                       + (A - prev.A) * beta.coeffs)
+                patch[(di, dj)] = _pointwise_newton(start, omega, A, sym)
+        except (DegenerateOperatorError, NewtonDivergenceError):
+            continue
+    return patch, [o for o in offsets if o not in patch]
+
+
+_RNG = np.random.default_rng(23)
+ORACLE_CASES = (
+    [(0.8, 1.0, 5e-3, extent, 0) for extent in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]]
+    + [(0.641, 1.039, 5e-3, (2, 2), 1),    # the fold: (-2, -2) is lost
+       (0.8, 1.0, 5e-2, (2, 2), 13),       # the README's 13 of 25 missing
+       (0.8, 1.0, 1e-3, (2, 2), 0),        # the default steps
+       (0.8, 1.0, 2e-2, (2, 2), 8)]
+    + [(_RNG.uniform(0.62, 0.92), _RNG.uniform(0.9, 1.1), 5e-3, (1, 1), 0)
+       for _ in range(4)])
+
+
+@pytest.mark.parametrize("k, omega, step, extent, n_missing", ORACLE_CASES, ids=[
+    f"k{k:.3f}-w{w:.3f}-step{step:g}-{e[0]}x{e[1]}" for k, w, step, e, _ in ORACLE_CASES])
+def test_patch_matches_pointwise_reference(kawahara, k, omega, step, extent, n_missing):
+    params, psi = build_dnoidal(k, None, omega, N=128)
+    center = newton_solve(psi, omega, params.A, kawahara)
+    _assert_same_point(center, _pointwise_newton(psi, omega, params.A, kawahara))
+    patch, missing = surface_patch(center, step, step, extent, kawahara)
+    ref, ref_missing = _pointwise_patch(center, step, step, extent, kawahara)
+    assert list(patch) == list(ref)
+    assert missing == ref_missing
+    assert len(missing) == n_missing
+    for key, pt in ref.items():
+        _assert_same_point(patch[key], pt)
+
+
+@pytest.mark.parametrize("blocks, sizes", [(None, [4, 8, 8, 4]),
+                                            (3, [3, 1, 3, 3, 2, 3, 3, 2, 3, 1])])
+def test_frontier_stacks(wave08, kawahara, monkeypatch, blocks, sizes):
+    # the (2, 2) frontiers have 4, 8, 8 and 4 points; a stack byte budget of
+    # three even blocks splits them, and the patch keeps its bits
+    params, psi = wave08
+    center = newton_solve(psi, params.omega, params.A, kawahara)
+    if blocks is not None:
+        monkeypatch.setattr(cont, "STACK_BYTES", blocks * 8 * (psi.N + 1) ** 2)
+    stacks = []
+
+    def recorded(psi, *args, _fn=cont._newton_rows):
+        stacks.append(len(psi.coeffs))
+        return _fn(psi, *args)
+
+    monkeypatch.setattr(cont, "_newton_rows", recorded)
+    patch, missing = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
+    ref, ref_missing = _pointwise_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
+    assert stacks == sizes
+    assert list(patch) == list(ref) and missing == ref_missing == []
+    for key, pt in ref.items():
+        _assert_same_point(patch[key], pt)
+
+
+def _assert_same_point(got, ref):
+    assert np.array_equal(got.psi.coeffs, ref.psi.coeffs)
+    assert (got.omega, got.A, got.residual_norm, got.newton_iters) == (
+        ref.omega, ref.A, ref.residual_norm, ref.newton_iters)
+
+
+def _singular_start():
+    # a constant 2.5 at L0 = 2 pi and omega = 0.5: theta(1) + omega - 2.5 = 0
+    # for kawahara, so J[1, 1] is exactly 0, and A = 0 leaves a residual
+    c = np.zeros(17)
+    c[0] = 2.5
+    return c, 0.5, 0.0
+
+
+def _good_start():
+    # near the constant solution psi = 1 of omega = 0.5, A = 0
+    c = np.zeros(17)
+    c[:2] = 1.1, 0.01
+    return c, 0.5, 0.0
+
+
+@pytest.mark.parametrize("bad", ["singular", "non-finite"])
+def test_bad_row_fails_alone_in_a_newton_stack(kawahara, bad):
+    L0 = 2.0 * np.pi
+    bad_c, bad_w, bad_A = _singular_start()
+    if bad == "non-finite":
+        bad_c = bad_c + np.inf
+    good_c, good_w, good_A = _good_start()
+    refusal = "singular Jacobian" if bad == "singular" else "non-finite start"
+    with pytest.raises(NewtonDivergenceError, match=refusal):
+        newton_solve(FourierProfile(L0, bad_c), bad_w, bad_A, kawahara)
+    single = newton_solve(FourierProfile(L0, good_c), good_w, good_A, kawahara)
+    assert single.newton_iters > 0
+    for rows in ([0, 1], [1, 0]):
+        cs = np.stack([bad_c, good_c])[rows]
+        ws, As = np.array([bad_w, good_w])[rows], np.array([bad_A, good_A])[rows]
+        outcomes = cont._newton_rows(FourierProfile(L0, cs), ws, As, kawahara)
+        failed, pt = outcomes[rows.index(0)], outcomes[rows.index(1)]
+        assert isinstance(failed, NewtonDivergenceError)
+        assert str(failed).startswith(refusal)
+        assert isinstance(pt, ContinuationPoint)
+        _assert_same_point(pt, single)
+
+
+def test_singular_block_fails_alone_in_a_tangent_stack(kawahara):
+    L0 = 2.0 * np.pi
+    points = [ContinuationPoint(omega=w, A=A, psi=FourierProfile(L0, c),
+                                residual_norm=0.0, newton_iters=0)
+              for c, w, A in (_singular_start(), _good_start())]
+    bad, good = cont._tangents(points, kawahara)
+    assert bad is None
+    op = GalerkinOperator(points[1].psi, points[1].omega, kawahara, 16)
+    eta, beta = _variation_solve(op.even, op.psi)
+    assert np.array_equal(good[0], eta.coeffs) and np.array_equal(good[1], beta.coeffs)
