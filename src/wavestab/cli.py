@@ -35,7 +35,7 @@ from . import __version__
 from .continuation import NewtonDivergenceError, newton_solve, surface_patch
 from .criteria import evaluate_wave, functionals
 from .elliptic import IDENTITY_TOL, MODULUS_CAP, identity_battery
-from .evolution import BlowUpError, stability_experiment
+from .evolution import BlowUpError, make_perturbation, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
 from .klcurve import (K_ANALYTIC, SIGN_CHANGE_HALVINGS, SIGN_CHANGE_PASSES,
                       branch_columns, sign_change)
@@ -57,8 +57,6 @@ MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root e
 MAX_PATCH_POINTS = 10_000  # continue patch points: one Newton solve each
 
 def _fmt(x):
-    if type(x) is float:   # most cells; the float branch below gives the same
-        return repr(x)
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
@@ -259,12 +257,10 @@ def cmd_evolve(args):
     mode = 1 if args.mode is None else args.mode
     seed = 0 if args.seed is None else args.seed
     _, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
+    v = make_perturbation(kind, psi, args.delta, args.grid, mode=mode, seed=seed)
     try:
-        series = stability_experiment(
-            psi, args.omega, args.sym, kind=kind, delta=args.delta,
-            periods=args.T, grid_size=args.grid, dt=args.dt, seed=seed,
-            n_samples=args.samples, mode=mode,
-        )
+        series = stability_experiment(psi, args.omega, args.sym, v, periods=args.T,
+                                      dt=args.dt, n_samples=args.samples)
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
         series, code = exc.series, EXIT_BLOWUP

@@ -13,6 +13,7 @@ spectral assumption verified, avg > omega > 0 together with either
 nonnegative/positive) certifies orbital stability.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,7 +85,7 @@ def choose_witness(op, psi, eta, beta, omega):
     M, _ = functionals(psi)
     x0, y0 = -1.0 / omega, 1.0
     P = p_form(x0, y0, F_w, M_w, M_A, F_A)
-    P_closed = (y0 * y0 * psi.L0 / omega**2) * (M / psi.L0 - omega)
+    P_closed = (y0 * y0 * psi.L0 / omega / omega) * (M / psi.L0 - omega)
     phi = FourierProfile(psi.L0, x0 * eta.coeffs + y0 * beta.coeffs)
     v = phi.orthonormal(op.N)
     I = float(v @ (op.even @ v))
@@ -172,56 +173,64 @@ def evaluate_wave(psi, omega, sym=None, N=None):
 
     Assembles the linearized operator, verifies the spectral assumption,
     solves for eta and beta, evaluates every identity and the witness
-    quantities, and renders the verdict.
+    quantities, and renders the verdict.  A float of the record that is not
+    finite (a tiny omega overflows the witness quantities) raises
+    FloatingPointError.
     """
     if sym is None:
         sym = builtin_symbol("kawahara")
     if N is None:
         N = max(2 * psi.N, 256)
-    op = assemble(psi, omega, sym, N=N)
-    # eta and beta need no eigensolve, so M_w picks the decomposition before
-    # the first one: the coercivity route (M_w >= 0) reads every eigenvector
-    # in constrained_min and takes eigh; the others read two eigenvectors
-    # and take eigvalsh plus one shifted solve each
-    eta, beta = _variation_solve(op.even, op.psi)
-    M, F = functionals(psi)
-    M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
-    if M_w >= 0.0:
-        op.eig_even, op.eig_odd
-    rep = spectrum(op)
-    _check_even_band(op)
-    L0 = psi.L0
-    dD = det_D(F_A, M_w, F_w, M_A)
-    dD2 = det_D_reduced(M, L0, omega, M_w)
-    x0, y0, P, P_closed, I = choose_witness(op, psi, eta, beta, omega)
-    psi_coords = psi.orthonormal(op.N)
-    chi = op.eigenvector("even", 0, psi_coords)
-    denom = np.linalg.norm(chi) * np.linalg.norm(psi_coords)
-    chi_corr = float(abs(chi @ psi_coords) / denom) if denom > 0 else 0.0
-    min_psi = float(psi.values().min())
-    report = StabilityReport(
-        omega=float(omega), L0=L0, M=M, F=F,
-        M_w=M_w, M_A=M_A, F_w=F_w, F_A=F_A,
-        detD=dD, detD_reduced=dD2,
-        x0=x0, y0=y0, P_witness=P, P_closed=P_closed, I=I,
-        avg_minus_speed=M / L0 - omega,
-        min_psi=min_psi, chi_psi_corr=chi_corr,
-        id_Fomega=_relative(F_w - omega * M_w - M, F_w, omega * M_w, M),
-        id_FA=_relative(F_A - omega * M_A - L0, F_A, omega * M_A, L0),
-        id_relFF=_relative(L0 + omega * M_A - M_w, L0, omega * M_A, M_w),
-        spectrum=rep,
-        tolerances={
-            "zero_band": rep.tol_zero,
-            "identity_rtol": IDENTITY_RTOL,
-            "detD_rtol": DETD_RTOL,
-            "witness_rtol": WITNESS_RTOL,
-            "constrained_min_rtol": MIN_TOL,
-        },
-    )
-    if report.spectrum.holds_assumption and report.M_w >= 0.0:
-        report.w_psi = constrained_min(op, even=psi_coords)
-        report.w_psi_psip = constrained_min(
-            op, even=psi_coords, odd=op.psi.half_square().derivative_orthonormal(op.N)
+    # overflow is refused below with one error, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = assemble(psi, omega, sym, N=N)
+        # eta and beta need no eigensolve, so M_w picks the decomposition before
+        # the first one: the coercivity route (M_w >= 0) reads every eigenvector
+        # in constrained_min and takes eigh; the others read two eigenvectors
+        # and take eigvalsh plus one shifted solve each
+        eta, beta = _variation_solve(op.even, op.psi)
+        M, F = functionals(psi)
+        M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
+        if M_w >= 0.0:
+            op.eig_even, op.eig_odd
+        rep = spectrum(op)
+        _check_even_band(op)
+        L0 = psi.L0
+        dD = det_D(F_A, M_w, F_w, M_A)
+        dD2 = det_D_reduced(M, L0, omega, M_w)
+        x0, y0, P, P_closed, I = choose_witness(op, psi, eta, beta, omega)
+        psi_coords = psi.orthonormal(op.N)
+        chi = op.eigenvector("even", 0, psi_coords)
+        denom = np.linalg.norm(chi) * np.linalg.norm(psi_coords)
+        chi_corr = float(abs(chi @ psi_coords) / denom) if denom > 0 else 0.0
+        min_psi = float(psi.values().min())
+        report = StabilityReport(
+            omega=float(omega), L0=L0, M=M, F=F,
+            M_w=M_w, M_A=M_A, F_w=F_w, F_A=F_A,
+            detD=dD, detD_reduced=dD2,
+            x0=x0, y0=y0, P_witness=P, P_closed=P_closed, I=I,
+            avg_minus_speed=M / L0 - omega,
+            min_psi=min_psi, chi_psi_corr=chi_corr,
+            id_Fomega=_relative(F_w - omega * M_w - M, F_w, omega * M_w, M),
+            id_FA=_relative(F_A - omega * M_A - L0, F_A, omega * M_A, L0),
+            id_relFF=_relative(L0 + omega * M_A - M_w, L0, omega * M_A, M_w),
+            spectrum=rep,
+            tolerances={
+                "zero_band": rep.tol_zero,
+                "identity_rtol": IDENTITY_RTOL,
+                "detD_rtol": DETD_RTOL,
+                "witness_rtol": WITNESS_RTOL,
+                "constrained_min_rtol": MIN_TOL,
+            },
         )
-    report.verdict = verdict(report)
+        if report.spectrum.holds_assumption and report.M_w >= 0.0:
+            report.w_psi = constrained_min(op, even=psi_coords)
+            report.w_psi_psip = constrained_min(
+                op, even=psi_coords,
+                odd=op.psi.half_square().derivative_orthonormal(op.N))
+        report.verdict = verdict(report)
+    bad = [key for key, value in report.as_record().items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise FloatingPointError(f"non-finite {', '.join(bad)} at omega={omega!r}")
     return report

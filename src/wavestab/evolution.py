@@ -22,7 +22,7 @@ line of the step's algebra take out=, in the operation order of the plain
 expressions, so the bits are those of an allocating step.  The band may carry
 a leading stack axis, (S, band) for S states stepped together: the dense
 products become matrix-matrix ones and the FFTs run along the last axis.
-stability_experiment steps a sequence of seeds this way.
+stability_experiment steps a stack of perturbations this way.
 
 Conserved quantities: E = 1/2 int (M^{1/2}u)^2 - (1/6) int u^3, F, M.  The
 cubic coefficient 1/6 is the one the flux form u_t = (Mu - u^2/2)_x
@@ -107,9 +107,11 @@ def state_from_profile(psi, grid_size=256):
 
 
 def state_from_values(values, L0):
+    """The state of grid values, or the stack of states of an (S, grid) stack."""
     values = np.asarray(values, dtype=float)
-    modes = np.fft.rfft(values)[: len(values) // 3 + 1]
-    return EvolutionState(t=0.0, modes=modes, L0=float(L0), grid_size=len(values))
+    grid_size = values.shape[-1]
+    modes = np.fft.rfft(values)[..., : grid_size // 3 + 1]
+    return EvolutionState(t=0.0, modes=modes, L0=float(L0), grid_size=grid_size)
 
 
 class _Work(NamedTuple):
@@ -373,14 +375,14 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
-def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
-                         grid_size=256, dt=None, seed=0, n_samples=200,
-                         mode=1, dt_safety=0.5):
-    """Evolve psi + delta*v and record (t, rho, E, F, M, deltaP) time series.
+def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
+                         n_samples=200, dt_safety=0.5):
+    """Evolve psi + perturbation and record (t, rho, E, F, M, deltaP) time series.
 
-    The horizon is `periods` temporal periods L0/omega.  deltaP is the
-    conserved-combination difference P(u(t)) - P(psi) with P = E + omega F
-    + A M, A from extract_A; it stays constant in t because all three
+    `perturbation` holds grid values (make_perturbation), and its length is
+    the grid.  The horizon is `periods` temporal periods L0/omega.  deltaP is
+    the conserved-combination difference P(u(t)) - P(psi) with P = E + omega
+    F + A M, A from extract_A; it stays constant in t because all three
     pieces are conserved.
     The first record also gives the membership of u0 in the fixed-(F, M)
     manifold, the dt used, the step count and the Evolver's transform; when
@@ -389,31 +391,30 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
     each against its own largest mode.  A dt longer than the horizon, or a
     horizon of more than MAX_STEPS steps, raises ValueError before any step
     is taken; the last step may end up to one dt past the horizon.  A first
-    record that is not finite (an overflowing delta) raises
+    record that is not finite (an overflowing perturbation) raises
     FloatingPointError.  On blow-up the partial series is attached to the
     exception.
 
-    `seed` may be a sequence of seeds: their states are stepped as one
-    (S, band) stack and one series per seed is returned, each with the
-    records of a single-seed run up to round-off: the dense transform's
-    matrix-matrix products round differently from one seed's vector-matrix
-    ones.  A blow-up names the failed seeds and carries every seed's
-    partial series.
+    An (S, grid) stack of perturbations is stepped as one (S, band) stack and
+    gives one series per row, each with the records of a run of that row
+    alone up to round-off: the dense transform's matrix-matrix products round
+    differently from one state's vector-matrix ones.  A blow-up's `rows`
+    names the failed rows, and it carries every row's partial series.  An
+    empty stack raises ValueError.
     """
-    batched = np.ndim(seed) > 0
-    seeds = list(seed) if batched else [seed]
-    if not seeds:
-        raise ValueError("seed is an empty sequence")
-    vs = [make_perturbation(kind, psi, delta, grid_size=grid_size, mode=mode,
-                            seed=s) for s in seeds]
+    vs = np.asarray(perturbation, dtype=float)
+    if not vs.size:
+        raise ValueError("the perturbation is empty")
+    stacked = vs.ndim > 1
+    grid_size = vs.shape[-1]
     A, _ = extract_A(psi, omega, sym)
     psi_state = state_from_profile(psi, grid_size)
-    states = [state_from_values(psi_state.values() + v, psi.L0) for v in vs]
+    state = state_from_values(psi_state.values() + vs, psi.L0)
     rule = {}
     if dt is None:
-        parts = [psi_state.modes, *(state_from_values(v, psi.L0).modes for v in vs)]
-        dt, xi_eff, theta_eff = default_dt(replace(psi_state, modes=np.stack(parts)),
-                                           sym, dt_safety)
+        parts = np.vstack([psi_state.modes, state_from_values(vs, psi.L0).modes])
+        dt, xi_eff, theta_eff = default_dt(replace(psi_state, modes=parts), sym,
+                                           dt_safety)
         rule = {"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
     horizon = periods * psi.L0 / omega
     nsteps_float = horizon / dt
@@ -434,38 +435,32 @@ def stability_experiment(psi, omega, sym, kind="mode", delta=1e-3, periods=50.0,
                 "deltaP": dP}
 
     def members(st):
-        return [replace(st, modes=m) for m in st.modes] if batched else [st]
+        return [replace(st, modes=m) for m in st.modes] if stacked else [st]
 
     # an initial state that overflows is refused here, not warned; after a
     # step the blow-up check bounds the state
     with np.errstate(over="ignore", invalid="ignore"):
         cons_psi = conserved(psi_state, sym)
         P_psi = cons_psi.E + omega * cons_psi.F + A * cons_psi.M
-        series = [[record(st)] for st in states]
+        series = [[record(st)] for st in members(state)]
     if not all(math.isfinite(v) for (first,) in series for v in first.values()):
-        raise FloatingPointError(f"non-finite first record at delta={delta!r}")
+        raise FloatingPointError(f"non-finite first record at perturbation size "
+                                 f"{float(np.abs(vs).max())!r}")
     for (first,) in series:
         first["on_manifold"] = bool(
             abs(first["F"] - cons_psi.F) <= 1e-10 * max(1.0, abs(cons_psi.F))
             and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
         )
         first.update(dt=dt, steps=nsteps_total, transform=ev.transform, **rule)
-    stack = replace(states[0], modes=np.stack([st.modes for st in states])) \
-        if batched else states[0]
     done = 0
     try:
         while done < nsteps_total:
             n = min(stride, nsteps_total - done)
-            stack = ev.run(stack, n)
+            state = ev.run(state, n)
             done += n
-            for s, st in zip(series, members(stack)):
+            for s, st in zip(series, members(state)):
                 s.append(record(st))
     except BlowUpError as exc:
-        if not batched:
-            exc.series = series[0]
-            raise
-        failed = ", ".join(str(seeds[r]) for r in exc.rows)
-        err = BlowUpError(f"seed {failed}: {exc}", exc.rows)
-        err.series = series
-        raise err from exc
-    return series if batched else series[0]
+        exc.series = series if stacked else series[0]
+        raise
+    return series if stacked else series[0]

@@ -16,12 +16,12 @@ each adds its diagonal along the strided diagonal, with no diagonal matrix
 and no second full-size subtraction.  The bits are those of diag - S, since
 d - s = (0 - s) + d in IEEE arithmetic; 0 - s also keeps a zero entry
 +0.0, where negation would give -0.0 and LAPACK's Householder sign choices
-could differ.  The even block is assembled with the operator, by
-`_even_assembly`, and the odd block on first use (`odd`); the continuation's
-Newton stacks call `_even_assembly` on a stack of profiles, which gives
-each block the bits it has alone.  Each block is decomposed once, on first
-use, and every consumer reads that decomposition, so the blocks must not be
-modified after assembly.  A caller that reads every eigenvector (the
+could differ.  Both blocks are assembled with the operator, the odd one
+from the pieces of the even one's `_even_assembly`; the continuation's
+Newton stacks call `_even_assembly` alone, on a stack of profiles, which
+gives each block the bits it has alone.  Each block is decomposed once,
+on first use, and every consumer reads that decomposition, so the blocks
+must not be modified after assembly.  A caller that reads every eigenvector (the
 constrained minima) asks for `eig_even`/`eig_odd` (eigh) first; otherwise
 `values_even`/`values_odd` take eigvalsh, which forms no eigenvectors and
 costs about half as much, and `eigenvector` recovers the one or two vectors
@@ -79,15 +79,10 @@ class GalerkinOperator:
         self.sym = sym
         self.N = int(N)
         self.L0 = psi.L0
-        self.even, self._h0, self._toeplitz, self._diag = _even_assembly(
-            psi, self.omega, sym, self.N)
-
-    @cached_property
-    def odd(self):
-        """Odd (sine) block over sin_1..sin_N, assembled on first use."""
-        T = sliding_window_view(self._h0[2:], self.N) - self._toeplitz[1:, 1:]
-        T.flat[:: self.N + 1] += self._diag[1:]
-        return T
+        self.even, h0, toeplitz, diag = _even_assembly(psi, self.omega, sym, self.N)
+        # odd (sine) block over sin_1..sin_N
+        self.odd = sliding_window_view(h0[2:], self.N) - toeplitz[1:, 1:]
+        self.odd.flat[:: self.N + 1] += diag[1:]
 
     @cached_property
     def eig_even(self):

@@ -21,6 +21,7 @@ from wavestab.evolution import (
     Evolver,
     conserved,
     default_dt,
+    make_perturbation,
     orbital_distance,
     stability_experiment,
     state_from_profile,
@@ -261,9 +262,10 @@ def test_criterion_8_evolution_gates(wave08, kawahara):
     # as one stack of seeds
     worst_ratio = 0.0
     worst_dp = 0.0
-    for series in stability_experiment(
-            psi, params.omega, kawahara, kind="random", delta=1e-3,
-            periods=50.0, grid_size=128, seed=range(5), n_samples=60, dt_safety=0.35):
+    perturbations = np.stack([make_perturbation("random", psi, 1e-3, 128, seed=seed)
+                              for seed in range(5)])
+    for series in stability_experiment(psi, params.omega, kawahara, perturbations,
+                                       periods=50.0, n_samples=60, dt_safety=0.35):
         rho0 = series[0]["rho"]
         worst_ratio = max(worst_ratio,
                           max(r["rho"] for r in series) / rho0)

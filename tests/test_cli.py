@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import shlex
@@ -132,17 +133,28 @@ def test_criteria_has_no_A_flag():
 def test_floating_point_breakdown_exits_3(tmp_path, capsys):
     commands = (["profile"], ["spectrum", "--N-op", "16"], ["criteria", "--N-op", "16"],
                 ["continue"], ["evolve", "--grid", "64", "--T", "0.02"])
+    wave = "FloatingPointError('non-finite wave at k=0.8"
+    tiny = ("1e-154", "1e-157", "-1e-160", "1e-162", "1e-300")
     # a huge but finite omega overflows the coefficients to inf and nan, and
-    # L**4 underflows to zero in them
-    for argv in (*[c + ["--omega", "1e308"] for c in commands],
-                 ["criteria", "--L", "20", "--N-op", "16", "--omega", "1e308"],
-                 *[c + ["--L", "1e-300"] for c in commands]):
+    # L**4 underflows to zero in them; a tiny omega overflows the witness
+    # quantities, which divide by it (1e-154 gave an Infinity in the record,
+    # 1e-157 RuntimeWarnings and 1e-162 a ZeroDivisionError)
+    cases = [*[(c + ["--omega", "1e308"], wave) for c in commands],
+             (["criteria", "--L", "20", "--N-op", "16", "--omega", "1e308"], wave),
+             *[(c + ["--L", "1e-300"], wave) for c in commands],
+             *[(["criteria", "--N-op", "16", f"--omega={omega}"], f" at omega={omega}')")
+               for omega in tiny]]
+    for argv, message in cases:
         capsys.readouterr()
         assert run_cli(argv + ["--k", "0.8", "--N", "16",
                                "--out", str(tmp_path / "w.csv")]) == 3, argv
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, argv
-        assert "FloatingPointError('non-finite wave at k=0.8" in err, argv
+        assert "FloatingPointError('non-finite " in err and message in err, argv
+    out = tmp_path / "record.json"
+    assert run_cli(["criteria", "--k", "0.8", "--omega", "1e-150", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert all(math.isfinite(v) for v in record.values() if isinstance(v, float))
 
 
 def test_blowup_exit_code(tmp_path):
@@ -171,8 +183,9 @@ def test_blowup_prints_one_stderr_line(tmp_path):
     # a horizon of 1e300 periods keeps this dt shorter than the horizon
     (["--dt", "1e300", "--T", "1e300"], 2,
      "evolve: dt=1e+300 gives non-finite ETDRK4 weights"),
-    (["--delta", "1e300"], 3, "evolve: numerical failure: FloatingPointError("
-                              "'non-finite first record at delta=1e+300')"),
+    (["--delta", "1e300"], 3,
+     "evolve: numerical failure: FloatingPointError("
+     "'non-finite first record at perturbation size 1e+300')"),
 ], ids=["dt", "delta"])
 def test_evolve_overflow_refused(tmp_path, capsys, flags, code, message):
     # both printed RuntimeWarnings; --dt 1e300 then claimed a blow-up
@@ -552,10 +565,14 @@ def test_random_flags_and_config_exit_cleanly(invocation):
     assert "Traceback" not in err.getvalue()
 
 
-# the contract fuzz's menu of edge values; the work flags stay small
+# the contract fuzz's menu of edge values; the work flags stay small.  Moduli
+# of the branch commands: far below the fold, the fold, 1/sqrt(2), the sign
+# change of p and the modulus cap
+_K_EDGE = ["1e-9", "0.5345", repr(1 / math.sqrt(2)), "0.849", "0.999999999999"]
 _EDGE = {
     "k": ["1e-9", "0.3", "0.6", "0.8", "0.95", "0.999999"],
-    "omega": ["1.0", "0.5", "-1.0", "100", "1e300", "-1e300", "1e-300", "-1e-300"],
+    "omega": ["1.0", "0.5", "-1.0", "100", "1e300", "-1e300", "1e-157", "-1e-154",
+              "1e-300", "-1e-300"],
     "L": ["20", "1e300", "1e-300"],
     "alpha": ["nan", "inf", "0", "-1", "1.5"],
     "domega": ["5e-3", "1e300", "1e-300"],
@@ -572,6 +589,9 @@ _EDGE = {
     "perturbation": ["mode", "random", "mean"],
     "mode": ["1", "3", "30"],
     "seed": ["0", "5"],
+    "kmin": _K_EDGE,
+    "kmax": _K_EDGE,
+    "steps": [str(n) for n in range(2, 8)],
 }
 _FUZZ_FLAGS = {
     "profile": ["omega", "L", "N"],
@@ -579,18 +599,38 @@ _FUZZ_FLAGS = {
     "criteria": ["omega", "L", "N", "N-op"],
     "continue": ["omega", "L", "N", "domega", "dA", "extent-omega", "extent-A"],
     "evolve": ["omega", "L", "N", "delta", "dt", "grid", "T", "samples"],
+    "sweep": ["kmin", "kmax", "steps"],
+    "reproduce-figure1": ["kmin", "kmax", "steps"],
 }
+_BRANCH_COMMANDS = ("reproduce-figure1", "sweep")
+
+
+def _fuzz_config(rng, command, path):
+    """A --config file with one of the command's flags: an empty value, a
+    repeated key, a key with spaces and underscores, or a line that is not
+    UTF-8."""
+    flag = rng.choice(_FUZZ_FLAGS[command])
+    value, other = rng.choice(_EDGE[flag]), rng.choice(_EDGE[flag])
+    path.write_bytes(rng.choice([
+        f"{flag}=\n".encode(),
+        f"{flag}={value}\n{flag}={other}\n".encode(),
+        f"  {flag.replace('-', '_')}  =  {value}  \n".encode(),
+        f"{flag}={value}\n".encode() + b"\xff\xfe=1\n",
+    ]))
+    return path
 
 
 def _fuzz_argv(rng, out):
-    """One invocation: a wave command, --k, some of its flags from _EDGE, the
-    perturbation of evolve, a symbol (with or without --alpha) for the
-    commands that take one, and the outputs."""
+    """One invocation: a wave command with --k and some of its flags from
+    _EDGE, or a branch command with all of them; the perturbation of evolve,
+    a symbol (with or without --alpha) for the commands that take one,
+    sometimes a --config file, and the outputs."""
     command = rng.choice(sorted(_FUZZ_FLAGS))
+    branch = command in _BRANCH_COMMANDS
     # --flag=value, so that a negative value is not taken for a flag
-    argv = [command, "--k=" + rng.choice(_EDGE["k"])]
+    argv = [command] if branch else [command, "--k=" + rng.choice(_EDGE["k"])]
     for flag in _FUZZ_FLAGS[command]:
-        if rng.random() < 0.4:
+        if branch or rng.random() < 0.4:
             argv.append(f"--{flag}={rng.choice(_EDGE[flag])}")
     if command == "evolve":
         # --mode and --seed only with the kind that reads them; the mismatch
@@ -600,7 +640,7 @@ def _fuzz_argv(rng, out):
         flag = {"mode": "mode", "random": "seed"}.get(kind)
         if flag and rng.random() < 0.5:
             argv.append(f"--{flag}={rng.choice(_EDGE[flag])}")
-    if command != "profile" and rng.random() < 0.3:
+    if command in ("spectrum", "criteria", "continue", "evolve") and rng.random() < 0.3:
         symbol = rng.choice(["kawahara", "kdv", "bo", "fractional"])
         argv.append(f"--symbol={symbol}")
         if rng.random() < (0.8 if symbol == "fractional" else 0.1):
@@ -611,8 +651,13 @@ def _fuzz_argv(rng, out):
         if flag in _FUZZ_FLAGS[command] and not any(a.startswith(f"--{flag}=")
                                                     for a in argv):
             argv.append(f"--{flag}={small}")
-    argv.append(f"--out={out / 'body'}")
-    if command == "spectrum":
+    if rng.random() < 0.2:
+        argv.append(f"--config={_fuzz_config(rng, command, out / 'run.cfg')}")
+    if command == "reproduce-figure1":
+        argv += [f"--out-L1={out / 'body'}", f"--out-p={out / 'p'}"]
+    else:
+        argv.append(f"--out={out / 'body'}")
+    if command in ("spectrum", "reproduce-figure1"):
         argv.append(f"--record-out={out / 'record'}")
     return argv
 
@@ -624,9 +669,9 @@ def test_cli_contract_fuzz(tmp_path, seed):
     # fails the test through filterwarnings = error.
     rng = random.Random(seed)
     codes = set()
-    for _ in range(100):
+    for _ in range(300):
         argv = _fuzz_argv(rng, tmp_path)
-        for name in ("body", "record"):
+        for name in ("body", "p", "record"):
             (tmp_path / name).unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -639,14 +684,19 @@ def test_cli_contract_fuzz(tmp_path, seed):
             assert len(text.splitlines()) <= 1, (argv, text)
         if code == 0:
             out = read(tmp_path / "body")
-            if argv[0] in ("spectrum", "criteria"):
+            if argv[0] in ("spectrum", "criteria", "reproduce-figure1"):
                 cells = [v for v in json.loads(out if argv[0] == "criteria" else
                                                read(tmp_path / "record")).values()
                          if isinstance(v, float)]
                 assert all(np.isfinite(cells)), argv
-            if argv[0] != "criteria":
-                cells = ",".join(body_of(out).splitlines()[1:]).split(",")
-                assert all(np.isfinite(float(c)) for c in cells if c), argv
+            bodies = [] if argv[0] == "criteria" else [out]
+            if argv[0] == "reproduce-figure1":
+                bodies.append(read(tmp_path / "p"))
+            for text in bodies:
+                cells = ",".join(body_of(text).splitlines()[1:]).split(",")
+                # the sweep's stable flag of a modulus with no branch root
+                assert all(np.isfinite(float(c)) for c in cells
+                           if c not in ("", "no_root")), argv
     assert {0, 2} <= codes
 
 

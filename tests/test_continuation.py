@@ -202,20 +202,21 @@ def test_gauge_ray(wave08, kawahara):
 
 def test_newton_leaves_odd_block_unassembled(wave08, kawahara, monkeypatch):
     # the Newton Jacobian is the even block alone: the iteration and the
-    # patch tangents assemble it by _even_assembly, and no odd block is read
-    assembled, read = [], []
+    # patch tangents assemble it by _even_assembly and build no operator,
+    # whose odd block is assembled with it
+    assembled, built = [], []
 
     def recorded(*args, _fn=cont._even_assembly):
         assembled.append(args)
         return _fn(*args)
 
     monkeypatch.setattr(cont, "_even_assembly", recorded)
-    monkeypatch.setattr(GalerkinOperator, "odd", property(read.append))
+    monkeypatch.setattr(GalerkinOperator, "__init__", lambda *args: built.append(args))
     params, psi = wave08
     center = newton_solve(psi, params.omega + 1e-3, params.A, kawahara)
     surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
     assert assembled
-    assert not read
+    assert not built
 
 
 def test_patch_newton_budget(wave08, kawahara):

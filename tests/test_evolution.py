@@ -176,15 +176,17 @@ def test_orbital_distance_single_mode_scaling(wave08, kawahara):
 
 def test_experiment_flat_for_zero_delta(wave08, kawahara):
     params, psi = wave08
-    series = ev.stability_experiment(psi, params.omega, kawahara, kind="mode",
-                                     delta=0.0, periods=0.5, n_samples=4)
+    v = ev.make_perturbation("mode", psi, 0.0, GRID)
+    series = ev.stability_experiment(psi, params.omega, kawahara, v, periods=0.5,
+                                     n_samples=4)
     assert max(r["rho"] for r in series) < 1e-8
 
 
 def test_experiment_mode_perturbation_bounded(wave08, kawahara):
     params, psi = wave08
-    series = ev.stability_experiment(psi, params.omega, kawahara, kind="mode",
-                                     delta=1e-3, periods=5.0, n_samples=25)
+    v = ev.make_perturbation("mode", psi, 1e-3, GRID)
+    series = ev.stability_experiment(psi, params.omega, kawahara, v, periods=5.0,
+                                     n_samples=25)
     rho0 = series[0]["rho"]
     assert max(r["rho"] for r in series) <= 10.0 * rho0
     dps = [r["deltaP"] for r in series]
@@ -249,9 +251,10 @@ def test_overflowing_first_record_refused(wave08, kawahara):
     # delta = 1e300 overflowed the first record's conserved quantities and
     # orbital distance, with warnings, before any step
     _, psi = wave08
-    with pytest.raises(FloatingPointError, match="non-finite first record"):
-        ev.stability_experiment(psi, 1.0, kawahara, delta=1e300, periods=0.5,
-                                grid_size=64, n_samples=2)
+    v = ev.make_perturbation("mode", psi, 1e300, 64)
+    with pytest.raises(FloatingPointError,
+                       match=r"non-finite first record at perturbation size 1e\+300"):
+        ev.stability_experiment(psi, 1.0, kawahara, v, periods=0.5, n_samples=2)
 
 
 def test_run_rejects_incompatible_state(kawahara):
@@ -261,28 +264,21 @@ def test_run_rejects_incompatible_state(kawahara):
 
 
 @pytest.mark.parametrize("mode", [0, 22, 500])
-def test_mode_outside_dealiased_band_refused(wave08, kawahara, monkeypatch, mode):
+def test_mode_outside_dealiased_band_refused(wave08, mode):
     # grid 64 keeps modes 1..21: mode 22 would be dropped by the dealiasing
-    # and mode 500 would alias to another mode; each is refused before a step
-    params, psi = wave08
+    # and mode 500 would alias to another mode
+    _, psi = wave08
     with pytest.raises(ValueError, match=f"mode {mode} is outside 1..21"):
         ev.make_perturbation("mode", psi, 1e-3, 64, mode=mode)
-
-    def no_evolver(*args):
-        raise AssertionError("an Evolver was built")
-
-    monkeypatch.setattr(ev, "Evolver", no_evolver)
-    with pytest.raises(ValueError, match=f"mode {mode} is outside 1..21"):
-        ev.stability_experiment(psi, params.omega, kawahara, kind="mode",
-                                mode=mode, grid_size=64, periods=0.1)
 
 
 def test_experiment_blowup_carries_partial_series(wave08, kawahara):
     params, psi = wave08
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ev.BlowUpError) as exc_info:
-            ev.stability_experiment(psi, params.omega, kawahara, kind="mean",
-                                    delta=5e6, periods=0.2, n_samples=4)
+            ev.stability_experiment(psi, params.omega, kawahara,
+                                    ev.make_perturbation("mean", psi, 5e6, GRID),
+                                    periods=0.2, n_samples=4)
     assert len(exc_info.value.series) >= 1
 
 
@@ -511,16 +507,22 @@ def test_run_returns_state_it_owns(wave08, kawahara, grid):
 STACK_ATOL = 1e-12
 
 
+def _random(psi, delta, grid, seeds):
+    """The stack of random perturbations of `seeds`."""
+    return np.stack([ev.make_perturbation("random", psi, delta, grid, seed=seed)
+                     for seed in seeds])
+
+
 @pytest.mark.parametrize("grid", [DENSE_GRID, FFT_GRID])
 def test_seed_stack_matches_single_seed_runs(wave08, kawahara, grid):
     params, psi = wave08
     seeds = [0, 3, 4]
-    kw = dict(kind="random", delta=1e-3, periods=1.0, grid_size=grid, n_samples=5,
-              dt_safety=0.35)
-    batched = ev.stability_experiment(psi, params.omega, kawahara, seed=seeds, **kw)
+    stack = _random(psi, 1e-3, grid, seeds)
+    kw = dict(periods=1.0, n_samples=5, dt_safety=0.35)
+    batched = ev.stability_experiment(psi, params.omega, kawahara, stack, **kw)
     assert len(batched) == len(seeds)
-    for seed, series in zip(seeds, batched):
-        single = ev.stability_experiment(psi, params.omega, kawahara, seed=seed, **kw)
+    for v, series in zip(stack, batched):
+        single = ev.stability_experiment(psi, params.omega, kawahara, v, **kw)
         assert len(series) == len(single) >= 6
         for rec, ref in zip(series, single):
             assert rec.keys() == ref.keys()
@@ -531,6 +533,12 @@ def test_seed_stack_matches_single_seed_runs(wave08, kawahara, grid):
                     assert rec[key] == value
 
 
+def test_empty_stack_refused(wave08, kawahara):
+    params, psi = wave08
+    with pytest.raises(ValueError, match="the perturbation is empty"):
+        ev.stability_experiment(psi, params.omega, kawahara, np.empty((0, 64)))
+
+
 @pytest.mark.parametrize("delta", [1e-3, 20.0])
 def test_one_default_dt_from_the_wave_and_the_perturbation(wave08, kawahara, delta):
     # the wave and the perturbation are each measured against their own
@@ -539,11 +547,12 @@ def test_one_default_dt_from_the_wave_and_the_perturbation(wave08, kawahara, del
     params, psi = wave08
     wave_dt = ev.default_dt(ev.state_from_profile(psi, 64), kawahara)[0]
     assert wave_dt == 0.0061407698859101325
-    kw = dict(kind="random", delta=delta, grid_size=64, periods=0.1, n_samples=1)
-    stacked = ev.stability_experiment(psi, params.omega, kawahara, seed=[0, 1], **kw)
-    for seed in (0, 1):
-        single = ev.stability_experiment(psi, params.omega, kawahara, seed=seed, **kw)
-        assert single[0]["dt"] == stacked[seed][0]["dt"] == wave_dt
+    stack = _random(psi, delta, 64, [0, 1])
+    kw = dict(periods=0.1, n_samples=1)
+    stacked = ev.stability_experiment(psi, params.omega, kawahara, stack, **kw)
+    for row, v in enumerate(stack):
+        single = ev.stability_experiment(psi, params.omega, kawahara, v, **kw)
+        assert single[0]["dt"] == stacked[row][0]["dt"] == wave_dt
 
 
 def test_dt_longer_than_the_horizon_refused(wave08, kawahara, monkeypatch):
@@ -555,26 +564,27 @@ def test_dt_longer_than_the_horizon_refused(wave08, kawahara, monkeypatch):
 
     monkeypatch.setattr(ev, "Evolver", no_evolver)
     with pytest.raises(ValueError, match="longer than the horizon t=12.90"):
-        ev.stability_experiment(psi, params.omega, kawahara, dt=100.0, periods=0.5,
-                                grid_size=64)
+        ev.stability_experiment(psi, params.omega, kawahara,
+                                ev.make_perturbation("mode", psi, 1e-3, 64),
+                                dt=100.0, periods=0.5)
 
 
-def test_seed_stack_blowup_names_the_seed(wave08, kawahara):
+def test_stack_blowup_names_the_row(wave08, kawahara):
     # at delta 20 and dt 0.006 on grid 64, seed 3 blows up and 0 and 1 do not
     params, psi = wave08
-    kw = dict(kind="random", delta=20.0, grid_size=64, dt=0.006, periods=0.2,
-              n_samples=4)
+    stack = _random(psi, 20.0, 64, [0, 1, 3])
+    kw = dict(dt=0.006, periods=0.2, n_samples=4)
     with pytest.raises(ev.BlowUpError) as single:
-        ev.stability_experiment(psi, params.omega, kawahara, seed=3, **kw)
+        ev.stability_experiment(psi, params.omega, kawahara, stack[2], **kw)
     with pytest.raises(ev.BlowUpError) as stacked:
-        ev.stability_experiment(psi, params.omega, kawahara, seed=[0, 1, 3], **kw)
-    assert str(stacked.value) == f"seed 3: {single.value}"
-    assert stacked.value.rows == (2,)
+        ev.stability_experiment(psi, params.omega, kawahara, stack, **kw)
+    assert str(stacked.value) == str(single.value)
+    assert single.value.rows == (0,) and stacked.value.rows == (2,)
     series = stacked.value.series
     assert len(series) == 3 and len(series[2]) == len(single.value.series)
     assert len(series[0]) == len(series[1]) == len(series[2]) >= 2
-    for seed, partial in zip((0, 1), series):
-        full = ev.stability_experiment(psi, params.omega, kawahara, seed=seed, **kw)
+    for v, partial in zip(stack[:2], series):
+        full = ev.stability_experiment(psi, params.omega, kawahara, v, **kw)
         for rec, ref in zip(partial, full):
             assert abs(rec["rho"] - ref["rho"]) <= STACK_ATOL * max(1.0, ref["rho"])
 

@@ -18,7 +18,7 @@ from wavestab.cli import _fmt, main
 from wavestab.continuation import newton_solve, surface_patch
 from wavestab.criteria import functionals
 from wavestab.elliptic import complete_integrals, jacobi_sn_cn_dn
-from wavestab.evolution import BlowUpError, stability_experiment
+from wavestab.evolution import BlowUpError, make_perturbation, stability_experiment
 from wavestab.galerkin import assemble, spectrum
 from wavestab.klcurve import solve_branch, sweep
 from wavestab.multiplier import builtin_symbol
@@ -157,21 +157,24 @@ def test_continue_body(tmp_path):
         ["omega", "A", "mean_psi", "F", "residual", "newton_iters"], rows)
 
 
-@pytest.mark.parametrize("omega, flags, kwargs, code", [
-    (1.0, ["--T", "1", "--samples", "7"], dict(periods=1.0, n_samples=7), 0),
+@pytest.mark.parametrize("omega, flags, kind, kwargs, code", [
+    (1.0, ["--T", "1", "--samples", "7"], dict(kind="mode"),
+     dict(periods=1.0, n_samples=7), 0),
     (1.0, ["--T", "1", "--samples", "4", "--perturbation", "random", "--seed", "3"],
-     dict(periods=1.0, n_samples=4, kind="random", seed=3), 0),
+     dict(kind="random", seed=3), dict(periods=1.0, n_samples=4), 0),
     # blows up at t = 2.58: the partial body
-    (100.0, ["--T", "50", "--samples", "5"], dict(periods=50.0, n_samples=5), 4),
+    (100.0, ["--T", "50", "--samples", "5"], dict(kind="mode"),
+     dict(periods=50.0, n_samples=5), 4),
 ], ids=["mode", "random", "blowup"])
-def test_evolve_body(tmp_path, omega, flags, kwargs, code):
+def test_evolve_body(tmp_path, omega, flags, kind, kwargs, code):
     out = tmp_path / "evolve.csv"
     assert main(["evolve", "--k", "0.8", "--omega", repr(omega), "--grid", "64",
                  *flags, "--out", str(out)]) == code
     _, psi = build_dnoidal(0.8, solve_branch(0.8)[1], omega, N=128)
+    v = make_perturbation(psi=psi, delta=1e-3, grid_size=64, **kind)
     try:
-        series = stability_experiment(psi, omega, builtin_symbol("kawahara"),
-                                      grid_size=64, **kwargs)
+        series = stability_experiment(psi, omega, builtin_symbol("kawahara"), v,
+                                      **kwargs)
     except BlowUpError as exc:
         series = exc.series
     header = ["t", "rho", "E", "F", "M", "deltaP"]
