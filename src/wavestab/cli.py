@@ -63,8 +63,6 @@ def _fmt(x):
         return "1" if x else "0"
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 
@@ -78,9 +76,13 @@ def _provenance(command, params):
 def _write(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             f.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {path!r}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def _cells(values):
@@ -262,7 +264,7 @@ def cmd_evolve(args):
         series = stability_experiment(psi, args.omega, args.sym, v, periods=args.T,
                                       dt=args.dt, n_samples=args.samples)
     except BlowUpError as exc:
-        print(f"evolve: {exc}", file=sys.stderr)
+        blowup = f"evolve: {exc}"
         series, code = exc.series, EXIT_BLOWUP
         meta = {"error": "blow-up", "transform": series[0]["transform"]}
     else:
@@ -281,6 +283,8 @@ def cmd_evolve(args):
     header = ["t", "rho", "E", "F", "M", "deltaP"]
     _write_csv(args.out, "evolve", meta, header,
                [_cells([r[key] for r in series]) for key in header])
+    if code == EXIT_BLOWUP:   # after the write, which may refuse its path
+        print(blowup, file=sys.stderr)
     return code
 
 

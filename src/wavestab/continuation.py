@@ -13,15 +13,16 @@ family (smallest even eigenvalue near 0.01) the start decides whether
 Newton lands: a second-order term, or one tangent for the whole patch,
 changed which corners converge.
 
-The patch is solved frontier by frontier, a frontier being the points whose
-neighbour toward the center is decided (4 and 4 points at extent (1, 1);
-4, 8, 8 and 4 at (2, 2)).  A frontier's tangents come from one stacked
-`_variation_solve`, and its points from one `_newton_rows` stack, where
-each iteration makes one stacked even-block assembly, one stacked solve
-and one stacked residual over the rows still running.  A row's arithmetic
-is that of a stack of one, which is what `newton_solve` runs, so a patch
-has the bits of solving its points one by one; the stack saves the numpy
-call overhead of each point, not its LU.  Row norms stay one 1-D
+The patch is solved frontier by frontier, frontier r being the ring
+|di| + |dj| = r of grid offsets, r = 1 .. iw + ia: the neighbour toward
+the center of each of its points lies on ring r - 1 (4 and 4 points at
+extent (1, 1); 4, 8, 8 and 4 at (2, 2)).  A frontier's tangents come from one
+stacked `_variation_solve`, and its points from one `_newton_rows` stack,
+where each iteration makes one stacked even-block assembly, one stacked
+solve and one stacked residual over the rows still running.  A row's
+arithmetic is that of a stack of one, which is what `newton_solve` runs,
+so a patch has the bits of solving its points one by one; the stack saves
+the numpy call overhead of each point, not its LU.  Row norms stay one 1-D
 `np.linalg.norm` per row, because a norm along an axis sums in another
 order and could flip a stopping test.
 """
@@ -174,15 +175,15 @@ def surface_patch(center, domega, dA, extent, sym):
     `extent` = (iw, ia): grid offsets run over -iw..iw and -ia..ia around
     the center, at fixed period.  Each point is solved from the tangent
     predictor at its neighbour toward the center (module note).  The points
-    are solved frontier by frontier, a frontier being every offset whose
-    neighbour has been decided: one stacked `_variation_solve` gives the
-    neighbours' tangents and one `_newton_rows` stack corrects the points,
-    in stacks of at most STACK_BYTES of even blocks.  Returns (patch,
-    missing): patch is {(di, dj): ContinuationPoint} for every converged
-    point, the center first, then outward along omega and then in A, and
-    missing lists the other offsets in ascending order.  A Newton failure,
-    or a singular even block at the neighbour, ends that ray (points
-    farther out on the same ray are not attempted).
+    are solved ring by ring, |di| + |dj| = 1, 2, ..., iw + ia: per ring one
+    stacked `_variation_solve` gives the neighbours' tangents and one
+    `_newton_rows` stack corrects the points, in stacks of at most
+    STACK_BYTES of even blocks.  Returns (patch, missing): patch is
+    {(di, dj): ContinuationPoint} for every converged point, the center first,
+    then outward along omega and then in A, and missing lists the other
+    offsets in ascending order.  A Newton failure, or a singular even block
+    at the neighbour, ends that ray (points farther out on the same ray are
+    not attempted).
     """
     iw, ia = extent
     offsets = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)]
@@ -194,11 +195,8 @@ def surface_patch(center, domega, dA, extent, sym):
            else (di + (di < 0) - (di > 0), 0) for di, dj in order[1:]}
     size = max(1, STACK_BYTES // (8 * (center.psi.N + 1) ** 2))
     solved = {(0, 0): center}
-    decided, pending = {(0, 0)}, order[1:]
-    while pending:
-        front = [o for o in pending if frm[o] in decided]
-        pending = [o for o in pending if frm[o] not in decided]
-        decided.update(front)
+    for r in range(1, iw + ia + 1):
+        front = [o for o in order if abs(o[0]) + abs(o[1]) == r]
         parents = [f for f in dict.fromkeys(frm[o] for o in front) if f in solved]
         tangent = {}
         for lo in range(0, len(parents), size):

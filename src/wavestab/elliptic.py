@@ -6,9 +6,9 @@ converge quadratically, so machine precision is reached in < 10 levels
 for any admissible modulus.  No special-function library is used.
 `_agm_levels` is the one AGM loop: it runs a whole array of moduli at once,
 each element stopping on its own, so a modulus gets the same K and E alone
-or in a grid.  `complete_integrals` takes a modulus or an array of them;
-the complementary pair K(k'), E(k') costs a second loop, made only when it
-is read.  `jacobi_sn_cn_dn` reads the levels of a one-element loop.
+or in a grid.  `complete_integrals` takes a modulus or an array of them
+and gives K and E only; K(k'), E(k') are `complete_integrals(k')`.
+`jacobi_sn_cn_dn` reads the levels of a one-element loop.
 
 Convention: everything is parameterized by the modulus k, with parameter
 m = k^2 used only internally.
@@ -16,7 +16,6 @@ m = k^2 used only internally.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,38 +40,12 @@ class EllipticDomainError(ValueError):
 
 @dataclass(frozen=True)
 class EllipticPair:
-    """Modulus k with its complete integrals and complementary values.
-
-    Kp = K(k') and Ep = E(k') with k' = sqrt(1 - k^2), computed by a second
-    AGM pass on first read.  At k = 0 the complementary modulus is 1, where
-    K diverges; Kp is +inf there.  For an array of moduli every field is an
-    array of the same shape.
-    """
+    """Modulus k with its complete integrals K(k) and E(k); for an array of
+    moduli every field is an array of the same shape."""
 
     k: float
     K: float
     E: float
-
-    @cached_property
-    def _complementary(self):
-        kp = np.sqrt((1.0 - self.k) * (1.0 + self.k))
-        # k == 0 (or denormal-close): complementary integral diverges
-        far = kp > MODULUS_CAP
-        K, E = _integrals(np.where(far, 0.0, kp))
-        K, E = np.where(far, math.inf, K), np.where(far, 1.0, E)
-        return _like(self.k, K), _like(self.k, E)
-
-    @property
-    def Kp(self):
-        return self._complementary[0]
-
-    @property
-    def Ep(self):
-        return self._complementary[1]
-
-    def legendre_residual(self):
-        """E*Kp + Ep*K - K*Kp - pi/2; zero in exact arithmetic."""
-        return self.E * self.Kp + self.Ep * self.K - self.K * self.Kp - math.pi / 2
 
 
 def _like(k, values):
@@ -118,25 +91,19 @@ def _agm_levels(k):
     return a_levels, c_levels, n, a_levels[n, cols], csum[n, cols]
 
 
-def _integrals(k):
-    """(K, E) from one AGM pass per element of the float array k; assumes
-    0 <= k <= MODULUS_CAP."""
-    *_, a_n, csum = _agm_levels(k.ravel())
-    K = math.pi / (2.0 * a_n)
-    return K.reshape(k.shape), (K * (1.0 - csum)).reshape(k.shape)
-
-
 def complete_integrals(k):
     """Complete elliptic integrals of the first and second kind.
 
-    Returns an EllipticPair with K(k), E(k), and K(k'), E(k') on demand.
-    k may be a scalar or an array of moduli; all of them share one AGM loop,
-    plus one more if Kp or Ep is read.  Accuracy is machine precision (AGM
-    fixed point).  Raises EllipticDomainError for k < 0 or k > 1 - 1e-12.
+    Returns an EllipticPair with K(k) and E(k).  k may be a scalar or an
+    array of moduli; all of them share one AGM loop.  Accuracy is machine
+    precision (AGM fixed point).  Raises EllipticDomainError for k < 0 or
+    k > 1 - 1e-12.
     """
     k_arr = np.asarray(k, dtype=float)
     _check_modulus(k_arr)
-    K, E = _integrals(k_arr)
+    *_, a_n, csum = _agm_levels(k_arr.ravel())
+    K = (math.pi / (2.0 * a_n)).reshape(k_arr.shape)
+    E = K * (1.0 - csum.reshape(k_arr.shape))
     return EllipticPair(k=_like(k_arr, k_arr), K=_like(k_arr, K), E=_like(k_arr, E))
 
 
@@ -200,11 +167,13 @@ def identity_battery():
     rows = []
     for k in np.arange(0.1, 0.95, 0.1):
         pair = complete_integrals(k)
+        comp = complete_integrals(np.sqrt((1.0 - k) * (1.0 + k)))   # K(k'), E(k')
         u = np.linspace(0.0, 2.0 * pair.K, 64)
         s, c, d = jacobi_sn_cn_dn(u, k)
         d_shift = jacobi_sn_cn_dn(u + 2.0 * pair.K, k)[2]
         checks = {
-            "legendre": abs(pair.legendre_residual()),
+            "legendre": abs(pair.E * comp.K + comp.E * pair.K - pair.K * comp.K
+                            - math.pi / 2),
             "dn0": abs(jacobi_sn_cn_dn(0.0, k)[2] - 1.0),
             "dnK": abs(jacobi_sn_cn_dn(pair.K, k)[2] - math.sqrt(1.0 - k * k)),
             "period": float(np.abs(d_shift - d).max()),

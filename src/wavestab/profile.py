@@ -70,10 +70,7 @@ class FourierProfile:
     def from_samples(cls, L0, values, N):
         """Fit cosine coefficients 0..N from equispaced samples x_j = j L0/M.
 
-        Requires M >= 2N+1.  Returns (profile, odd_energy) where odd_energy
-        is the relative l2 weight in the sine coefficients (should be at
-        rounding level for genuinely even data); for a stack of sample rows
-        it measures the whole stack.
+        Requires M >= 2N+1; the sine content is dropped (see `_odd_content`).
         """
         values = np.asarray(values, dtype=float)
         M = values.shape[-1]
@@ -84,9 +81,7 @@ class FourierProfile:
         c[..., 0] = F[..., 0].real
         upto = min(N, F.shape[-1] - 1)
         c[..., 1 : upto + 1] = 2.0 * F[..., 1 : upto + 1].real
-        scale = max(np.abs(F).max(), 1e-300)
-        odd_energy = float(np.abs(F[..., 1:].imag).max() / scale)
-        return cls(L0, c), odd_energy
+        return cls(L0, c)
 
     def grid(self, M):
         return np.arange(M) * (self.L0 / M)
@@ -170,8 +165,7 @@ class FourierProfile:
     def half_square(self):
         """psi^2 / 2 on modes 0..2N, alias-free from the 4(N+1) samples."""
         vals = self.values()
-        sq, _ = FourierProfile.from_samples(self.L0, 0.5 * vals * vals, 2 * self.N)
-        return sq
+        return FourierProfile.from_samples(self.L0, 0.5 * vals * vals, 2 * self.N)
 
     def inner(self, other):
         """L2 inner product with another even profile over one period."""
@@ -190,6 +184,14 @@ class FourierProfile:
             c[..., : self.N + 1] = self.coeffs
             return FourierProfile(self.L0, c)
         return FourierProfile(self.L0, self.coeffs[..., : N + 1])
+
+
+def _odd_content(values):
+    """Largest sine over largest Fourier coefficient of equispaced samples:
+    rounding level for even data, and one ratio for a stack of rows."""
+    F = np.fft.rfft(values) / values.shape[-1]
+    scale = max(np.abs(F).max(), 1e-300)
+    return float(np.abs(F[..., 1:].imag).max() / scale)
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,8 @@ def build_dnoidal(k, L, omega, N=128):
         mean2 = E / K
         mean4 = (2.0 - k**2) * (2.0 * E) / (3.0 * K) - (1.0 - k**2) / 3.0
         vals = a + b * (dnv**2 - mean2) + d * (dnv**4 - mean4)
-        psi, odd_energy = FourierProfile.from_samples(L, vals, N)
+        psi = FourierProfile.from_samples(L, vals, N)
+        odd_energy = _odd_content(vals)
         A = float(psi.half_square().coeffs[0] - omega * psi.coeffs[0])
     if not np.isfinite(np.append(psi.coeffs, (A, a, b, d))).all():
         raise FloatingPointError(f"non-finite wave at k={k}, L={L}, omega={omega}")

@@ -108,3 +108,15 @@ def plain_p(k, L):
         + 43680.0 * L2 * E * K
         - 31.0 * L2 * L2
     )
+
+
+def complementary(k):
+    """K and E at the complementary modulus k' = sqrt(1 - k^2), k > 0."""
+    return complete_integrals(math.sqrt((1.0 - k) * (1.0 + k)))
+
+
+def legendre_residual(k):
+    """E K' + E' K - K K' - pi/2 with K' = K(k'), E' = E(k'); zero in exact
+    arithmetic, and the `legendre` residual of elliptic.identity_battery."""
+    pair, comp = complete_integrals(k), complementary(k)
+    return pair.E * comp.K + comp.E * pair.K - pair.K * comp.K - math.pi / 2

@@ -412,6 +412,14 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["sweep", "--omega", "1.0"], None),
     (["reproduce-figure1", "--out", "figure.csv"], None),
     (["sweep", "--config", "{tmp}/missing.cfg"], None),
+    # an output path that cannot be opened for writing
+    (["sweep", "--out", "{tmp}/missing/x.csv"], None),
+    (["sweep", "--out", "{tmp}"], None),
+    (["criteria", "--k", "0.8", "--out", "{tmp}"], None),
+    (["reproduce-figure1", "--out-L1", "{tmp}/missing/a.csv"], None),
+    # a blow-up (exit 4 with a writable --out) reports the refused path alone
+    (["evolve", "--k", "0.8", "--omega", "100", "--grid", "64", "--T", "50",
+      "--samples", "5", "--out", "{tmp}"], None),
     (["profile", "--k", "0.8", "--conf", "{tmp}/run.cfg"], None),
     (["profile"], "k 0.8\n"),
     (["profile"], "k=0.8\nconfig=other.cfg\n"),
@@ -662,26 +670,46 @@ def _fuzz_argv(rng, out):
     return argv
 
 
+def _unwritable(rng, argv, tmp):
+    """argv with one of its output flags on a path that cannot be opened for
+    writing: the directory tmp itself, or a file under a missing directory."""
+    outs = [i for i, a in enumerate(argv) if a.startswith(("--out", "--record-out"))]
+    i = rng.choice(outs)
+    flag = argv[i].partition("=")[0]
+    bad = rng.choice([tmp, tmp / "missing" / "out"])
+    return argv[:i] + [f"{flag}={bad}"] + argv[i + 1:]
+
+
+def _fuzz_call(argv):
+    """Exit code and stderr of one call, with the contract's checks on both:
+    exit 0, 2, 3 or 4, no traceback or warning, and at most one stderr line
+    unless argparse prints its usage block."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    assert code in (0, 2, 3, 4), argv
+    text = err.getvalue()
+    assert "Traceback" not in text and "Warning" not in text, argv
+    if not text.startswith("usage:"):
+        assert len(text.splitlines()) <= 1, (argv, text)
+    return code, text
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cli_contract_fuzz(tmp_path, seed):
-    # exit 0, 2, 3 or 4; at most one stderr line unless argparse prints its
-    # usage block; no nan or inf cell in an exit-0 body.  A numpy warning
-    # fails the test through filterwarnings = error.
+    # the contract of _fuzz_call, and no nan or inf cell in an exit-0 body.
+    # About one draw in ten is run again with an unwritable output path,
+    # which exits 2 with one line, or 3 when the run fails before it writes.
+    # A numpy warning fails the test through filterwarnings = error.
     rng = random.Random(seed)
-    codes = set()
+    bad_rng = random.Random(-1 - seed)   # leaves the draws of rng as they were
+    codes, bad_draws = set(), 0
     for _ in range(300):
         argv = _fuzz_argv(rng, tmp_path)
         for name in ("body", "p", "record"):
             (tmp_path / name).unlink(missing_ok=True)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = exit_code(argv)
+        code, _ = _fuzz_call(argv)
         codes.add(code)
-        assert code in (0, 2, 3, 4), argv
-        text = err.getvalue()
-        assert "Traceback" not in text and "Warning" not in text, argv
-        if not text.startswith("usage:"):
-            assert len(text.splitlines()) <= 1, (argv, text)
         if code == 0:
             out = read(tmp_path / "body")
             if argv[0] in ("spectrum", "criteria", "reproduce-figure1"):
@@ -697,7 +725,13 @@ def test_cli_contract_fuzz(tmp_path, seed):
                 # the sweep's stable flag of a modulus with no branch root
                 assert all(np.isfinite(float(c)) for c in cells
                            if c not in ("", "no_root")), argv
-    assert {0, 2} <= codes
+        if bad_rng.random() < 0.1:
+            bad_draws += 1
+            bad = _unwritable(bad_rng, argv, tmp_path)
+            bad_code, text = _fuzz_call(bad)
+            assert bad_code == 2 or code == bad_code == 3, (bad, bad_code)
+            assert text.strip(), bad
+    assert {0, 2} <= codes and bad_draws >= 10
 
 
 def test_readme_invocations_parse():

@@ -30,7 +30,7 @@ def apply_linearized(psi, omega, sym, f):
     N_out = psi.N + f.N
     M = 4 * (N_out + 1)
     prod = psi.values(M) * f.values(M)
-    prod_prof, _ = FourierProfile.from_samples(psi.L0, prod, N_out)
+    prod_prof = FourierProfile.from_samples(psi.L0, prod, N_out)
     out = prod_prof.coeffs * (-1.0)
     xi = 2.0 * math.pi * np.arange(N_out + 1) / psi.L0
     fc = np.zeros(N_out + 1)
