@@ -20,13 +20,17 @@ raise; `main` alone maps an exception to a code and one stderr line, first
 NUMERICAL_FAILURES (`<command>: numerical failure: <repr>`, exit 3), then
 any other ValueError (`<command>: <message>`, exit 2).  An incomplete
 `continue` patch is not a failure: it exits 0 with the rows it has and one
-stderr line naming the missing grid offsets.
+stderr line naming the missing grid offsets.  `main` checks every output
+path before the command runs, so a run refused for one of them (exit 2)
+writes none of its outputs.
 """
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -73,6 +77,27 @@ def _provenance(command, params):
     return lines
 
 
+def _cannot_write(path, reason):
+    return ValueError(f"cannot write output file {path!r}: {reason}")
+
+
+def _check_outputs(args):
+    """Refuse an output path that cannot be opened for writing before any
+    work or write, so that a refused run leaves no file: a path that is a
+    directory, or whose directory is missing or not writable."""
+    for flag in ("out", "out_L1", "out_p", "record_out"):
+        path = getattr(args, flag, None)
+        if path in (None, "-"):
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise _cannot_write(path, os.strerror(errno.EISDIR))
+        if not path or not os.path.isdir(parent):
+            raise _cannot_write(path, os.strerror(errno.ENOENT))
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise _cannot_write(path, os.strerror(errno.EACCES))
+
+
 def _write(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -81,8 +106,7 @@ def _write(text, path):
         with open(path, "w") as f:
             f.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write output file {path!r}: "
-                         f"{exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc.strerror or exc) from exc
 
 
 def _cells(values):
@@ -441,6 +465,7 @@ def main(argv=None):
             argv[at:at] = _config_argv(path)
         args = build_parser().parse_args(argv)
         command = args.command
+        _check_outputs(args)
         if hasattr(args, "symbol"):
             args.sym = builtin_symbol(args.symbol, alpha=args.alpha)
         return args.func(args)

@@ -14,7 +14,17 @@ real matrices built once per Evolver: at those sizes an irfft/rfft pair costs
 more in numpy call overhead than in arithmetic, and the two matrix products
 were faster in every measured pass, with one BLAS thread as with two.  Above
 it the matrices grow as grid^2 (about 400 MB at grid 6144) and their products
-lose to the FFT pair, so the step uses irfft/rfft.
+lose to the FFT pair, so the step uses irfft/rfft.  Below it the FFT pair
+(called as the next paragraph says) wins at about half of the grids from 153
+to 240 and loses by up to 8x where the grid has a large prime factor, so no
+smaller constant is faster at every grid.
+
+The FFT pair calls the pocketfft gufuncs that np.fft.irfft and np.fft.rfft
+wrap, with the factors the wrappers pass (1/grid and 1), bound once per
+Evolver.  The wrappers' Python checks (norm, dtype, axis, out shape) cost
+about as much as the transform itself at grid 256, and skipping them keeps
+the bits.  numpy.fft._pocketfft_umath is private; numpy 2.0 introduced it,
+and the tests pin its bits to the public functions.
 
 At these sizes a step's cost is numpy call dispatch, so each stage writes
 into work buffers that Evolver.run allocates once: the transforms and every
@@ -53,8 +63,8 @@ BLOWUP_SUP = 1e6
 BLOWUP_CHECK_EVERY = 1000   # steps between sup-norm checks; the last step is checked too
 CONTOUR_POINTS = 32
 NEWTON_MAX_ITER = 20
-MAX_STEPS = 10_000_000      # stability_experiment's cap: ~17 min at grid 256
-DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (measured crossover)
+MAX_STEPS = 10_000_000      # stability_experiment's cap: ~6 min at grid 256
+DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (BENCH_evolution.json)
 
 
 class BlowUpError(RuntimeError):
@@ -134,8 +144,10 @@ class Evolver:
     "dense" (grid <= DENSE_GRID_MAX) multiplies the band, viewed as
     interleaved real and imaginary parts, by a synthesis and an analysis
     matrix; "fft" uses an irfft/rfft pair, whose cost and memory stay bounded
-    at large grids.  `run` takes the band of one state, or a stack of S
-    states as an (S, band) array, which it steps as one.
+    at large grids.  The pair is pocketfft's gufuncs, called without numpy's
+    wrappers (see the module docstring); `run`'s blow-up check uses the
+    irfft on either path.  `run` takes the band of one state, or a stack of
+    S states as an (S, band) array, which it steps as one.
     """
 
     def __init__(self, L0, grid_size, sym, dt):
@@ -164,6 +176,11 @@ class Evolver:
         if not all(np.isfinite(w).all()
                    for w in (self.E1, self.E2, self.Q, self.f1, self.f2, self.f3)):
             raise ValueError(f"dt={dt!r} gives non-finite ETDRK4 weights")
+        # the gufuncs and factors np.fft.irfft(x, G) and np.fft.rfft(v) call;
+        # imported here because numpy loads numpy.fft on first use only
+        from numpy.fft import _pocketfft_umath as pocketfft
+        self._irfft, self._inv_grid = pocketfft.irfft, 1.0 / G
+        self._rfft = pocketfft.rfft_n_even if G % 2 == 0 else pocketfft.rfft_n_odd
         self.transform = "dense" if G <= DENSE_GRID_MAX else "fft"
         self._synth = self._anal = None
         if self.transform == "dense":
@@ -197,9 +214,9 @@ class Evolver:
         """Band of rfft(u^2) for the band modes x of u, as the view work.N[i]."""
         phys = work.phys
         if self._synth is None:
-            np.fft.irfft(x, self.grid_size, out=phys)
+            self._irfft(x, self._inv_grid, out=phys)
             np.square(phys, out=phys)
-            np.fft.rfft(phys, out=work.sink[i])
+            self._rfft(phys, 1.0, out=work.sink[i])
         else:
             np.dot(x.view(float), self._synth, out=phys)
             np.square(phys, out=phys)
@@ -250,7 +267,8 @@ class Evolver:
             for s in range(nsteps):
                 self._step(vh, work)
                 if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
-                    sup = np.abs(np.fft.irfft(vh, G)).max(axis=-1)
+                    self._irfft(vh, self._inv_grid, out=work.phys)
+                    sup = np.abs(work.phys).max(axis=-1)
                     failed = ~(sup <= BLOWUP_SUP)  # also catches NaN
                     if failed.any():
                         raise BlowUpError(
@@ -279,17 +297,41 @@ def default_dt(state, sym, safety=0.5):
     return safety / max(th, 1.0), xi_eff, th
 
 
+class _Orbit(NamedTuple):
+    """What every record of one experiment reuses: the band's wavenumbers
+    and symbol, the distance's weights and the wave's modes."""
+
+    L0: float
+    xi: np.ndarray       # 2 pi n / L0, n = 0..band
+    theta: np.ndarray    # theta(xi)
+    weight: np.ndarray   # 1 + theta, doubled for n >= 1: modes +-n both counted
+    ph: np.ndarray       # psi_hat(band)
+
+
+def _orbit(psi, band, sym):
+    xi = 2.0 * math.pi * np.arange(band + 1) / psi.L0
+    theta = np.asarray(sym(xi), dtype=float)
+    dbl = np.ones(band + 1)
+    dbl[1:] = 2.0
+    return _Orbit(psi.L0, xi, theta, dbl * (1.0 + theta), psi.psi_hat(band))
+
+
 def conserved(state, sym):
     """E (with the 1/6 cubic), F, M by spectral quadrature.
 
     The cubic term uses the dealiased physical-space product, exact for
     band-limited states.
     """
+    xi = 2.0 * math.pi * np.arange(state.modes.shape[-1]) / state.L0
+    return _conserved(state, np.asarray(sym(xi), dtype=float))
+
+
+def _conserved(state, theta):
+    """conserved, with theta(xi) on the state's band given."""
     L0 = state.L0
     M_grid = state.grid_size
     u = state.values()
     coeffs = state.mode_coefficients()
-    theta = np.asarray(sym(2.0 * math.pi * np.arange(len(coeffs)) / L0), dtype=float)
     # modes +-n share theta and |c|, so the band's sum is doubled; that is
     # exact because theta(0) = 0 (MultiplierSymbol enforces it)
     quad = 2.0 * L0 * float(np.sum(theta * np.abs(coeffs) ** 2))
@@ -312,20 +354,17 @@ def orbital_distance(state, psi, sym):
     """
     if abs(state.L0 - psi.L0) > 1e-12 * psi.L0:
         raise ValueError("state and profile periods differ")
-    L0 = psi.L0
-    band = state.grid_size // 3
-    xi_pos = 2.0 * math.pi * np.arange(band + 1) / L0
-    w = 1.0 + np.asarray(sym(xi_pos), dtype=float)
+    return _orbital_distance(state, _orbit(psi, state.grid_size // 3, sym))
 
+
+def _orbital_distance(state, orbit):
+    """orbital_distance to the wave of `orbit`, built on the state's band."""
+    L0, xi_pos, weight, ph = orbit.L0, orbit.xi, orbit.weight, orbit.ph
     uu = state.mode_coefficients()
-    ph = psi.psi_hat(band)
-    # modes +-n both counted (n >= 1 doubled)
-    dbl = np.ones(band + 1)
-    dbl[1:] = 2.0
-    cross = dbl * w * uu * np.conj(ph)
+    cross = weight * uu * np.conj(ph)
 
     # coarse scan: maximize the weighted cross-correlation via an inverse FFT
-    samples = max(4096, band + 1)
+    samples = max(4096, len(ph))
     g = np.fft.ifft(cross, samples).real * samples
     h = L0 / samples
     y_star = y0 = int(np.argmax(g)) * h
@@ -340,7 +379,7 @@ def orbital_distance(state, psi, sym):
             break
     # direct per-mode evaluation; no cancellation between large sums
     diff = uu * np.exp(1j * xi_pos * y_star) - ph
-    val = float(np.sum(dbl * w * (diff.real**2 + diff.imag**2)))
+    val = float(np.sum(weight * (diff.real**2 + diff.imag**2)))
     return math.sqrt(L0 * max(val, 0.0)), y_star
 
 
@@ -426,10 +465,11 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     nsteps_total = max(1, int(math.ceil(nsteps_float)))
     stride = max(1, nsteps_total // n_samples)
     ev = Evolver(psi.L0, grid_size, sym, dt)
+    orbit = _orbit(psi, grid_size // 3, sym)
 
     def record(st):
-        rho, _ = orbital_distance(st, psi, sym)
-        c = conserved(st, sym)
+        rho, _ = _orbital_distance(st, orbit)
+        c = _conserved(st, orbit.theta)
         dP = (c.E + omega * c.F + A * c.M) - P_psi
         return {"t": st.t, "rho": rho, "E": c.E, "F": c.F, "M": c.M,
                 "deltaP": dP}
@@ -440,7 +480,7 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     # an initial state that overflows is refused here, not warned; after a
     # step the blow-up check bounds the state
     with np.errstate(over="ignore", invalid="ignore"):
-        cons_psi = conserved(psi_state, sym)
+        cons_psi = _conserved(psi_state, orbit.theta)
         P_psi = cons_psi.E + omega * cons_psi.F + A * cons_psi.M
         series = [[record(st)] for st in members(state)]
     if not all(math.isfinite(v) for (first,) in series for v in first.values()):

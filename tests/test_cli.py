@@ -417,6 +417,13 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["sweep", "--out", "{tmp}"], None),
     (["criteria", "--k", "0.8", "--out", "{tmp}"], None),
     (["reproduce-figure1", "--out-L1", "{tmp}/missing/a.csv"], None),
+    # one writable output and one refused: neither is written
+    (["reproduce-figure1", "--steps", "20", "--out-L1", "{tmp}/a.csv",
+      "--out-p", "{tmp}/none/p.csv"], None),
+    (["reproduce-figure1", "--steps", "20", "--out-L1", "{tmp}/a.csv",
+      "--out-p", "{tmp}/p.csv", "--record-out", "{tmp}"], None),
+    (["spectrum", "--k", "0.8", "--N-op", "64", "--out", "{tmp}/s.csv",
+      "--record-out", "{tmp}/none/r.json"], None),
     # a blow-up (exit 4 with a writable --out) reports the refused path alone
     (["evolve", "--k", "0.8", "--omega", "100", "--grid", "64", "--T", "50",
       "--samples", "5", "--out", "{tmp}"], None),
@@ -438,13 +445,16 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["spectrum", "--k", "0.95", "--N", "16", "--N-op", "16"], None),
     (["criteria", "--k", "0.999", "--omega", "1.0", "--N-op", "16"], None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
-def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
+def test_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv, config):
     argv = [a.format(tmp=tmp_path) for a in argv]
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         argv += ["--config", str(cfg)]
+    monkeypatch.chdir(tmp_path)   # where reproduce-figure1's default outputs go
+    before = sorted(tmp_path.rglob("*"))
     assert exit_code(argv) == 2
+    assert sorted(tmp_path.rglob("*")) == before   # a refused run writes no file
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err and "Warning" not in err
     # argparse prints its usage block; every other refusal is one line from main
@@ -699,7 +709,8 @@ def _fuzz_call(argv):
 def test_cli_contract_fuzz(tmp_path, seed):
     # the contract of _fuzz_call, and no nan or inf cell in an exit-0 body.
     # About one draw in ten is run again with an unwritable output path,
-    # which exits 2 with one line, or 3 when the run fails before it writes.
+    # which exits 2 with one line, or 3 when the run fails before it writes,
+    # and writes none of its outputs.
     # A numpy warning fails the test through filterwarnings = error.
     rng = random.Random(seed)
     bad_rng = random.Random(-1 - seed)   # leaves the draws of rng as they were
@@ -728,9 +739,14 @@ def test_cli_contract_fuzz(tmp_path, seed):
         if bad_rng.random() < 0.1:
             bad_draws += 1
             bad = _unwritable(bad_rng, argv, tmp_path)
+            for name in ("body", "p", "record"):
+                (tmp_path / name).unlink(missing_ok=True)
             bad_code, text = _fuzz_call(bad)
             assert bad_code == 2 or code == bad_code == 3, (bad, bad_code)
             assert text.strip(), bad
+            # not even the outputs whose paths were writable
+            assert not any((tmp_path / name).exists()
+                           for name in ("body", "p", "record")), bad
     assert {0, 2} <= codes and bad_draws >= 10
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from wavestab import evolution as ev
 from wavestab.criteria import functionals
-from wavestab.profile import build_dnoidal
+from wavestab.profile import build_dnoidal, extract_A
 
 
 GRID = 256
@@ -192,6 +192,32 @@ def test_experiment_mode_perturbation_bounded(wave08, kawahara):
     dps = [r["deltaP"] for r in series]
     assert max(dps) - min(dps) < 1e-8
     assert series[0]["deltaP"] > -1e-10  # Lyapunov difference nonnegative
+
+
+def test_experiment_records_match_public_functions(wave08, kawahara):
+    # the experiment builds the records' per-mode factors once; each record
+    # is still orbital_distance and conserved of its state, bit for bit
+    params, psi = wave08
+    omega = params.omega
+    v = ev.make_perturbation("random", psi, 1e-3, GRID, seed=2)
+    series = ev.stability_experiment(psi, omega, kawahara, v, periods=0.2, n_samples=4)
+    steps = series[0]["steps"]
+    stepper = ev.Evolver(psi.L0, GRID, kawahara, series[0]["dt"])
+    A, _ = extract_A(psi, omega, kawahara)
+    c = ev.conserved(ev.state_from_profile(psi, GRID), kawahara)
+    P_psi = c.E + omega * c.F + A * c.M
+    st = ev.state_from_values(ev.state_from_profile(psi, GRID).values() + v, psi.L0)
+    states, stride, done = [st], max(1, steps // 4), 0
+    while done < steps:
+        n = min(stride, steps - done)
+        states.append(stepper.run(states[-1], n))
+        done += n
+    assert len(states) == len(series) >= 5
+    for r, st in zip(series, states):
+        c = ev.conserved(st, kawahara)
+        assert (r["t"], r["rho"]) == (st.t, ev.orbital_distance(st, psi, kawahara)[0])
+        assert (r["E"], r["F"], r["M"]) == (c.E, c.F, c.M)
+        assert r["deltaP"] == (c.E + omega * c.F + A * c.M) - P_psi
 
 
 def test_lyapunov_nonnegative_on_manifold(wave08, kawahara):
@@ -434,7 +460,12 @@ def test_newton_orbital_distance_matches_golden_section(wave08, kawahara):
 
 def test_step_transform_budget(wave08, kawahara, monkeypatch):
     _, psi = wave08
-    counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+
+    def expect(rfft, irfft):
+        return {"irfft": irfft, "rfft": rfft, "np.fft.fft": 0, "np.fft.ifft": 0,
+                "np.fft.rfft": 0, "np.fft.irfft": 0}
+
+    counts = expect(0, 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -442,20 +473,41 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    # the dense matrices make no numpy.fft call; the FFT path one pair per stage
+    # numpy.fft, which the step and run no longer call, and below the
+    # pocketfft gufuncs each Evolver binds
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(f"np.fft.{name}",
+                                                   getattr(np.fft, name)))
+
+    # the dense matrices make no transform; the FFT path one pair per stage
     for grid, per_pair in ((DENSE_GRID, 0), (FFT_GRID, 4)):
         st = _perturbed_state(psi, grid)
         stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
-        counts.update(dict.fromkeys(counts, 0))
+        stepper._irfft = counting("irfft", stepper._irfft)
+        stepper._rfft = counting("rfft", stepper._rfft)
+        counts.update(expect(0, 0))
         stepper._step(st.modes.copy(), stepper._work(st.modes.shape))
-        assert counts == {"fft": 0, "ifft": 0, "rfft": per_pair, "irfft": per_pair}
-        counts.update(dict.fromkeys(counts, 0))
+        assert counts == expect(per_pair, per_pair)
+        counts.update(expect(0, 0))
         stepper.run(st, 10)
         # the steps' transforms plus one irfft for the final blow-up check
-        assert counts == {"fft": 0, "ifft": 0, "rfft": 10 * per_pair,
-                          "irfft": 10 * per_pair + 1}
+        assert counts == expect(10 * per_pair, 10 * per_pair + 1)
+
+
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["one", "stack5"])
+@pytest.mark.parametrize("grid", [24, 25, 241, 255, 256, 384, 1001, 6144])
+def test_bound_transforms_match_numpy_fft(kawahara, grid, shape):
+    # the gufuncs are numpy's private ones: pin their bits to the public
+    # np.fft.irfft(x, G) and np.fft.rfft(v), for even and odd G
+    stepper = ev.Evolver(20.0, grid, kawahara, 1e-3)
+    rng = np.random.default_rng(grid)
+    x = rng.standard_normal((*shape, stepper.band, 2)).view(complex)[..., 0]
+    v = np.empty((*shape, grid))
+    stepper._irfft(x, stepper._inv_grid, out=v)
+    assert np.array_equal(v, np.fft.irfft(x, grid))
+    full = np.empty((*shape, grid // 2 + 1), dtype=complex)
+    stepper._rfft(v, 1.0, out=full)
+    assert np.array_equal(full, np.fft.rfft(v))
 
 
 def _allocating_step(stepper, vh):
