@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .profile import extract_A
+from .profile import TAIL_RTOL, extract_A
 
 __all__ = [
     "EvolutionState",
@@ -65,6 +65,8 @@ CONTOUR_POINTS = 32
 NEWTON_MAX_ITER = 20
 MAX_STEPS = 10_000_000      # stability_experiment's cap: ~6 min at grid 256
 DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (BENCH_evolution.json)
+DT_SAFETY = 0.5             # default_dt's step: DT_SAFETY / max(theta(xi_eff), 1)
+CONTENT_RTOL = 1e-12        # a mode below this share of its state's largest is round-off
 
 
 class BlowUpError(RuntimeError):
@@ -117,11 +119,25 @@ def state_from_profile(psi, grid_size=256):
 
 
 def state_from_values(values, L0):
-    """The state of grid values, or the stack of states of an (S, grid) stack."""
+    """The state of grid values, or the stack of states of an (S, grid) stack.
+
+    Raises ValueError when a row carries content above the dealiased band: a
+    dropped mode above TAIL_RTOL of the row's largest oscillating mode and
+    above CONTENT_RTOL of its largest mode (round-off of a constant row).
+    """
     values = np.asarray(values, dtype=float)
     grid_size = values.shape[-1]
-    modes = np.fft.rfft(values)[..., : grid_size // 3 + 1]
-    return EvolutionState(t=0.0, modes=modes, L0=float(L0), grid_size=grid_size)
+    band = grid_size // 3
+    full = np.fft.rfft(values)
+    mags = np.abs(full)
+    dropped = mags[..., band + 1 :].max(axis=-1, initial=0.0)
+    floor = np.maximum(TAIL_RTOL * mags[..., 1 : band + 1].max(axis=-1, initial=0.0),
+                       CONTENT_RTOL * mags.max(axis=-1))
+    if np.any(dropped > floor):
+        raise ValueError(f"grid values carry modes above the dealiased band of "
+                         f"grid {grid_size} (modes up to {band})")
+    return EvolutionState(t=0.0, modes=full[..., : band + 1], L0=float(L0),
+                          grid_size=grid_size)
 
 
 class _Work(NamedTuple):
@@ -278,42 +294,23 @@ class Evolver:
                               grid_size=G)
 
 
-def default_dt(state, sym, safety=0.5):
-    """(dt, xi_eff, theta(xi_eff)) with dt = safety / max(theta(xi_eff), 1),
+def default_dt(state, sym):
+    """(dt, xi_eff, theta(xi_eff)) with dt = DT_SAFETY / max(theta(xi_eff), 1),
     xi_eff the largest content-carrying wavenumber.
 
-    Content is a mode magnitude above 1e-12 times the largest of its own
-    state; in a stack of states, xi_eff is the largest over them.  The
+    Content is a mode magnitude above CONTENT_RTOL times the largest of its
+    own state; in a stack of states, xi_eff is the largest over them.  The
     exact linear propagation keeps the scheme stable well beyond this, so
     the bound is an accuracy heuristic, gated in practice by the
     conservation drift checks.
     """
     mags = np.abs(np.atleast_2d(state.mode_coefficients()))
-    content = mags > 1e-12 * mags.max(axis=1, keepdims=True)
+    content = mags > CONTENT_RTOL * mags.max(axis=1, keepdims=True)
     idx = np.nonzero(content.any(axis=0))[0]
     n_eff = max(int(idx.max()), 1) if len(idx) else 1
     xi_eff = 2.0 * math.pi * n_eff / state.L0
     th = float(sym(xi_eff))
-    return safety / max(th, 1.0), xi_eff, th
-
-
-class _Orbit(NamedTuple):
-    """What every record of one experiment reuses: the band's wavenumbers
-    and symbol, the distance's weights and the wave's modes."""
-
-    L0: float
-    xi: np.ndarray       # 2 pi n / L0, n = 0..band
-    theta: np.ndarray    # theta(xi)
-    weight: np.ndarray   # 1 + theta, doubled for n >= 1: modes +-n both counted
-    ph: np.ndarray       # psi_hat(band)
-
-
-def _orbit(psi, band, sym):
-    xi = 2.0 * math.pi * np.arange(band + 1) / psi.L0
-    theta = np.asarray(sym(xi), dtype=float)
-    dbl = np.ones(band + 1)
-    dbl[1:] = 2.0
-    return _Orbit(psi.L0, xi, theta, dbl * (1.0 + theta), psi.psi_hat(band))
+    return DT_SAFETY / max(th, 1.0), xi_eff, th
 
 
 def conserved(state, sym):
@@ -322,14 +319,10 @@ def conserved(state, sym):
     The cubic term uses the dealiased physical-space product, exact for
     band-limited states.
     """
-    xi = 2.0 * math.pi * np.arange(state.modes.shape[-1]) / state.L0
-    return _conserved(state, np.asarray(sym(xi), dtype=float))
-
-
-def _conserved(state, theta):
-    """conserved, with theta(xi) on the state's band given."""
     L0 = state.L0
     M_grid = state.grid_size
+    xi = 2.0 * math.pi * np.arange(state.modes.shape[-1]) / L0
+    theta = np.asarray(sym(xi), dtype=float)
     u = state.values()
     coeffs = state.mode_coefficients()
     # modes +-n share theta and |c|, so the band's sum is doubled; that is
@@ -354,12 +347,14 @@ def orbital_distance(state, psi, sym):
     """
     if abs(state.L0 - psi.L0) > 1e-12 * psi.L0:
         raise ValueError("state and profile periods differ")
-    return _orbital_distance(state, _orbit(psi, state.grid_size // 3, sym))
-
-
-def _orbital_distance(state, orbit):
-    """orbital_distance to the wave of `orbit`, built on the state's band."""
-    L0, xi_pos, weight, ph = orbit.L0, orbit.xi, orbit.weight, orbit.ph
+    L0 = psi.L0
+    band = state.grid_size // 3
+    xi_pos = 2.0 * math.pi * np.arange(band + 1) / L0
+    # 1 + theta, doubled for n >= 1: modes +-n are both counted
+    dbl = np.ones(band + 1)
+    dbl[1:] = 2.0
+    weight = dbl * (1.0 + np.asarray(sym(xi_pos), dtype=float))
+    ph = psi.psi_hat(band)
     uu = state.mode_coefficients()
     cross = weight * uu * np.conj(ph)
 
@@ -415,7 +410,7 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
 
 
 def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
-                         n_samples=200, dt_safety=0.5):
+                         n_samples=200):
     """Evolve psi + perturbation and record (t, rho, E, F, M, deltaP) time series.
 
     `perturbation` holds grid values (make_perturbation), and its length is
@@ -425,13 +420,14 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     pieces are conserved.
     The first record also gives the membership of u0 in the fixed-(F, M)
     manifold, the dt used, the step count and the Evolver's transform; when
-    dt is None, also dt_safety, xi_eff and theta_eff of the default_dt rule
-    that chose it, applied to the wave and the perturbations as one stack,
-    each against its own largest mode.  A dt longer than the horizon, or a
-    horizon of more than MAX_STEPS steps, raises ValueError before any step
-    is taken; the last step may end up to one dt past the horizon.  A first
-    record that is not finite (an overflowing perturbation) raises
-    FloatingPointError.  On blow-up the partial series is attached to the
+    dt is None, also dt_safety (DT_SAFETY), xi_eff and theta_eff of the
+    default_dt rule that chose it, applied to the wave and the perturbations
+    as one stack, each against its own largest mode.  n_samples below 1,
+    perturbation content above the dealiased band (state_from_values), a dt
+    longer than the horizon, or a horizon of more than MAX_STEPS steps raises
+    ValueError before any step is taken; the last step may end up to one dt
+    past the horizon.  A first record that is not finite (an overflowing
+    perturbation) raises FloatingPointError.  On blow-up the partial series is attached to the
     exception.
 
     An (S, grid) stack of perturbations is stepped as one (S, band) stack and
@@ -441,6 +437,8 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     names the failed rows, and it carries every row's partial series.  An
     empty stack raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, not {n_samples!r}")
     vs = np.asarray(perturbation, dtype=float)
     if not vs.size:
         raise ValueError("the perturbation is empty")
@@ -452,9 +450,8 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     rule = {}
     if dt is None:
         parts = np.vstack([psi_state.modes, state_from_values(vs, psi.L0).modes])
-        dt, xi_eff, theta_eff = default_dt(replace(psi_state, modes=parts), sym,
-                                           dt_safety)
-        rule = {"dt_safety": dt_safety, "xi_eff": xi_eff, "theta_eff": theta_eff}
+        dt, xi_eff, theta_eff = default_dt(replace(psi_state, modes=parts), sym)
+        rule = {"dt_safety": DT_SAFETY, "xi_eff": xi_eff, "theta_eff": theta_eff}
     horizon = periods * psi.L0 / omega
     nsteps_float = horizon / dt
     if not nsteps_float <= MAX_STEPS:  # also catches inf and NaN
@@ -465,11 +462,10 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     nsteps_total = max(1, int(math.ceil(nsteps_float)))
     stride = max(1, nsteps_total // n_samples)
     ev = Evolver(psi.L0, grid_size, sym, dt)
-    orbit = _orbit(psi, grid_size // 3, sym)
 
     def record(st):
-        rho, _ = _orbital_distance(st, orbit)
-        c = _conserved(st, orbit.theta)
+        rho, _ = orbital_distance(st, psi, sym)
+        c = conserved(st, sym)
         dP = (c.E + omega * c.F + A * c.M) - P_psi
         return {"t": st.t, "rho": rho, "E": c.E, "F": c.F, "M": c.M,
                 "deltaP": dP}
@@ -480,7 +476,7 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     # an initial state that overflows is refused here, not warned; after a
     # step the blow-up check bounds the state
     with np.errstate(over="ignore", invalid="ignore"):
-        cons_psi = _conserved(psi_state, orbit.theta)
+        cons_psi = conserved(psi_state, sym)
         P_psi = cons_psi.E + omega * cons_psi.F + A * cons_psi.M
         series = [[record(st)] for st in members(state)]
     if not all(math.isfinite(v) for (first,) in series for v in first.values()):

@@ -1,9 +1,12 @@
 """Fourier-multiplier symbols for the dispersion operator.
 
 A symbol theta maps a real wavenumber to a nonnegative value, vanishes at
-zero, is even, and is sandwiched between A1*|kappa|^m2 and A2*|kappa|^m2
-on the nonzero integers.  The operator acts diagonally on Fourier modes;
-callers evaluate the symbol at physical wavenumbers 2*pi*n/L0.
+zero and is even; MultiplierSymbol checks the last two, and conserved
+relies on theta(0) = 0.  The paper's hypothesis also sandwiches theta between
+A1*|kappa|^m2 and A2*|kappa|^m2 on the nonzero integers; nothing here reads
+those bounds, and tests/test_multiplier.py checks them for each builtin.
+The operator acts diagonally on Fourier modes; callers evaluate the symbol
+at physical wavenumbers 2*pi*n/L0.
 """
 
 import numpy as np
@@ -14,16 +17,11 @@ BUILTIN_NAMES = ("kawahara", "kdv", "bo", "fractional")
 
 
 class MultiplierSymbol:
-    """Dispersion symbol theta with its order m2 and sandwich bounds A1, A2."""
+    """Named dispersion symbol theta, checked to vanish at zero and be even."""
 
-    def __init__(self, name, func, m2, A1, A2):
-        if m2 <= 0 or A1 <= 0 or A2 <= 0:
-            raise ValueError("m2, A1, A2 must be positive")
+    def __init__(self, name, func):
         self.name = name
         self._func = func
-        self.m2 = float(m2)
-        self.A1 = float(A1)
-        self.A2 = float(A2)
         self._validate()
 
     def __call__(self, kappa):
@@ -42,10 +40,7 @@ class MultiplierSymbol:
             raise ValueError(f"symbol {self.name!r}: theta is not even")
 
     def __repr__(self):
-        return (
-            f"MultiplierSymbol({self.name!r}, m2={self.m2}, "
-            f"A1={self.A1}, A2={self.A2})"
-        )
+        return f"MultiplierSymbol({self.name!r})"
 
 
 def builtin_symbol(name, alpha=None):
@@ -61,16 +56,14 @@ def builtin_symbol(name, alpha=None):
     if alpha is not None and name != "fractional":
         raise ValueError(f"symbol {name!r} takes no alpha")
     if name == "kawahara":
-        return MultiplierSymbol("kawahara", lambda x: x**4 + x**2, 4.0, 1.0, 2.0)
+        return MultiplierSymbol("kawahara", lambda x: x**4 + x**2)
     if name == "kdv":
-        return MultiplierSymbol("kdv", lambda x: x**2, 2.0, 1.0, 1.0)
+        return MultiplierSymbol("kdv", lambda x: x**2)
     if name == "bo":
-        return MultiplierSymbol("bo", np.abs, 1.0, 1.0, 1.0)
+        return MultiplierSymbol("bo", np.abs)
     if name == "fractional":
         if alpha is None or not (0.0 < alpha <= 2.0):
             raise ValueError(f"fractional symbol needs 0 < alpha <= 2, got {alpha!r}")
         a = float(alpha)
-        return MultiplierSymbol(
-            f"fractional({a:g})", lambda x: np.abs(x) ** a, a, 1.0, 1.0
-        )
+        return MultiplierSymbol(f"fractional({a:g})", lambda x: np.abs(x) ** a)
     raise ValueError(f"unknown symbol {name!r}; choose from {BUILTIN_NAMES}")

@@ -195,8 +195,7 @@ def test_experiment_mode_perturbation_bounded(wave08, kawahara):
 
 
 def test_experiment_records_match_public_functions(wave08, kawahara):
-    # the experiment builds the records' per-mode factors once; each record
-    # is still orbital_distance and conserved of its state, bit for bit
+    # each record is orbital_distance and conserved of its state, bit for bit
     params, psi = wave08
     omega = params.omega
     v = ev.make_perturbation("random", psi, 1e-3, GRID, seed=2)
@@ -296,6 +295,43 @@ def test_mode_outside_dealiased_band_refused(wave08, mode):
     _, psi = wave08
     with pytest.raises(ValueError, match=f"mode {mode} is outside 1..21"):
         ev.make_perturbation("mode", psi, 1e-3, 64, mode=mode)
+
+
+def test_band_content_refused(wave08):
+    # grid 64 keeps modes 0..21; dropping mode 22 or 30 evolved the bare wave
+    # (rho 1.4e-14 and on_manifold True at delta 1e-3)
+    _, psi = wave08
+    x = np.arange(64) * (psi.L0 / 64)
+    base = ev.state_from_profile(psi, 64).values()
+
+    def cos(mode):
+        return 1e-3 * np.cos(2.0 * math.pi * mode * x / psi.L0)
+
+    st = ev.state_from_values(base + cos(21), psi.L0)
+    assert abs(st.modes[21]) == pytest.approx(1e-3 * 64 / 2, rel=1e-6)
+    for values in (base + cos(22), base + cos(30),
+                   np.stack([base + cos(21), base + cos(22)])):
+        with pytest.raises(ValueError, match=r"above the dealiased band of "
+                                             r"grid 64 \(modes up to 21\)"):
+            ev.state_from_values(values, psi.L0)
+
+
+@pytest.mark.parametrize("grid", [7, 64, 100, 256])
+def test_constant_rows_accepted(grid):
+    # a constant's rfft has round-off in its oscillating modes, above and
+    # below the band alike; that is not content
+    st = ev.state_from_values(np.stack([np.full(grid, 2.5), np.zeros(grid)]), 20.0)
+    assert st.modes.shape == (2, grid // 3 + 1)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_n_samples_below_one_refused(wave08, kawahara, n_samples):
+    # 0 raised ZeroDivisionError; -3 recorded every step
+    params, psi = wave08
+    v = ev.make_perturbation("random", psi, 1e-3, 64)
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, not {n_samples}"):
+        ev.stability_experiment(psi, params.omega, kawahara, v, periods=0.05,
+                                n_samples=n_samples)
 
 
 def test_experiment_blowup_carries_partial_series(wave08, kawahara):
@@ -570,7 +606,7 @@ def test_seed_stack_matches_single_seed_runs(wave08, kawahara, grid):
     params, psi = wave08
     seeds = [0, 3, 4]
     stack = _random(psi, 1e-3, grid, seeds)
-    kw = dict(periods=1.0, n_samples=5, dt_safety=0.35)
+    kw = dict(periods=1.0, n_samples=5)
     batched = ev.stability_experiment(psi, params.omega, kawahara, stack, **kw)
     assert len(batched) == len(seeds)
     for v, series in zip(stack, batched):
