@@ -2,10 +2,13 @@
 
 Subcommands cover the elliptic self-checks, the period-constraint sweep,
 profile export, operator spectra, the stability report, the continuation
-patch, time evolution, and the two-panel curve reproduction.  Every run
-writes a provenance header (parameters, truncations, tolerances, version);
-outputs are deterministic for identical configurations, with random seeds
-always explicit.
+patch, time evolution, and the two-panel curve reproduction.  A CSV output
+opens with a provenance header: the wavestab and numpy versions, each set
+BLAS thread-count variable, the command, then sorted `# key=value` lines of
+every set parsed argument by its dest (`T_periods` for --T), output paths and
+--config aside, and of what the command computed, which wins on a shared name.
+JSON records have no header.  Bodies are bit-identical under the same numpy,
+BLAS and thread count; random seeds are always explicit.
 
 Argparse alone parses, types and range-checks the input.  Each `key=value`
 line of a `--config` file becomes a `--key=value` flag right after the
@@ -55,7 +58,7 @@ NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError,
 
 # work caps; the README gives the memory and time behind each
 MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 MB
-MAX_GRID = 6144         # --grid: grid // 3 = MAX_MODES
+MAX_GRID = 6144         # --grid: a dealiased band of modes up to 2047 = MAX_MODES - 1
 MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
 MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root each
 MAX_PATCH_POINTS = 10_000  # continue patch points: one Newton solve each
@@ -70,10 +73,22 @@ def _fmt(x):
     return str(x)
 
 
-def _provenance(command, params):
-    lines = [f"# wavestab {__version__}", f"# command {command}"]
-    for key in sorted(params):
-        lines.append(f"# {key}={_fmt(params[key])}")
+OUTPUT_FLAGS = ("out", "out_L1", "out_p", "record_out")
+_UNSTATED = {"command", "func", "config", "sym", *OUTPUT_FLAGS}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _provenance(args, results):
+    """The header lines: versions, BLAS thread variables, the command, then
+    every set parsed argument and every result, by name (a result wins)."""
+    lines = [f"# wavestab {__version__}", f"# numpy {np.__version__}"]
+    lines += [f"# env {name}={os.environ[name]}"
+              for name in BLAS_THREAD_VARS if name in os.environ]
+    lines.append(f"# command {args.command}")
+    params = {key: value for key, value in vars(args).items()
+              if value is not None and key not in _UNSTATED}
+    params.update(results)
+    lines += [f"# {key}={_fmt(params[key])}" for key in sorted(params)]
     return lines
 
 
@@ -85,7 +100,7 @@ def _check_outputs(args):
     """Refuse an output path that cannot be opened for writing before any
     work or write, so that a refused run leaves no file: a path that is a
     directory, or whose directory is missing or not writable."""
-    for flag in ("out", "out_L1", "out_p", "record_out"):
+    for flag in OUTPUT_FLAGS:
         path = getattr(args, flag, None)
         if path in (None, "-"):
             continue
@@ -124,10 +139,10 @@ def _branch_cells(values):
     return cells
 
 
-def _write_csv(path, command, params, header, columns):
+def _write_csv(path, args, results, header, columns):
     """Provenance, the header and the body; `columns` holds each column's
     cells as text, all of one length."""
-    lines = _provenance(command, params)
+    lines = _provenance(args, results)
     lines.append(",".join(header))
     lines.extend(map(",".join, zip(*columns)))
     _write("\n".join(lines) + "\n", path)
@@ -190,7 +205,7 @@ _modes = _int_at_least(8, MAX_MODES)   # 8: the smallest truncation build_dnoida
 def cmd_elliptic_check(args):
     rows = [(k, check, residual, "PASS" if passed else "FAIL")
             for k, check, residual, passed in identity_battery()]
-    _write_csv(args.out, "elliptic-check", {"tolerance": IDENTITY_TOL},
+    _write_csv(args.out, args, {"tolerance": IDENTITY_TOL},
                ["k", "check", "residual", "status"],
                [list(map(_fmt, column)) for column in zip(*rows)])
     return EXIT_OK if all(row[3] == "PASS" for row in rows) else EXIT_NUMERICAL
@@ -205,23 +220,20 @@ def _k_grid(args):
 
 def cmd_sweep(args):
     ks, L1, L, p, stable = branch_columns(_k_grid(args))
-    _write_csv(args.out, "sweep",
-               {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps},
-               ["k", "L1", "L", "p", "stable"],
+    _write_csv(args.out, args, {}, ["k", "L1", "L", "p", "stable"],
                [_cells(ks), _branch_cells(L1), _branch_cells(L), _branch_cells(p), stable])
     return EXIT_OK
 
 
 def cmd_profile(args):
     params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
-    meta = {"k": args.k, "omega": args.omega, "N": args.N, "L": psi.L0,
-            "A": params.A, "a": params.a, "b": params.b, "d": params.d}
+    results = {"L": psi.L0, "A": params.A, "a": params.a, "b": params.b, "d": params.d}
     if args.what == "samples":
         M = 4 * (psi.N + 1)
-        _write_csv(args.out, "profile", meta, ["x", "psi"],
+        _write_csv(args.out, args, results, ["x", "psi"],
                    [_cells(psi.grid(M)), _cells(psi.values(M))])
     else:
-        _write_csv(args.out, "profile", meta, ["n", "c_n"],
+        _write_csv(args.out, args, results, ["n", "c_n"],
                    [list(map(str, range(psi.coeffs.size))), _cells(psi.coeffs)])
     return EXIT_OK
 
@@ -229,9 +241,8 @@ def cmd_profile(args):
 def cmd_spectrum(args):
     params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     rep = spectrum(assemble(psi, args.omega, args.sym, N=args.N_op))
-    meta = {"k": args.k, "omega": args.omega, "N_op": args.N_op,
-            "tol_zero": rep.tol_zero}
-    _write_csv(args.out, "spectrum", meta, ["index", "eigenvalue"],
+    _write_csv(args.out, args, {"L": psi.L0, "tol_zero": rep.tol_zero},
+               ["index", "eigenvalue"],
                [list(map(str, range(rep.eigenvalues.size))), _cells(rep.eigenvalues)])
     _emit_record({
         "n_neg": rep.n_neg, "n_zero": rep.n_zero,
@@ -264,9 +275,7 @@ def cmd_continue(args):
     floats = zip(*[(pt.omega, pt.A, pt.psi.mean(), functionals(pt.psi)[1],
                     pt.residual_norm) for pt in solved])
     columns = [*map(_cells, floats), [str(pt.newton_iters) for pt in solved]]
-    _write_csv(args.out, "continue",
-               {"k": args.k, "omega": args.omega, "domega": args.domega,
-                "dA": args.dA, "extent_omega": iw, "extent_A": ia, "N": args.N},
+    _write_csv(args.out, args, {"L": psi.L0},
                ["omega", "A", "mean_psi", "F", "residual", "newton_iters"], columns)
     if missing:
         print(f"continue: {len(missing)} of {points} patch points missing: "
@@ -280,46 +289,36 @@ def cmd_evolve(args):
         if getattr(args, flag) is not None and kind != used_by:
             raise ValueError(f"--{flag} applies only to --perturbation "
                              f"{used_by}, not {kind}")
-    mode = 1 if args.mode is None else args.mode
-    seed = 0 if args.seed is None else args.seed
+    # the kind's own parameter, default resolved, so that the header states it
+    used = {"mode": {"mode": 1 if args.mode is None else args.mode},
+            "random": {"seed": 0 if args.seed is None else args.seed}}.get(kind, {})
     _, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
-    v = make_perturbation(kind, psi, args.delta, args.grid, mode=mode, seed=seed)
+    v = make_perturbation(kind, psi, args.delta, args.grid, **used)
+    results = {"L": psi.L0, **used}
     try:
-        series = stability_experiment(psi, args.omega, args.sym, v, periods=args.T,
-                                      dt=args.dt, n_samples=args.samples)
+        series = stability_experiment(psi, args.omega, args.sym, v,
+                                      periods=args.T_periods, dt=args.dt,
+                                      n_samples=args.samples)
+        blowup = None
     except BlowUpError as exc:
-        blowup = f"evolve: {exc}"
-        series, code = exc.series, EXIT_BLOWUP
-        meta = {"error": "blow-up", "transform": series[0]["transform"]}
-    else:
-        code = EXIT_OK
-        first = series[0]
-        meta = {"k": args.k, "omega": args.omega, "delta": args.delta,
-                "perturbation": kind, "T_periods": args.T, "grid": args.grid,
-                "on_manifold": first["on_manifold"]}
-        meta.update((key, first[key]) for key in
-                    ("dt", "steps", "transform", "dt_safety", "xi_eff", "theta_eff")
-                    if key in first)
-        if kind == "mode":
-            meta["mode"] = mode
-        if kind == "random":
-            meta["seed"] = seed
+        series, blowup = exc.series, f"evolve: {exc}"
+        results["error"] = "blow-up"
     header = ["t", "rho", "E", "F", "M", "deltaP"]
-    _write_csv(args.out, "evolve", meta, header,
+    # the first record's run facts: on_manifold, dt, steps, transform, the dt rule
+    results.update((key, value) for key, value in series[0].items() if key not in header)
+    _write_csv(args.out, args, results, header,
                [_cells([r[key] for r in series]) for key in header])
-    if code == EXIT_BLOWUP:   # after the write, which may refuse its path
-        print(blowup, file=sys.stderr)
-    return code
+    if blowup is None:
+        return EXIT_OK
+    print(blowup, file=sys.stderr)   # after the write, which may refuse its path
+    return EXIT_BLOWUP
 
 
 def cmd_reproduce_figure1(args):
     ks, L1, _, p, _ = branch_columns(_k_grid(args))
     k_cells = _cells(ks)
-    meta = {"kmin": args.kmin, "kmax": args.kmax, "steps": args.steps}
-    _write_csv(args.out_L1, "reproduce-figure1", meta, ["k", "L1"],
-               [k_cells, _branch_cells(L1)])
-    _write_csv(args.out_p, "reproduce-figure1", meta, ["k", "p"],
-               [k_cells, _branch_cells(p)])
+    _write_csv(args.out_L1, args, {}, ["k", "L1"], [k_cells, _branch_cells(L1)])
+    _write_csv(args.out_p, args, {}, ["k", "p"], [k_cells, _branch_cells(p)])
 
     on_branch = ~np.isnan(L1)
     ks, ps = ks[on_branch], p[on_branch]
@@ -422,9 +421,9 @@ def build_parser():
                    default="mode")
     p.add_argument("--mode", type=int, default=None,
                    help="mode of --perturbation mode (default 1)")
-    p.add_argument("--T", type=_positive, default=10.0,
+    p.add_argument("--T", type=_positive, default=10.0, dest="T_periods", metavar="T",
                    help="horizon in temporal periods")
-    # grid // 3 dealiased modes must keep at least 8 of the wave's modes
+    # at 24 the dealiased band keeps modes up to 7; a wave it drops is refused
     p.add_argument("--grid", type=_int_at_least(24, MAX_GRID), default=256)
     p.add_argument("--dt", type=_positive, default=None)
     p.add_argument("--seed", type=_int_at_least(0), default=None,

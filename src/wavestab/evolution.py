@@ -5,8 +5,9 @@ Sci. Comput. 26, 2005) with the dispersive part exp(i xi theta(xi) t)
 integrated exactly; the phi-function weights are contour averages over a
 full circle around each i*xi*theta*dt (a half circle plus real part is only
 valid for real symbols).  The field is real and its quadratic term is
-2/3-rule dealiased, so a state is the band of rfft modes 0..grid // 3; the
-modes above it are zero and are not stored.
+2/3-rule dealiased, so a state is the band of rfft modes 0..K with K the
+largest integer below grid / 3 (dealiased_band); the modes above it are zero
+and are not stored.
 
 A stage's nonlinear term maps the band to grid values, squares them and maps
 the square back to the band.  Up to DENSE_GRID_MAX points it does so with two
@@ -69,6 +70,13 @@ DT_SAFETY = 0.5             # default_dt's step: DT_SAFETY / max(theta(xi_eff), 
 CONTENT_RTOL = 1e-12        # a mode below this share of its state's largest is round-off
 
 
+def dealiased_band(grid_size):
+    """The largest mode K of the 2/3-rule band of a grid: the largest K with
+    3K < grid, so that no product of two band modes aliases onto the band
+    (at K = grid / 3, mode K times itself aliases onto mode -K)."""
+    return (grid_size - 1) // 3
+
+
 class BlowUpError(RuntimeError):
     """Sup norm exceeded the blow-up threshold; carries the partial series.
 
@@ -86,8 +94,8 @@ class EvolutionState:
     """Solution snapshot: the dealiased rfft modes of a real periodic field."""
 
     t: float
-    modes: np.ndarray        # rfft modes 0..grid_size // 3 (last axis; a stack of
-                             # states leads with its own axis); irfft pads the rest
+    modes: np.ndarray        # rfft modes 0..dealiased_band(grid_size) (last axis; a
+                             # stack leads with its own axis); irfft pads the rest
     L0: float
     grid_size: int           # not derivable from len(modes): three grids share a band
 
@@ -107,12 +115,12 @@ class ConservedTriple:
 
 
 def state_from_profile(psi, grid_size=256):
-    """Load the profile's modes in the dealiased band, n <= grid // 3.
+    """Load the profile's modes in the dealiased band, 0..dealiased_band(grid).
 
     Raises ValueError when a dropped coefficient exceeds TAIL_RTOL of the
     largest oscillating one (FourierProfile.require_resolved).
     """
-    band = grid_size // 3
+    band = dealiased_band(grid_size)
     psi.require_resolved(f"grid {grid_size} (modes up to {band})", band)
     return EvolutionState(t=0.0, modes=grid_size * psi.psi_hat(band), L0=psi.L0,
                           grid_size=grid_size)
@@ -127,7 +135,7 @@ def state_from_values(values, L0):
     """
     values = np.asarray(values, dtype=float)
     grid_size = values.shape[-1]
-    band = grid_size // 3
+    band = dealiased_band(grid_size)
     full = np.fft.rfft(values)
     mags = np.abs(full)
     dropped = mags[..., band + 1 :].max(axis=-1, initial=0.0)
@@ -154,8 +162,8 @@ class _Work(NamedTuple):
 class Evolver:
     """ETDRK4 stepper with precomputed weights for one (grid, dt, symbol).
 
-    The step works on the dealiased band, modes 0..grid // 3, with the
-    nonlinear factor -i xi / 2 folded into the weights: a stage's nonlinear
+    The step works on the dealiased band, modes 0..dealiased_band(grid), with
+    the nonlinear factor -i xi / 2 folded into the weights: a stage's nonlinear
     term is the band of rfft(u^2).  `transform` names how it is computed:
     "dense" (grid <= DENSE_GRID_MAX) multiplies the band, viewed as
     interleaved real and imaginary parts, by a synthesis and an analysis
@@ -172,7 +180,7 @@ class Evolver:
             raise ValueError(f"dt must be finite and positive, not {dt!r}")
         self.L0 = float(L0)
         self.grid_size = G = int(grid_size)
-        self.band = G // 3 + 1
+        self.band = dealiased_band(G) + 1
         xi = 2.0 * math.pi * np.fft.rfftfreq(G, d=self.L0 / G)[: self.band]
         lin = 1j * xi * np.asarray(sym(xi), dtype=float)
         nl = -0.5j * xi
@@ -341,14 +349,14 @@ def orbital_distance(state, psi, sym):
     rho(u, psi)^2 = min_y  L0 * sum_n (1 + theta(xi_n)) |u_n e^{i xi_n y} - psi_n|^2,
     which maximizes the weighted cross-correlation g(y) = Re sum_n c_n e^{i xi_n y}.
     g is scanned at 4096 points over one period (more when the dealiased
-    band, modes up to grid // 3, exceeds that) by an inverse FFT, and
-    the best sample is refined by Newton's method on the analytic g' and g''.
+    band exceeds that) by an inverse FFT, and the best sample is refined by
+    Newton's method on the analytic g' and g''.
     Returns (rho, y_star).
     """
     if abs(state.L0 - psi.L0) > 1e-12 * psi.L0:
         raise ValueError("state and profile periods differ")
     L0 = psi.L0
-    band = state.grid_size // 3
+    band = dealiased_band(state.grid_size)
     xi_pos = 2.0 * math.pi * np.arange(band + 1) / L0
     # 1 + theta, doubled for n >= 1: modes +-n are both counted
     dbl = np.ones(band + 1)
@@ -382,7 +390,7 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
     """Perturbation values on the grid, amplitude delta.
 
     kind="mode": delta * cos(2 pi mode x / L0), mean preserving, for a mode
-    in the dealiased band 1..grid_size // 3 (ValueError otherwise);
+    in the dealiased band 1..dealiased_band(grid_size) (ValueError otherwise);
     kind="random": seeded band-limited random trigonometric polynomial
     (modes 1..8, both parities, O(1) amplitude), mean preserving;
     kind="mean": the constant delta, which moves the wave average.
@@ -390,8 +398,9 @@ def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
     L0 = psi.L0
     x = np.arange(grid_size) * (L0 / grid_size)
     if kind == "mode":
-        if not 1 <= mode <= grid_size // 3:
-            raise ValueError(f"mode {mode} is outside 1..{grid_size // 3}, "
+        band = dealiased_band(grid_size)
+        if not 1 <= mode <= band:
+            raise ValueError(f"mode {mode} is outside 1..{band}, "
                              f"the dealiased band of grid {grid_size}")
         return delta * np.cos(2.0 * math.pi * mode * x / L0)
     if kind == "random":

@@ -244,6 +244,63 @@ def test_evolve_header_records_dt_and_steps(tmp_path):
     assert last_t == pytest.approx(steps * dt, rel=1e-12)
 
 
+def header_lines(path):
+    return [ln for ln in read(path).splitlines() if ln.startswith("#")]
+
+
+# the parsed arguments a header does not state: bookkeeping and output paths
+_UNSTATED = {"command", "func", "config", "out", "out_L1", "out_p", "record_out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["elliptic-check"],
+    ["sweep", "--kmin", "0.5", "--kmax", "0.9", "--steps", "5"],
+    ["profile", "--k", "0.8", "--N", "32", "--what", "coeffs"],
+    ["spectrum", "--k", "0.8", "--symbol", "fractional", "--alpha", "1.5",
+     "--N", "64", "--N-op", "64"],
+    ["continue", "--k", "0.8", "--symbol", "bo", "--L", "20",
+     "--extent-omega", "1", "--extent-A", "0"],
+    ["evolve", "--k", "0.8", "--grid", "64", "--T", "0.2", "--samples", "3",
+     "--perturbation", "random", "--seed", "2", "--dt", "0.01"],
+    ["reproduce-figure1", "--steps", "20"],
+], ids=lambda argv: argv[0])
+def test_header_states_every_set_argument(tmp_path, monkeypatch, argv):
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    outs = ["--out", str(tmp_path / "out.csv")]
+    if argv[0] == "reproduce-figure1":
+        outs = ["--out-L1", str(tmp_path / "L1.csv"), "--out-p", str(tmp_path / "p.csv"),
+                "--record-out", str(tmp_path / "r.json")]
+    assert run_cli(argv + outs) == 0
+    args = build_parser().parse_args(argv + outs)
+    stated = {f"# {key}={cli._fmt(value)}" for key, value in vars(args).items()
+              if value is not None and key not in _UNSTATED}
+    for path in outs[1::2]:
+        if path.endswith(".csv"):
+            lines = header_lines(path)
+            assert lines[:4] == [f"# wavestab {wavestab.__version__}",
+                                 f"# numpy {np.__version__}",
+                                 "# env OPENBLAS_NUM_THREADS=1", f"# command {argv[0]}"]
+            assert stated <= set(lines), stated - set(lines)
+    if argv[0] in ("spectrum", "continue", "evolve"):
+        assert any(ln.startswith("# L=") for ln in lines)
+        assert any(ln.startswith("# symbol=") for ln in lines)
+
+
+def test_blowup_header_states_the_run(tmp_path):
+    # the blow-up header held only error and transform
+    out = tmp_path / "blow.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(["evolve", "--k", "0.8", "--grid", "64", "--T", "2",
+                        "--perturbation", "mean", "--delta", "5e6", "--samples", "3",
+                        "--out", str(out)]) == 4
+    header = dict(ln[2:].split("=", 1) for ln in header_lines(out) if "=" in ln)
+    assert header["error"] == "blow-up" and header["grid"] == "64"
+    assert header["k"] == "0.8" and header["T_periods"] == "2.0"
+    assert float(header["dt"]) > 0 and int(header["steps"]) > 1
+
+
 def test_continue_patch(tmp_path, capsys):
     out = tmp_path / "patch.csv"
     assert run_cli(["continue", "--k", "0.8", "--omega", "1.0",
@@ -391,8 +448,9 @@ def test_unknown_config_key_exits_2(tmp_path):
     (["evolve", "--k", "0.8"], "perturbation=random\nmode=3\n"),
     (["spectrum", "--k", "0.8", "--N-op", "2049"], None),
     (["evolve", "--k", "0.8", "--grid", "6145"], None),
-    # grid // 3 = 8 modes drop wave coefficients above 1e-10 of the largest
-    # oscillating one; the mean c_0, which grows with omega, is not the scale
+    # the band of grid 24, modes up to 7, drops wave coefficients above 1e-10 of
+    # the largest oscillating one; the mean c_0, which grows with omega, is not
+    # the scale
     (["evolve", "--k", "0.999", "--grid", "24"], None),
     (["evolve", "--k", "0.8", "--grid", "24"], None),
     (["evolve", "--k", "0.8", "--grid", "24", "--omega", "100"], None),

@@ -30,8 +30,8 @@ class LinearEvolver(ev.Evolver):
 
 def sampled_state_oracle(psi, grid_size):
     """The sample-and-fft load of a profile, kept as the reference."""
-    cut = min(psi.N, grid_size // 3)
-    return np.fft.fft(psi.truncated(cut).values(grid_size))[: grid_size // 3 + 1]
+    cut = min(psi.N, ev.dealiased_band(grid_size))
+    return np.fft.fft(psi.truncated(cut).values(grid_size))[: ev.dealiased_band(grid_size) + 1]
 
 
 def mass_energy_matched(psi, v, grid_size=256):
@@ -102,7 +102,7 @@ def test_dnoidal_advection_ten_periods(wave08, kawahara):
     nsteps = int(round(10 * psi.L0 / params.omega / dt))
     out = stepper.run(st, nsteps)
     # mode-wise comparison with the rigid translation psi(x - w t)
-    xi = 2 * np.pi * np.fft.rfftfreq(GRID, d=psi.L0 / GRID)[: GRID // 3 + 1]
+    xi = 2 * np.pi * np.fft.rfftfreq(GRID, d=psi.L0 / GRID)[: ev.dealiased_band(GRID) + 1]
     exact = st.modes * np.exp(-1j * xi * params.omega * out.t)
     assert np.abs(out.modes - exact).max() / GRID < 1e-6
     rho, _ = ev.orbital_distance(out, psi, kawahara)
@@ -148,7 +148,7 @@ def test_orbital_distance_properties(wave08, kawahara):
 
 
 def test_orbital_distance_beyond_scan_samples(wave08, kawahara):
-    # at 12288 the dealiased band (modes up to grid // 3) exceeds the
+    # at 12288 the dealiased band (modes up to 4095) exceeds the
     # 4096-sample scan
     _, psi = wave08
     rho = {}
@@ -321,7 +321,7 @@ def test_constant_rows_accepted(grid):
     # a constant's rfft has round-off in its oscillating modes, above and
     # below the band alike; that is not content
     st = ev.state_from_values(np.stack([np.full(grid, 2.5), np.zeros(grid)]), 20.0)
-    assert st.modes.shape == (2, grid // 3 + 1)
+    assert st.modes.shape == (2, ev.dealiased_band(grid) + 1)
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])
@@ -364,7 +364,21 @@ def test_reality_and_dealiasing_preserved(wave08, kawahara):
         stepper = ev.Evolver(psi.L0, grid, kawahara, 5e-3)
         out = stepper.run(st, 500)
         # reality and dealiasing are structural: the state is the rfft band
-        assert len(out.modes) == grid // 3 + 1
+        assert len(out.modes) == ev.dealiased_band(grid) + 1
+
+
+@pytest.mark.parametrize("grid", [95, 96, 97, 128, 129, 384, 385])
+def test_band_square_does_not_alias(kawahara, grid):
+    # a band up to grid / 3 at a grid divisible by 3 folded the square of its
+    # top mode back onto it: 0.25 at grids 96, 129 and 384 instead of 0
+    stepper = ev.Evolver(20.0, grid, kawahara, 1e-3)
+    top = stepper.band - 1
+    assert 3 * top < grid <= 3 * (top + 1)
+    x = np.zeros(stepper.band, dtype=complex)
+    x[top] = grid / 2   # u = cos(2 pi top x / L0)
+    # u^2 = 1/2 + cos(4 pi top x / L0) / 2; mode 2 top lies above the band
+    N = stepper._nonlin(x, 0, stepper._work(x.shape)) / grid
+    assert abs(N[0] - 0.5) < 1e-15 and np.abs(N[1:]).max() < 1e-15
 
 
 class _ComplexStepOracle:
@@ -373,7 +387,8 @@ class _ComplexStepOracle:
     def __init__(self, L0, grid_size, sym, dt, nonlinear=True):
         self.dt, self.nonlinear = dt, nonlinear
         self.xi = 2 * np.pi * np.fft.fftfreq(grid_size, d=L0 / grid_size)
-        self.mask = np.abs(np.fft.fftfreq(grid_size, d=1.0 / grid_size)) <= grid_size // 3
+        # the 2/3 rule: modes |n| with 3|n| < grid, so no square aliases onto them
+        self.mask = 3 * np.abs(np.fft.fftfreq(grid_size, d=1.0 / grid_size)) < grid_size
         lin = 1j * self.xi * np.asarray(sym(self.xi), dtype=float)
         r = np.exp(2j * np.pi * (np.arange(ev.CONTOUR_POINTS) + 0.5) / ev.CONTOUR_POINTS)
         LR = dt * lin[:, None] + r[None, :]
@@ -425,25 +440,26 @@ def test_half_spectrum_run_matches_complex_oracle(wave08, kawahara, grid, nonlin
     assert out.t == pytest.approx(1000 * dt, rel=1e-15)
     # the oracle keeps every mode; above the band its modes stay at round-off
     top = np.abs(ref).max()
-    assert np.abs(ref[grid // 3 + 1 : grid // 2 + 1]).max() < 1e-13 * top
-    assert np.abs(out.modes - ref[: grid // 3 + 1]).max() < 1e-13 * top
+    band = ev.dealiased_band(grid)
+    assert np.abs(ref[band + 1 : grid // 2 + 1]).max() < 1e-13 * top
+    assert np.abs(out.modes - ref[: band + 1]).max() < 1e-13 * top
 
 
-@pytest.mark.parametrize("k, grid", [(0.6, 27), (0.6, 28), (0.8, 128), (0.8, 256)])
+@pytest.mark.parametrize("k, grid", [(0.6, 30), (0.6, 28), (0.8, 128), (0.8, 256)])
 def test_state_from_profile_matches_sampled_load(branch_L, k, grid):
-    # at k = 0.6 the modes above 27 // 3 fall below 1e-10 of the largest
-    # oscillating coefficient (above 24 // 3 they reach 1.5e-10)
+    # at k = 0.6 the modes above 9 (the band of grids 28 to 30) fall below
+    # 1e-10 of the largest oscillating coefficient (above 8 they reach 1.5e-10)
     _, psi = build_dnoidal(k, branch_L[k], 1.0, N=128)
     st = ev.state_from_profile(psi, grid)
     ref = sampled_state_oracle(psi, grid)
-    assert st.grid_size == grid and len(st.modes) == grid // 3 + 1
+    assert st.grid_size == grid and len(st.modes) == ev.dealiased_band(grid) + 1
     assert np.abs(st.modes - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def _golden_section_oracle(state, psi, sym, samples=4096, refine_tol=1e-12):
     """The golden-section orbital_distance, kept as the reference."""
     L0 = psi.L0
-    band = state.grid_size // 3
+    band = ev.dealiased_band(state.grid_size)
     xi_pos = 2.0 * math.pi * np.arange(band + 1) / L0
     w = 1.0 + np.asarray(sym(xi_pos), dtype=float)
     uu = state.mode_coefficients()

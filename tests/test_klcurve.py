@@ -329,15 +329,16 @@ def test_sweep_timing(benchmark, case, tmp_path):
     elif case == "write200":
         ks, L1, L, p, stable = klcurve.branch_columns(np.linspace(0.55, 0.95, 200))
         out = tmp_path / "sweep.csv"
+        args = cli.build_parser().parse_args(["sweep", "--kmin", "0.55", "--kmax", "0.95"])
 
         def write():
-            cli._write_csv(str(out), "sweep", {}, ["k", "L1", "L", "p", "stable"],
+            cli._write_csv(str(out), args, {}, ["k", "L1", "L", "p", "stable"],
                            [cli._cells(ks), cli._branch_cells(L1), cli._branch_cells(L),
                             cli._branch_cells(p), stable])
 
         benchmark.pedantic(write, rounds=20, iterations=5)
-        # version and command lines, the header, the rows
-        assert len(out.read_text().splitlines()) == 203
+        # the provenance lines, the header, the rows
+        assert len(out.read_text().splitlines()) == len(cli._provenance(args, {})) + 201
     elif case == "solve_branch":
         out = benchmark.pedantic(solve_branch, args=(0.8,), rounds=20, iterations=5)
         assert repr(out) == repr(solve_branch(0.8))
