@@ -25,7 +25,8 @@ any other ValueError (`<command>: <message>`, exit 2).  An incomplete
 `continue` patch is not a failure: it exits 0 with the rows it has and one
 stderr line naming the missing grid offsets.  `main` checks every output
 path before the command runs, so a run refused for one of them (exit 2)
-writes none of its outputs.
+writes none of its outputs.  Every output goes through `_write`, which
+rewrites a file in place and trims it to the new body.
 """
 
 import argparse
@@ -34,6 +35,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -114,12 +116,32 @@ def _check_outputs(args):
 
 
 def _write(text, path):
+    """Write `text` to `path`, or to stdout for None or "-".
+
+    The one writer of every output.  A file is rewritten in place, not
+    truncated first (on an ext4 mount with `discard` the truncation of an
+    existing file costs several times the write), then a regular file is
+    trimmed to the bytes written: the inode, its hard links and its mode
+    stay, a new file gets 0o666 under the umask, as with open(path, "w").
+    A write that fails part-way is trimmed too, so no old bytes follow the
+    new ones.  Not atomic: a reader may see a partly rewritten file.
+    """
     if path in (None, "-"):
         sys.stdout.write(text)
         return
+    body = text.encode()
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            try:
+                while written < len(body):
+                    written += os.write(fd, body[written:])
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _cannot_write(path, exc.strerror or exc) from exc
 
@@ -256,7 +278,11 @@ def cmd_spectrum(args):
 def cmd_criteria(args):
     params, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
     report = evaluate_wave(psi, args.omega, sym=args.sym, N=args.N_op)
-    rec = {"k": args.k, "A": params.A}
+    # the inputs the record does not state already (it has omega and L0)
+    rec = {"k": args.k, "A": params.A, "symbol": args.symbol, "N": args.N,
+           "N_op": args.N_op}
+    if args.alpha is not None:
+        rec["alpha"] = args.alpha
     rec.update(report.as_record())
     _emit_record(rec, args.out)
     return EXIT_OK

@@ -143,10 +143,18 @@ def verdict(report):
     M_w < 0 (so detD != 0) and I < 0.  stable_by_constrained_coercivity:
     spectral assumption holds, M/L0 > omega > 0, M_w >= 0 with F_w > 0,
     both constrained minima passing, and psi positive.  Anything else is
-    inconclusive (no instability result exists on this route).
+    inconclusive (no instability result exists on this route), and so is a
+    report whose surface identities miss IDENTITY_RTOL or whose witness P
+    misses its closed form or -I by WITNESS_RTOL relative to |P|.
     """
     r = report
     if not r.spectrum.holds_assumption:
+        return VERDICT_INCONCLUSIVE
+    witness = (_relative(r.P_witness - r.P_closed, r.P_witness),
+               _relative(r.I + r.P_witness, r.P_witness))
+    # written as "all within" so that a NaN residual fails
+    if not (all(e <= IDENTITY_RTOL for e in (r.id_Fomega, r.id_FA, r.id_relFF))
+            and all(e <= WITNESS_RTOL for e in witness)):
         return VERDICT_INCONCLUSIVE
     if not (r.avg_minus_speed > 0.0 and r.omega > 0.0):
         return VERDICT_INCONCLUSIVE

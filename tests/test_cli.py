@@ -96,6 +96,22 @@ def test_criteria_record(tmp_path):
     assert "tol_zero_band" in record and "tol_identity_rtol" in record
 
 
+def test_criteria_record_names_its_inputs(tmp_path):
+    runs = {"default": [], "bo": ["--symbol", "bo", "--N-op", "512"],
+            "fractional": ["--symbol", "fractional", "--alpha", "1.5"]}
+    records = {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(["criteria", "--k", "0.8", *flags, "--out", str(out)]) == 0
+        records[name] = json.loads(read(out))
+    stated = {name: tuple(rec.get(key) for key in ("symbol", "N", "N_op", "alpha"))
+              for name, rec in records.items()}
+    assert stated == {"default": ("kawahara", 128, 256, None),
+                      "bo": ("bo", 128, 512, None),
+                      "fractional": ("fractional", 128, 256, 1.5)}
+    assert "alpha" not in records["default"]
+
+
 @pytest.mark.parametrize("k, omega, n_op", [
     ("0.8", "1", "256"),     # stable_by_determinant
     ("0.7", "0.5", "512"),   # stable_by_constrained_coercivity

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,6 +112,24 @@ def test_verdict_reads_the_recorded_detD_threshold(wave08, kawahara, monkeypatch
     scale = max(1.0, abs(report.F_A * report.M_w), abs(report.F_w * report.M_A))
     monkeypatch.setattr(criteria, "DETD_RTOL", 2.0 * abs(report.detD) / scale)
     assert verdict(report) == VERDICT_INCONCLUSIVE
+
+
+def test_verdict_applies_the_recorded_identity_and_witness_tolerances(wave08, kawahara):
+    # a wrong sign in id_FA, or a witness P off its closed form or off -I by
+    # more than WITNESS_RTOL, turns a determinant verdict inconclusive
+    params, psi = wave08
+    r = evaluate_wave(psi, params.omega, kawahara)
+    assert r.verdict == VERDICT_DETERMINANT
+    record = r.as_record()
+    assert record["tol_identity_rtol"] == criteria.IDENTITY_RTOL
+    assert record["tol_witness_rtol"] == criteria.WITNESS_RTOL
+    wrong_sign_FA = criteria._relative(r.F_A + r.omega * r.M_A - r.L0,
+                                       r.F_A, r.omega * r.M_A, r.L0)
+    assert wrong_sign_FA > criteria.IDENTITY_RTOL
+    off = 1.0 + 10.0 * criteria.WITNESS_RTOL
+    for mutated in (dict(id_FA=wrong_sign_FA), dict(id_relFF=math.nan),
+                    dict(P_closed=r.P_witness * off), dict(I=-r.P_witness * off)):
+        assert verdict(dataclasses.replace(r, **mutated)) == VERDICT_INCONCLUSIVE, mutated
 
 
 def test_coercivity_branch_fires_at_small_speed(kawahara):

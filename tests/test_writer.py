@@ -1,18 +1,29 @@
-"""The column-wise CSV writer against the per-cell row writer it replaced.
+"""The CLI writer: its bodies against the per-cell row writer it replaced,
+and its contract on files that already exist.
 
-`row_body` is that writer's body: the header, then each row's cells through
-`cli._fmt`.  Each test rebuilds a command's rows from the library the way
+`row_body` is the row writer's body: the header, then each row's cells through
+`cli._fmt`.  Each body test rebuilds a command's rows from the library the way
 the row writer's command built them, and the command's body must equal the
 oracle's byte for byte.  Bodies are compared as lists of lines, whose
 mismatch pytest reports at once; a diff of two long strings takes minutes.
+
+`cli._write` rewrites an output in place and trims it to the new body, so a
+rewrite must give the bytes of a fresh write and keep the inode and mode,
+and it must be the only code in the package that opens a path for writing.
 """
 
+import ast
+import errno
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavestab
 from wavestab import klcurve
 from wavestab.cli import _fmt, main
 from wavestab.continuation import newton_solve, surface_patch
@@ -181,3 +192,139 @@ def test_evolve_body(tmp_path, omega, flags, kind, kwargs, code):
         series = exc.series
     header = ["t", "rho", "E", "F", "M", "deltaP"]
     assert body(out) == row_body(header, [[r[key] for key in header] for r in series])
+
+
+SWEEP_ARGV = ["sweep", "--kmin", "0.6", "--kmax", "0.9", "--steps", "40"]
+CRITERIA_ARGV = ["criteria", "--k", "0.8"]
+
+
+def fresh_bytes(tmp_path, argv):
+    path = tmp_path / "fresh"
+    assert main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [SWEEP_ARGV, CRITERIA_ARGV], ids=["sweep", "criteria"])
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_rewrite_gives_the_bytes_of_a_fresh_write(tmp_path, argv, old):
+    expected = fresh_bytes(tmp_path, argv)
+    out = tmp_path / "out"
+    out.write_bytes(b"z" * (2 * len(expected)) if old == "longer" else b"old\n" * 10)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_rewrite_keeps_inode_links_and_mode(tmp_path):
+    out, link = tmp_path / "sweep.csv", tmp_path / "link.csv"
+    out.write_bytes(b"old body\n" * 1000)
+    out.chmod(0o640)
+    os.link(out, link)
+    before = out.stat()
+    assert main([*SWEEP_ARGV, "--out", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert link.read_bytes() == out.read_bytes() == fresh_bytes(tmp_path, SWEEP_ARGV)
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    out = tmp_path / "sweep.csv"
+    umask = os.umask(0o027)
+    try:
+        assert main([*SWEEP_ARGV, "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_out_dev_null_exits_0(capsys):
+    assert main([*SWEEP_ARGV, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_dev_full_exits_2(capsys):
+    assert main([*SWEEP_ARGV, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == (
+        f"sweep: cannot write output file '/dev/full': {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_failed_write_leaves_no_old_bytes(tmp_path, capsys, monkeypatch):
+    # the first write stores 100 bytes, the next fails: the file holds those
+    # 100 bytes of the new body and nothing of the longer old one
+    expected = fresh_bytes(tmp_path, SWEEP_ARGV)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old\n" * len(expected))
+    real_write = os.write
+
+    def fail_after_100(fd, data):
+        if os.lseek(fd, 0, os.SEEK_CUR) >= 100:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real_write(fd, data[:100])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", fail_after_100)
+        code = main([*SWEEP_ARGV, "--out", str(out)])
+    assert code == 2
+    assert out.read_bytes() == expected[:100]
+    assert capsys.readouterr().err == (
+        f"sweep: cannot write output file {str(out)!r}: {os.strerror(errno.EIO)}\n")
+
+
+READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW", "O_DIRECTORY", "O_NONBLOCK"}
+PATH_WRITERS = {"write_text", "write_bytes", "tofile", "save", "savez",
+                "savez_compressed", "savetxt"}
+
+
+def opens_for_writing(call):
+    """Whether a call opens a path for writing: open() in a mode with w, a, x
+    or +, os.open() with a flag other than READ_FLAGS, or a pathlib or numpy
+    file writer.  A mode or flags that are not literal count as writing."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os":
+        flags = call.args[1] if len(call.args) > 1 else call.keywords[0].value
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(flags) if isinstance(node, (ast.Attribute, ast.Name))}
+        return bool(names - READ_FLAGS)
+    return func.attr in PATH_WRITERS
+
+
+def writing_sites(source, module):
+    """`module.function` of each call in `source` that opens a path for writing."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and opens_for_writing(node):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return sites
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("open(p)", False), ("open(p, 'rb')", False), ("open(p, mode='r')", False),
+    ("os.open(p, os.O_RDONLY | os.O_CLOEXEC)", False), ("f.write(s)", False),
+    ("open(p, 'w')", True), ("open(p, mode='a')", True), ("open(p, 'r+')", True),
+    ("open(p, m)", True), ("os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)", True),
+    ("os.open(p, flags)", True), ("Path(p).write_text(s)", True),
+    ("np.savetxt(p, a)", True),
+])
+def test_write_scan_tells_writers(source, writes):
+    assert writing_sites(source, "m") == (["m"] if writes else [])
+
+
+def test_cli_write_is_the_only_writer():
+    # every command writes through cli._write, so none bypasses its contract
+    package = Path(wavestab.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py"))
+             for site in writing_sites(path.read_text(), path.stem)]
+    assert sites == ["cli._write"]
