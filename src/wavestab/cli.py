@@ -46,8 +46,8 @@ from .criteria import evaluate_wave, functionals
 from .elliptic import IDENTITY_TOL, MODULUS_CAP, identity_battery
 from .evolution import BlowUpError, make_perturbation, stability_experiment
 from .galerkin import DegenerateOperatorError, assemble, spectrum
-from .klcurve import (K_ANALYTIC, SIGN_CHANGE_HALVINGS, SIGN_CHANGE_PASSES,
-                      branch_columns, sign_change)
+from .klcurve import (CUBIC_RTOL, K_ANALYTIC, SIGN_CHANGE_HALVINGS,
+                      SIGN_CHANGE_PASSES, branch_columns, sign_change)
 from .multiplier import BUILTIN_NAMES, builtin_symbol
 from .profile import build_dnoidal
 
@@ -356,7 +356,7 @@ def cmd_reproduce_figure1(args):
         "p_sign_change_k": None if lo is None else 0.5 * (lo + hi),
         "sign_change_passes": passes,
         "analytic_point_k": K_ANALYTIC,
-        "tol_cubic_residual_rel": 1e-10,
+        "tol_cubic_residual_rel": CUBIC_RTOL,
         "tol_sign_change_bisections": SIGN_CHANGE_PASSES * SIGN_CHANGE_HALVINGS,
     }, args.record_out)
     if n_pos == 0:

@@ -13,25 +13,39 @@ A stage's nonlinear term maps the band to grid values, squares them and maps
 the square back to the band.  Up to DENSE_GRID_MAX points it does so with two
 real matrices built once per Evolver: at those sizes an irfft/rfft pair costs
 more in numpy call overhead than in arithmetic, and the two matrix products
-were faster in every measured pass, with one BLAS thread as with two.  Above
-it the matrices grow as grid^2 (about 400 MB at grid 6144) and their products
-lose to the FFT pair, so the step uses irfft/rfft.  Below it the FFT pair
-(called as the next paragraph says) wins at about half of the grids from 153
-to 240 and loses by up to 8x where the grid has a large prime factor, so no
-smaller constant is faster at every grid.
+were faster in every measured pass, with one BLAS thread as with two.  The
+synthesis matrix is stored (grid, 2 band) and the analysis matrix (2 band,
+grid), so one state's products are matrix times vector, which OpenBLAS runs
+as row dot products; a stack multiplies by their transposed views.  The
+products call ndarray.dot, np.dot without its __array_function__ dispatch.
+Above DENSE_GRID_MAX the matrices grow as grid^2 (about 400 MB at grid 6144)
+and their products lose to the FFT pair, so the step uses irfft/rfft.  Below
+it the unpadded FFT pair won at about half of the grids from 153 to 240 and
+lost by up to 8x where the grid has a large prime factor
+(BENCH_evolution.json), so no smaller constant was faster at every grid.
 
 The FFT pair calls the pocketfft gufuncs that np.fft.irfft and np.fft.rfft
-wrap, with the factors the wrappers pass (1/grid and 1), bound once per
-Evolver.  The wrappers' Python checks (norm, dtype, axis, out shape) cost
-about as much as the transform itself at grid 256, and skipping them keeps
-the bits.  numpy.fft._pocketfft_umath is private; numpy 2.0 introduced it,
-and the tests pin its bits to the public functions.
+wrap, bound once per Evolver.  The wrappers' Python checks (norm, dtype,
+axis, out shape) cost about as much as the transform itself at grid 256, and
+skipping them keeps the bits.  numpy.fft._pocketfft_umath is private; numpy
+2.0 introduced it, and the tests pin its bits to the public functions.  The
+pair runs at fft_size = smooth_size(grid) points, because pocketfft's cost
+follows the size's prime factors (a 5-row pair took 176 us at 241 and 15 us
+at 243): irfft with factor 1/grid gives u there, and rfft with factor
+grid/fft_size the band of rfft(u^2) at the grid, exactly, since fft_size >=
+grid > 3 (band - 1) keeps every square of band modes off the band.  Where
+fft_size is the grid, the factors are np.fft's (1/grid and 1), and so are
+the bits.
 
 At these sizes a step's cost is numpy call dispatch, so each stage writes
 into work buffers that Evolver.run allocates once: the transforms and every
 line of the step's algebra take out=, in the operation order of the plain
-expressions, so the bits are those of an allocating step.  The band may carry
-a leading stack axis, (S, band) for S states stepped together: the dense
+expressions, so the bits are those of an allocating step.  The algebra is
+stacked to make fewer calls: the state and three stage terms are the rows of
+one (4, ...) buffer, one multiply by (E2, Q) forms two products at once, and
+the update is one multiply by (E1, f1, f2, f3) and one sum over rows, which
+adds them left to right as the plain expression does.  The band may carry a
+leading stack axis, (S, band) for S states stepped together: the dense
 products become matrix-matrix ones and the FFTs run along the last axis.
 stability_experiment steps a stack of perturbations this way.
 
@@ -68,6 +82,20 @@ MAX_STEPS = 10_000_000      # stability_experiment's cap: ~6 min at grid 256
 DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (BENCH_evolution.json)
 DT_SAFETY = 0.5             # default_dt's step: DT_SAFETY / max(theta(xi_eff), 1)
 CONTENT_RTOL = 1e-12        # a mode below this share of its state's largest is round-off
+
+
+def smooth_size(grid_size):
+    """The smallest n >= grid_size whose only prime factors are 2, 3 and 5,
+    a size at which pocketfft runs its fast transforms."""
+    n = grid_size
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def dealiased_band(grid_size):
@@ -149,14 +177,27 @@ def state_from_values(values, L0):
 
 
 class _Work(NamedTuple):
-    """Work buffers of one Evolver.run, allocated once for its state's shape."""
+    """Work buffers of one Evolver.run, allocated once for its state's shape,
+    and the views of them that a step reads.
+
+    They start at zero, so a stage term that _nonlin never writes is zero.
+    """
 
     phys: np.ndarray    # grid values of a stage input, squared in place
     sink: tuple         # where stage i's transform back to the band writes
     N: tuple            # the four stage terms: band views of the sinks
-    ev: np.ndarray      # E2 vh, then E2 a
-    a: np.ndarray       # the second stage input, then the step's sum terms
-    b: np.ndarray       # the third and fourth stage inputs
+    V: np.ndarray       # (4, *shape): vh, N1, N2 (then N2 + N3), N4
+    vh: np.ndarray      # V[0], the state
+    head: np.ndarray    # V[:2], vh and N1
+    AB: np.ndarray      # (2, *shape): the stage inputs a and b (b, then c)
+    a: np.ndarray
+    b: np.ndarray
+    P: np.ndarray       # (2, *shape): products by C2, rows Ev and QN
+    Ev: np.ndarray
+    QN: np.ndarray
+    T: np.ndarray       # (4, *shape): the update's terms, products by W
+    C2: np.ndarray      # (E2, Q), shaped to broadcast over the state's shape
+    W: np.ndarray       # (E1, f1, f2, f3), likewise
 
 
 class Evolver:
@@ -168,10 +209,11 @@ class Evolver:
     "dense" (grid <= DENSE_GRID_MAX) multiplies the band, viewed as
     interleaved real and imaginary parts, by a synthesis and an analysis
     matrix; "fft" uses an irfft/rfft pair, whose cost and memory stay bounded
-    at large grids.  The pair is pocketfft's gufuncs, called without numpy's
-    wrappers (see the module docstring); `run`'s blow-up check uses the
-    irfft on either path.  `run` takes the band of one state, or a stack of
-    S states as an (S, band) array, which it steps as one.
+    at large grids.  The pair is pocketfft's gufuncs at fft_size points,
+    called without numpy's wrappers (see the module docstring); `run`'s
+    blow-up check uses the irfft on either path.  `run` takes the band of
+    one state, or a stack of S states as an (S, band) array, which it steps
+    as one.
     """
 
     def __init__(self, L0, grid_size, sym, dt):
@@ -200,76 +242,104 @@ class Evolver:
         if not all(np.isfinite(w).all()
                    for w in (self.E1, self.E2, self.Q, self.f1, self.f2, self.f3)):
             raise ValueError(f"dt={dt!r} gives non-finite ETDRK4 weights")
-        # the gufuncs and factors np.fft.irfft(x, G) and np.fft.rfft(v) call;
-        # imported here because numpy loads numpy.fft on first use only
+        self.transform = "dense" if G <= DENSE_GRID_MAX else "fft"
+        # the FFT pair runs at fft_size points (the module docstring says why
+        # that is exact); the dense path's blow-up check at the grid
+        self.fft_size = n = G if self.transform == "dense" else smooth_size(G)
+        # the gufuncs np.fft.irfft(x, n) and np.fft.rfft(v) call; imported
+        # here because numpy loads numpy.fft on first use only
         from numpy.fft import _pocketfft_umath as pocketfft
         self._irfft, self._inv_grid = pocketfft.irfft, 1.0 / G
-        self._rfft = pocketfft.rfft_n_even if G % 2 == 0 else pocketfft.rfft_n_odd
-        self.transform = "dense" if G <= DENSE_GRID_MAX else "fft"
+        self._rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
+        self._rfft_scale = G / n
         self._synth = self._anal = None
         if self.transform == "dense":
             # angles from the exact integer product, so each entry is
-            # accurate to round-off; row 2n is Re v_n, row 2n + 1 is Im v_n
-            n = np.arange(self.band)
-            angle = (2.0 * math.pi / G) * (np.outer(n, np.arange(G)) % G)
+            # accurate to round-off; column 2m is Re v_m, 2m + 1 is Im v_m
+            m = np.arange(self.band)
+            angle = (2.0 * math.pi / G) * (np.outer(m, np.arange(G)) % G)
             cos, sin = np.cos(angle), np.sin(angle)
-            weight = np.where(n == 0, 1.0, 2.0)[:, None] / G   # irfft's folding
-            self._synth = np.stack((weight * cos, -weight * sin), 1).reshape(-1, G)
-            self._anal = np.ascontiguousarray(np.stack((cos, -sin), 1).reshape(-1, G).T)
+            weight = np.where(m == 0, 1.0, 2.0)[:, None] / G   # irfft's folding
+            # (G, 2 band) and (2 band, G), so that one state's products are
+            # row dot products
+            self._synth = np.ascontiguousarray(
+                np.stack((weight * cos, -weight * sin), 1).reshape(-1, G).T)
+            self._anal = np.stack((cos, -sin), 1).reshape(-1, G)
+            # a stack's products: (S, 2 band) @ (2 band, G) and (S, G) @ (G, 2 band)
+            self._stack_synth, self._stack_anal = self._synth.T, self._anal.T
+            # np.dot's BLAS call without its __array_function__ dispatch,
+            # which cost 0.2-0.4 us of a 2 us product at grid 128
+            self._dot = np.ndarray.dot
 
     def _work(self, shape):
         """Buffers for band modes of `shape`, (band,) or a stack (S, band).
 
-        The dense transform writes stage i's term into a float view of the
-        band row N[i]; the FFT writes the full rfft row and N[i] is its band.
+        Five rows hold vh, N1, N2 and N4 (V, rows 0 to 3) and N3 (row 4).
+        The dense transform writes stage i's term into a float view of its
+        band row; the FFT writes a full rfft row, whose band is the term.
         """
         lead = shape[:-1]
+        width = self.band if self._synth is not None else self.fft_size // 2 + 1
+        full = np.zeros((5, *lead, width), dtype=complex)
+        rows = full[..., : self.band]
+        N = (rows[1], rows[2], rows[4], rows[3])
         if self._synth is None:
-            full = np.empty((4, *lead, self.grid_size // 2 + 1), dtype=complex)
-            sink = tuple(full)
-            N = tuple(full[..., : self.band])
+            sink = (full[1], full[2], full[4], full[3])
         else:
-            N = tuple(np.empty((4, *shape), dtype=complex))
             sink = tuple(n.view(float) for n in N)
-        ev, a, b = np.empty((3, *shape), dtype=complex)
-        return _Work(np.empty((*lead, self.grid_size)), sink, N, ev, a, b)
+        V = rows[:4]
+        AB, P = np.zeros((2, 2, *shape), dtype=complex)
+        ones = (1,) * len(lead)
+        # the stacked weights: (E2, Q) pairs the products of a stage input
+        # and a stage term, and (E1, f1, f2, f3) forms the update
+        C2 = np.stack((self.E2, self.Q)).reshape(2, *ones, self.band)
+        W = np.stack((self.E1, self.f1, self.f2, self.f3)).reshape(4, *ones, self.band)
+        return _Work(np.zeros((*lead, self.fft_size)), sink, N, V, V[0], V[:2],
+                     AB, *AB, P, *P, np.zeros((4, *shape), dtype=complex), C2, W)
 
     def _nonlin(self, x, i, work):
         """Band of rfft(u^2) for the band modes x of u, as the view work.N[i]."""
-        phys = work.phys
+        phys, sink = work.phys, work.sink[i]
         if self._synth is None:
             self._irfft(x, self._inv_grid, out=phys)
             np.square(phys, out=phys)
-            self._rfft(phys, 1.0, out=work.sink[i])
-        else:
-            np.dot(x.view(float), self._synth, out=phys)
+            self._rfft(phys, self._rfft_scale, out=sink)
+        elif x.ndim == 1:
+            self._dot(self._synth, x.view(float), out=phys)
             np.square(phys, out=phys)
-            np.dot(phys, self._anal, out=work.sink[i])
+            self._dot(self._anal, phys, out=sink)
+        else:
+            self._dot(x.view(float), self._stack_synth, out=phys)
+            np.square(phys, out=phys)
+            self._dot(phys, self._stack_anal, out=sink)
         return work.N[i]
 
-    def _step(self, vh, work):
-        """One step of the band modes vh, in place; four nonlinear terms.
+    def _step(self, work):
+        """One step of the band modes work.vh, in place; four nonlinear terms.
 
         Each line is the out= form of
             Ev = E2 vh;  a = Ev + Q N1;  b = Ev + Q N2
             c = E2 a + Q (2 N3 - N1)
             vh <- E1 vh + f1 N1 + f2 (N2 + N3) + f3 N4
         with the same operands in the same order, so the bits are the same.
+        One multiply by C2 = (E2, Q) gives E2 vh and Q N1, and another E2 a
+        and Q (2 N3 - N1).  The update multiplies V = (vh, N1, N2 + N3, N4)
+        by W = (E1, f1, f2, f3) and sums the rows left to right.
         """
-        E2, Q, ev, a, b = self.E2, self.Q, work.ev, work.a, work.b
-        N1 = self._nonlin(vh, 0, work)
-        np.multiply(E2, vh, out=ev)
-        np.add(ev, np.multiply(Q, N1, out=a), out=a)
-        N2 = self._nonlin(a, 1, work)
-        np.add(ev, np.multiply(Q, N2, out=b), out=b)
-        N3 = self._nonlin(b, 2, work)
+        N1, N2, N3, _ = work.N
+        a, b, Ev, QN, C2 = work.a, work.b, work.Ev, work.QN, work.C2
+        self._nonlin(work.vh, 0, work)
+        np.multiply(C2, work.head, out=work.P)
+        np.add(Ev, QN, out=a)
+        self._nonlin(a, 1, work)
+        np.add(Ev, np.multiply(self.Q, N2, out=b), out=b)
+        self._nonlin(b, 2, work)
+        np.add(N2, N3, out=N2)
         np.subtract(np.multiply(2.0, N3, out=b), N1, out=b)
-        np.add(np.multiply(E2, a, out=ev), np.multiply(Q, b, out=b), out=b)
-        N4 = self._nonlin(b, 3, work)
-        np.multiply(self.E1, vh, out=vh)
-        np.add(vh, np.multiply(self.f1, N1, out=a), out=vh)
-        np.add(vh, np.multiply(self.f2, np.add(N2, N3, out=a), out=a), out=vh)
-        np.add(vh, np.multiply(self.f3, N4, out=a), out=vh)
+        np.multiply(C2, work.AB, out=work.P)
+        self._nonlin(np.add(Ev, QN, out=b), 3, work)
+        np.multiply(work.W, work.V, out=work.T)
+        np.add.reduce(work.T, axis=0, out=work.vh)
 
     def step(self, state):
         return self.run(state, 1)
@@ -283,13 +353,14 @@ class Evolver:
         G = self.grid_size
         if state.grid_size != G or state.L0 != self.L0:
             raise ValueError("state incompatible with this evolver")
-        vh = np.array(state.modes, dtype=complex)
-        work = self._work(vh.shape)
+        work = self._work(np.shape(state.modes))
+        vh = work.vh
+        vh[...] = state.modes
         # a blowing-up state overflows before the check below sees it; the
         # BlowUpError is its one report
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(nsteps):
-                self._step(vh, work)
+                self._step(work)
                 if (s + 1) % BLOWUP_CHECK_EVERY == 0 or s == nsteps - 1:
                     self._irfft(vh, self._inv_grid, out=work.phys)
                     sup = np.abs(work.phys).max(axis=-1)
@@ -298,8 +369,8 @@ class Evolver:
                         raise BlowUpError(
                             f"blow-up at t={state.t + (s + 1) * self.dt:.6g}",
                             rows=tuple(np.flatnonzero(failed).tolist()))
-        return EvolutionState(t=state.t + nsteps * self.dt, modes=vh, L0=self.L0,
-                              grid_size=G)
+        return EvolutionState(t=state.t + nsteps * self.dt, modes=vh.copy(),
+                              L0=self.L0, grid_size=G)
 
 
 def default_dt(state, sym):
@@ -428,7 +499,8 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     F + A M, A from extract_A; it stays constant in t because all three
     pieces are conserved.
     The first record also gives the membership of u0 in the fixed-(F, M)
-    manifold, the dt used, the step count and the Evolver's transform; when
+    manifold, the dt used, the step count and the Evolver's transform (and
+    its fft_size on the FFT path); when
     dt is None, also dt_safety (DT_SAFETY), xi_eff and theta_eff of the
     default_dt rule that chose it, applied to the wave and the perturbations
     as one stack, each against its own largest mode.  n_samples below 1,
@@ -497,6 +569,8 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
             and abs(first["M"] - cons_psi.M) <= 1e-10 * max(1.0, abs(cons_psi.M))
         )
         first.update(dt=dt, steps=nsteps_total, transform=ev.transform, **rule)
+        if ev.transform == "fft":
+            first["fft_size"] = ev.fft_size
     done = 0
     try:
         while done < nsteps_total:

@@ -32,7 +32,7 @@ import numpy as np
 from .elliptic import complete_integrals
 
 __all__ = ["cubic_coefficients", "cubic_residual", "solve_branch", "p_of_k",
-           "branch_columns", "sweep", "sign_change", "K_ANALYTIC"]
+           "branch_columns", "sweep", "sign_change", "K_ANALYTIC", "CUBIC_RTOL"]
 
 K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term vanishes
 # times K^4, off the plain closed form of p; P_CORRECTION / 507 = 3584/3 (times
@@ -40,6 +40,7 @@ K_ANALYTIC = 1.0 / math.sqrt(2.0)  # modulus where the cubic's constant term van
 P_CORRECTION = 605696.0
 POLISH_RTOL = 4.0 * np.finfo(float).eps   # a Newton step this small is round-off
 POLISH_MAX_ITER = 50
+CUBIC_RTOL = 1e-10   # largest relative cubic residual (cubic_residual) of a branch root
 
 # sign_change narrows the sign change of p in passes of solve_branch, each
 # over 2**SIGN_CHANGE_HALVINGS equal parts of a window inside the bracket.
@@ -121,7 +122,8 @@ def solve_branch(k):
     cubic, L = sqrt(L1) and p = p(k, L); all three are NaN where the branch
     does not reach k.  lower is the other positive root, NaN where there is
     none; two roots within 1e-9 relative are one (double) root.  A scalar k
-    gives floats.  Raises ValueError unless 0 < k < 1.
+    gives floats.  Raises ValueError unless 0 < k < 1, and ArithmeticError
+    if a branch root misses the cubic by more than CUBIC_RTOL relative.
     """
     k_arr = np.asarray(k, dtype=float)
     if not ((0.0 < k_arr) & (k_arr < 1.0)).all():
@@ -137,11 +139,26 @@ def solve_branch(k):
     L1 = np.where(top > 0.0, top, np.nan)
     lower = np.where((lower > 0.0) & (L1 - lower > 1e-9 * np.maximum(1.0, L1)),
                      lower, np.nan)
+    _require_roots(k1, c0, c1, L1)
     L = np.sqrt(L1)
     p = p_of_k(k1, L, pair)
     if k_arr.ndim == 0:
         return float(L1[0]), float(L[0]), float(p[0]), float(lower[0])
     return L1, L, p, lower
+
+
+def _require_roots(k, c0, c1, L1):
+    """Raise ArithmeticError, naming the worst modulus, unless every branch
+    root L1 (NaN where there is none) has a relative cubic residual within
+    CUBIC_RTOL, by cubic_residual's formula."""
+    cube, lin = L1**3, c1 * L1
+    scale = np.maximum(np.maximum(np.abs(cube), np.abs(lin)), np.maximum(np.abs(c0), 1.0))
+    res = np.abs(cube + lin + c0) / scale
+    # fmax skips the NaN of a missing root
+    if np.fmax.reduce(res, initial=0.0) > CUBIC_RTOL:
+        i = np.nanargmax(res)
+        raise ArithmeticError(f"branch root with relative cubic residual "
+                              f"{res[i]:.3g} > {CUBIC_RTOL:g} at k={float(k[i])!r}")
 
 
 def _closed_form_terms(k, L2, K, E):

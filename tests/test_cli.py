@@ -249,13 +249,14 @@ def test_evolve_header_records_dt_and_steps(tmp_path):
     safety, theta = float(header["dt_safety"]), float(header["theta_eff"])
     assert float(header["xi_eff"]) > 0
     assert dt == safety / max(theta, 1.0)
-    assert header["transform"] == "dense"
+    assert header["transform"] == "dense" and "fft_size" not in header
     # an explicit --dt has no rule to record; grid 384 steps with the FFT pair
     assert run_cli(["evolve", "--k", "0.8", "--T", "0.01", "--samples", "1",
                     "--grid", "384", "--dt", "0.01", "--out", str(out)]) == 0
     header = dict(ln[2:].split("=", 1) for ln in read(out).splitlines()
                   if ln.startswith("# ") and "=" in ln)
     assert header["transform"] == "fft" and "dt_safety" not in header
+    assert header["fft_size"] == "384"
     last_t = float(body_of(text).splitlines()[-1].split(",")[0])
     assert last_t == pytest.approx(steps * dt, rel=1e-12)
 
@@ -377,6 +378,31 @@ def test_reproduce_figure1_without_positive_p_exits_3(tmp_path, capsys, kmin, km
     assert record["points_with_p_positive"] == 0
     assert record["p_sign_change_k"] is None and record["sign_change_passes"] == 0
     assert f1.exists() and f2.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-figure1", "--steps", "200", "--out-L1", "L1.csv", "--out-p", "p.csv",
+     "--record-out", "rec.json"],
+    ["sweep", "--kmin", "0.55", "--kmax", "0.95", "--steps", "200", "--out", "sweep.csv"],
+], ids=["reproduce-figure1", "sweep"])
+def test_cubic_tolerance_applied(tmp_path, capsys, monkeypatch, argv):
+    # the record's tol_cubic_residual_rel was stated and checked nowhere;
+    # at a tolerance of 0 a branch root's round-off residual fails the check
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    monkeypatch.setattr(klcurve, "CUBIC_RTOL", 0.0)
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"{argv[0]}: numerical failure: ArithmeticError(")
+    assert "relative cubic residual" in err and "at k=0." in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_record_states_the_applied_tolerance(tmp_path):
+    rec = tmp_path / "rec.json"
+    assert run_cli(["reproduce-figure1", "--steps", "20", "--out-L1", str(tmp_path / "a"),
+                    "--out-p", str(tmp_path / "b"), "--record-out", str(rec)]) == 0
+    assert json.loads(read(rec))["tol_cubic_residual_rel"] == klcurve.CUBIC_RTOL == 1e-10
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -510,6 +510,24 @@ def test_newton_orbital_distance_matches_golden_section(wave08, kawahara):
             assert min(abs(y_star), abs(y_star - L0)) < 1e-4
 
 
+class _Counting:
+    """Stand-in for numpy or one of its functions: counts each call by its
+    dotted name (np.add.reduce is "np.add.reduce") and then makes it."""
+
+    def __init__(self, target, name, counts):
+        self._target, self._name, self._counts = target, name, counts
+
+    def __getattr__(self, attr):
+        value = getattr(self._target, attr)
+        if not callable(value):
+            return value
+        return _Counting(value, f"{self._name}.{attr}", self._counts)
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._name] = self._counts.get(self._name, 0) + 1
+        return self._target(*args, **kwargs)
+
+
 def test_step_transform_budget(wave08, kawahara, monkeypatch):
     _, psi = wave08
 
@@ -519,26 +537,22 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
 
     counts = expect(0, 0)
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
     # numpy.fft, which the step and run no longer call, and below the
     # pocketfft gufuncs each Evolver binds
     for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counting(f"np.fft.{name}",
-                                                   getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name, _Counting(getattr(np.fft, name),
+                                                    f"np.fft.{name}", counts))
 
     # the dense matrices make no transform; the FFT path one pair per stage
     for grid, per_pair in ((DENSE_GRID, 0), (FFT_GRID, 4)):
         st = _perturbed_state(psi, grid)
         stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
-        stepper._irfft = counting("irfft", stepper._irfft)
-        stepper._rfft = counting("rfft", stepper._rfft)
+        stepper._irfft = _Counting(stepper._irfft, "irfft", counts)
+        stepper._rfft = _Counting(stepper._rfft, "rfft", counts)
         counts.update(expect(0, 0))
-        stepper._step(st.modes.copy(), stepper._work(st.modes.shape))
+        work = stepper._work(st.modes.shape)
+        work.vh[...] = st.modes
+        stepper._step(work)
         assert counts == expect(per_pair, per_pair)
         counts.update(expect(0, 0))
         stepper.run(st, 10)
@@ -547,28 +561,78 @@ def test_step_transform_budget(wave08, kawahara, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(), (5,)], ids=["one", "stack5"])
+def test_step_call_budget(wave08, kawahara, monkeypatch, shape):
+    # the step's numpy calls, counted through a stand-in for the module's
+    # numpy and the product and transforms each Evolver binds: 8 products
+    # (dense) or 8 transforms (fft), 4 squares and at most 11 other calls,
+    # the stacked algebra's count
+    _, psi = wave08
+    counts = {}
+    for grid, transform in ((DENSE_GRID, "dense"), (FFT_GRID, "fft")):
+        stepper = ev.Evolver(psi.L0, grid, kawahara, 1e-3)
+        assert stepper.transform == transform
+        stepper._irfft = _Counting(stepper._irfft, "irfft", counts)
+        stepper._rfft = _Counting(stepper._rfft, "rfft", counts)
+        if transform == "dense":
+            stepper._dot = _Counting(stepper._dot, "dot", counts)
+        modes = _perturbed_state(psi, grid).modes
+        work = stepper._work((*shape, len(modes)))
+        work.vh[...] = modes
+        counts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ev, "np", _Counting(np, "np", counts))
+            stepper._step(work)
+        products = counts.pop("dot", 0)
+        transforms = counts.pop("irfft", 0) + counts.pop("rfft", 0)
+        assert (products, transforms) == ((8, 0) if transform == "dense" else (0, 8))
+        assert counts.pop("np.square") == 4
+        assert sum(counts.values()) <= 11, counts
+
+
+@pytest.mark.parametrize("grid, size", [(24, 24), (25, 25), (240, 240), (241, 243),
+                                        (251, 256), (255, 256), (256, 256),
+                                        (384, 384), (1001, 1024), (6144, 6144)])
+def test_fft_size(kawahara, grid, size):
+    # the dense path's blow-up check runs at the grid; the FFT pair at the
+    # smallest size >= grid with no prime factor above 5
+    stepper = ev.Evolver(20.0, grid, kawahara, 1e-3)
+    assert stepper.fft_size == size
+    assert stepper._rfft_scale == grid / size
+
+
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["one", "stack5"])
 @pytest.mark.parametrize("grid", [24, 25, 241, 255, 256, 384, 1001, 6144])
 def test_bound_transforms_match_numpy_fft(kawahara, grid, shape):
     # the gufuncs are numpy's private ones: pin their bits to the public
-    # np.fft.irfft(x, G) and np.fft.rfft(v), for even and odd G
+    # np.fft.irfft(x, n) and np.fft.rfft(v) at the stepper's transform size
+    # n, even and odd; at a grid of n points the step's factors are these
     stepper = ev.Evolver(20.0, grid, kawahara, 1e-3)
+    n = stepper.fft_size
     rng = np.random.default_rng(grid)
     x = rng.standard_normal((*shape, stepper.band, 2)).view(complex)[..., 0]
-    v = np.empty((*shape, grid))
-    stepper._irfft(x, stepper._inv_grid, out=v)
-    assert np.array_equal(v, np.fft.irfft(x, grid))
-    full = np.empty((*shape, grid // 2 + 1), dtype=complex)
+    v = np.empty((*shape, n))
+    stepper._irfft(x, 1.0 / n, out=v)
+    assert np.array_equal(v, np.fft.irfft(x, n))
+    full = np.empty((*shape, n // 2 + 1), dtype=complex)
     stepper._rfft(v, 1.0, out=full)
     assert np.array_equal(full, np.fft.rfft(v))
+    if n == grid:
+        assert (stepper._inv_grid, stepper._rfft_scale) == (1.0 / n, 1.0)
 
 
 def _allocating_step(stepper, vh):
     """The step before its work buffers, one allocation per operation, kept
-    as the reference: the buffered step must give the same bits."""
+    as the reference: the buffered step must give the same bits.  The dense
+    products are the step's calls, matrix times vector for one state and
+    stack times transposed matrix for a stack; the FFT runs at the grid."""
     def nonlin(v):
         if stepper._synth is None:
             return np.fft.rfft(np.fft.irfft(v, stepper.grid_size) ** 2)[..., : stepper.band]
-        return (np.square(v.view(float) @ stepper._synth) @ stepper._anal).view(complex)
+        if v.ndim == 1:
+            sq = np.square(np.dot(stepper._synth, v.view(float)))
+            return np.dot(stepper._anal, sq).view(complex)
+        sq = np.square(np.dot(v.view(float), stepper._synth.T))
+        return np.dot(sq, stepper._anal.T).view(complex)
 
     N1 = nonlin(vh)
     Ev = stepper.E2 * vh
@@ -580,16 +644,42 @@ def _allocating_step(stepper, vh):
             + stepper.f3 * N4)
 
 
-@pytest.mark.parametrize("grid, transform", [(128, "dense"), (256, "fft")])
-def test_buffered_step_matches_allocating_step(wave08, kawahara, grid, transform):
-    _, psi = wave08
-    st = _perturbed_state(psi, grid)
-    stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(st, kawahara)[0])
+def _assert_buffered_matches_allocating(psi, sym, grid, transform, seeds):
+    """1000 buffered steps of one state (seeds 1) or of a stack are the
+    allocating steps' bits."""
+    states = [_perturbed_state(psi, grid, seed) for seed in range(1, seeds + 1)]
+    st = states[0] if seeds == 1 else \
+        replace(states[0], modes=np.stack([s.modes for s in states]))
+    stepper = ev.Evolver(psi.L0, grid, sym, ev.default_dt(states[0], sym)[0])
     assert stepper.transform == transform
     vh = st.modes
     for _ in range(1000):
         vh = _allocating_step(stepper, vh)
     assert np.array_equal(stepper.run(st, 1000).modes, vh)
+
+
+@pytest.mark.parametrize("grid, transform", [(128, "dense"), (256, "fft")])
+def test_buffered_step_matches_allocating_step(wave08, kawahara, grid, transform):
+    _assert_buffered_matches_allocating(wave08[1], kawahara, grid, transform, 1)
+
+
+@pytest.mark.parametrize("grid, transform", [(128, "dense"), (256, "fft")])
+def test_buffered_stack_step_matches_allocating_step(wave08, kawahara, grid, transform):
+    # a stack of 5 at grid 128 is the shape criterion 8 steps
+    _assert_buffered_matches_allocating(wave08[1], kawahara, grid, transform, 5)
+
+
+@pytest.mark.parametrize("grid, size", [(241, 243), (251, 256), (255, 256), (1001, 1024)])
+def test_padded_fft_step_matches_numpy_fft_step(wave08, kawahara, grid, size):
+    # the FFT pair at a smooth size: one step agrees with the plain np.fft
+    # step at the grid to round-off
+    _, psi = wave08
+    st = _perturbed_state(psi, grid)
+    stepper = ev.Evolver(psi.L0, grid, kawahara, ev.default_dt(st, kawahara)[0])
+    assert (stepper.transform, stepper.fft_size) == ("fft", size)
+    ref = _allocating_step(stepper, st.modes)
+    out = stepper.run(st, 1).modes
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("grid", [DENSE_GRID, FFT_GRID])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ def test_two_roots_below_analytic_point():
     L1, _, _, lower = solve_branch(0.6)
     # the smooth branch through 1/sqrt(2) is the larger root here
     assert 0.0 < lower < L1
+
+
+def test_solve_branch_refuses_a_root_off_the_cubic(monkeypatch):
+    # every branch root is checked against CUBIC_RTOL; a root moved by 1e-7
+    # relative at the last modulus (its residual about 1e-7) is refused, by
+    # name, alone or in a grid
+    grid = np.linspace(0.5, 0.9, 41)   # no branch below the fold
+    polish = klcurve._polish
+
+    def off_at_last(x, p, q):
+        x = polish(x, p, q)
+        x[:, -1] *= 1.0 + 1e-7
+        return x
+
+    solve_branch(grid)
+    monkeypatch.setattr(klcurve, "_polish", off_at_last)
+    for ks in (grid, grid[-1]):
+        with pytest.raises(ArithmeticError, match=re.escape(f"at k={grid[-1].item()!r}") + "$"):
+            solve_branch(ks)
 
 
 def test_sweep_residuals_and_continuity():
