@@ -194,8 +194,8 @@ def evaluate_wave(psi, omega, sym=None, N=None):
         op = assemble(psi, omega, sym, N=N)
         # eta and beta need no eigensolve, so M_w picks the decomposition before
         # the first one: the coercivity route (M_w >= 0) reads every eigenvector
-        # in constrained_min and takes eigh; the others read two eigenvectors
-        # and take eigvalsh plus one shifted solve each
+        # in constrained_min and takes eigh; the others read one eigenvector
+        # (chi) and take eigvalsh plus one shifted solve
         eta, beta = _variation_solve(op.even, op.psi)
         M, F = functionals(psi)
         M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)

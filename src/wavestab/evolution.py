@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .profile import TAIL_RTOL, extract_A
+from .profile import CONTENT_RTOL, TAIL_RTOL, extract_A
 
 __all__ = [
     "EvolutionState",
@@ -81,7 +81,6 @@ NEWTON_MAX_ITER = 20
 MAX_STEPS = 10_000_000      # stability_experiment's cap: ~6 min at grid 256
 DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (BENCH_evolution.json)
 DT_SAFETY = 0.5             # default_dt's step: DT_SAFETY / max(theta(xi_eff), 1)
-CONTENT_RTOL = 1e-12        # a mode below this share of its state's largest is round-off
 
 
 def smooth_size(grid_size):

@@ -24,9 +24,12 @@ on first use, and every consumer reads that decomposition, so the blocks
 must not be modified after assembly.  A caller that reads every eigenvector (the
 constrained minima) asks for `eig_even`/`eig_odd` (eigh) first; otherwise
 `values_even`/`values_odd` take eigvalsh, which forms no eigenvectors and
-costs about half as much, and `eigenvector` recovers the one or two vectors
-a report reads by one shifted solve each (inverse iteration).  `spectrum`
-reads the eigenvalues and the odd mode nearest zero.  The solves for eta
+costs about half as much, and `eigenvector` recovers the one vector a
+report reads, the lowest even mode chi, by one shifted solve (inverse
+iteration).  `spectrum` reads the eigenvalues only: it bounds the angle
+between psi' and the odd mode nearest zero from a residual (below), with no
+eigenvector and no solve.  The zero-band width `tol_zero` is computed once
+per operator, for `spectrum` and `_check_even_band`.  The solves for eta
 and beta (the criteria, and the continuation predictor) need no
 decomposition (`_variation_solve`: one LU per block, both right-hand sides,
 for a block or a stack of them); `_check_even_band` reads the even
@@ -45,6 +48,20 @@ deflated eigenvalues.  Deflation: lam_i stays an eigenvalue when |z_i| is
 negligible, and a repeated eigenvalue merges into one term and keeps its
 other copies.  The smallest root lies strictly between the first two
 remaining distinct eigenvalues and is found by bisection.
+
+`kernel_corr` is a certified lower bound on |cos| of the angle between psi'
+and v0, the odd eigenvector nearest zero.  x is psi' on the modes where the
+wave carries content (|c_n| above CONTENT_RTOL times the largest oscillating
+|c_m|), so s_t = |psi' - x| / |psi'| is the exact sine of the angle between
+psi' and x; the dropped round-off tail, amplified by theta(xi) ~ xi^4, would
+otherwise dominate the residual.  For the unit x, rho = x^T O x and
+r = O x - rho x (O the odd block, read only on x's columns),
+|r| >= delta sin(x, v0) with delta = min_{j != i0} |lambda_j - rho| (the
+single-vector sin theta bound of Davis & Kahan, SIAM J. Numer. Anal. 7,
+1970).  |r| carries the rounding allowance (kept + 2) eps ||O_kept| |x||, and
+delta loses n eps max |lambda| for the eigenvalue error; the sines of the
+two angles add, so the bound is sqrt(1 - min(1, s_t + |r| / delta)^2), and 0
+where delta <= 0.
 """
 
 import math
@@ -54,7 +71,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .profile import FourierProfile
+from .profile import CONTENT_RTOL, FourierProfile
 
 __all__ = [
     "GalerkinOperator",
@@ -108,6 +125,16 @@ class GalerkinOperator:
         if "eig_odd" in self.__dict__:
             return self.eig_odd.eigenvalues
         return np.linalg.eigvalsh(self.odd)
+
+    @cached_property
+    def tol_zero(self):
+        """Zero-band width: 1e-6 times the low-frequency operator scale.
+
+        Scaling by the largest eigenvalue would be useless here: for a
+        fourth-order symbol at N = 256 it exceeds the distance between the
+        kernel and its neighbors by orders of magnitude.
+        """
+        return 1e-6 * max(1.0, abs(self.omega), self.psi.sup_norm())
 
     def eigenvector(self, parity, i, start):
         """Unit eigenvector for eigenvalue i (ascending) of the "even" or
@@ -191,7 +218,8 @@ class SpectrumReport:
     eigenvalues: np.ndarray      # ascending, both parity blocks merged
     n_neg: int
     n_zero: int
-    kernel_corr: float           # |<v0, psi'>| / (|v0||psi'|) for nearest-zero mode
+    kernel_corr: float           # certified lower bound on |cos(psi', v0)|, v0 the
+                                 # nearest-zero (odd) mode; in [0, 1]
     gap: float                   # distance from 0 to nearest eigenvalue outside band
     tol_zero: float
 
@@ -201,25 +229,16 @@ class SpectrumReport:
         return self.n_neg == 1 and self.n_zero == 1 and self.kernel_corr > 0.999
 
 
-def default_tol_zero(op):
-    """Zero-band width: 1e-6 times the low-frequency operator scale.
-
-    Scaling by the largest eigenvalue would be useless here: for a
-    fourth-order symbol at N = 256 it exceeds the distance between the
-    kernel and its neighbors by orders of magnitude.
-    """
-    return 1e-6 * max(1.0, abs(op.omega), op.psi.sup_norm())
-
-
 def spectrum(op):
     """Eigenvalues of both parity blocks with negative/zero counts.
 
     Reads `op.values_even`/`op.values_odd`: the eigenvalues of `eig_even`/
-    `eig_odd` when a caller has computed them, else eigvalsh.  The one
-    eigenvector read here, the odd mode nearest zero, comes from
-    `op.eigenvector` with psi' as its start.
+    `eig_odd` when a caller has computed them, else eigvalsh.  No
+    eigenvector is read: `kernel_corr` is the residual bound of the module
+    note on the angle between psi' and the odd mode nearest zero, and 0 where
+    psi' = 0 or the even block holds the eigenvalue nearest zero.
     """
-    tol_zero = default_tol_zero(op)
+    tol_zero = op.tol_zero
     vals_e, vals_o = op.values_even, op.values_odd
     vals = np.sort(np.concatenate([vals_e, vals_o]))
 
@@ -233,8 +252,7 @@ def spectrum(op):
     pp = op.psi.derivative_orthonormal(op.N)
     norm_pp = np.linalg.norm(pp)
     if abs(vals_o[i_o]) <= abs(vals_e[i_e]) and norm_pp > 0:
-        v0 = op.eigenvector("odd", i_o, pp)
-        kernel_corr = float(abs(v0 @ pp) / (np.linalg.norm(v0) * norm_pp))
+        kernel_corr = _kernel_bound(op, i_o, pp, norm_pp)
     else:
         kernel_corr = 0.0
 
@@ -244,6 +262,31 @@ def spectrum(op):
         eigenvalues=vals, n_neg=n_neg, n_zero=n_zero,
         kernel_corr=kernel_corr, gap=gap, tol_zero=float(tol_zero),
     )
+
+
+def _kernel_bound(op, i0, pp, norm_pp):
+    """Lower bound on |cos| of the angle between pp (psi', of norm norm_pp >
+    0) and eigenvector i0 of the odd block; see the module note.  One thin
+    product with the block's kept columns."""
+    eps = np.finfo(float).eps
+    values = op.values_odd
+    c = np.abs(op.psi.coeffs[1:])
+    kept = np.flatnonzero(c > CONTENT_RTOL * c.max())
+    s_t = np.linalg.norm(np.delete(pp, kept)) / norm_pp
+    x = pp[kept]
+    x = x / np.linalg.norm(x)
+    cols = op.odd[:, kept]
+    r = cols @ x
+    rho = r[kept] @ x
+    r[kept] -= rho * x
+    res = (np.linalg.norm(r)
+           + (kept.size + 2) * eps * np.linalg.norm(np.abs(cols) @ np.abs(x)))
+    delta = (np.abs(np.delete(values, i0) - rho).min(initial=np.inf)
+             - values.size * eps * np.abs(values).max())
+    if not delta > 0.0:
+        return 0.0
+    t = min(1.0, s_t + res / delta)
+    return math.sqrt(1.0 - t * t)
 
 
 def _variation_solve(even, psi):
@@ -269,7 +312,7 @@ def _variation_solve(even, psi):
 
 def _check_even_band(op):
     """Raise DegenerateOperatorError for an even eigenvalue in the zero band."""
-    tol = default_tol_zero(op)
+    tol = op.tol_zero
     ev = op.values_even
     if np.abs(ev).min() <= tol:
         raise DegenerateOperatorError(

@@ -36,6 +36,10 @@ __all__ = [
 # a profile is resolved when its tail_ratio() is at most this; require_resolved
 # refuses one above it, extract_A warns
 TAIL_RTOL = 1e-10
+# a mode whose magnitude is below this share of the largest is round-off
+# (evolution states against their largest mode, the kernel bound of
+# galerkin.spectrum against the largest oscillating one)
+CONTENT_RTOL = 1e-12
 
 
 class FourierProfile:

@@ -6,6 +6,7 @@ import pytest
 
 from wavestab import criteria
 from wavestab.criteria import (
+    VERDICT_COERCIVITY,
     VERDICT_DETERMINANT,
     VERDICT_INCONCLUSIVE,
     choose_witness,
@@ -179,6 +180,30 @@ def test_eigensolve_budget(monkeypatch, kawahara):
     calls.clear()
     spectrum(assemble(psi, params.omega, kawahara, N=128))
     assert sorted(calls) == ["eigvalsh", "eigvalsh"]
+
+
+def test_solve_budget(monkeypatch, kawahara):
+    # LU solves per report: one for eta and beta, and one shifted solve for
+    # chi where eigvalsh ran; chi is a column of eigh on the coercivity
+    # route, and spectrum bounds the kernel direction with no solve
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for k, omega, route, n_solves in ((0.8, 1.0, VERDICT_DETERMINANT, 2),
+                                      (0.9, 1.0, VERDICT_INCONCLUSIVE, 2),
+                                      (0.7, 0.5, VERDICT_COERCIVITY, 1)):
+        calls.clear()
+        report, params, psi = evaluate_dnoidal(k, omega, kawahara, N_op=128)
+        assert report.verdict == route
+        assert len(calls) == n_solves, route
+    calls.clear()
+    spectrum(assemble(psi, params.omega, kawahara, N=128))
+    assert calls == []
 
 
 def test_zero_wave_inconclusive(kawahara):

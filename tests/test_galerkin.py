@@ -8,14 +8,15 @@ from dataclasses import replace
 from wavestab.galerkin import (
     DegenerateOperatorError,
     SpectrumReport,
+    _check_even_band,
     _secular_min,
     _variation_solve,
     assemble,
     constrained_min,
-    default_tol_zero,
     spectrum,
 )
 from wavestab.criteria import derivatives, evaluate_wave, verdict
+from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal
 
 from conftest import galilean_shift, solve_variations
@@ -117,6 +118,24 @@ def test_spectral_counts_dnoidal(op08):
     assert rep.kernel_corr > 0.999
     assert rep.holds_assumption
     assert rep.gap > 0.1
+
+
+def test_zero_band_width_once_per_operator(wave08, kawahara, monkeypatch):
+    # spectrum and the even-band check share one sup-norm transform
+    _, psi = wave08
+    op = assemble(psi, 1.0, kawahara, N=128)
+    expected = 1e-6 * max(1.0, abs(op.omega), op.psi.sup_norm())
+    calls = []
+    sup_norm = FourierProfile.sup_norm
+
+    def counted(self):
+        calls.append(1)
+        return sup_norm(self)
+
+    monkeypatch.setattr(FourierProfile, "sup_norm", counted)
+    assert spectrum(op).tol_zero == expected
+    _check_even_band(op)
+    assert len(calls) == 1
 
 
 def test_counts_stable_under_refinement(wave08, kawahara):
@@ -327,7 +346,7 @@ def test_strided_blocks_equal_fancy_index_assembly(wave08, kawahara, N):
 def _dense_spectrum(op):
     """Reference SpectrumReport from full eigh of both blocks, with the
     lowest even eigenvector and each block's eigenvalues."""
-    tol = default_tol_zero(op)
+    tol = op.tol_zero
     (vals_e, vecs_e), (vals_o, vecs_o) = (np.linalg.eigh(op.even),
                                           np.linalg.eigh(op.odd))
     vals = np.sort(np.concatenate([vals_e, vals_o]))
@@ -358,6 +377,7 @@ def test_eigenvalue_only_path_matches_dense_eigh(branch_L, kawahara, k, omega, N
         assert np.abs(vals - ref).max() <= 100 * eps * np.abs(ref).max()
     assert (rep.n_neg, rep.n_zero) == (oracle.n_neg, oracle.n_zero) == (1, 1)
     assert rep.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
+    assert rep.kernel_corr <= oracle.kernel_corr + 8 * eps  # a lower bound
 
     report = evaluate_wave(psi, omega, kawahara, N=N)
     psi_c = psi.orthonormal(op.N)
@@ -366,6 +386,32 @@ def test_eigenvalue_only_path_matches_dense_eigh(branch_L, kawahara, k, omega, N
     assert report.spectrum.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
     assert (report.spectrum.n_neg, report.spectrum.n_zero) == (1, 1)
     assert report.verdict == verdict(replace(report, spectrum=oracle))
+
+
+@pytest.mark.parametrize("symbol, L", [("kawahara", 20.0), ("kdv", None), ("bo", None)])
+def test_kernel_bound_below_oracle_off_solutions(branch_L, symbol, L):
+    # k = 0.8 waves that do not solve their equation: psi' is not in the
+    # kernel, and the bound stays below the eigh correlation, within twice
+    # its angle
+    sym = builtin_symbol(symbol)
+    _, psi = build_dnoidal(0.8, branch_L[0.8] if L is None else L, 1.0, N=128)
+    op = assemble(psi, 1.0, sym, N=256)
+    rep = spectrum(op)
+    oracle, _, _ = _dense_spectrum(op)
+    assert not rep.holds_assumption
+    assert 0.0 < rep.kernel_corr <= oracle.kernel_corr + 8 * np.finfo(float).eps
+    sine = math.sqrt(1.0 - rep.kernel_corr ** 2)
+    assert sine <= 2.0 * math.sqrt(1.0 - oracle.kernel_corr ** 2)
+
+
+def test_kernel_bound_at_2048_modes(branch_L, kawahara):
+    # psi's round-off tail, amplified by theta(xi) ~ xi^4 on the odd block,
+    # would dominate the residual at 2048 modes (the bound read 0.899 with
+    # it); x leaves the tail out and s_t charges for it
+    _, psi = build_dnoidal(0.6, branch_L[0.6], 0.5, N=2048)
+    rep = spectrum(assemble(psi, 0.5, kawahara, N=2048))
+    assert (rep.n_neg, rep.n_zero) == (1, 1)
+    assert rep.kernel_corr > 0.999
 
 
 def test_shifted_eigenvector_on_diagonal_block(kawahara):
@@ -416,6 +462,18 @@ def test_assemble_eigh_timing(benchmark, wave08, kawahara):
     ref = assemble(psi, 1.0, kawahara, N=256)
     assert np.array_equal(even.eigenvalues, ref.eig_even.eigenvalues)
     assert np.array_equal(odd.eigenvalues, ref.eig_odd.eigenvalues)
+
+
+def test_spectrum_timing(benchmark, wave08, kawahara):
+    # on an operator with cached eigenvalues: the merge, the counts and the
+    # kernel bound
+    _, psi = wave08
+    op = assemble(psi, 1.0, kawahara, N=256)
+    op.values_even, op.values_odd
+    ref = spectrum(op)
+    rep = benchmark.pedantic(spectrum, args=(op,), rounds=20, iterations=5)
+    assert rep.kernel_corr == ref.kernel_corr
+    assert np.array_equal(rep.eigenvalues, ref.eigenvalues)
 
 
 def test_variation_solve_timing(benchmark, op08):
