@@ -24,9 +24,10 @@ NUMERICAL_FAILURES (`<command>: numerical failure: <repr>`, exit 3), then
 any other ValueError (`<command>: <message>`, exit 2).  An incomplete
 `continue` patch is not a failure: it exits 0 with the rows it has and one
 stderr line naming the missing grid offsets.  `main` checks every output
-path before the command runs, so a run refused for one of them (exit 2)
-writes none of its outputs.  Every output goes through `_write`, which
-rewrites a file in place and trims it to the new body.
+path before the command runs, and refuses two output flags on one file, so
+a run refused for one of them (exit 2) writes none of its outputs.  Every
+output goes through `_write`, which rewrites a file in place and trims it
+to the new body.
 """
 
 import argparse
@@ -101,11 +102,18 @@ def _cannot_write(path, reason):
 def _check_outputs(args):
     """Refuse an output path that cannot be opened for writing before any
     work or write, so that a refused run leaves no file: a path that is a
-    directory, or whose directory is missing or not writable."""
+    directory, or whose directory is missing or not writable, and two output
+    flags on one absolute path (stdout may be shared).  abspath makes no
+    system call, so links are not followed."""
+    seen = {}
     for flag in OUTPUT_FLAGS:
         path = getattr(args, flag, None)
         if path in (None, "-"):
             continue
+        first = seen.setdefault(os.path.abspath(path), flag)
+        if first != flag:
+            a, b = (f"--{f.replace('_', '-')}" for f in (first, flag))
+            raise ValueError(f"{a} and {b} both write {path!r}")
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise _cannot_write(path, os.strerror(errno.EISDIR))

@@ -8,7 +8,7 @@ which is invertible precisely because the kernel direction psi' is odd.
 `surface_patch` starts each Newton solve from the first-order (Keller)
 predictor psi + d_omega eta + d_A beta at the neighbouring point, where
 eta = dpsi/domega and beta = dpsi/dA come from the one LU of
-`_variation_solve`.  It stays first order because next to a fold of the
+`solve_variations`.  It stays first order because next to a fold of the
 family (smallest even eigenvalue near 0.01) the start decides whether
 Newton lands: a second-order term, or one tangent for the whole patch,
 changed which corners converge.
@@ -17,7 +17,7 @@ The patch is solved frontier by frontier, frontier r being the ring
 |di| + |dj| = r of grid offsets, r = 1 .. iw + ia: the neighbour toward
 the center of each of its points lies on ring r - 1 (4 and 4 points at
 extent (1, 1); 4, 8, 8 and 4 at (2, 2)).  A frontier's tangents come from one
-stacked `_variation_solve`, and its points from one `_newton_rows` stack,
+stacked `solve_variations`, and its points from one `_newton_rows` stack,
 where each iteration makes one stacked even-block assembly, one stacked
 solve and one stacked residual over the rows still running.  A row's
 arithmetic is that of a stack of one, which is what `newton_solve` runs,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import DegenerateOperatorError, _even_assembly, _variation_solve
+from .galerkin import DegenerateOperatorError, _even_assembly, solve_variations
 from .profile import FourierProfile, pi_residual
 
 __all__ = [
@@ -176,7 +176,7 @@ def surface_patch(center, domega, dA, extent, sym):
     the center, at fixed period.  Each point is solved from the tangent
     predictor at its neighbour toward the center (module note).  The points
     are solved ring by ring, |di| + |dj| = 1, 2, ..., iw + ia: per ring one
-    stacked `_variation_solve` gives the neighbours' tangents and one
+    stacked `solve_variations` gives the neighbours' tangents and one
     `_newton_rows` stack corrects the points, in stacks of at most
     STACK_BYTES of even blocks.  Returns (patch, missing): patch is
     {(di, dj): ContinuationPoint} for every converged point, the center first,
@@ -224,19 +224,19 @@ def surface_patch(center, domega, dA, extent, sym):
 
 def _tangents(points, sym):
     """(eta, beta) coefficient rows at each point, from one stacked
-    `_variation_solve`; None for a point whose even block is singular."""
+    `solve_variations`; None for a point whose even block is singular."""
     L0, N = points[0].psi.L0, points[0].psi.N
     psi = FourierProfile(L0, np.stack([p.psi.coeffs for p in points]))
     even, _, _, _ = _even_assembly(psi, np.array([p.omega for p in points]), sym, N)
     try:
-        eta, beta = _variation_solve(even, psi)
+        eta, beta = solve_variations(even, psi)
         return list(zip(eta.coeffs, beta.coeffs))
     except DegenerateOperatorError:
         pass
     out = []
     for block, c in zip(even, psi.coeffs):   # one by one: only the singular fail
         try:
-            eta, beta = _variation_solve(block, FourierProfile(L0, c))
+            eta, beta = solve_variations(block, FourierProfile(L0, c))
             out.append((eta.coeffs, beta.coeffs))
         except DegenerateOperatorError:
             out.append(None)

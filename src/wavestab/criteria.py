@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .galerkin import (SpectrumReport, _check_even_band, _variation_solve, assemble,
-                       constrained_min, spectrum)
-from .multiplier import builtin_symbol
+from .galerkin import (SpectrumReport, _check_even_band, assemble, constrained_min,
+                       solve_variations, spectrum)
 from .profile import FourierProfile
 
 __all__ = [
@@ -176,7 +175,7 @@ def verdict(report):
     return VERDICT_INCONCLUSIVE
 
 
-def evaluate_wave(psi, omega, sym=None, N=None):
+def evaluate_wave(psi, omega, sym, N=None):
     """Full stability report for an even periodic wave profile.
 
     Assembles the linearized operator, verifies the spectral assumption,
@@ -185,8 +184,6 @@ def evaluate_wave(psi, omega, sym=None, N=None):
     finite (a tiny omega overflows the witness quantities) raises
     FloatingPointError.
     """
-    if sym is None:
-        sym = builtin_symbol("kawahara")
     if N is None:
         N = max(2 * psi.N, 256)
     # overflow is refused below with one error, not warned
@@ -196,7 +193,7 @@ def evaluate_wave(psi, omega, sym=None, N=None):
         # the first one: the coercivity route (M_w >= 0) reads every eigenvector
         # in constrained_min and takes eigh; the others read one eigenvector
         # (chi) and take eigvalsh plus one shifted solve
-        eta, beta = _variation_solve(op.even, op.psi)
+        eta, beta = solve_variations(op.even, op.psi)
         M, F = functionals(psi)
         M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
         if M_w >= 0.0:
@@ -208,7 +205,7 @@ def evaluate_wave(psi, omega, sym=None, N=None):
         dD2 = det_D_reduced(M, L0, omega, M_w)
         x0, y0, P, P_closed, I = choose_witness(op, psi, eta, beta, omega)
         psi_coords = psi.orthonormal(op.N)
-        chi = op.eigenvector("even", 0, psi_coords)
+        chi = op.chi
         denom = np.linalg.norm(chi) * np.linalg.norm(psi_coords)
         chi_corr = float(abs(chi @ psi_coords) / denom) if denom > 0 else 0.0
         min_psi = float(psi.values().min())

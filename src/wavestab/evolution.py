@@ -14,10 +14,11 @@ the square back to the band.  Up to DENSE_GRID_MAX points it does so with two
 real matrices built once per Evolver: at those sizes an irfft/rfft pair costs
 more in numpy call overhead than in arithmetic, and the two matrix products
 were faster in every measured pass, with one BLAS thread as with two.  The
-synthesis matrix is stored (grid, 2 band) and the analysis matrix (2 band,
-grid), so one state's products are matrix times vector, which OpenBLAS runs
-as row dot products; a stack multiplies by their transposed views.  The
-products call ndarray.dot, np.dot without its __array_function__ dispatch.
+synthesis matrix is (2 band, grid) and the analysis matrix (grid, 2 band),
+both Fortran-ordered, so one state's products, vector times matrix, are row
+dot products in OpenBLAS, and a stack's are matrix-matrix by the same two
+matrices.  The products call ndarray.dot, np.dot without its
+__array_function__ dispatch.
 Above DENSE_GRID_MAX the matrices grow as grid^2 (about 400 MB at grid 6144)
 and their products lose to the FFT pair, so the step uses irfft/rfft.  Below
 it the unpadded FFT pair won at about half of the grids from 153 to 240 and
@@ -207,12 +208,12 @@ class Evolver:
     term is the band of rfft(u^2).  `transform` names how it is computed:
     "dense" (grid <= DENSE_GRID_MAX) multiplies the band, viewed as
     interleaved real and imaginary parts, by a synthesis and an analysis
-    matrix; "fft" uses an irfft/rfft pair, whose cost and memory stay bounded
-    at large grids.  The pair is pocketfft's gufuncs at fft_size points,
-    called without numpy's wrappers (see the module docstring); `run`'s
-    blow-up check uses the irfft on either path.  `run` takes the band of
-    one state, or a stack of S states as an (S, band) array, which it steps
-    as one.
+    matrix, one pair for one state and for a stack; "fft" uses an irfft/rfft
+    pair, whose cost and memory stay bounded at large grids.  The pair is
+    pocketfft's gufuncs at fft_size points, called without numpy's wrappers
+    (see the module docstring); `run`'s blow-up check uses the irfft on
+    either path.  `run` takes the band of one state, or a stack of S states
+    as an (S, band) array, which it steps as one.
     """
 
     def __init__(self, L0, grid_size, sym, dt):
@@ -259,13 +260,11 @@ class Evolver:
             angle = (2.0 * math.pi / G) * (np.outer(m, np.arange(G)) % G)
             cos, sin = np.cos(angle), np.sin(angle)
             weight = np.where(m == 0, 1.0, 2.0)[:, None] / G   # irfft's folding
-            # (G, 2 band) and (2 band, G), so that one state's products are
-            # row dot products
-            self._synth = np.ascontiguousarray(
-                np.stack((weight * cos, -weight * sin), 1).reshape(-1, G).T)
-            self._anal = np.stack((cos, -sin), 1).reshape(-1, G)
-            # a stack's products: (S, 2 band) @ (2 band, G) and (S, G) @ (G, 2 band)
-            self._stack_synth, self._stack_anal = self._synth.T, self._anal.T
+            # (2 band, G) and (G, 2 band), Fortran-ordered, so that one
+            # state's products are row dot products
+            self._synth = np.asfortranarray(
+                np.stack((weight * cos, -weight * sin), 1).reshape(-1, G))
+            self._anal = np.stack((cos, -sin), 1).reshape(-1, G).T
             # np.dot's BLAS call without its __array_function__ dispatch,
             # which cost 0.2-0.4 us of a 2 us product at grid 128
             self._dot = np.ndarray.dot
@@ -303,14 +302,10 @@ class Evolver:
             self._irfft(x, self._inv_grid, out=phys)
             np.square(phys, out=phys)
             self._rfft(phys, self._rfft_scale, out=sink)
-        elif x.ndim == 1:
-            self._dot(self._synth, x.view(float), out=phys)
-            np.square(phys, out=phys)
-            self._dot(self._anal, phys, out=sink)
         else:
-            self._dot(x.view(float), self._stack_synth, out=phys)
+            self._dot(x.view(float), self._synth, out=phys)
             np.square(phys, out=phys)
-            self._dot(phys, self._stack_anal, out=sink)
+            self._dot(phys, self._anal, out=sink)
         return work.N[i]
 
     def _step(self, work):

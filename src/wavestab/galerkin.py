@@ -24,15 +24,15 @@ on first use, and every consumer reads that decomposition, so the blocks
 must not be modified after assembly.  A caller that reads every eigenvector (the
 constrained minima) asks for `eig_even`/`eig_odd` (eigh) first; otherwise
 `values_even`/`values_odd` take eigvalsh, which forms no eigenvectors and
-costs about half as much, and `eigenvector` recovers the one vector a
-report reads, the lowest even mode chi, by one shifted solve (inverse
-iteration).  `spectrum` reads the eigenvalues only: it bounds the angle
-between psi' and the odd mode nearest zero from a residual (below), with no
-eigenvector and no solve.  The zero-band width `tol_zero` is computed once
-per operator, for `spectrum` and `_check_even_band`.  The solves for eta
-and beta (the criteria, and the continuation predictor) need no
-decomposition (`_variation_solve`: one LU per block, both right-hand sides,
-for a block or a stack of them); `_check_even_band` reads the even
+costs about half as much, and `chi` recovers the one vector a report
+reads, the lowest even mode, by one shifted solve (inverse iteration).
+`spectrum` reads the eigenvalues only: it bounds the angle between psi' and
+the odd mode nearest zero from a residual (below), with no eigenvector and
+no solve.  The zero-band width `tol_zero` is computed once per operator,
+for `spectrum` and `_check_even_band`.  The solves for eta and beta (the
+criteria, and the continuation predictor) need no decomposition
+(`solve_variations`: one LU per block, both right-hand sides, for a block
+or a stack of them); `_check_even_band` reads the even
 eigenvalues only to reject a zero-band even eigenvalue.  Coordinates in the
 orthonormal basis come from `FourierProfile` (`orthonormal`,
 `from_orthonormal`, `derivative_orthonormal`).
@@ -80,6 +80,7 @@ __all__ = [
     "assemble",
     "spectrum",
     "constrained_min",
+    "solve_variations",
 ]
 
 
@@ -93,9 +94,7 @@ class GalerkinOperator:
     def __init__(self, psi, omega, sym, N):
         self.psi = psi
         self.omega = float(omega)
-        self.sym = sym
         self.N = int(N)
-        self.L0 = psi.L0
         self.even, h0, toeplitz, diag = _even_assembly(psi, self.omega, sym, self.N)
         # odd (sine) block over sin_1..sin_N
         self.odd = sliding_window_view(h0[2:], self.N) - toeplitz[1:, 1:]
@@ -136,29 +135,28 @@ class GalerkinOperator:
         """
         return 1e-6 * max(1.0, abs(self.omega), self.psi.sup_norm())
 
-    def eigenvector(self, parity, i, start):
-        """Unit eigenvector for eigenvalue i (ascending) of the "even" or
-        "odd" block.
+    @cached_property
+    def chi(self):
+        """Unit eigenvector chi of the lowest even eigenvalue.
 
-        A column of `eig_even`/`eig_odd` when that has been computed, else one
-        step of inverse iteration: a solve of (block - sigma I) x = s with
+        The first column of `eig_even` when that has been computed, else one
+        step of inverse iteration: a solve of (even - sigma I) x = s with
         sigma just below the computed eigenvalue (Ipsen, SIAM Rev. 39, 1997).
-        The start s is `start` normalized plus a constant vector, so the
-        step also reaches a target that `start` misses (a zero `start`, or
-        one orthogonal to the target on a diagonal block).
+        The start s is psi's coordinates normalized plus a constant vector,
+        so the step also reaches a chi that psi misses (a zero wave, whose
+        block is diagonal).
         """
-        eig = self.__dict__.get(f"eig_{parity}")
-        if eig is not None:
-            return eig.eigenvectors[:, i]
-        block = getattr(self, parity)
-        n = block.shape[0]
-        lam = getattr(self, f"values_{parity}")[i]
+        if "eig_even" in self.__dict__:
+            return self.eig_even.eigenvectors[:, 0]
+        n = self.N + 1
+        lam = self.values_even[0]
         sigma = lam - 4.0 * np.finfo(float).eps * max(1.0, abs(lam))
         s = np.full(n, 1.0 / math.sqrt(n))
+        start = self.psi.orthonormal(self.N)
         norm = np.linalg.norm(start)
         if norm > 0.0:
             s += start / norm
-        shifted = block.copy()
+        shifted = self.even.copy()
         shifted.flat[:: n + 1] -= sigma
         x = np.linalg.solve(shifted, s)
         return x / np.linalg.norm(x)
@@ -289,7 +287,7 @@ def _kernel_bound(op, i0, pp, norm_pp):
     return math.sqrt(1.0 - t * t)
 
 
-def _variation_solve(even, psi):
+def solve_variations(even, psi):
     """eta and beta from one LU of the even block at psi, with no eigensolve.
 
     `even` is the block (`GalerkinOperator.even`) on modes 0..N.  A stack of

@@ -67,10 +67,14 @@ def cubic_coefficients(k, pair=None):
 
 def cubic_residual(k, L1):
     """Relative residual of the cubic at (k, L1)."""
-    c0, c1 = cubic_coefficients(k)
-    f = L1**3 + c1 * L1 + c0
-    scale = max(abs(L1**3), abs(c1 * L1), abs(c0), 1.0)
-    return f / scale
+    return _relative_residual(L1, *cubic_coefficients(k))
+
+
+def _relative_residual(L1, c0, c1):
+    """(L1^3 + c1 L1 + c0) / max(|L1^3|, |c1 L1|, |c0|, 1), elementwise."""
+    cube, lin = L1**3, c1 * L1
+    scale = np.maximum(np.maximum(np.abs(cube), np.abs(lin)), np.maximum(np.abs(c0), 1.0))
+    return (cube + lin + c0) / scale
 
 
 def _upper_roots(p, q):
@@ -150,10 +154,8 @@ def solve_branch(k):
 def _require_roots(k, c0, c1, L1):
     """Raise ArithmeticError, naming the worst modulus, unless every branch
     root L1 (NaN where there is none) has a relative cubic residual within
-    CUBIC_RTOL, by cubic_residual's formula."""
-    cube, lin = L1**3, c1 * L1
-    scale = np.maximum(np.maximum(np.abs(cube), np.abs(lin)), np.maximum(np.abs(c0), 1.0))
-    res = np.abs(cube + lin + c0) / scale
+    CUBIC_RTOL."""
+    res = np.abs(_relative_residual(L1, c0, c1))
     # fmax skips the NaN of a missing root
     if np.fmax.reduce(res, initial=0.0) > CUBIC_RTOL:
         i = np.nanargmax(res)

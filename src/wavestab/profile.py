@@ -59,8 +59,8 @@ class FourierProfile:
     """
 
     def __init__(self, L0, coeffs):
-        if L0 <= 0:
-            raise ValueError("period L0 must be positive")
+        if not (math.isfinite(L0) and L0 > 0):
+            raise ValueError(f"period L0 must be finite and positive, not {L0!r}")
         self.L0 = float(L0)
         self.coeffs = np.asarray(coeffs, dtype=float).copy()
         if self.coeffs.ndim < 1 or self.coeffs.shape[-1] < 1:

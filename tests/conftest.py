@@ -4,7 +4,7 @@ import pytest
 
 from wavestab.criteria import evaluate_wave
 from wavestab.elliptic import complete_integrals
-from wavestab.galerkin import _check_even_band, _variation_solve
+from wavestab.galerkin import _check_even_band, solve_variations
 from wavestab.klcurve import solve_branch
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import build_dnoidal
@@ -43,17 +43,17 @@ def op08(wave08, kawahara):
 
 @pytest.fixture(scope="session")
 def variations08(op08):
-    return solve_variations(op08)
+    return checked_variations(op08)
 
 
-def solve_variations(op):
+def checked_variations(op):
     """Solve L eta = -psi and L beta = -1 in the even cosine subspace.
 
     The kernel of L is spanned by the odd function psi', so the even
     restriction is invertible at a clean wave; a singular even block, or an
     even eigenvalue in the zero band, raises DegenerateOperatorError.
     """
-    eta, beta = _variation_solve(op.even, op.psi)
+    eta, beta = solve_variations(op.even, op.psi)
     _check_even_band(op)
     return eta, beta
 

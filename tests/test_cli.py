@@ -405,6 +405,30 @@ def test_figure_record_states_the_applied_tolerance(tmp_path):
     assert json.loads(read(rec))["tol_cubic_residual_rel"] == klcurve.CUBIC_RTOL == 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce-figure1", "--steps", "20", "--out-L1", "same.csv",
+     "--out-p", "same.csv", "--record-out", "same.csv"],
+    ["spectrum", "--k", "0.8", "--out", "same.csv", "--record-out", "{tmp}/same.csv"],
+], ids=["figure", "spectrum"])
+def test_outputs_sharing_a_file_refused(tmp_path, capsys, monkeypatch, argv):
+    # one output would overwrite the other; the refusal names both flags and
+    # leaves the file that was there as it was
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.csv").write_text("kept\n")
+    assert exit_code([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert read(tmp_path / "same.csv") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.csv"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and " and --" in err and err.startswith(f"{argv[0]}: --")
+
+
+def test_outputs_sharing_stdout_allowed(capsys):
+    assert run_cli(["spectrum", "--k", "0.8", "--N-op", "64", "--out", "-",
+                    "--record-out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "# command spectrum" in out and '"n_neg"' in out
+
+
 def test_determinism_bit_identical(tmp_path):
     a1 = tmp_path / "a1.csv"
     a2 = tmp_path / "a2.csv"

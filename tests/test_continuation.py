@@ -9,7 +9,7 @@ from wavestab.continuation import (
     surface_patch,
 )
 from wavestab.criteria import derivatives, functionals
-from wavestab.galerkin import DegenerateOperatorError, GalerkinOperator, _variation_solve
+from wavestab.galerkin import DegenerateOperatorError, GalerkinOperator, solve_variations
 from wavestab.profile import FourierProfile, build_dnoidal, pi_residual
 from conftest import galilean_shift
 
@@ -318,7 +318,7 @@ def _pointwise_patch(center, domega, dA, extent, sym):
         try:
             if frm not in tangents:
                 op = GalerkinOperator(prev.psi, prev.omega, sym, prev.psi.N)
-                tangents[frm] = _variation_solve(op.even, op.psi)
+                tangents[frm] = solve_variations(op.even, op.psi)
             eta, beta = tangents[frm]
             with np.errstate(over="ignore", invalid="ignore"):
                 start = FourierProfile(prev.psi.L0, prev.psi.coeffs
@@ -432,5 +432,5 @@ def test_singular_block_fails_alone_in_a_tangent_stack(kawahara):
     bad, good = cont._tangents(points, kawahara)
     assert bad is None
     op = GalerkinOperator(points[1].psi, points[1].omega, kawahara, 16)
-    eta, beta = _variation_solve(op.even, op.psi)
+    eta, beta = solve_variations(op.even, op.psi)
     assert np.array_equal(good[0], eta.coeffs) and np.array_equal(good[1], beta.coeffs)

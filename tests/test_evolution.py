@@ -623,16 +623,17 @@ def test_bound_transforms_match_numpy_fft(kawahara, grid, shape):
 def _allocating_step(stepper, vh):
     """The step before its work buffers, one allocation per operation, kept
     as the reference: the buffered step must give the same bits.  The dense
-    products are the step's calls, matrix times vector for one state and
-    stack times transposed matrix for a stack; the FFT runs at the grid."""
+    products are transposed matrix times vector for one state, where the step
+    takes vector times matrix, and the step's calls for a stack; the FFT runs
+    at the grid."""
     def nonlin(v):
         if stepper._synth is None:
             return np.fft.rfft(np.fft.irfft(v, stepper.grid_size) ** 2)[..., : stepper.band]
         if v.ndim == 1:
-            sq = np.square(np.dot(stepper._synth, v.view(float)))
-            return np.dot(stepper._anal, sq).view(complex)
-        sq = np.square(np.dot(v.view(float), stepper._synth.T))
-        return np.dot(sq, stepper._anal.T).view(complex)
+            sq = np.square(np.dot(stepper._synth.T, v.view(float)))
+            return np.dot(stepper._anal.T, sq).view(complex)
+        sq = np.square(np.dot(v.view(float), stepper._synth))
+        return np.dot(sq, stepper._anal).view(complex)
 
     N1 = nonlin(vh)
     Ev = stepper.E2 * vh

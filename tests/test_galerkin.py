@@ -10,16 +10,16 @@ from wavestab.galerkin import (
     SpectrumReport,
     _check_even_band,
     _secular_min,
-    _variation_solve,
     assemble,
     constrained_min,
+    solve_variations,
     spectrum,
 )
 from wavestab.criteria import derivatives, evaluate_wave, verdict
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal
 
-from conftest import galilean_shift, solve_variations
+from conftest import checked_variations, galilean_shift
 
 
 def apply_linearized(psi, omega, sym, f):
@@ -167,7 +167,7 @@ def test_variation_solve_residuals(wave08, op08, variations08, kawahara):
 
 def test_beta_for_zero_profile(kawahara):
     op = assemble(_zero_profile(), 2.0, kawahara)
-    eta, beta = solve_variations(op)
+    eta, beta = checked_variations(op)
     assert np.abs(beta.coeffs[0] + 1.0 / 2.0) < 1e-14
     assert np.abs(beta.coeffs[1:]).max() < 1e-14
     assert np.abs(eta.coeffs).max() < 1e-14  # psi = 0 forces eta = 0
@@ -296,7 +296,7 @@ def test_degenerate_even_block_reported(kawahara):
     psi = _zero_profile(N=16)
     op = assemble(psi, 0.0, kawahara)  # theta(0) + 0 = 0 on the constant mode
     with pytest.raises(DegenerateOperatorError):
-        solve_variations(op)
+        checked_variations(op)
 
 
 def test_near_singular_even_block_reported(kawahara):
@@ -304,7 +304,7 @@ def test_near_singular_even_block_reported(kawahara):
     # succeeds, and the band check still rejects the block
     op = assemble(_zero_profile(N=16), 1e-9, kawahara)
     with pytest.raises(DegenerateOperatorError):
-        solve_variations(op)
+        checked_variations(op)
     with pytest.raises(DegenerateOperatorError):
         evaluate_wave(_zero_profile(N=16), 1e-9, kawahara, N=16)
 
@@ -312,7 +312,7 @@ def test_near_singular_even_block_reported(kawahara):
 def test_coords_roundtrip(op08, wave08):
     _, psi = wave08
     v = psi.orthonormal(op08.N)
-    back = FourierProfile.from_orthonormal(op08.L0, v)
+    back = FourierProfile.from_orthonormal(op08.psi.L0, v)
     assert np.abs(back.coeffs - psi.truncated(op08.N).coeffs).max() < 1e-14
 
 
@@ -414,37 +414,28 @@ def test_kernel_bound_at_2048_modes(branch_L, kawahara):
     assert rep.kernel_corr > 0.999
 
 
-def test_shifted_eigenvector_on_diagonal_block(kawahara):
-    # the zero wave's blocks are diagonal: each eigenvalue is a diagonal entry
-    # exactly, so the block is singular at an unshifted eigenvalue, and a
-    # zero start or a unit start off the target reaches no target component
-    for parity, n in (("even", 33), ("odd", 32)):
-        op = assemble(_zero_profile(), 1.0, kawahara)
-        block = getattr(op, parity)
-        order = np.argsort(np.diag(block))
-        for i in (0, 1, n // 2, n - 1):
-            off_target = np.zeros(n)
-            off_target[order[(i + 1) % n]] = 1.0
-            for start in (np.zeros(n), off_target):
-                v = op.eigenvector(parity, i, start)
-                assert abs(v[order[i]]) == pytest.approx(1.0, abs=1e-14)
-                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-        assert f"eig_{parity}" not in op.__dict__  # no eigh behind the result
+def test_chi_on_diagonal_block(kawahara):
+    # the zero wave's even block is diagonal, with its lowest entry omega at
+    # mode 0, and the start's psi part is zero: the constant-vector start
+    # alone reaches chi = +-e_0
+    op = assemble(_zero_profile(), 1.0, kawahara)
+    assert np.argmin(np.diag(op.even)) == 0
+    assert abs(op.chi[0]) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(op.chi) == pytest.approx(1.0, abs=1e-14)
+    assert "eig_even" not in op.__dict__  # no eigh behind the result
 
 
-def test_shifted_eigenvector_from_orthogonal_start(op08):
-    # a start orthogonal to the target still reaches it on a dense block
-    op = assemble(op08.psi, op08.omega, op08.sym, N=op08.N)
-    vals, vecs = np.linalg.eigh(op.odd)
-    i = int(np.argmin(np.abs(vals)))
-    target = vecs[:, i]
-    start = op.psi.derivative_orthonormal(op.N)
-    start -= (start @ target) * target
-    v = op.eigenvector("odd", i, start)
-    assert 1.0 - abs(v @ target) < 1e-12
-    # once eigh has run, its columns are returned as they are
-    op.eig_odd
-    assert np.array_equal(op.eigenvector("odd", i, start), op.eig_odd.eigenvectors[:, i])
+def test_chi_is_the_lowest_even_eigenvector(op08, kawahara):
+    ref = np.linalg.eigh(op08.even).eigenvectors[:, 0]
+    # by one shifted solve: the first column of eigh up to sign
+    op = assemble(op08.psi, op08.omega, kawahara, N=op08.N)
+    chi = op.chi
+    assert "eig_even" not in op.__dict__
+    assert np.abs(np.copysign(1.0, chi @ ref) * chi - ref).max() < 1e-10
+    # once eigh has run, chi is its first column as it is
+    op = assemble(op08.psi, op08.omega, kawahara, N=op08.N)
+    op.eig_even
+    assert np.array_equal(op.chi, op.eig_even.eigenvectors[:, 0])
 
 
 # layer timings at N_op 256 for the benchmark's wave; the times are reported,
@@ -478,9 +469,9 @@ def test_spectrum_timing(benchmark, wave08, kawahara):
 
 def test_variation_solve_timing(benchmark, op08):
     args = (op08.even, op08.psi)
-    eta, beta = benchmark.pedantic(_variation_solve, args=args, rounds=20,
+    eta, beta = benchmark.pedantic(solve_variations, args=args, rounds=20,
                                    iterations=1)
-    ref_eta, ref_beta = _variation_solve(*args)
+    ref_eta, ref_beta = solve_variations(*args)
     assert np.array_equal(eta.coeffs, ref_eta.coeffs)
     assert np.array_equal(beta.coeffs, ref_beta.coeffs)
 

@@ -154,6 +154,13 @@ def test_non_finite_wave_refused():
         build_dnoidal(0.8, L, 1e308)
 
 
+@pytest.mark.parametrize("L0", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_period_not_finite_and_positive_refused(L0):
+    # NaN fails no comparison, so `L0 <= 0` alone let it through
+    with pytest.raises(ValueError, match="finite and positive"):
+        FourierProfile(L0, [1.0, 0.5])
+
+
 def test_build_dnoidal_A_is_extract_A_bit_for_bit(kawahara):
     # build_dnoidal reads A as h_0 - omega c_0; extract_A, the reference,
     # takes minus the mean of the whole residual; on and off the branch

@@ -38,4 +38,6 @@ def test_tracer_installs_counts_and_restores(tmp_path, monkeypatch):
     assert rows == 9
     assert by_name["evolution.orbital_distance"]["calls"] == rows
     assert by_name["evolution.conserved"]["calls"] == rows + 1
+    # the criteria report's one eta/beta solve is an exported, traced function
+    assert by_name["galerkin.solve_variations"]["calls"] == 1
     assert Evolver.run is run and np.linalg.eigh is eigh
