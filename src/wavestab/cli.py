@@ -17,17 +17,18 @@ flags on the command line win.  Out-of-domain values exit 2, and so does a
 run over a work cap (MAX_MODES, MAX_GRID, MAX_SAMPLES, MAX_K_STEPS,
 MAX_PATCH_POINTS, evolution.MAX_STEPS).
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure
-(Newton/eigensolver, floating-point breakdown), 4 blow-up.  Commands only
-raise; `main` alone maps an exception to a code and one stderr line, first
-NUMERICAL_FAILURES (`<command>: numerical failure: <repr>`, exit 3), then
-any other ValueError (`<command>: <message>`, exit 2).  An incomplete
-`continue` patch is not a failure: it exits 0 with the rows it has and one
-stderr line naming the missing grid offsets.  `main` checks every output
-path before the command runs, and refuses two output flags on one file, so
-a run refused for one of them (exit 2) writes none of its outputs.  Every
-output goes through `_write`, which rewrites a file in place and trims it
-to the new body.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 blow-up.
+Every exception class wavestab defines is a ValueError (refused input) or an
+ArithmeticError (numerical failure).  Commands only raise; `main` alone maps
+an exception to a code and one stderr line, first NUMERICAL_FAILURES,
+ArithmeticError and LinAlgError (`<command>: numerical failure: <repr>`,
+exit 3), then any other ValueError (`<command>: <message>`, exit 2).  An
+incomplete `continue` patch is not a failure: it exits 0 with the rows it
+has and one stderr line naming the missing grid offsets.  `main` checks
+every output path before the command runs and refuses two output flags on
+one file, so a run refused for one of them (exit 2) writes none of its
+outputs.  Every output goes through `_write`, which rewrites a file in place
+and trims it to the new body.
 """
 
 import argparse
@@ -42,11 +43,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .continuation import NewtonDivergenceError, newton_solve, surface_patch
+from .continuation import newton_solve, surface_patch
 from .criteria import evaluate_wave, functionals
 from .elliptic import IDENTITY_TOL, MODULUS_CAP, identity_battery
-from .evolution import BlowUpError, make_perturbation, stability_experiment
-from .galerkin import DegenerateOperatorError, assemble, spectrum
+from .evolution import (BlowUpError, make_perturbation, perturbation_params,
+                        stability_experiment)
+from .galerkin import assemble, spectrum
 from .klcurve import (CUBIC_RTOL, K_ANALYTIC, SIGN_CHANGE_HALVINGS,
                       SIGN_CHANGE_PASSES, branch_columns, sign_change)
 from .multiplier import BUILTIN_NAMES, builtin_symbol
@@ -56,8 +58,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_BLOWUP = 4
-NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError,
-                      DegenerateOperatorError, NewtonDivergenceError)
+NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError)
 
 # work caps; the README gives the memory and time behind each
 MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 MB
@@ -318,16 +319,9 @@ def cmd_continue(args):
 
 
 def cmd_evolve(args):
-    kind = args.perturbation
-    for flag, used_by in (("mode", "mode"), ("seed", "random")):
-        if getattr(args, flag) is not None and kind != used_by:
-            raise ValueError(f"--{flag} applies only to --perturbation "
-                             f"{used_by}, not {kind}")
-    # the kind's own parameter, default resolved, so that the header states it
-    used = {"mode": {"mode": 1 if args.mode is None else args.mode},
-            "random": {"seed": 0 if args.seed is None else args.seed}}.get(kind, {})
+    used = perturbation_params(args.perturbation, args.mode, args.seed)
     _, psi = build_dnoidal(args.k, args.L, args.omega, N=args.N)
-    v = make_perturbation(kind, psi, args.delta, args.grid, **used)
+    v = make_perturbation(args.perturbation, psi, args.delta, args.grid, **used)
     results = {"L": psi.L0, **used}
     try:
         series = stability_experiment(psi, args.omega, args.sym, v,

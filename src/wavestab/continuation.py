@@ -50,7 +50,7 @@ MAX_HALVINGS = 6
 STACK_BYTES = 1 << 23
 
 
-class NewtonDivergenceError(RuntimeError):
+class NewtonDivergenceError(ArithmeticError):
     """Newton iteration failed to converge (bad guess or singular Jacobian)."""
 
 

@@ -105,7 +105,7 @@ def dealiased_band(grid_size):
     return (grid_size - 1) // 3
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ArithmeticError):
     """Sup norm exceeded the blow-up threshold; carries the partial series.
 
     `rows` are the failed rows of a stepped stack ((0,) for one state).
@@ -451,36 +451,48 @@ def orbital_distance(state, psi, sym):
     return math.sqrt(L0 * max(val, 0.0)), y_star
 
 
-def make_perturbation(kind, psi, delta, grid_size=256, mode=1, seed=0):
-    """Perturbation values on the grid, amplitude delta.
+def perturbation_params(kind, mode=None, seed=None):
+    """The parameters perturbation `kind` reads, a None one at its default;
+    ValueError for an unknown kind or a parameter the kind does not read."""
+    defaults = {"mode": {"mode": 1}, "random": {"seed": 0}, "mean": {}}
+    if kind not in defaults:
+        raise ValueError(f"unknown perturbation kind {kind!r}")
+    given = {name: v for name, v in (("mode", mode), ("seed", seed)) if v is not None}
+    foreign = [name for name in given if name not in defaults[kind]]
+    if foreign:
+        raise ValueError(f"a {kind} perturbation reads no {foreign[0]}")
+    return {**defaults[kind], **given}
 
-    kind="mode": delta * cos(2 pi mode x / L0), mean preserving, for a mode
-    in the dealiased band 1..dealiased_band(grid_size) (ValueError otherwise);
-    kind="random": seeded band-limited random trigonometric polynomial
-    (modes 1..8, both parities, O(1) amplitude), mean preserving;
+
+def make_perturbation(kind, psi, delta, grid_size=256, mode=None, seed=None):
+    """Perturbation values on the grid, amplitude delta, with the mode or
+    seed of perturbation_params; ValueError for a mode outside the dealiased
+    band of the grid.  kind="mode": delta * cos(2 pi mode x / L0), mean
+    preserving; kind="random": seeded band-limited random trigonometric
+    polynomial (modes 1..8, both parities, O(1) amplitude), mean preserving;
     kind="mean": the constant delta, which moves the wave average.
     """
-    L0 = psi.L0
-    x = np.arange(grid_size) * (L0 / grid_size)
-    if kind == "mode":
-        band = dealiased_band(grid_size)
-        if not 1 <= mode <= band:
-            raise ValueError(f"mode {mode} is outside 1..{band}, "
-                             f"the dealiased band of grid {grid_size}")
-        return delta * np.cos(2.0 * math.pi * mode * x / L0)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        band = 8
-        v = np.zeros(grid_size)
-        for n in range(1, band + 1):
-            amp_c, amp_s = rng.standard_normal(2)
-            v += amp_c * np.cos(2.0 * math.pi * n * x / L0)
-            v += amp_s * np.sin(2.0 * math.pi * n * x / L0)
-        v *= 1.0 / math.sqrt(band)
-        return delta * v
+    params = perturbation_params(kind, mode, seed)
     if kind == "mean":
         return np.full(grid_size, delta)
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+    L0 = psi.L0
+    x = np.arange(grid_size) * (L0 / grid_size)
+    band = dealiased_band(grid_size)
+    top = params.get("mode", 8)   # a random perturbation's highest mode
+    if not 1 <= top <= band:
+        what = "mode" if kind == "mode" else "random perturbation mode"
+        raise ValueError(f"{what} {top} is outside 1..{band}, "
+                         f"the dealiased band of grid {grid_size}")
+    if kind == "mode":
+        return delta * np.cos(2.0 * math.pi * top * x / L0)
+    rng = np.random.default_rng(params["seed"])
+    v = np.zeros(grid_size)
+    for n in range(1, top + 1):
+        amp_c, amp_s = rng.standard_normal(2)
+        v += amp_c * np.cos(2.0 * math.pi * n * x / L0)
+        v += amp_s * np.sin(2.0 * math.pi * n * x / L0)
+    v *= 1.0 / math.sqrt(top)
+    return delta * v
 
 
 def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
@@ -506,11 +518,11 @@ def stability_experiment(psi, omega, sym, perturbation, periods=50.0, dt=None,
     exception.
 
     An (S, grid) stack of perturbations is stepped as one (S, band) stack and
-    gives one series per row, each with the records of a run of that row
-    alone up to round-off: the dense transform's matrix-matrix products round
-    differently from one state's vector-matrix ones.  A blow-up's `rows`
-    names the failed rows, and it carries every row's partial series.  An
-    empty stack raises ValueError.
+    gives one series per row, the records of a run of that row alone: bit for
+    bit for S = 1, and to round-off from S = 2, where the dense transform's
+    matrix-matrix products round unlike one state's vector-matrix ones.  A
+    blow-up's `rows` names the failed rows and carries every row's partial
+    series.  An empty stack raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, not {n_samples!r}")

@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 
-class DegenerateOperatorError(RuntimeError):
+class DegenerateOperatorError(ArithmeticError):
     """Even-restricted operator is numerically singular."""
 
 

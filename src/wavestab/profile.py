@@ -134,10 +134,8 @@ class FourierProfile:
 
     def psi_hat(self, n_max):
         """One-sided complex Fourier coefficients hat(psi)(n), n = 0..n_max."""
-        h = np.zeros(self.coeffs.shape[:-1] + (n_max + 1,))
-        h[..., 0] = self.coeffs[..., 0]
-        upto = min(self.N, n_max)
-        h[..., 1 : upto + 1] = 0.5 * self.coeffs[..., 1 : upto + 1]
+        h = self.truncated(n_max).coeffs
+        h[..., 1:] *= 0.5
         return h
 
     def wavenumbers(self):
@@ -273,7 +271,7 @@ def build_dnoidal(k, L, omega, N=128):
     if not np.isfinite(np.append(psi.coeffs, (A, a, b, d))).all():
         raise FloatingPointError(f"non-finite wave at k={k}, L={L}, omega={omega}")
     if odd_energy > 1e-12:
-        raise RuntimeError(f"dnoidal sampling produced odd content {odd_energy:.2e}")
+        raise ArithmeticError(f"dnoidal sampling produced odd content {odd_energy:.2e}")
     psi.require_resolved(f"truncation N={N}")
     params = DnoidalParams(
         k=float(k), L=float(L), omega=float(omega), A=A,

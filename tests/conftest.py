@@ -67,7 +67,7 @@ def galilean_shift(psi, omega, A, alpha):
     return psi.shifted(alpha), omega + alpha, A - omega * alpha - 0.5 * alpha * alpha
 
 
-def evaluate_dnoidal(k, omega, sym=None, N_profile=128, N_op=256):
+def evaluate_dnoidal(k, omega, sym, N_profile=128, N_op=256):
     """Report for the explicit wave at modulus k on the period-constraint branch.
 
     Raises ValueError when the constraint has no branch root at k.  The

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavestab
-from wavestab import cli, klcurve
+from wavestab import cli, klcurve, profile
 from wavestab.cli import build_parser, main
 from wavestab.continuation import NewtonDivergenceError
 from wavestab.galerkin import DegenerateOperatorError
@@ -396,6 +396,18 @@ def test_cubic_tolerance_applied(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith(f"{argv[0]}: numerical failure: ArithmeticError(")
     assert "relative cubic residual" in err and "at k=0." in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_odd_content_is_a_numerical_failure(capsys, monkeypatch):
+    # build_dnoidal refuses a wave whose samples carry odd content; no real
+    # input reaches the check, so a patched measure trips it.  It raised a
+    # bare RuntimeError, which escaped main as a traceback
+    monkeypatch.setattr(profile, "_odd_content", lambda values: 1.0)
+    assert exit_code(["profile", "--k", "0.8"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("profile: numerical failure: ArithmeticError(")
+    assert "odd content" in err
 
 
 def test_figure_record_states_the_applied_tolerance(tmp_path):

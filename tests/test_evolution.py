@@ -297,6 +297,28 @@ def test_mode_outside_dealiased_band_refused(wave08, mode):
         ev.make_perturbation("mode", psi, 1e-3, 64, mode=mode)
 
 
+@pytest.mark.parametrize("kind, given", [
+    ("random", {"mode": 2}), ("mean", {"mode": 1}),
+    ("mode", {"seed": 0}), ("mean", {"seed": 3}),
+])
+def test_parameter_the_kind_does_not_read_refused(wave08, kind, given):
+    # a mode or seed the kind does not read was ignored
+    _, psi = wave08
+    (name,) = given
+    with pytest.raises(ValueError, match=f"^a {kind} perturbation reads no {name}$"):
+        ev.make_perturbation(kind, psi, 1e-3, 64, **given)
+
+
+def test_random_modes_outside_dealiased_band_refused(wave08):
+    # a random perturbation has modes 1..8; grid 24 keeps modes 1..7, and
+    # its refusal came later and blamed grid values the caller never gave
+    _, psi = wave08
+    with pytest.raises(ValueError, match="random perturbation mode 8 is outside 1..7"):
+        ev.make_perturbation("random", psi, 1e-3, 24)
+    v = ev.make_perturbation("random", psi, 1e-3, 25)   # grid 25 keeps 1..8
+    assert ev.state_from_values(v, psi.L0).modes.shape == (9,)
+
+
 def test_band_content_refused(wave08):
     # grid 64 keeps modes 0..21; dropping mode 22 or 30 evolved the bare wave
     # (rho 1.4e-14 and on_manifold True at delta 1e-3)
@@ -696,9 +718,10 @@ def test_run_returns_state_it_owns(wave08, kawahara, grid):
     assert not np.shares_memory(first.modes, second.modes)
 
 
-# a stack's matrix-matrix products (dense transform) round differently from
-# one state's vector-matrix ones: the series agree to round-off of the O(1)
-# state, measured at about 1e-15
+# from two rows up, a stack's matrix-matrix products (dense transform) round
+# differently from one state's vector-matrix ones: the series agree to
+# round-off of the O(1) state, measured at about 1e-15.  A stack of one
+# steps bit for bit like one state
 STACK_ATOL = 1e-12
 
 
@@ -711,21 +734,21 @@ def _random(psi, delta, grid, seeds):
 @pytest.mark.parametrize("grid", [DENSE_GRID, FFT_GRID])
 def test_seed_stack_matches_single_seed_runs(wave08, kawahara, grid):
     params, psi = wave08
-    seeds = [0, 3, 4]
-    stack = _random(psi, 1e-3, grid, seeds)
     kw = dict(periods=1.0, n_samples=5)
-    batched = ev.stability_experiment(psi, params.omega, kawahara, stack, **kw)
-    assert len(batched) == len(seeds)
-    for v, series in zip(stack, batched):
-        single = ev.stability_experiment(psi, params.omega, kawahara, v, **kw)
-        assert len(series) == len(single) >= 6
-        for rec, ref in zip(series, single):
-            assert rec.keys() == ref.keys()
-            for key, value in ref.items():
-                if key in ("rho", "E", "F", "M", "deltaP"):
-                    assert abs(rec[key] - value) <= STACK_ATOL * max(1.0, abs(value))
-                else:
-                    assert rec[key] == value
+    for seeds, atol in (([0, 3, 4], STACK_ATOL), ([3], 0.0)):
+        stack = _random(psi, 1e-3, grid, seeds)
+        batched = ev.stability_experiment(psi, params.omega, kawahara, stack, **kw)
+        assert len(batched) == len(seeds)
+        for v, series in zip(stack, batched):
+            single = ev.stability_experiment(psi, params.omega, kawahara, v, **kw)
+            assert len(series) == len(single) >= 6
+            for rec, ref in zip(series, single):
+                assert rec.keys() == ref.keys()
+                for key, value in ref.items():
+                    if key in ("rho", "E", "F", "M", "deltaP"):
+                        assert abs(rec[key] - value) <= atol * max(1.0, abs(value))
+                    else:
+                        assert rec[key] == value
 
 
 def test_empty_stack_refused(wave08, kawahara):
