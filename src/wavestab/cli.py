@@ -46,8 +46,8 @@ from . import __version__
 from .continuation import newton_solve, surface_patch
 from .criteria import evaluate_wave, functionals
 from .elliptic import IDENTITY_TOL, MODULUS_CAP, identity_battery
-from .evolution import (BlowUpError, make_perturbation, perturbation_params,
-                        stability_experiment)
+from .evolution import (PERTURBATION_DEFAULTS, BlowUpError, make_perturbation,
+                        perturbation_params, stability_experiment)
 from .galerkin import assemble, spectrum
 from .klcurve import (CUBIC_RTOL, K_ANALYTIC, SIGN_CHANGE_HALVINGS,
                       SIGN_CHANGE_PASSES, branch_columns, sign_change)
@@ -343,15 +343,16 @@ def cmd_evolve(args):
 
 
 def cmd_reproduce_figure1(args):
-    ks, L1, _, p, _ = branch_columns(_k_grid(args))
-    k_cells = _cells(ks)
-    _write_csv(args.out_L1, args, {}, ["k", "L1"], [k_cells, _branch_cells(L1)])
-    _write_csv(args.out_p, args, {}, ["k", "p"], [k_cells, _branch_cells(p)])
-
+    k_grid, L1, _, p, _ = branch_columns(_k_grid(args))
+    # the search runs before the first write: a failing refinement (exit 3)
+    # leaves no output
     on_branch = ~np.isnan(L1)
-    ks, ps = ks[on_branch], p[on_branch]
+    ks, ps = k_grid[on_branch], p[on_branch]
     lo, hi, passes = sign_change(ks, ps)
     n_pos = int(np.count_nonzero(ps > 0))
+    k_cells = _cells(k_grid)
+    _write_csv(args.out_L1, args, {}, ["k", "L1"], [k_cells, _branch_cells(L1)])
+    _write_csv(args.out_p, args, {}, ["k", "p"], [k_cells, _branch_cells(p)])
     _emit_record({
         "points_on_branch": len(ks),
         "points_with_p_positive": n_pos,
@@ -445,17 +446,19 @@ def build_parser():
     # the horizon is counted in temporal periods L/omega, so omega > 0
     add_common(p, omega=_positive, wave=True)
     p.add_argument("--delta", type=_finite, default=1e-3)
-    p.add_argument("--perturbation", choices=("mode", "random", "mean"),
+    p.add_argument("--perturbation", choices=tuple(PERTURBATION_DEFAULTS),
                    default="mode")
     p.add_argument("--mode", type=int, default=None,
-                   help="mode of --perturbation mode (default 1)")
+                   help="mode of --perturbation mode "
+                        f"(default {PERTURBATION_DEFAULTS['mode']['mode']})")
     p.add_argument("--T", type=_positive, default=10.0, dest="T_periods", metavar="T",
                    help="horizon in temporal periods")
     # at 24 the dealiased band keeps modes up to 7; a wave it drops is refused
     p.add_argument("--grid", type=_int_at_least(24, MAX_GRID), default=256)
     p.add_argument("--dt", type=_positive, default=None)
     p.add_argument("--seed", type=_int_at_least(0), default=None,
-                   help="seed of --perturbation random (default 0)")
+                   help="seed of --perturbation random "
+                        f"(default {PERTURBATION_DEFAULTS['random']['seed']})")
     p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=100)
     p.set_defaults(func=cmd_evolve)
 

@@ -190,14 +190,16 @@ def evaluate_wave(psi, omega, sym, N=None):
     with np.errstate(over="ignore", invalid="ignore"):
         op = assemble(psi, omega, sym, N=N)
         # eta and beta need no eigensolve, so M_w picks the decomposition before
-        # the first one: the coercivity route (M_w >= 0) reads every eigenvector
-        # in constrained_min and takes eigh; the others read one eigenvector
-        # (chi) and take eigvalsh plus one shifted solve
+        # the first one: the coercivity route (M_w >= 0) reads every even
+        # eigenvector in constrained_min and takes eigh of the even block; the
+        # odd block takes eigvalsh, and eigh only where constrained_min's odd
+        # floor fails; the other routes read one eigenvector (chi) and take
+        # eigvalsh plus one shifted solve
         eta, beta = solve_variations(op.even, op.psi)
         M, F = functionals(psi)
         M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
         if M_w >= 0.0:
-            op.eig_even, op.eig_odd
+            op.eig_even
         rep = spectrum(op)
         _check_even_band(op)
         L0 = psi.L0

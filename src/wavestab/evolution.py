@@ -15,8 +15,9 @@ real matrices built once per Evolver: at those sizes an irfft/rfft pair costs
 more in numpy call overhead than in arithmetic, and the two matrix products
 were faster in every measured pass, with one BLAS thread as with two.  The
 synthesis matrix is (2 band, grid) and the analysis matrix (grid, 2 band),
-both Fortran-ordered, so one state's products, vector times matrix, are row
-dot products in OpenBLAS, and a stack's are matrix-matrix by the same two
+both Fortran-ordered and, like the buffers the products read and write,
+starting on 64-byte boundaries, so one state's products, vector times
+matrix, are row dot products in OpenBLAS, and a stack's are matrix-matrix by the same two
 matrices.  The products call ndarray.dot, np.dot without its
 __array_function__ dispatch.
 Above DENSE_GRID_MAX the matrices grow as grid^2 (about 400 MB at grid 6144)
@@ -82,6 +83,19 @@ NEWTON_MAX_ITER = 20
 MAX_STEPS = 10_000_000      # stability_experiment's cap: ~6 min at grid 256
 DENSE_GRID_MAX = 240        # largest grid with the dense nonlinear term (BENCH_evolution.json)
 DT_SAFETY = 0.5             # default_dt's step: DT_SAFETY / max(theta(xi_eff), 1)
+# each perturbation kind of make_perturbation: the parameters it reads, at
+# their defaults
+PERTURBATION_DEFAULTS = {"mode": {"mode": 1}, "random": {"seed": 0}, "mean": {}}
+
+
+def _aligned_zeros(shape, dtype=float):
+    """C-contiguous zeros whose data starts on a 64-byte boundary (a cache
+    line, and the widest SIMD load), cut from a byte buffer 64 bytes longer."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.zeros(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 def smooth_size(grid_size):
@@ -261,10 +275,15 @@ class Evolver:
             cos, sin = np.cos(angle), np.sin(angle)
             weight = np.where(m == 0, 1.0, 2.0)[:, None] / G   # irfft's folding
             # (2 band, G) and (G, 2 band), Fortran-ordered, so that one
-            # state's products are row dot products
-            self._synth = np.asfortranarray(
-                np.stack((weight * cos, -weight * sin), 1).reshape(-1, G))
-            self._anal = np.stack((cos, -sin), 1).reshape(-1, G).T
+            # state's products are row dot products, and on 64-byte boundaries
+            synth = _aligned_zeros((G, self.band, 2))
+            synth[..., 0] = (weight * cos).T
+            synth[..., 1] = (-weight * sin).T
+            anal = _aligned_zeros((self.band, 2, G))
+            anal[:, 0] = cos
+            anal[:, 1] = -sin
+            self._synth = synth.reshape(G, -1).T
+            self._anal = anal.reshape(-1, G).T
             # np.dot's BLAS call without its __array_function__ dispatch,
             # which cost 0.2-0.4 us of a 2 us product at grid 128
             self._dot = np.ndarray.dot
@@ -278,7 +297,8 @@ class Evolver:
         """
         lead = shape[:-1]
         width = self.band if self._synth is not None else self.fft_size // 2 + 1
-        full = np.zeros((5, *lead, width), dtype=complex)
+        # the operands of the dense products start on 64-byte boundaries
+        full = _aligned_zeros((5, *lead, width), complex)
         rows = full[..., : self.band]
         N = (rows[1], rows[2], rows[4], rows[3])
         if self._synth is None:
@@ -292,7 +312,7 @@ class Evolver:
         # and a stage term, and (E1, f1, f2, f3) forms the update
         C2 = np.stack((self.E2, self.Q)).reshape(2, *ones, self.band)
         W = np.stack((self.E1, self.f1, self.f2, self.f3)).reshape(4, *ones, self.band)
-        return _Work(np.zeros((*lead, self.fft_size)), sink, N, V, V[0], V[:2],
+        return _Work(_aligned_zeros((*lead, self.fft_size)), sink, N, V, V[0], V[:2],
                      AB, *AB, P, *P, np.zeros((4, *shape), dtype=complex), C2, W)
 
     def _nonlin(self, x, i, work):
@@ -452,16 +472,17 @@ def orbital_distance(state, psi, sym):
 
 
 def perturbation_params(kind, mode=None, seed=None):
-    """The parameters perturbation `kind` reads, a None one at its default;
-    ValueError for an unknown kind or a parameter the kind does not read."""
-    defaults = {"mode": {"mode": 1}, "random": {"seed": 0}, "mean": {}}
-    if kind not in defaults:
+    """The parameters perturbation `kind` reads, a None one at its default
+    (PERTURBATION_DEFAULTS); ValueError for an unknown kind or a parameter
+    the kind does not read."""
+    if kind not in PERTURBATION_DEFAULTS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
+    defaults = PERTURBATION_DEFAULTS[kind]
     given = {name: v for name, v in (("mode", mode), ("seed", seed)) if v is not None}
-    foreign = [name for name in given if name not in defaults[kind]]
+    foreign = [name for name in given if name not in defaults]
     if foreign:
         raise ValueError(f"a {kind} perturbation reads no {foreign[0]}")
-    return {**defaults[kind], **given}
+    return {**defaults, **given}
 
 
 def make_perturbation(kind, psi, delta, grid_size=256, mode=None, seed=None):

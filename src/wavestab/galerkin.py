@@ -28,11 +28,12 @@ costs about half as much, and `chi` recovers the one vector a report
 reads, the lowest even mode, by one shifted solve (inverse iteration).
 `spectrum` reads the eigenvalues only: it bounds the angle between psi' and
 the odd mode nearest zero from a residual (below), with no eigenvector and
-no solve.  The zero-band width `tol_zero` is computed once per operator,
-for `spectrum` and `_check_even_band`.  The solves for eta and beta (the
-criteria, and the continuation predictor) need no decomposition
-(`solve_variations`: one LU per block, both right-hand sides, for a block
-or a stack of them); `_check_even_band` reads the even
+no solve; that bound (`kernel`) and the zero-band width `tol_zero` are
+computed once per operator, `kernel` for `spectrum` and the odd floor of
+`constrained_min`, `tol_zero` for `spectrum` and `_check_even_band`.  The
+solves for eta and beta (the criteria, and the continuation predictor) need
+no decomposition (`solve_variations`: one LU per block, both right-hand
+sides, for a block or a stack of them); `_check_even_band` reads the even
 eigenvalues only to reject a zero-band even eigenvalue.  Coordinates in the
 orthonormal basis come from `FourierProfile` (`orthonormal`,
 `from_orthonormal`, `derivative_orthonormal`).
@@ -48,6 +49,25 @@ deflated eigenvalues.  Deflation: lam_i stays an eigenvalue when |z_i| is
 negligible, and a repeated eigenvalue merges into one term and keeps its
 other copies.  The smallest root lies strictly between the first two
 remaining distinct eigenvalues and is found by bisection.
+
+An odd constraint c is first held against a floor read from eigenvalues
+alone, so that the odd block O needs eigvalsh, not eigh, when it cannot set
+the minimum.  With v_0 the lowest odd eigenvector, a unit x orthogonal to
+the unit c has (v_0^T x)^2 <= 1 - z_0^2, so x^T O x >= lam_0 (v_0^T x)^2 +
+lam_1 (1 - (v_0^T x)^2) >= z_0^2 lam_1 + (1 - z_0^2) lam_0: the secular root
+and every deflated eigenvalue are at least that.  z_0^2 is bounded below
+through psi': with kappa the bound below on |cos(psi', v_0)| (when v_0 is
+the mode nearest zero; else kappa = 0) and alpha = |cos(c, psi')|, the
+angles add, so |z_0| >= alpha kappa - sqrt(1 - alpha^2) sqrt(1 - kappa^2),
+and zeta, the square of its positive part, gives the floor
+zeta lam_1 + (1 - zeta) lam_0.  It loses 2 n eps max |lam|, once for the
+eigenvalues it reads and once for those a secular solve would read (this
+also covers the rounding of alpha and zeta), and the bisection's bracket
+4 eps max(1, |lam_0|, |lam_1|).  When what is left exceeds the even block's
+minimum, that minimum is returned, the bits the secular solve would give;
+otherwise `eig_odd` is computed and the secular root decides.  On the
+criteria's coercivity waves (c = (psi^2/2)') the floor sits 4 to 6 times
+above the even minimum.
 
 `kernel_corr` is a certified lower bound on |cos| of the angle between psi'
 and v0, the odd eigenvector nearest zero.  x is psi' on the modes where the
@@ -124,6 +144,25 @@ class GalerkinOperator:
         if "eig_odd" in self.__dict__:
             return self.eig_odd.eigenvalues
         return np.linalg.eigvalsh(self.odd)
+
+    @cached_property
+    def psi_prime(self):
+        """Coordinates of psi' in the odd block's basis (`derivative_orthonormal`)."""
+        return self.psi.derivative_orthonormal(self.N)
+
+    @cached_property
+    def kernel(self):
+        """(i0, bound): the index of the odd eigenvalue nearest zero and the
+        certified lower bound on |cos| of the angle between psi' and its
+        eigenvector (module note); the bound is 0 where psi' = 0 or the even
+        block holds the eigenvalue nearest zero.  `spectrum` reports the
+        bound, and `constrained_min`'s odd floor reads it."""
+        vals_e, vals_o = self.values_even, self.values_odd
+        i_o = int(np.argmin(np.abs(vals_o)))
+        norm_pp = np.linalg.norm(self.psi_prime)
+        if abs(vals_o[i_o]) <= np.abs(vals_e).min() and norm_pp > 0:
+            return i_o, _kernel_bound(self, i_o, self.psi_prime, norm_pp)
+        return i_o, 0.0
 
     @cached_property
     def tol_zero(self):
@@ -243,16 +282,7 @@ def spectrum(op):
     n_neg = int(np.sum(vals < -tol_zero))
     in_band = np.abs(vals) <= tol_zero
     n_zero = int(np.sum(in_band))
-
-    # nearest-to-zero mode, compared against psi'
-    i_o = int(np.argmin(np.abs(vals_o)))
-    i_e = int(np.argmin(np.abs(vals_e)))
-    pp = op.psi.derivative_orthonormal(op.N)
-    norm_pp = np.linalg.norm(pp)
-    if abs(vals_o[i_o]) <= abs(vals_e[i_e]) and norm_pp > 0:
-        kernel_corr = _kernel_bound(op, i_o, pp, norm_pp)
-    else:
-        kernel_corr = 0.0
+    _, kernel_corr = op.kernel
 
     outside = np.abs(vals[~in_band]) if (~in_band).any() else np.array([np.inf])
     gap = float(outside.min())
@@ -331,12 +361,54 @@ def constrained_min(op, even=None, odd=None):
     secular equation sum_i z_i^2 / (lam_i - mu) = 0, or a deflated lam_i
     (negligible z_i, or a repeated eigenvalue) if that is lower; see
     `_secular_min` for the tolerances.
+
+    An odd constraint first meets the floor of `_odd_floor`, read from the
+    odd eigenvalues and the kernel bound alone: when it exceeds the even
+    minimum, so does the odd one, and the even minimum is returned with no
+    odd eigenvector formed; otherwise `eig_odd` and `_secular_min` decide.
     """
-    w_even = (op.eig_even.eigenvalues[0] if even is None
+    w_even = (op.values_even[0] if even is None
               else _secular_min(op.eig_even, even))
-    w_odd = (op.eig_odd.eigenvalues[0] if odd is None
-             else _secular_min(op.eig_odd, odd))
+    if odd is None:
+        w_odd = op.values_odd[0]
+    elif _odd_floor(op, odd) > w_even:
+        return float(w_even)
+    else:
+        w_odd = _secular_min(op.eig_odd, odd)
     return float(min(w_even, w_odd))
+
+
+def _unit(constraint, n):
+    """The constraint as a unit float vector of length n; ValueError for
+    another shape or a zero vector."""
+    c = np.asarray(constraint, dtype=float)
+    if c.shape != (n,):
+        raise ValueError(f"constraint has shape {c.shape}, expected {(n,)}")
+    norm = np.linalg.norm(c)
+    if norm == 0.0:
+        raise ValueError("constraint vector is zero")
+    return c / norm
+
+
+def _odd_floor(op, constraint):
+    """Lower bound on the odd block's minimum on the complement of
+    `constraint`, less the rounding of a computed one; see the module note.
+    Reads `values_odd` and `op.kernel`, no eigenvector."""
+    lam = op.values_odd
+    c = _unit(constraint, lam.size)
+    if lam.size < 2:
+        return -np.inf
+    i0, kappa = op.kernel
+    if i0 != 0:   # the bound is on another mode's angle: none on v0's
+        kappa = 0.0
+    norm_pp = np.linalg.norm(op.psi_prime)
+    alpha = min(1.0, abs(c @ op.psi_prime) / norm_pp) if norm_pp > 0 else 0.0
+    z0 = alpha * kappa - math.sqrt((1.0 - alpha * alpha) * (1.0 - kappa * kappa))
+    zeta = max(0.0, z0) ** 2
+    eps = np.finfo(float).eps
+    floor = zeta * lam[1] + (1.0 - zeta) * lam[0]
+    return (floor - 2.0 * lam.size * eps * np.abs(lam).max()
+            - 4.0 * eps * max(1.0, abs(lam[0]), abs(lam[1])))
 
 
 def _secular_min(eig, constraint):
@@ -349,14 +421,8 @@ def _secular_min(eig, constraint):
     on (d0, d1) finds its smallest root, to a bracket of 4*eps*max(1, |mu|).
     """
     lam, vecs = eig
-    c = np.asarray(constraint, dtype=float)
-    if c.shape != lam.shape:
-        raise ValueError(f"constraint has shape {c.shape}, expected {lam.shape}")
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        raise ValueError("constraint vector is zero")
     eps = np.finfo(float).eps
-    z = vecs.T @ (c / norm)
+    z = vecs.T @ _unit(constraint, lam.size)
     live = np.abs(z) > lam.size * eps
     poles, weights = lam[live], z[live] ** 2
     first = np.ones(poles.size, dtype=bool)

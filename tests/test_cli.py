@@ -19,6 +19,7 @@ import wavestab
 from wavestab import cli, klcurve, profile
 from wavestab.cli import build_parser, main
 from wavestab.continuation import NewtonDivergenceError
+from wavestab.evolution import PERTURBATION_DEFAULTS, perturbation_params
 from wavestab.galerkin import DegenerateOperatorError
 from wavestab.klcurve import solve_branch
 from wavestab.profile import build_dnoidal
@@ -598,6 +599,29 @@ def test_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv, config):
         assert len(err.splitlines()) == 1, err
 
 
+def test_reproduce_figure1_failed_search_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the sign-change refinement runs before the first write: a branch root
+    # refused in its second solve_branch call (the first is the grid's)
+    # exits 3 with none of the three outputs on disk
+    calls = []
+
+    def second_fails(k):
+        calls.append(k)
+        if len(calls) == 2:
+            raise ArithmeticError("injected branch root failure")
+        return solve_branch(k)
+
+    monkeypatch.setattr(klcurve, "solve_branch", second_fails)
+    paths = [tmp_path / name for name in ("L1.csv", "p.csv", "rec.json")]
+    assert run_cli(["reproduce-figure1", "--steps", "40", "--kmin", "0.5",
+                    "--kmax", "0.99", "--out-L1", str(paths[0]), "--out-p",
+                    str(paths[1]), "--record-out", str(paths[2])]) == 3
+    assert len(calls) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reproduce-figure1: numerical failure: ArithmeticError(")
+    assert not any(path.exists() for path in paths)
+
+
 @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
                                    DegenerateOperatorError, NewtonDivergenceError,
                                    FloatingPointError], ids=lambda e: e.__name__)
@@ -622,6 +646,20 @@ def test_failure_map(tmp_path, capsys, monkeypatch, command, target, error):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"{command}: ")
+
+
+def test_evolve_flags_read_the_perturbation_table():
+    # --perturbation's choices, and the defaults the --mode and --seed help
+    # states, are evolution.PERTURBATION_DEFAULTS, which make_perturbation reads
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in sub.choices["evolve"]._actions}
+    assert actions["perturbation"].choices == tuple(PERTURBATION_DEFAULTS)
+    assert actions["perturbation"].default in PERTURBATION_DEFAULTS
+    for kind, defaults in PERTURBATION_DEFAULTS.items():
+        assert perturbation_params(kind) == defaults
+        for name, value in defaults.items():
+            assert actions[name].default is None
+            assert actions[name].help.endswith(f"--perturbation {kind} (default {value})")
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

@@ -718,6 +718,24 @@ def test_run_returns_state_it_owns(wave08, kawahara, grid):
     assert not np.shares_memory(first.modes, second.modes)
 
 
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["one", "stack5"])
+def test_dense_operands_on_64_byte_boundaries(wave08, kawahara, shape):
+    # the dense matrices and the buffers their products read and write start
+    # on 64-byte boundaries, with the layout they have unaligned: the matrices
+    # Fortran-ordered, the buffers contiguous
+    _, psi = wave08
+    stepper = ev.Evolver(psi.L0, DENSE_GRID, kawahara, 1e-3)
+    work = stepper._work((*shape, stepper.band))
+    width = 2 * stepper.band
+    assert stepper._synth.shape == (width, DENSE_GRID)
+    assert stepper._anal.shape == (DENSE_GRID, width)
+    for a in (stepper._synth, stepper._anal):
+        assert a.ctypes.data % 64 == 0 and a.flags.f_contiguous
+    for a in (work.phys, work.V):
+        assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
+    assert all(sink.flags.c_contiguous for sink in work.sink)
+
+
 # from two rows up, a stack's matrix-matrix products (dense transform) round
 # differently from one state's vector-matrix ones: the series agree to
 # round-off of the O(1) state, measured at about 1e-15.  A stack of one

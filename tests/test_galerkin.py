@@ -9,13 +9,14 @@ from wavestab.galerkin import (
     DegenerateOperatorError,
     SpectrumReport,
     _check_even_band,
+    _odd_floor,
     _secular_min,
     assemble,
     constrained_min,
     solve_variations,
     spectrum,
 )
-from wavestab.criteria import derivatives, evaluate_wave, verdict
+from wavestab.criteria import VERDICT_COERCIVITY, derivatives, evaluate_wave, verdict
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal
 
@@ -244,6 +245,58 @@ def test_constrained_min_matches_dense_oracle(branch_L, kawahara, k, omega, N):
     for constraints in (dict(even=psi_c), dict(odd=pair["odd"]), pair):
         assert abs(constrained_min(op, **constraints)
                    - _dense_constrained_min(op, **constraints)) <= tol
+
+
+def test_odd_floor_fallback_matches_dense_oracle(branch_L, kawahara):
+    # a constraint nearly orthogonal to psi' (the kernel mode) leaves the odd
+    # minimum near zero, under the even one: the floor cannot clear it, so
+    # constrained_min takes eig_odd and the secular root
+    _, psi = build_dnoidal(0.7, branch_L[0.7], 0.5, N=128)
+    op = assemble(psi, 0.5, kawahara, N=64)
+    psi_c = psi.orthonormal(op.N)
+    unit = op.psi_prime / np.linalg.norm(op.psi_prime)
+    r = np.random.default_rng(3).standard_normal(op.N)
+    odd = r - (r @ unit) * unit + 1e-3 * unit
+    w_even = _secular_min(op.eig_even, psi_c)
+    assert _odd_floor(op, odd) <= w_even
+    assert "eig_odd" not in op.__dict__
+    w = constrained_min(op, even=psi_c, odd=odd)
+    assert "eig_odd" in op.__dict__
+    assert w < w_even
+    tol = 1e-9 * max(1.0, abs(spectrum(op).eigenvalues[0]))
+    assert abs(w - _dense_constrained_min(op, even=psi_c, odd=odd)) <= tol
+
+
+def test_odd_floor_is_below_the_odd_minimum(branch_L, kawahara):
+    # the floor bounds the secular root from below for any constraint, from
+    # along psi' to orthogonal to it
+    _, psi = build_dnoidal(0.7, branch_L[0.7], 0.5, N=128)
+    op = assemble(psi, 0.5, kawahara, N=64)
+    unit = op.psi_prime / np.linalg.norm(op.psi_prime)
+    rng = np.random.default_rng(5)
+    for weight in (0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 1e3, np.inf):
+        r = rng.standard_normal(op.N)
+        r -= (r @ unit) * unit
+        c = unit if weight == np.inf else r / np.linalg.norm(r) + weight * unit
+        assert _odd_floor(op, c) <= _secular_min(op.eig_odd, c), weight
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("k", [0.6, 0.7, 0.8])
+def test_odd_floor_clears_on_benchmark_coercivity_waves(branch_L, kawahara, k, N):
+    # over the benchmark's coercivity range (k 0.60-0.80, omega 0.5) the floor
+    # clears the even minimum, and w_psi_psip has the bits of the minimum over
+    # both blocks' secular roots
+    _, psi = build_dnoidal(k, branch_L[k], 0.5, N=128)
+    report = evaluate_wave(psi, 0.5, kawahara, N)
+    assert report.verdict == VERDICT_COERCIVITY
+    op = assemble(psi, 0.5, kawahara, N=N)
+    op.eig_even   # as evaluate_wave: eigh of the even block, eigvalsh of the odd
+    odd = op.psi.half_square().derivative_orthonormal(N)
+    w_even = _secular_min(op.eig_even, psi.orthonormal(N))
+    assert _odd_floor(op, odd) > w_even
+    assert "eig_odd" not in op.__dict__
+    assert report.w_psi_psip == min(w_even, _secular_min(op.eig_odd, odd))
 
 
 def _diagonal_projected_min(lam, c):
