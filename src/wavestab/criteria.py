@@ -141,7 +141,8 @@ def verdict(report):
     stable_by_determinant: spectral assumption holds, M/L0 > omega > 0,
     M_w < 0 (so detD != 0) and I < 0.  stable_by_constrained_coercivity:
     spectral assumption holds, M/L0 > omega > 0, M_w >= 0 with F_w > 0,
-    both constrained minima passing, and psi positive.  Anything else is
+    w_psi (the kernel eigenvalue) inside the zero band or above it,
+    w_psi_psip above MIN_TOL scale, and psi positive.  Anything else is
     inconclusive (no instability result exists on this route), and so is a
     report whose surface identities miss IDENTITY_RTOL or whose witness P
     misses its closed form or -I by WITNESS_RTOL relative to |P|.
@@ -166,7 +167,7 @@ def verdict(report):
     if (
         r.F_w > 0.0
         and r.w_psi is not None
-        and r.w_psi >= -MIN_TOL * scale
+        and r.w_psi >= -r.spectrum.tol_zero
         and r.w_psi_psip is not None
         and r.w_psi_psip > MIN_TOL * scale
         and r.min_psi > 0.0
@@ -189,17 +190,9 @@ def evaluate_wave(psi, omega, sym, N=None):
     # overflow is refused below with one error, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         op = assemble(psi, omega, sym, N=N)
-        # eta and beta need no eigensolve, so M_w picks the decomposition before
-        # the first one: the coercivity route (M_w >= 0) reads every even
-        # eigenvector in constrained_min and takes eigh of the even block; the
-        # odd block takes eigvalsh, and eigh only where constrained_min's odd
-        # floor fails; the other routes read one eigenvector (chi) and take
-        # eigvalsh plus one shifted solve
         eta, beta = solve_variations(op.even, op.psi)
         M, F = functionals(psi)
         M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
-        if M_w >= 0.0:
-            op.eig_even
         rep = spectrum(op)
         _check_even_band(op)
         L0 = psi.L0

@@ -19,69 +19,51 @@ d - s = (0 - s) + d in IEEE arithmetic; 0 - s also keeps a zero entry
 could differ.  Both blocks are assembled with the operator, the odd one
 from the pieces of the even one's `_even_assembly`; the continuation's
 Newton stacks call `_even_assembly` alone, on a stack of profiles, which
-gives each block the bits it has alone.  Each block is decomposed once,
-on first use, and every consumer reads that decomposition, so the blocks
-must not be modified after assembly.  A caller that reads every eigenvector (the
-constrained minima) asks for `eig_even`/`eig_odd` (eigh) first; otherwise
-`values_even`/`values_odd` take eigvalsh, which forms no eigenvectors and
-costs about half as much, and `chi` recovers the one vector a report
-reads, the lowest even mode, by one shifted solve (inverse iteration).
-`spectrum` reads the eigenvalues only: it bounds the angle between psi' and
-the odd mode nearest zero from a residual (below), with no eigenvector and
-no solve; that bound (`kernel`) and the zero-band width `tol_zero` are
-computed once per operator, `kernel` for `spectrum` and the odd floor of
-`constrained_min`, `tol_zero` for `spectrum` and `_check_even_band`.  The
-solves for eta and beta (the criteria, and the continuation predictor) need
-no decomposition (`solve_variations`: one LU per block, both right-hand
-sides, for a block or a stack of them); `_check_even_band` reads the even
-eigenvalues only to reject a zero-band even eigenvalue.  Coordinates in the
-orthonormal basis come from `FourierProfile` (`orthonormal`,
-`from_orthonormal`, `derivative_orthonormal`).
+gives each block the bits it has alone.  The blocks must not be modified
+after assembly.  eta and beta take one LU of the full even block
+(`solve_variations`).  Orthonormal coordinates come from `FourierProfile`.
+
+A report reads only the bottom of each block's spectrum, and above the few
+dozen modes the wave carries, a block K = [[A, B], [B^T, H]] is dominated by
+its diagonal theta(xi_n).  So `eig_even`/`eig_odd` take eigh of the leading
+m-mode block A = Y diag(theta) Y^T, once per block, from m = min(n,
+max(M_START, 4 x the wave's highest content mode)), doubled until the
+certificate below holds; at m = n (no B) it holds as it stands.  The
+resolved pairs are the longest prefix L of the pairs with rho =
+|B^T Y_L|_F <= RESIDUAL_MULT eps `scale` (|B^T y_i| is the residual in K of
+the pair extended by zeros).  In the basis [Y_L, complement],
+K = diag(theta_L, K2) + E with |E| <= rho (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4 and 11), and K2 couples the other pairs, from
+theta_p up, to H by w = |B^T Y_H|_F.  Where the Gershgorin floor g of H
+exceeds theta_p, the Schur complement (Haynsworth's inertia additivity)
+gives K2 >= floor = theta_p - w^2 / (g - theta_p).  The certificate asks
+that L reach the first theta above `tol_zero` and theta_{p-1} + 2 rho <
+floor.  Then, by Weyl, the p lowest eigenvalues of K lie within rho of
+theta_L and the others above floor - rho, so the counts, `gap` and
+`_check_even_band` read theta_L (a value within rho of a band edge could
+count on either side, as under the full solve's larger rounding n eps |K|).
+`kernel_corr` is |cos| of psi' with the odd pair i0 nearest zero, less the
+sine rho / delta, delta the distance from theta_i0 to the rest of L and to
+floor, less rho (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970): the sines of
+the two angles add, so it is sqrt(1 - min(1, s + rho / delta)^2), and 0
+where delta <= 0.  `chi` is the lowest even vector, zero-padded.
 
 `constrained_min(op, even=None, odd=None)` takes at most one constraint per
 block, in that block's orthonormal coordinates, and returns the smaller of
-the two block minima.  A rank-one constraint needs no new factorization:
-with the block as V diag(lam) V^T and z = V^T c / |c|, the eigenvalues on
-the complement of c are the roots of the secular equation
-sum_i z_i^2 / (lam_i - mu) = 0 (Golub's modified eigenvalue problem, SIAM
-Rev. 15, 1973; LAPACK dlaed4 solves the same equation), together with the
-deflated eigenvalues.  Deflation: lam_i stays an eigenvalue when |z_i| is
-negligible, and a repeated eigenvalue merges into one term and keeps its
-other copies.  The smallest root lies strictly between the first two
-remaining distinct eigenvalues and is found by bisection.
-
-An odd constraint c is first held against a floor read from eigenvalues
-alone, so that the odd block O needs eigvalsh, not eigh, when it cannot set
-the minimum.  With v_0 the lowest odd eigenvector, a unit x orthogonal to
-the unit c has (v_0^T x)^2 <= 1 - z_0^2, so x^T O x >= lam_0 (v_0^T x)^2 +
-lam_1 (1 - (v_0^T x)^2) >= z_0^2 lam_1 + (1 - z_0^2) lam_0: the secular root
-and every deflated eigenvalue are at least that.  z_0^2 is bounded below
-through psi': with kappa the bound below on |cos(psi', v_0)| (when v_0 is
-the mode nearest zero; else kappa = 0) and alpha = |cos(c, psi')|, the
-angles add, so |z_0| >= alpha kappa - sqrt(1 - alpha^2) sqrt(1 - kappa^2),
-and zeta, the square of its positive part, gives the floor
-zeta lam_1 + (1 - zeta) lam_0.  It loses 2 n eps max |lam|, once for the
-eigenvalues it reads and once for those a secular solve would read (this
-also covers the rounding of alpha and zeta), and the bisection's bracket
-4 eps max(1, |lam_0|, |lam_1|).  When what is left exceeds the even block's
-minimum, that minimum is returned, the bits the secular solve would give;
-otherwise `eig_odd` is computed and the secular root decides.  On the
-criteria's coercivity waves (c = (psi^2/2)') the floor sits 4 to 6 times
-above the even minimum.
-
-`kernel_corr` is a certified lower bound on |cos| of the angle between psi'
-and v0, the odd eigenvector nearest zero.  x is psi' on the modes where the
-wave carries content (|c_n| above CONTENT_RTOL times the largest oscillating
-|c_m|), so s_t = |psi' - x| / |psi'| is the exact sine of the angle between
-psi' and x; the dropped round-off tail, amplified by theta(xi) ~ xi^4, would
-otherwise dominate the residual.  For the unit x, rho = x^T O x and
-r = O x - rho x (O the odd block, read only on x's columns),
-|r| >= delta sin(x, v0) with delta = min_{j != i0} |lambda_j - rho| (the
-single-vector sin theta bound of Davis & Kahan, SIAM J. Numer. Anal. 7,
-1970).  |r| carries the rounding allowance (kept + 2) eps ||O_kept| |x||, and
-delta loses n eps max |lambda| for the eigenvalue error; the sines of the
-two angles add, so the bound is sqrt(1 - min(1, s_t + |r| / delta)^2), and 0
-where delta <= 0.
+the two block minima.  With a matrix V diag(lam) V^T and z = V^T c / |c|,
+the eigenvalues on the complement of c are the roots of the secular
+equation sum_i z_i^2 / (lam_i - mu) = 0 (Golub's modified eigenvalue
+problem, SIAM Rev. 15, 1973; LAPACK dlaed4 solves the same equation), and
+the deflated eigenvalues: lam_i where |z_i| is negligible, and the other
+copies of a repeated one.  The smallest root lies strictly between the
+first two remaining distinct eigenvalues and is found by bisection.  A
+unit x orthogonal to the unit c splits as x = Y_L a + b, with
+x^T K x >= a^T diag(theta_L) a + floor |b|^2 - rho and zeta^T a + c_R^T b = 0,
+where zeta = Y_L^T c and c_R is the part of c outside L, its tail beyond m
+included.  The right side's minimum is the secular root on the poles
+theta_L and floor with the weights zeta and |c_R|, so a block returns that
+root less rho, a lower bound on its constrained minimum (theta_0 - rho
+without a constraint).
 """
 
 import math
@@ -108,6 +90,22 @@ class DegenerateOperatorError(ArithmeticError):
     """Even-restricted operator is numerically singular."""
 
 
+# the resolved block starts at M_START modes, or 4 times the wave's highest
+# content mode, and its pairs' residuals stay within RESIDUAL_MULT eps scale
+M_START = 48
+RESIDUAL_MULT = 64
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """One block's resolved eigenpairs (module note)."""
+
+    eigenvalues: np.ndarray      # theta_L, ascending, p values
+    eigenvectors: np.ndarray     # Y_L on the leading m modes, m x p
+    rho: float                   # |B^T Y_L|_F: each value is within rho of K's
+    floor: float                 # K's other eigenvalues are above floor - rho
+
+
 class GalerkinOperator:
     """Matrix form of M + omega - psi on 2N+1 trigonometric modes."""
 
@@ -122,83 +120,61 @@ class GalerkinOperator:
 
     @cached_property
     def eig_even(self):
-        """eigh of the even block: ascending eigenvalues and eigenvectors."""
-        return np.linalg.eigh(self.even)
+        """Resolved eigenpairs of the even block."""
+        return self._resolve(self.even)
 
     @cached_property
     def eig_odd(self):
-        """eigh of the odd block: ascending eigenvalues and eigenvectors."""
-        return np.linalg.eigh(self.odd)
+        """Resolved eigenpairs of the odd block."""
+        return self._resolve(self.odd)
+
+    def _resolve(self, block):
+        """eigh of the block's leading m modes, m doubled until the
+        certificate of the module note holds."""
+        c = np.abs(self.psi.coeffs[1:])
+        content = np.flatnonzero(c > CONTENT_RTOL * c.max(initial=0.0))
+        m = max(M_START, 4 * (content[-1] + 1) if content.size else 0)
+        n = block.shape[0]
+        budget = (RESIDUAL_MULT * np.finfo(float).eps * self.scale) ** 2
+        while True:
+            m = min(m, n)
+            theta, Y = np.linalg.eigh(block[:m, :m])
+            cum = np.cumsum(np.square(block[m:, :m] @ Y).sum(axis=0))
+            p = int(np.searchsorted(cum, budget, side="right"))
+            rho2 = cum[p - 1] if p else 0.0
+            w2 = cum[-1] - rho2
+            # the tail's Gershgorin floor, by row chunks: |H| is never whole
+            tail, d = block[m:, m:], np.diagonal(block)[m:]
+            g = min(((2.0 * d[i:i + 256] - np.abs(tail[i:i + 256]).sum(axis=1)).min()
+                     for i in range(0, n - m, 256)), default=np.inf)
+            nxt = theta[p] if p < m else np.inf
+            # without coupling (w2 = 0) H's floor bounds K2 where it is lower
+            floor = nxt - w2 / (g - nxt) if g > nxt else (g if w2 == 0.0 else -np.inf)
+            rho = math.sqrt(rho2)
+            band = int(np.searchsorted(theta, self.tol_zero, side="right"))
+            if m == n or (p > band and theta[p - 1] + 2.0 * rho < floor):
+                return Resolved(theta[:p], Y[:, :p], rho, float(floor))
+            m *= 2
 
     @cached_property
-    def values_even(self):
-        """Ascending eigenvalues of the even block: those of `eig_even` if it
-        has been computed, else eigvalsh, which forms no eigenvectors."""
-        if "eig_even" in self.__dict__:
-            return self.eig_even.eigenvalues
-        return np.linalg.eigvalsh(self.even)
-
-    @cached_property
-    def values_odd(self):
-        """Ascending eigenvalues of the odd block (see `values_even`)."""
-        if "eig_odd" in self.__dict__:
-            return self.eig_odd.eigenvalues
-        return np.linalg.eigvalsh(self.odd)
-
-    @cached_property
-    def psi_prime(self):
-        """Coordinates of psi' in the odd block's basis (`derivative_orthonormal`)."""
-        return self.psi.derivative_orthonormal(self.N)
-
-    @cached_property
-    def kernel(self):
-        """(i0, bound): the index of the odd eigenvalue nearest zero and the
-        certified lower bound on |cos| of the angle between psi' and its
-        eigenvector (module note); the bound is 0 where psi' = 0 or the even
-        block holds the eigenvalue nearest zero.  `spectrum` reports the
-        bound, and `constrained_min`'s odd floor reads it."""
-        vals_e, vals_o = self.values_even, self.values_odd
-        i_o = int(np.argmin(np.abs(vals_o)))
-        norm_pp = np.linalg.norm(self.psi_prime)
-        if abs(vals_o[i_o]) <= np.abs(vals_e).min() and norm_pp > 0:
-            return i_o, _kernel_bound(self, i_o, self.psi_prime, norm_pp)
-        return i_o, 0.0
+    def scale(self):
+        """Low-frequency operator scale max(1, |omega|, sup |psi|); the
+        largest eigenvalue, for a fourth-order symbol at N = 256, exceeds
+        the distance between the kernel and its neighbors by orders of
+        magnitude."""
+        return max(1.0, abs(self.omega), self.psi.sup_norm())
 
     @cached_property
     def tol_zero(self):
-        """Zero-band width: 1e-6 times the low-frequency operator scale.
-
-        Scaling by the largest eigenvalue would be useless here: for a
-        fourth-order symbol at N = 256 it exceeds the distance between the
-        kernel and its neighbors by orders of magnitude.
-        """
-        return 1e-6 * max(1.0, abs(self.omega), self.psi.sup_norm())
+        """Zero-band width: 1e-6 times `scale`."""
+        return 1e-6 * self.scale
 
     @cached_property
     def chi(self):
-        """Unit eigenvector chi of the lowest even eigenvalue.
-
-        The first column of `eig_even` when that has been computed, else one
-        step of inverse iteration: a solve of (even - sigma I) x = s with
-        sigma just below the computed eigenvalue (Ipsen, SIAM Rev. 39, 1997).
-        The start s is psi's coordinates normalized plus a constant vector,
-        so the step also reaches a chi that psi misses (a zero wave, whose
-        block is diagonal).
-        """
-        if "eig_even" in self.__dict__:
-            return self.eig_even.eigenvectors[:, 0]
-        n = self.N + 1
-        lam = self.values_even[0]
-        sigma = lam - 4.0 * np.finfo(float).eps * max(1.0, abs(lam))
-        s = np.full(n, 1.0 / math.sqrt(n))
-        start = self.psi.orthonormal(self.N)
-        norm = np.linalg.norm(start)
-        if norm > 0.0:
-            s += start / norm
-        shifted = self.even.copy()
-        shifted.flat[:: n + 1] -= sigma
-        x = np.linalg.solve(shifted, s)
-        return x / np.linalg.norm(x)
+        """Unit eigenvector chi of the lowest even eigenvalue: the first
+        resolved even vector, zero-padded to N+1 modes."""
+        y = self.eig_even.eigenvectors[:, 0]
+        return np.pad(y, (0, self.N + 1 - y.size))
 
 
 def _even_assembly(psi, omega, sym, N):
@@ -252,7 +228,7 @@ def assemble(psi, omega, sym, N=None):
 class SpectrumReport:
     """Merged eigenvalues and the spectral-assumption diagnostics."""
 
-    eigenvalues: np.ndarray      # ascending, both parity blocks merged
+    eigenvalues: np.ndarray      # resolved, ascending, both parity blocks merged
     n_neg: int
     n_zero: int
     kernel_corr: float           # certified lower bound on |cos(psi', v0)|, v0 the
@@ -267,53 +243,40 @@ class SpectrumReport:
 
 
 def spectrum(op):
-    """Eigenvalues of both parity blocks with negative/zero counts.
+    """Counts, gap and kernel direction from the resolved eigenpairs.
 
-    Reads `op.values_even`/`op.values_odd`: the eigenvalues of `eig_even`/
-    `eig_odd` when a caller has computed them, else eigvalsh.  No
-    eigenvector is read: `kernel_corr` is the residual bound of the module
-    note on the angle between psi' and the odd mode nearest zero, and 0 where
-    psi' = 0 or the even block holds the eigenvalue nearest zero.
+    `eigenvalues` holds each block's resolved values through its first
+    above the zero band, merged; `kernel_corr` is the bound of the module
+    note, and 0 where psi' = 0 or the even block holds the value nearest 0.
     """
     tol_zero = op.tol_zero
-    vals_e, vals_o = op.values_even, op.values_odd
-    vals = np.sort(np.concatenate([vals_e, vals_o]))
+    vals = np.sort(np.concatenate([
+        r.eigenvalues[: np.searchsorted(r.eigenvalues, tol_zero, side="right") + 1]
+        for r in (op.eig_even, op.eig_odd)]))
 
     n_neg = int(np.sum(vals < -tol_zero))
     in_band = np.abs(vals) <= tol_zero
     n_zero = int(np.sum(in_band))
-    _, kernel_corr = op.kernel
-
-    outside = np.abs(vals[~in_band]) if (~in_band).any() else np.array([np.inf])
-    gap = float(outside.min())
+    gap = float(np.abs(vals[~in_band]).min(initial=np.inf))
     return SpectrumReport(
         eigenvalues=vals, n_neg=n_neg, n_zero=n_zero,
-        kernel_corr=kernel_corr, gap=gap, tol_zero=float(tol_zero),
+        kernel_corr=_kernel_corr(op), gap=gap, tol_zero=float(tol_zero),
     )
 
 
-def _kernel_bound(op, i0, pp, norm_pp):
-    """Lower bound on |cos| of the angle between pp (psi', of norm norm_pp >
-    0) and eigenvector i0 of the odd block; see the module note.  One thin
-    product with the block's kept columns."""
-    eps = np.finfo(float).eps
-    values = op.values_odd
-    c = np.abs(op.psi.coeffs[1:])
-    kept = np.flatnonzero(c > CONTENT_RTOL * c.max())
-    s_t = np.linalg.norm(np.delete(pp, kept)) / norm_pp
-    x = pp[kept]
-    x = x / np.linalg.norm(x)
-    cols = op.odd[:, kept]
-    r = cols @ x
-    rho = r[kept] @ x
-    r[kept] -= rho * x
-    res = (np.linalg.norm(r)
-           + (kept.size + 2) * eps * np.linalg.norm(np.abs(cols) @ np.abs(x)))
-    delta = (np.abs(np.delete(values, i0) - rho).min(initial=np.inf)
-             - values.size * eps * np.abs(values).max())
-    if not delta > 0.0:
+def _kernel_corr(op):
+    """Lower bound on |cos| of the angle between psi' and the odd
+    eigenvector nearest zero (module note)."""
+    res, pp = op.eig_odd, op.psi.derivative_orthonormal(op.N)
+    lam, norm = res.eigenvalues, np.linalg.norm(pp)
+    i0 = int(np.argmin(np.abs(lam)))
+    delta = min(np.abs(np.delete(lam, i0) - lam[i0]).min(initial=np.inf),
+                res.floor - lam[i0]) - res.rho
+    if not (abs(lam[i0]) <= np.abs(op.eig_even.eigenvalues).min() and norm > 0
+            and delta > 0.0):
         return 0.0
-    t = min(1.0, s_t + res / delta)
+    cos = min(1.0, abs(pp[: res.eigenvectors.shape[0]] @ res.eigenvectors[:, i0]) / norm)
+    t = min(1.0, math.sqrt(1.0 - cos * cos) + res.rho / delta)
     return math.sqrt(1.0 - t * t)
 
 
@@ -341,7 +304,7 @@ def solve_variations(even, psi):
 def _check_even_band(op):
     """Raise DegenerateOperatorError for an even eigenvalue in the zero band."""
     tol = op.tol_zero
-    ev = op.values_even
+    ev = op.eig_even.eigenvalues
     if np.abs(ev).min() <= tol:
         raise DegenerateOperatorError(
             f"even block has eigenvalue {ev[np.abs(ev).argmin()]:.3e} within "
@@ -350,32 +313,33 @@ def _check_even_band(op):
 
 
 def constrained_min(op, even=None, odd=None):
-    """Minimum Rayleigh quotient of L over the orthogonal complement.
+    """Lower bound on the minimum Rayleigh quotient of L over the orthogonal
+    complement of the constraints.
 
     `even` (length N+1) and `odd` (length N) are optional constraint
     vectors in the orthonormal coordinates of their block.  L and the
     constraints split by parity, so the minimum is the smaller of the two
     block minima; a block without a constraint gives its lowest eigenvalue.
-    A constrained block needs no new factorization: on its cached eigenpairs
-    (lam_i, v_i) and z = V^T c / |c|, its minimum is the smallest root of the
-    secular equation sum_i z_i^2 / (lam_i - mu) = 0, or a deflated lam_i
-    (negligible z_i, or a repeated eigenvalue) if that is lower; see
-    `_secular_min` for the tolerances.
-
-    An odd constraint first meets the floor of `_odd_floor`, read from the
-    odd eigenvalues and the kernel bound alone: when it exceeds the even
-    minimum, so does the odd one, and the even minimum is returned with no
-    odd eigenvector formed; otherwise `eig_odd` and `_secular_min` decide.
+    Each block's bound is the secular root of the module note on its cached
+    resolved pairs, less rho, with no new factorization.
     """
-    w_even = (op.values_even[0] if even is None
-              else _secular_min(op.eig_even, even))
-    if odd is None:
-        w_odd = op.values_odd[0]
-    elif _odd_floor(op, odd) > w_even:
-        return float(w_even)
-    else:
-        w_odd = _secular_min(op.eig_odd, odd)
-    return float(min(w_even, w_odd))
+    return float(min(_block_min(op.eig_even, even, op.N + 1),
+                     _block_min(op.eig_odd, odd, op.N)))
+
+
+def _block_min(res, constraint, n):
+    """Lower bound on one block's minimum on the complement of `constraint`
+    (length n, or None for no constraint) from its Resolved pairs `res`."""
+    if constraint is None:
+        return res.eigenvalues[0] - res.rho
+    c = _unit(constraint, n)
+    m, p = res.eigenvectors.shape
+    zeta = res.eigenvectors.T @ c[:m]
+    outside = math.hypot(np.linalg.norm(c[:m] - res.eigenvectors @ zeta),
+                         np.linalg.norm(c[m:]))
+    # the problem is diagonal in the coordinates (a, |b|): identity vectors
+    poles = np.append(res.eigenvalues, res.floor)
+    return _secular_min((poles, np.eye(p + 1)), np.append(zeta, outside)) - res.rho
 
 
 def _unit(constraint, n):
@@ -388,27 +352,6 @@ def _unit(constraint, n):
     if norm == 0.0:
         raise ValueError("constraint vector is zero")
     return c / norm
-
-
-def _odd_floor(op, constraint):
-    """Lower bound on the odd block's minimum on the complement of
-    `constraint`, less the rounding of a computed one; see the module note.
-    Reads `values_odd` and `op.kernel`, no eigenvector."""
-    lam = op.values_odd
-    c = _unit(constraint, lam.size)
-    if lam.size < 2:
-        return -np.inf
-    i0, kappa = op.kernel
-    if i0 != 0:   # the bound is on another mode's angle: none on v0's
-        kappa = 0.0
-    norm_pp = np.linalg.norm(op.psi_prime)
-    alpha = min(1.0, abs(c @ op.psi_prime) / norm_pp) if norm_pp > 0 else 0.0
-    z0 = alpha * kappa - math.sqrt((1.0 - alpha * alpha) * (1.0 - kappa * kappa))
-    zeta = max(0.0, z0) ** 2
-    eps = np.finfo(float).eps
-    floor = zeta * lam[1] + (1.0 - zeta) * lam[0]
-    return (floor - 2.0 * lam.size * eps * np.abs(lam).max()
-            - 4.0 * eps * max(1.0, abs(lam[0]), abs(lam[1])))
 
 
 def _secular_min(eig, constraint):

@@ -37,8 +37,8 @@ __all__ = [
 # refuses one above it, extract_A warns
 TAIL_RTOL = 1e-10
 # a mode whose magnitude is below this share of the largest is round-off
-# (evolution states against their largest mode, the kernel bound of
-# galerkin.spectrum against the largest oscillating one)
+# (evolution states against their largest mode, the start of galerkin's
+# resolved block against the largest oscillating one)
 CONTENT_RTOL = 1e-12
 
 

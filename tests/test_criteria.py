@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,34 +164,35 @@ def test_margin_is_speed_independent(kawahara):
     assert r1.avg_minus_speed == pytest.approx(r2.avg_minus_speed, rel=1e-10)
 
 
+ROUTES_128 = ((0.8, 1.0, VERDICT_DETERMINANT), (0.9, 1.0, VERDICT_INCONCLUSIVE),
+              (0.7, 0.5, VERDICT_COERCIVITY))
+
+
 def test_eigensolve_budget(monkeypatch, kawahara):
-    # one decomposition per parity block per report: eigvalsh where a report
-    # reads two eigenvectors (they come from shifted solves); on the
-    # coercivity route eigh of the even block, whose constrained minimum
-    # reads every eigenvector, and eigvalsh of the odd block, whose floor
-    # clears the even minimum
+    # one eigh per parity block per report, of the resolved leading block,
+    # and no eigvalsh, on every route; spectrum alone makes the same two
     calls = []
     for name in ("eigh", "eigvalsh"):
-        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
-            calls.append(_fn.__name__)
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_fn.__name__, a.shape))
+            return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    report, params, psi = evaluate_dnoidal(0.8, 1.0, kawahara, N_op=128)
-    assert report.verdict == VERDICT_DETERMINANT
-    assert sorted(calls) == ["eigvalsh", "eigvalsh"]
-    calls.clear()
-    report, _, _ = evaluate_dnoidal(0.7, 0.5, kawahara, N_op=128)
-    assert report.w_psi_psip is not None  # the coercivity route ran
-    assert calls == ["eigh", "eigvalsh"]
-    calls.clear()
+    for k, omega, route in ROUTES_128:
+        calls.clear()
+        report, params, psi = evaluate_dnoidal(k, omega, kawahara, N_op=128)
+        assert report.verdict == route
+        m = assemble(psi, omega, kawahara, N=128).eig_even.eigenvectors.shape[0]
+        assert m < 128
+        assert calls[:2] == [("eigh", (m, m))] * 2, route
+        calls.clear()
     spectrum(assemble(psi, params.omega, kawahara, N=128))
-    assert sorted(calls) == ["eigvalsh", "eigvalsh"]
+    assert calls == [("eigh", (m, m))] * 2
 
 
 def test_solve_budget(monkeypatch, kawahara):
-    # LU solves per report: one for eta and beta, and one shifted solve for
-    # chi where eigvalsh ran; chi is a column of eigh on the coercivity
-    # route, and spectrum bounds the kernel direction with no solve
+    # LU solves per report: one for eta and beta on every route; chi is a
+    # resolved eigenvector and spectrum bounds the kernel direction, with no
+    # solve
     calls = []
     solve = np.linalg.solve
 
@@ -196,16 +201,45 @@ def test_solve_budget(monkeypatch, kawahara):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    for k, omega, route, n_solves in ((0.8, 1.0, VERDICT_DETERMINANT, 2),
-                                      (0.9, 1.0, VERDICT_INCONCLUSIVE, 2),
-                                      (0.7, 0.5, VERDICT_COERCIVITY, 1)):
+    for k, omega, route in ROUTES_128:
         calls.clear()
         report, params, psi = evaluate_dnoidal(k, omega, kawahara, N_op=128)
         assert report.verdict == route
-        assert len(calls) == n_solves, route
+        assert len(calls) == 1, route
     calls.clear()
     spectrum(assemble(psi, params.omega, kawahara, N=128))
     assert calls == []
+
+
+def test_w_psi_is_held_to_the_zero_band(kawahara):
+    # on the coercivity route w_psi is the odd kernel eigenvalue, which
+    # spectrum accepts anywhere in the zero band: one inside the band but
+    # below -MIN_TOL scale keeps the verdict, one below the band does not
+    report, _, _ = evaluate_dnoidal(0.7, 0.5, kawahara, N_op=128)
+    assert report.verdict == VERDICT_COERCIVITY
+    tol = report.spectrum.tol_zero
+    scale = max(1.0, abs(report.spectrum.eigenvalues[0]))
+    inside = dataclasses.replace(report, w_psi=-0.5 * tol)
+    assert inside.w_psi < -criteria.MIN_TOL * scale
+    assert verdict(inside) == VERDICT_COERCIVITY
+    assert verdict(dataclasses.replace(report, w_psi=-2.0 * tol)) == VERDICT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("k, omega", [(0.7, 0.5), (0.8, 1.0)])
+def test_criteria_body_is_blas_thread_independent(tmp_path, k, omega):
+    # the report reads resolved blocks of a few dozen modes, whose eigh has
+    # the same bits under one and two OpenBLAS threads
+    src = Path(criteria.__file__).resolve().parents[1]
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"criteria{threads}.json"
+        subprocess.run([sys.executable, "-m", "wavestab.cli", "criteria", "--k", str(k),
+                        "--omega", str(omega), "--N-op", "512", "--out", str(out)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(src),
+                            "OPENBLAS_NUM_THREADS": threads})
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_zero_wave_inconclusive(kawahara):

@@ -8,19 +8,23 @@ from dataclasses import replace
 from wavestab.galerkin import (
     DegenerateOperatorError,
     SpectrumReport,
+    _block_min,
     _check_even_band,
-    _odd_floor,
     _secular_min,
     assemble,
     constrained_min,
     solve_variations,
     spectrum,
 )
-from wavestab.criteria import VERDICT_COERCIVITY, derivatives, evaluate_wave, verdict
+from wavestab.criteria import (VERDICT_COERCIVITY, VERDICT_DETERMINANT,
+                               VERDICT_INCONCLUSIVE, derivatives, evaluate_wave, verdict)
+from wavestab.klcurve import solve_branch
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal
 
 from conftest import checked_variations, galilean_shift
+
+EPS = np.finfo(float).eps
 
 
 def apply_linearized(psi, omega, sym, f):
@@ -249,59 +253,70 @@ def test_constrained_min_matches_dense_oracle(branch_L, kawahara, k, omega, N):
 
 def test_odd_floor_fallback_matches_dense_oracle(branch_L, kawahara):
     # a constraint nearly orthogonal to psi' (the kernel mode) leaves the odd
-    # minimum near zero, under the even one: the floor cannot clear it, so
-    # constrained_min takes eig_odd and the secular root
+    # minimum near zero, under the even one: the odd block sets the minimum,
+    # and the bound meets the dense oracle
     _, psi = build_dnoidal(0.7, branch_L[0.7], 0.5, N=128)
     op = assemble(psi, 0.5, kawahara, N=64)
     psi_c = psi.orthonormal(op.N)
-    unit = op.psi_prime / np.linalg.norm(op.psi_prime)
+    pp = op.psi.derivative_orthonormal(op.N)
+    unit = pp / np.linalg.norm(pp)
     r = np.random.default_rng(3).standard_normal(op.N)
     odd = r - (r @ unit) * unit + 1e-3 * unit
-    w_even = _secular_min(op.eig_even, psi_c)
-    assert _odd_floor(op, odd) <= w_even
-    assert "eig_odd" not in op.__dict__
     w = constrained_min(op, even=psi_c, odd=odd)
-    assert "eig_odd" in op.__dict__
-    assert w < w_even
+    assert w < _dense_block_min(op.even, psi_c)
     tol = 1e-9 * max(1.0, abs(spectrum(op).eigenvalues[0]))
     assert abs(w - _dense_constrained_min(op, even=psi_c, odd=odd)) <= tol
 
 
 def test_odd_floor_is_below_the_odd_minimum(branch_L, kawahara):
-    # the floor bounds the secular root from below for any constraint, from
-    # along psi' to orthogonal to it
+    # the odd block's bound stays below its dense constrained minimum, up to
+    # the dense solve's rounding, for any constraint from along psi' to
+    # orthogonal to it, and within 1e-9 of it for a constraint on the low 16
+    # modes, as the report's are (one with content on every mode is charged
+    # for its part outside the resolved pairs at the floor, a looser bound)
     _, psi = build_dnoidal(0.7, branch_L[0.7], 0.5, N=128)
     op = assemble(psi, 0.5, kawahara, N=64)
-    unit = op.psi_prime / np.linalg.norm(op.psi_prime)
+    pp = op.psi.derivative_orthonormal(op.N)
+    unit = pp / np.linalg.norm(pp)
+    rounding = op.N * EPS * _norm(op.odd)
     rng = np.random.default_rng(5)
-    for weight in (0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 1e3, np.inf):
-        r = rng.standard_normal(op.N)
-        r -= (r @ unit) * unit
-        c = unit if weight == np.inf else r / np.linalg.norm(r) + weight * unit
-        assert _odd_floor(op, c) <= _secular_min(op.eig_odd, c), weight
+    for modes, slack in ((16, 1e-9), (op.N, np.inf)):
+        for weight in (0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 1e3, np.inf):
+            r = np.zeros(op.N)
+            r[:modes] = rng.standard_normal(modes)
+            r -= (r @ unit) * unit
+            c = unit if weight == np.inf else r / np.linalg.norm(r) + weight * unit
+            w = _block_min(op.eig_odd, c, op.N)
+            dense = _dense_block_min(op.odd, c)
+            assert dense - slack <= w <= dense + rounding, (modes, weight)
 
 
 @pytest.mark.parametrize("N", [256, 512])
 @pytest.mark.parametrize("k", [0.6, 0.7, 0.8])
 def test_odd_floor_clears_on_benchmark_coercivity_waves(branch_L, kawahara, k, N):
-    # over the benchmark's coercivity range (k 0.60-0.80, omega 0.5) the floor
-    # clears the even minimum, and w_psi_psip has the bits of the minimum over
-    # both blocks' secular roots
+    # over the benchmark's coercivity range (k 0.60-0.80, omega 0.5) the odd
+    # block's constrained minimum clears the even one, so w_psi_psip is the
+    # even block's, within 1e-9 of the dense oracle
     _, psi = build_dnoidal(k, branch_L[k], 0.5, N=128)
     report = evaluate_wave(psi, 0.5, kawahara, N)
     assert report.verdict == VERDICT_COERCIVITY
     op = assemble(psi, 0.5, kawahara, N=N)
-    op.eig_even   # as evaluate_wave: eigh of the even block, eigvalsh of the odd
     odd = op.psi.half_square().derivative_orthonormal(N)
-    w_even = _secular_min(op.eig_even, psi.orthonormal(N))
-    assert _odd_floor(op, odd) > w_even
-    assert "eig_odd" not in op.__dict__
-    assert report.w_psi_psip == min(w_even, _secular_min(op.eig_odd, odd))
+    w_even = _dense_block_min(op.even, psi.orthonormal(N))
+    assert _dense_block_min(op.odd, odd) > w_even
+    assert report.w_psi_psip == pytest.approx(w_even, abs=1e-9)
 
 
-def _diagonal_projected_min(lam, c):
+def _dense_block_min(block, c):
+    """Reference: the lowest eigenvalue of the block projected onto the
+    complement of c."""
     Q, _ = np.linalg.qr(np.asarray(c, dtype=float)[:, None], mode="complete")
-    return np.linalg.eigvalsh(Q[:, 1:].T @ np.diag(lam) @ Q[:, 1:])[0]
+    return np.linalg.eigvalsh(Q[:, 1:].T @ block @ Q[:, 1:])[0]
+
+
+def _norm(block):
+    """An upper bound on the block's 2-norm: its largest absolute row sum."""
+    return np.abs(block).sum(axis=1).max()
 
 
 def test_secular_min_deflation_cases():
@@ -318,7 +333,7 @@ def test_secular_min_deflation_cases():
     c = np.array([0.6, 0.2, -0.4, 0.7, 0.1])
     w = _secular_min(eig, c)
     assert lam[0] < w < lam[1]
-    assert w == pytest.approx(_diagonal_projected_min(lam, c), abs=1e-14)
+    assert w == pytest.approx(_dense_block_min(np.diag(lam), c), abs=1e-14)
 
 
 def test_constrained_min_reuses_cached_eigenpairs(op08, wave08, monkeypatch):
@@ -420,14 +435,18 @@ def _dense_spectrum(op):
 @pytest.mark.parametrize("k, omega", [(0.8, 1.0), (0.7, 0.5), (0.9, 1.0)])
 def test_eigenvalue_only_path_matches_dense_eigh(branch_L, kawahara, k, omega, N):
     # (0.8, 1.0) takes the determinant route, (0.7, 0.5) the coercivity
-    # route and (0.9, 1.0), whose average is below the speed, is inconclusive
+    # route and (0.9, 1.0), whose average is below the speed, is inconclusive;
+    # the resolved pairs are the dense eigh's lowest, to its rounding
     _, psi = build_dnoidal(k, branch_L[k], omega, N=128)
     op = assemble(psi, omega, kawahara, N=N)
     rep = spectrum(op)
     oracle, chi, (ref_e, ref_o) = _dense_spectrum(op)
     eps = np.finfo(float).eps
-    for vals, ref in ((op.values_even, ref_e), (op.values_odd, ref_o)):
-        assert np.abs(vals - ref).max() <= 100 * eps * np.abs(ref).max()
+    for res, ref in ((op.eig_even, ref_e), (op.eig_odd, ref_o)):
+        vals = res.eigenvalues
+        assert np.abs(vals - ref[: vals.size]).max() <= 100 * eps * np.abs(ref).max()
+        assert res.floor - res.rho > vals[-1] + res.rho
+        assert ref[vals.size] >= res.floor - res.rho - 100 * eps * np.abs(ref).max()
     assert (rep.n_neg, rep.n_zero) == (oracle.n_neg, oracle.n_zero) == (1, 1)
     assert rep.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
     assert rep.kernel_corr <= oracle.kernel_corr + 8 * eps  # a lower bound
@@ -439,6 +458,85 @@ def test_eigenvalue_only_path_matches_dense_eigh(branch_L, kawahara, k, omega, N
     assert report.spectrum.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
     assert (report.spectrum.n_neg, report.spectrum.n_zero) == (1, 1)
     assert report.verdict == verdict(replace(report, spectrum=oracle))
+
+
+# the benchmark's (k, omega) ranges, at both ends: determinant k 0.62-0.80,
+# omega 1.0-1.2; coercivity k 0.60-0.80, omega 0.5; inconclusive k
+# 0.88-0.94, omega 1.0-1.2
+BENCHMARK_WAVES = [
+    (VERDICT_DETERMINANT, 0.62, 1.0), (VERDICT_DETERMINANT, 0.80, 1.2),
+    (VERDICT_COERCIVITY, 0.60, 0.5), (VERDICT_COERCIVITY, 0.80, 0.5),
+    (VERDICT_INCONCLUSIVE, 0.88, 1.0), (VERDICT_INCONCLUSIVE, 0.94, 1.2),
+]
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("route, k, omega", BENCHMARK_WAVES)
+def test_resolved_route_matches_the_full_route(kawahara, route, k, omega, N):
+    # the report against full eigh of both blocks and dense constrained
+    # minima: the same verdict and counts, and values within n eps |L|, the
+    # full solve's rounding
+    _, psi = build_dnoidal(k, solve_branch(k)[1], omega, N=128)
+    report = evaluate_wave(psi, omega, kawahara, N)
+    assert report.verdict == route
+    op = assemble(psi, omega, kawahara, N=N)
+    oracle, _, (ref_e, ref_o) = _dense_spectrum(op)
+    rounding = N * EPS * max(_norm(op.even), _norm(op.odd))
+    rep = report.spectrum
+    assert (rep.n_neg, rep.n_zero) == (oracle.n_neg, oracle.n_zero) == (1, 1)
+    # each block's eigenvalues through its first above the zero band
+    expected = np.sort(np.concatenate([
+        ref[: np.searchsorted(ref, op.tol_zero, side="right") + 1] for ref in (ref_e, ref_o)]))
+    assert np.abs(rep.eigenvalues - expected).max() <= rounding
+    assert abs(rep.gap - oracle.gap) <= rounding
+    assert rep.kernel_corr == pytest.approx(oracle.kernel_corr, rel=1e-10)
+    full = replace(report, spectrum=oracle)
+    if report.w_psi is not None:
+        psi_c = psi.orthonormal(N)
+        w_even = _dense_block_min(op.even, psi_c)
+        w_odd = _dense_block_min(op.odd, op.psi.half_square().derivative_orthonormal(N))
+        full = replace(full, w_psi=min(w_even, ref_o[0]), w_psi_psip=min(w_even, w_odd))
+        assert abs(report.w_psi - full.w_psi) <= rounding
+        assert abs(report.w_psi_psip - full.w_psi_psip) <= rounding
+    assert verdict(full) == route
+
+
+def test_content_to_mode_40_resolves_above_48_modes(kawahara):
+    # a profile whose cosine content reaches mode 40 starts the resolved block
+    # at 4 x 40 modes, and its pairs are the dense eigh's lowest
+    c = np.zeros(129)
+    c[0] = 1.0
+    c[1:41] = 0.3 * 0.7 ** np.arange(40)
+    op = assemble(FourierProfile(20.0, c), 1.0, kawahara, N=256)
+    rounding = 256 * EPS * _norm(op.even)
+    for res, block in ((op.eig_even, op.even), (op.eig_odd, op.odd)):
+        assert res.eigenvectors.shape[0] == 160
+        ref = np.linalg.eigvalsh(block)
+        assert np.abs(res.eigenvalues - ref[: res.eigenvalues.size]).max() <= rounding
+    oracle, _, _ = _dense_spectrum(op)
+    rep = spectrum(op)
+    assert (rep.n_neg, rep.n_zero, rep.gap) == pytest.approx(
+        (oracle.n_neg, oracle.n_zero, oracle.gap), abs=rounding)
+
+
+def test_weak_tail_floor_doubles_to_the_full_block(branch_L, monkeypatch):
+    # theta = |xi|^0.1 grows too slowly for the tail's Gershgorin floor to
+    # clear the resolved values: m doubles from 52 until it reaches the block,
+    # where the route is the full eigh, with its bits
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    _, psi = build_dnoidal(0.8, branch_L[0.8], 1.0, N=128)
+    op = assemble(psi, 1.0, builtin_symbol("fractional", alpha=0.1), N=256)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = op.eig_even
+    assert sizes == [52, 104, 208, 257]
+    assert res.rho == 0.0 and res.floor == np.inf
+    assert np.array_equal(res.eigenvalues, eigh(op.even).eigenvalues)
 
 
 @pytest.mark.parametrize("symbol, L", [("kawahara", 20.0), ("kdv", None), ("bo", None)])
@@ -459,36 +557,36 @@ def test_kernel_bound_below_oracle_off_solutions(branch_L, symbol, L):
 
 def test_kernel_bound_at_2048_modes(branch_L, kawahara):
     # psi's round-off tail, amplified by theta(xi) ~ xi^4 on the odd block,
-    # would dominate the residual at 2048 modes (the bound read 0.899 with
-    # it); x leaves the tail out and s_t charges for it
+    # would dominate a residual read on all 2048 modes; the resolved block
+    # stops where the wave's content does
     _, psi = build_dnoidal(0.6, branch_L[0.6], 0.5, N=2048)
-    rep = spectrum(assemble(psi, 0.5, kawahara, N=2048))
+    op = assemble(psi, 0.5, kawahara, N=2048)
+    rep = spectrum(op)
     assert (rep.n_neg, rep.n_zero) == (1, 1)
     assert rep.kernel_corr > 0.999
+    assert op.eig_odd.eigenvectors.shape[0] < 128
 
 
 def test_chi_on_diagonal_block(kawahara):
     # the zero wave's even block is diagonal, with its lowest entry omega at
-    # mode 0, and the start's psi part is zero: the constant-vector start
-    # alone reaches chi = +-e_0
+    # mode 0: chi = +-e_0
     op = assemble(_zero_profile(), 1.0, kawahara)
     assert np.argmin(np.diag(op.even)) == 0
     assert abs(op.chi[0]) == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(op.chi) == pytest.approx(1.0, abs=1e-14)
-    assert "eig_even" not in op.__dict__  # no eigh behind the result
+    assert op.chi.shape == (op.N + 1,)
 
 
 def test_chi_is_the_lowest_even_eigenvector(op08, kawahara):
+    # the dense eigh's first column up to sign, and the first resolved even
+    # vector zero-padded to N+1 modes
     ref = np.linalg.eigh(op08.even).eigenvectors[:, 0]
-    # by one shifted solve: the first column of eigh up to sign
     op = assemble(op08.psi, op08.omega, kawahara, N=op08.N)
     chi = op.chi
-    assert "eig_even" not in op.__dict__
     assert np.abs(np.copysign(1.0, chi @ ref) * chi - ref).max() < 1e-10
-    # once eigh has run, chi is its first column as it is
-    op = assemble(op08.psi, op08.omega, kawahara, N=op08.N)
-    op.eig_even
-    assert np.array_equal(op.chi, op.eig_even.eigenvectors[:, 0])
+    y = op.eig_even.eigenvectors[:, 0]
+    assert y.size < chi.size
+    assert np.array_equal(chi[: y.size], y) and not chi[y.size :].any()
 
 
 # layer timings at N_op 256 for the benchmark's wave; the times are reported,
@@ -509,11 +607,11 @@ def test_assemble_eigh_timing(benchmark, wave08, kawahara):
 
 
 def test_spectrum_timing(benchmark, wave08, kawahara):
-    # on an operator with cached eigenvalues: the merge, the counts and the
-    # kernel bound
+    # on an operator with cached resolved pairs: the merge, the counts and
+    # the kernel bound
     _, psi = wave08
     op = assemble(psi, 1.0, kawahara, N=256)
-    op.values_even, op.values_odd
+    op.eig_even, op.eig_odd
     ref = spectrum(op)
     rep = benchmark.pedantic(spectrum, args=(op,), rounds=20, iterations=5)
     assert rep.kernel_corr == ref.kernel_corr

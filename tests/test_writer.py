@@ -129,9 +129,14 @@ def test_spectrum_body(tmp_path):
     assert main(["spectrum", "--k", "0.8", "--N-op", "256", "--out", str(out),
                  "--record-out", str(tmp_path / "rec.json")]) == 0
     _, psi = wave08()
-    rep = spectrum(assemble(psi, 1.0, builtin_symbol("kawahara"), N=256))
-    assert body(out) == row_body(["index", "eigenvalue"],
-                                 enumerate(rep.eigenvalues.tolist()))
+    op = assemble(psi, 1.0, builtin_symbol("kawahara"), N=256)
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(op.even),
+                                   np.linalg.eigvalsh(op.odd)]))
+    assert body(out) == row_body(["index", "eigenvalue"], enumerate(vals.tolist()))
+    # the record's counts are those of the resolved pairs
+    rec = json.loads((tmp_path / "rec.json").read_text())
+    rep = spectrum(op)
+    assert (rec["n_neg"], rec["n_zero"], rec["gap"]) == (rep.n_neg, rep.n_zero, rep.gap)
 
 
 def test_elliptic_check_body(tmp_path):
