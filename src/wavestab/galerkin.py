@@ -28,10 +28,12 @@ dozen modes the wave carries, a block K = [[A, B], [B^T, H]] is dominated by
 its diagonal theta(xi_n).  So `eig_even`/`eig_odd` take eigh of the leading
 m-mode block A = Y diag(theta) Y^T, once per block, from m = min(n,
 max(M_START, 4 x the wave's highest content mode)), doubled until the
-certificate below holds; at m = n (no B) it holds as it stands.  The
-resolved pairs are the longest prefix L of the pairs with rho =
-|B^T Y_L|_F <= RESIDUAL_MULT eps `scale` (|B^T y_i| is the residual in K of
-the pair extended by zeros).  In the basis [Y_L, complement],
+certificate below holds, and taken whole (n) where the double would reach
+n/2; at m = n (no B) it holds as it stands.  The resolved pairs are the
+longest prefix L of the pairs with |B^T Y_L|_F <= RESIDUAL_MULT eps `scale`
+(|B^T y_i| is the residual in K of the pair extended by zeros); rho is
+that plus m eps |A|, the rounding of eigh itself (LAPACK's backward-error
+bound, p(m) = m).  In the basis [Y_L, complement],
 K = diag(theta_L, K2) + E with |E| <= rho (Parlett, The Symmetric
 Eigenvalue Problem, ch. 4 and 11), and K2 couples the other pairs, from
 theta_p up, to H by w = |B^T Y_H|_F.  Where the Gershgorin floor g of H
@@ -102,7 +104,7 @@ class Resolved:
 
     eigenvalues: np.ndarray      # theta_L, ascending, p values
     eigenvectors: np.ndarray     # Y_L on the leading m modes, m x p
-    rho: float                   # |B^T Y_L|_F: each value is within rho of K's
+    rho: float                   # |B^T Y_L|_F + m eps |A|: each value is within rho of K's
     floor: float                 # K's other eigenvalues are above floor - rho
 
 
@@ -133,11 +135,11 @@ class GalerkinOperator:
         certificate of the module note holds."""
         c = np.abs(self.psi.coeffs[1:])
         content = np.flatnonzero(c > CONTENT_RTOL * c.max(initial=0.0))
-        m = max(M_START, 4 * (content[-1] + 1) if content.size else 0)
         n = block.shape[0]
-        budget = (RESIDUAL_MULT * np.finfo(float).eps * self.scale) ** 2
+        m = min(n, max(M_START, 4 * (content[-1] + 1) if content.size else 0))
+        eps = np.finfo(float).eps
+        budget = (RESIDUAL_MULT * eps * self.scale) ** 2
         while True:
-            m = min(m, n)
             theta, Y = np.linalg.eigh(block[:m, :m])
             cum = np.cumsum(np.square(block[m:, :m] @ Y).sum(axis=0))
             p = int(np.searchsorted(cum, budget, side="right"))
@@ -150,11 +152,12 @@ class GalerkinOperator:
             nxt = theta[p] if p < m else np.inf
             # without coupling (w2 = 0) H's floor bounds K2 where it is lower
             floor = nxt - w2 / (g - nxt) if g > nxt else (g if w2 == 0.0 else -np.inf)
-            rho = math.sqrt(rho2)
+            # rho also charges eigh's own rounding, m eps |A|
+            rho = math.sqrt(rho2) + m * eps * np.abs(theta[[0, -1]]).max()
             band = int(np.searchsorted(theta, self.tol_zero, side="right"))
             if m == n or (p > band and theta[p - 1] + 2.0 * rho < floor):
                 return Resolved(theta[:p], Y[:, :p], rho, float(floor))
-            m *= 2
+            m = 2 * m if 4 * m < n else n  # past n/2, the whole block costs little more
 
     @cached_property
     def scale(self):
@@ -333,13 +336,13 @@ def _block_min(res, constraint, n):
     if constraint is None:
         return res.eigenvalues[0] - res.rho
     c = _unit(constraint, n)
-    m, p = res.eigenvectors.shape
+    m = res.eigenvectors.shape[0]
     zeta = res.eigenvectors.T @ c[:m]
     outside = math.hypot(np.linalg.norm(c[:m] - res.eigenvectors @ zeta),
                          np.linalg.norm(c[m:]))
-    # the problem is diagonal in the coordinates (a, |b|): identity vectors
+    # the problem is diagonal in the coordinates (a, |b|)
     poles = np.append(res.eigenvalues, res.floor)
-    return _secular_min((poles, np.eye(p + 1)), np.append(zeta, outside)) - res.rho
+    return _secular_min(poles, np.append(zeta, outside)) - res.rho
 
 
 def _unit(constraint, n):
@@ -354,8 +357,9 @@ def _unit(constraint, n):
     return c / norm
 
 
-def _secular_min(eig, constraint):
-    """Lowest eigenvalue of V diag(lam) V^T on the complement of `constraint`.
+def _secular_min(lam, z):
+    """Lowest eigenvalue of diag(lam) on the complement of the vector z,
+    the constraint's coordinates V^T c in the eigenvectors V.
 
     Deflation: an index with |z_i| <= n*eps keeps lam_i; eigenvalues equal
     within 8*eps relative merge into one pole of weight sum z_i^2, and the
@@ -363,9 +367,8 @@ def _secular_min(eig, constraint):
     -inf to +inf between the first two remaining poles d0 < d1, so bisection
     on (d0, d1) finds its smallest root, to a bracket of 4*eps*max(1, |mu|).
     """
-    lam, vecs = eig
     eps = np.finfo(float).eps
-    z = vecs.T @ _unit(constraint, lam.size)
+    z = _unit(z, lam.size)
     live = np.abs(z) > lam.size * eps
     poles, weights = lam[live], z[live] ** 2
     first = np.ones(poles.size, dtype=bool)

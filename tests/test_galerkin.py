@@ -205,7 +205,11 @@ def test_constrained_min_cases(op08, wave08, variations08):
     eta, beta = variations08
     w_free = constrained_min(op08)
     rep = spectrum(op08)
-    assert w_free == pytest.approx(rep.eigenvalues[0], rel=1e-12)
+    # the lowest (even) eigenvalue less its allowance rho, a lower bound on
+    # the dense one within 2 rho of it
+    rho = op08.eig_even.rho
+    assert w_free == rep.eigenvalues[0] - rho
+    assert 0.0 <= np.linalg.eigvalsh(op08.even)[0] - w_free <= 2.0 * rho
     assert w_free < 0
 
     _, _, F_w, _ = derivatives(psi, eta, beta)
@@ -320,20 +324,26 @@ def _norm(block):
 
 
 def test_secular_min_deflation_cases():
+    # constraints in the eigenvector coordinates V^T c, unnormalized
     lam = np.array([-1.0, 0.5, 2.0, 3.0, 7.0])
-    eig = (lam, np.eye(lam.size))
     # constraint along the lowest eigenvector: the next eigenvalue remains
-    assert _secular_min(eig, [2.0, 0.0, 0.0, 0.0, 0.0]) == lam[1]
+    assert _secular_min(lam, [2.0, 0.0, 0.0, 0.0, 0.0]) == lam[1]
     # constraint orthogonal to the lowest eigenvector (z_0 = 0)
-    assert _secular_min(eig, [0.0, 1.0, -2.0, 1.0, 3.0]) == lam[0]
+    assert _secular_min(lam, [0.0, 1.0, -2.0, 1.0, 3.0]) == lam[0]
     # a repeated lowest eigenvalue keeps one copy on the complement
     rep = np.array([1.0, 1.0, 2.0, 3.0, 5.0])
-    assert _secular_min((rep, np.eye(rep.size)), [0.3, -0.8, 0.5, 1.0, 0.2]) == 1.0
-    # generic constraint: the root strictly inside (lam_0, lam_1)
+    assert _secular_min(rep, [0.3, -0.8, 0.5, 1.0, 0.2]) == 1.0
+    # generic constraint: the root strictly inside (lam_0, lam_1), and the
+    # same root in a rotated eigenbasis from V^T c
     c = np.array([0.6, 0.2, -0.4, 0.7, 0.1])
-    w = _secular_min(eig, c)
+    w = _secular_min(lam, c)
     assert lam[0] < w < lam[1]
     assert w == pytest.approx(_dense_block_min(np.diag(lam), c), abs=1e-14)
+    V, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+    dense = _dense_block_min(V @ np.diag(lam) @ V.T, V @ c)
+    assert _secular_min(lam, V.T @ (V @ c)) == pytest.approx(dense, abs=1e-13)
+    with pytest.raises(ValueError):
+        _secular_min(lam, np.zeros(5))
 
 
 def test_constrained_min_reuses_cached_eigenpairs(op08, wave08, monkeypatch):
@@ -521,8 +531,8 @@ def test_content_to_mode_40_resolves_above_48_modes(kawahara):
 
 def test_weak_tail_floor_doubles_to_the_full_block(branch_L, monkeypatch):
     # theta = |xi|^0.1 grows too slowly for the tail's Gershgorin floor to
-    # clear the resolved values: m doubles from 52 until it reaches the block,
-    # where the route is the full eigh, with its bits
+    # clear the resolved values: m doubles from 52, and where the double would
+    # reach half the block takes the whole block, the full eigh with its bits
     sizes = []
     eigh = np.linalg.eigh
 
@@ -534,8 +544,9 @@ def test_weak_tail_floor_doubles_to_the_full_block(branch_L, monkeypatch):
     op = assemble(psi, 1.0, builtin_symbol("fractional", alpha=0.1), N=256)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     res = op.eig_even
-    assert sizes == [52, 104, 208, 257]
-    assert res.rho == 0.0 and res.floor == np.inf
+    assert sizes == [52, 104, 257]
+    assert res.floor == np.inf
+    assert res.rho == 257 * EPS * np.abs(res.eigenvalues).max()  # eigh's rounding
     assert np.array_equal(res.eigenvalues, eigh(op.even).eigenvalues)
 
 
