@@ -190,7 +190,7 @@ def evaluate_wave(psi, omega, sym, N=None):
     # overflow is refused below with one error, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         op = assemble(psi, omega, sym, N=N)
-        eta, beta = solve_variations(op.even, op.psi)
+        eta, beta = solve_variations(op.even, op.psi, op.eig_even)
         M, F = functionals(psi)
         M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
         rep = spectrum(op)

@@ -20,8 +20,7 @@ could differ.  Both blocks are assembled with the operator, the odd one
 from the pieces of the even one's `_even_assembly`; the continuation's
 Newton stacks call `_even_assembly` alone, on a stack of profiles, which
 gives each block the bits it has alone.  The blocks must not be modified
-after assembly.  eta and beta take one LU of the full even block
-(`solve_variations`).  Orthonormal coordinates come from `FourierProfile`.
+after assembly.  Orthonormal coordinates come from `FourierProfile`.
 
 A report reads only the bottom of each block's spectrum, and above the few
 dozen modes the wave carries, a block K = [[A, B], [B^T, H]] is dominated by
@@ -66,6 +65,18 @@ included.  The right side's minimum is the secular root on the poles
 theta_L and floor with the weights zeta and |c_R|, so a block returns that
 root less rho, a lower bound on its constrained minimum (theta_0 - rho
 without a constraint).
+
+`solve_variations` gives eta and beta, K x = b for b = -psi and -1.  With
+the even block's resolved pairs, lam = min(min |theta_L|, floor) - rho is a
+lower bound on |eigenvalue| of K by the certificate above, so
+|x - x*| <= |K^-1| |b - K x| <= |b - K x| / lam (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 7).  It solves the leading m
+modes by one m x m LU and the tail by its diagonal, and keeps that x where
+|b - K x| <= RESIDUAL_MULT eps lam |x| for both columns, the residual as
+evaluated in floating point: then |x - x*| <= RESIDUAL_MULT eps |x|.
+Where m is the whole block, lam <= 0, the small LU fails or the residual
+misses, and for a caller without the pairs (continuation's stacks), it
+takes one LU of the whole block.
 """
 
 import math
@@ -283,25 +294,48 @@ def _kernel_corr(op):
     return math.sqrt(1.0 - t * t)
 
 
-def solve_variations(even, psi):
-    """eta and beta from one LU of the even block at psi, with no eigensolve.
+def solve_variations(even, psi, resolved=None):
+    """eta and beta, L eta = -psi and L beta = -1, on the even block at psi,
+    with no eigensolve.
 
-    `even` is the block (`GalerkinOperator.even`) on modes 0..N.  A stack of
-    blocks and profiles gives stacks of eta and beta, one LU per block; a
-    singular block then refuses the whole stack.  An exactly singular block
-    raises DegenerateOperatorError; a nearly singular one is caught only by
+    `even` is the block (`GalerkinOperator.even`) on modes 0..N.  With
+    `resolved`, its certified pairs (`GalerkinOperator.eig_even`), the
+    solve is the leading block's LU and the tail's diagonal where the
+    residual certifies it to RESIDUAL_MULT eps |x| (module note); otherwise
+    one LU of the whole block.  A stack of blocks and profiles (without
+    `resolved`) gives stacks of eta and beta, one LU per block; a singular
+    block then refuses the whole stack.  An exactly singular block raises
+    DegenerateOperatorError; a nearly singular one is caught only by
     `_check_even_band`.
     """
     N = even.shape[-1] - 1
     v = -psi.orthonormal(N)
     rhs = np.stack([v, np.broadcast_to(
         FourierProfile(psi.L0, [-1.0]).orthonormal(N), v.shape)], axis=-1)
-    try:
-        x = np.linalg.solve(even, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
+    x = None if resolved is None else _solve_resolved(even, rhs, resolved)
+    if x is None:
+        try:
+            x = np.linalg.solve(even, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
     return (FourierProfile.from_orthonormal(psi.L0, x[..., 0]),
             FourierProfile.from_orthonormal(psi.L0, x[..., 1]))
+
+
+def _solve_resolved(even, rhs, res):
+    """x with even x = rhs from the leading m x m LU and the tail's
+    diagonal, or None where the residual does not certify it (module note)."""
+    m = res.eigenvectors.shape[0]
+    lam = min(np.abs(res.eigenvalues).min(initial=np.inf), res.floor) - res.rho
+    if m == even.shape[0] or not lam > 0.0:
+        return None
+    try:
+        head = np.linalg.solve(even[:m, :m], rhs[:m])
+    except np.linalg.LinAlgError:
+        return None
+    x = np.concatenate([head, rhs[m:] / np.diagonal(even)[m:, None]])
+    bound = RESIDUAL_MULT * np.finfo(float).eps * lam * np.linalg.norm(x, axis=0)
+    return x if (np.linalg.norm(rhs - even @ x, axis=0) <= bound).all() else None
 
 
 def _check_even_band(op):

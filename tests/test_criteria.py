@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -193,25 +194,30 @@ def test_eigensolve_budget(monkeypatch, kawahara):
 
 
 def test_solve_budget(monkeypatch, kawahara):
-    # LU solves per report: one for eta and beta on every route; chi is a
+    # one LU per report, for eta and beta, of the even block's resolved
+    # leading modes on every route, never of the whole block; chi is a
     # resolved eigenvector and spectrum bounds the kernel direction, with no
     # solve
     calls = []
     solve = np.linalg.solve
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    for k, omega, route in ROUTES_128:
+    for (k, omega, route), N_op in itertools.product(ROUTES_128, (128, 256)):
+        # the even block's resolved size, from an operator outside the count
+        _, params, psi = evaluate_dnoidal(k, omega, kawahara, N_op=N_op)
+        m = assemble(psi, omega, kawahara, N=N_op).eig_even.eigenvectors.shape[0]
+        assert m < N_op
         calls.clear()
-        report, params, psi = evaluate_dnoidal(k, omega, kawahara, N_op=128)
+        report, _, _ = evaluate_dnoidal(k, omega, kawahara, N_op=N_op)
         assert report.verdict == route
-        assert len(calls) == 1, route
-    calls.clear()
-    spectrum(assemble(psi, params.omega, kawahara, N=128))
-    assert calls == []
+        assert calls == [(m, m)], route
+        calls.clear()
+        spectrum(assemble(psi, params.omega, kawahara, N=N_op))
+        assert calls == []
 
 
 def test_w_psi_is_held_to_the_zero_band(kawahara):

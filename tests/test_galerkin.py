@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from dataclasses import replace
 
+from wavestab import galerkin
 from wavestab.galerkin import (
+    RESIDUAL_MULT,
     DegenerateOperatorError,
     SpectrumReport,
     _block_min,
@@ -17,7 +20,8 @@ from wavestab.galerkin import (
     spectrum,
 )
 from wavestab.criteria import (VERDICT_COERCIVITY, VERDICT_DETERMINANT,
-                               VERDICT_INCONCLUSIVE, derivatives, evaluate_wave, verdict)
+                               VERDICT_INCONCLUSIVE, choose_witness, derivatives,
+                               evaluate_wave, verdict)
 from wavestab.klcurve import solve_branch
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal
@@ -550,6 +554,88 @@ def test_weak_tail_floor_doubles_to_the_full_block(branch_L, monkeypatch):
     assert np.array_equal(res.eigenvalues, eigh(op.even).eigenvalues)
 
 
+# (symbol, alpha, k, omega): the benchmark's waves, and other symbols on the
+# Kawahara branch wave, which the resolved block serves alike
+RESOLVED_SOLVE_WAVES = [("kawahara", None, k, omega) for _, k, omega in BENCHMARK_WAVES] + [
+    (symbol, alpha, k, 1.0) for symbol, alpha in
+    (("kdv", None), ("bo", None), ("fractional", 0.3), ("fractional", 2.0))
+    for k in (0.7, 0.95)]
+
+
+def _operator(symbol, alpha, k, omega, N):
+    """The wave at modulus k on the Kawahara branch and its operator."""
+    sym = builtin_symbol(symbol, **({} if alpha is None else {"alpha": alpha}))
+    _, psi = build_dnoidal(k, solve_branch(k)[1], omega, N=128)
+    return psi, assemble(psi, omega, sym, N=N)
+
+
+def _counting_solves(monkeypatch):
+    """Patch np.linalg.solve to record the shape of each matrix it solves."""
+    shapes, solve = [], np.linalg.solve
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("symbol, alpha, k, omega", RESOLVED_SOLVE_WAVES)
+def test_resolved_variations_match_the_full_lu(monkeypatch, symbol, alpha, k, omega, N):
+    # eta and beta from the resolved block's LU lie within RESIDUAL_MULT eps
+    # |x| of the whole block's LU, and so do the derivatives and the pairing
+    psi, op = _operator(symbol, alpha, k, omega, N)
+    m = op.eig_even.eigenvectors.shape[0]
+    full = solve_variations(op.even, op.psi)
+    shapes = _counting_solves(monkeypatch)
+    resolved = solve_variations(op.even, op.psi, op.eig_even)
+    assert shapes == [(m, m)] and m < N  # the certified path was taken
+    for x, ref in zip(resolved, full):
+        x, ref = x.orthonormal(N), ref.orthonormal(N)
+        assert np.linalg.norm(x - ref) <= RESIDUAL_MULT * EPS * np.linalg.norm(ref)
+    values = (*derivatives(psi, *resolved), choose_witness(op, psi, *resolved, omega)[4])
+    refs = (*derivatives(psi, *full), choose_witness(op, psi, *full, omega)[4])
+    assert values == pytest.approx(refs, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("force", ["residual", "lam", "whole_block"])
+def test_uncertified_variations_take_the_whole_block_lu(monkeypatch, force):
+    # a residual over its bound, a non-positive eigenvalue bound, and a
+    # block resolved whole each give the whole block's LU, with its bits
+    alpha = 0.1 if force == "whole_block" else 0.3
+    _, op = _operator("fractional", alpha, 0.8, 1.0, 256)
+    res = op.eig_even
+    if force == "residual":
+        monkeypatch.setattr(galerkin, "RESIDUAL_MULT", 0)
+    elif force == "lam":
+        res = replace(res, rho=res.floor)
+    assert (res.eigenvectors.shape[0] == 257) == (force == "whole_block")
+    full = solve_variations(op.even, op.psi)
+    shapes = _counting_solves(monkeypatch)
+    resolved = solve_variations(op.even, op.psi, res)
+    assert shapes[-1] == (257, 257)
+    for x, ref in zip(resolved, full):
+        assert np.array_equal(x.coeffs, ref.coeffs)
+
+
+@pytest.mark.parametrize("symbol, alpha", [
+    ("kdv", None), ("bo", None), ("fractional", 0.15), ("fractional", 0.2),
+    ("fractional", 0.3), ("fractional", 1.0), ("fractional", 2.0)])
+def test_resolved_sizes_of_other_symbols(symbol, alpha):
+    # each block resolves on 4 x the wave's highest content mode (48, 52 and
+    # 72 modes at k 0.7, 0.8 and 0.95), except fractional alpha 0.15 at k
+    # 0.7, whose tail floor takes the whole block; a looser tail floor
+    # would send more of these to the whole block, with no other test failing
+    for k, omega, N in itertools.product((0.7, 0.8, 0.95), (0.5, 1.0), (256, 512)):
+        _, op = _operator(symbol, alpha, k, omega, N)
+        m = {0.7: 48, 0.8: 52, 0.95: 72}[k]
+        expected = (N + 1, N) if (alpha, k) == (0.15, 0.7) else (m, m)
+        sizes = tuple(r.eigenvectors.shape[0] for r in (op.eig_even, op.eig_odd))
+        assert sizes == expected, (k, omega, N)
+
+
 @pytest.mark.parametrize("symbol, L", [("kawahara", 20.0), ("kdv", None), ("bo", None)])
 def test_kernel_bound_below_oracle_off_solutions(branch_L, symbol, L):
     # k = 0.8 waves that do not solve their equation: psi' is not in the
@@ -630,7 +716,8 @@ def test_spectrum_timing(benchmark, wave08, kawahara):
 
 
 def test_variation_solve_timing(benchmark, op08):
-    args = (op08.even, op08.psi)
+    # on the resolved block, as evaluate_wave calls it
+    args = (op08.even, op08.psi, op08.eig_even)
     eta, beta = benchmark.pedantic(solve_variations, args=args, rounds=20,
                                    iterations=1)
     ref_eta, ref_beta = solve_variations(*args)
