@@ -5,10 +5,24 @@ map is Pi(omega, A, psi) = M psi + omega psi - psi^2/2 + A projected onto
 modes 0..N, and the Jacobian is the even Galerkin block of M + omega - psi,
 which is invertible precisely because the kernel direction psi' is odd.
 
+Each Newton step and each tangent solves that block K on its leading m
+modes by `galerkin._leading_solve`: the tail by its diagonal and the head
+by one m x m LU, m = `galerkin._leading_size` of the start (of the center
+for a whole patch, so that no row's step depends on its stack; 52 of 129
+modes at k 0.8).  m is four times the wave's highest content mode, so each
+coupling the tail's diagonal drops pairs a coefficient of psi or of the
+step past that mode, below CONTENT_RTOL of the largest: this is an inexact
+Newton step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982)
+whose error lies far below the stopping rule, which stays the full N-mode
+residual, so a converged point solves the same truncated equation to the
+same tolerance.  A row whose head LU fails, or whose damping fails
+with the leading step, repeats the iteration on its whole block's LU; at
+m = N + 1 (every N < 48) the leading step is that LU.
+
 `surface_patch` starts each Newton solve from the first-order (Keller)
 predictor psi + d_omega eta + d_A beta at the neighbouring point, where
-eta = dpsi/domega and beta = dpsi/dA come from the one LU of
-`solve_variations`.  It stays first order because next to a fold of the
+eta = dpsi/domega and beta = dpsi/dA come from `solve_variations` on the
+leading block.  It stays first order because next to a fold of the
 family (smallest even eigenvalue near 0.01) the start decides whether
 Newton lands: a second-order term, or one tangent for the whole patch,
 changed which corners converge.
@@ -18,13 +32,14 @@ The patch is solved frontier by frontier, frontier r being the ring
 the center of each of its points lies on ring r - 1 (4 and 4 points at
 extent (1, 1); 4, 8, 8 and 4 at (2, 2)).  A frontier's tangents come from one
 stacked `solve_variations`, and its points from one `_newton_rows` stack,
-where each iteration makes one stacked even-block assembly, one stacked
-solve and one stacked residual over the rows still running.  A row's
-arithmetic is that of a stack of one, which is what `newton_solve` runs,
-so a patch has the bits of solving its points one by one; the stack saves
-the numpy call overhead of each point, not its LU.  Row norms stay one 1-D
-`np.linalg.norm` per row, because a norm along an axis sums in another
-order and could flip a stopping test.
+where each iteration makes one stacked assembly of the leading rows, one
+stacked solve and one stacked residual over the rows still running.  A
+row's arithmetic is that of a stack of one, which is what `newton_solve`
+runs, so a patch has the bits of solving its points one by one; the stack
+saves the numpy call overhead of each point, and the leading block most of
+its assembly and LU.  Row norms stay one 1-D `np.linalg.norm` per row,
+because a norm along an axis sums in another order and could flip a
+stopping test.
 """
 
 import math
@@ -32,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import DegenerateOperatorError, _even_assembly, solve_variations
+from .galerkin import (DegenerateOperatorError, _even_assembly, _leading_size,
+                       _leading_solve, solve_variations)
 from .profile import FourierProfile, pi_residual
 
 __all__ = [
@@ -71,7 +87,8 @@ def newton_solve(psi, omega, A, sym, tol=1e-12):
     a singular Jacobian, and when the start's residual or the scale
     max(1, |psi|) is not finite.  A damped step counts only with a finite
     residual, and the iteration stops only at a finite residual at or below
-    a finite tol * scale.  This is `_newton_rows` on a stack of one.
+    a finite tol * scale.  This is `_newton_rows` on a stack of one, whose
+    steps solve the leading block at the start's m (module note).
     """
     (out,) = _newton_rows(FourierProfile(psi.L0, psi.coeffs[None]),
                           np.array([omega], dtype=float),
@@ -86,53 +103,56 @@ def _norms(rows):
     return [float(np.linalg.norm(row)) for row in rows]
 
 
+def _each(solve, *stacks):
+    """solve(*stacks) as a list of rows; where the stacked call raises
+    LinAlgError, solve(*row) row by row, with the error for a row that
+    raises it, so only a singular row fails."""
+    try:
+        return list(solve(*stacks))
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for row in zip(*stacks):
+        try:
+            out.append(solve(*row))
+        except np.linalg.LinAlgError as exc:
+            out.append(exc)
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")   # overflow is refused, not warned
-def _newton_rows(psi, omega, A, sym, tol=1e-12):
+def _newton_rows(psi, omega, A, sym, tol=1e-12, m=None):
     """The Newton iteration of `newton_solve` on a stack of problems.
 
-    psi.coeffs has one start per row, and omega and A one value per row.
+    psi.coeffs has one start per row, and omega and A one value per row;
+    m, the leading block's size, defaults to `_leading_size` of the starts.
     Returns one outcome per row, a ContinuationPoint or the
     NewtonDivergenceError that `newton_solve` raises for it.  Each iteration
-    assembles the even blocks, solves and evaluates the damped residuals of
-    the rows still running as one stack; each row keeps its own damping,
-    budget, count and refusals, with the bits it has in a stack of one.  A
-    singular block makes the stacked solve fail for every row, so the rows
-    are then solved one by one.
+    assembles the leading rows of the even blocks, solves and evaluates the
+    damped residuals of the rows still running as one stack (module note);
+    each row keeps its own damping, budget, count and refusals, with the
+    bits it has in a stack of one.  A row whose head LU fails, or whose
+    damping fails with the leading step, repeats the iteration on its whole
+    block; a singular block or head makes a stacked solve fail for every
+    row, so the rows are then solved one by one.
     """
-    L0, N, m = psi.L0, psi.N, len(psi.coeffs)
+    L0, N, count = psi.L0, psi.N, len(psi.coeffs)
+    if m is None:
+        m = _leading_size(psi, N + 1)
     c = psi.coeffs.copy()
     res = pi_residual(psi, omega, A, sym).coeffs
     r = FourierProfile(L0, res).orthonormal(N)
     rnorm, scale = _norms(r), [max(1.0, x) for x in _norms(c)]
-    out = [None] * m
-    iters = [0] * m
-    for i in range(m):
+    out = [None] * count
+    iters = [0] * count
+    for i in range(count):
         if not (math.isfinite(rnorm[i]) and math.isfinite(scale[i])):
             out[i] = NewtonDivergenceError(
                 f"non-finite start (residual {rnorm[i]:.3e}, scale {scale[i]:.3e})")
-    while True:
-        rows = [i for i in range(m) if out[i] is None and not rnorm[i] <= tol * scale[i]]
-        for i in rows:
-            if iters[i] >= MAX_ITER:
-                out[i] = NewtonDivergenceError(
-                    f"no convergence in {MAX_ITER} iterations (residual {rnorm[i]:.3e})")
-        rows = [i for i in rows if out[i] is None]
-        if not rows:
-            break
-        J, _, _, _ = _even_assembly(FourierProfile(L0, c[rows]), omega[rows], sym, N)
-        b = -r[rows]
-        try:
-            delta = list(np.linalg.solve(J, b[..., None])[..., 0])
-        except np.linalg.LinAlgError:
-            delta = []
-            for i, Ji, bi in zip(rows, J, b):
-                try:
-                    delta.append(np.linalg.solve(Ji, bi))
-                except np.linalg.LinAlgError as exc:
-                    out[i] = NewtonDivergenceError(f"singular Jacobian: {exc}")
-                    out[i].__cause__ = exc
-                    delta.append(None)
-        search = [(i, d) for i, d in zip(rows, delta) if d is not None]
+
+    def damped(search):
+        """Take each row's step, halved until its residual falls; returns
+        the rows whose MAX_HALVINGS + 1 trials all failed."""
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             if not search:
@@ -157,9 +177,39 @@ def _newton_rows(psi, omega, A, sym, tol=1e-12):
                     left.append(search[j])
             search = left
             step *= 0.5
-        for i, _ in search:
+        return [i for i, _ in search]
+
+    while True:
+        rows = [i for i in range(count)
+                if out[i] is None and not rnorm[i] <= tol * scale[i]]
+        for i in rows:
+            if iters[i] >= MAX_ITER:
+                out[i] = NewtonDivergenceError(
+                    f"no convergence in {MAX_ITER} iterations (residual {rnorm[i]:.3e})")
+        rows = [i for i in rows if out[i] is None]
+        if not rows:
+            break
+        head, tail = _even_assembly(FourierProfile(L0, c[rows]), omega[rows], sym, N, m)
+        steps = dict(zip(rows, _each(_leading_solve, head, tail, -r[rows][..., None])))
+        failed = damped([(i, d[:, 0]) for i, d in steps.items()
+                         if not isinstance(d, np.linalg.LinAlgError)])
+        # at m = N + 1 the leading step was the whole block's
+        whole = [i for i in rows if isinstance(steps[i], np.linalg.LinAlgError)
+                 or (m <= N and i in failed)]
+        failed = [i for i in failed if i not in whole]
+        if whole:
+            J, _, _, _ = _even_assembly(FourierProfile(L0, c[whole]), omega[whole], sym, N)
+            search = []
+            for i, d in zip(whole, _each(np.linalg.solve, J, -r[whole][..., None])):
+                if isinstance(d, np.linalg.LinAlgError):
+                    out[i] = NewtonDivergenceError(f"singular Jacobian: {d}")
+                    out[i].__cause__ = d
+                else:
+                    search.append((i, d[:, 0]))
+            failed += damped(search)
+        for i in failed:
             out[i] = NewtonDivergenceError(f"damping failed at residual {rnorm[i]:.3e}")
-    done = [i for i in range(m) if out[i] is None]
+    done = [i for i in range(count) if out[i] is None]
     if done:
         sup = np.abs(FourierProfile(L0, res[done]).values()).max(axis=-1)
         for i, s in zip(done, sup):
@@ -193,7 +243,9 @@ def surface_patch(center, domega, dA, extent, sym):
     # the neighbour one step toward the center: along A first, then omega
     frm = {(di, dj): (di, dj + (dj < 0) - (dj > 0)) if dj
            else (di + (di < 0) - (di > 0), 0) for di, dj in order[1:]}
-    size = max(1, STACK_BYTES // (8 * (center.psi.N + 1) ** 2))
+    n = center.psi.N + 1
+    size = max(1, STACK_BYTES // (8 * n**2))
+    m = _leading_size(center.psi, n)   # one leading block for the whole patch
     solved = {(0, 0): center}
     for r in range(1, iw + ia + 1):
         front = [o for o in order if abs(o[0]) + abs(o[1]) == r]
@@ -201,7 +253,7 @@ def surface_patch(center, domega, dA, extent, sym):
         tangent = {}
         for lo in range(0, len(parents), size):
             part = parents[lo : lo + size]
-            tangent.update(zip(part, _tangents([solved[f] for f in part], sym)))
+            tangent.update(zip(part, _tangents([solved[f] for f in part], sym, m)))
         live = [o for o in front if tangent.get(frm[o]) is not None]
         for lo in range(0, len(live), size):
             part = live[lo : lo + size]
@@ -215,28 +267,31 @@ def surface_patch(center, domega, dA, extent, sym):
                     prev, (eta, beta) = solved[frm[o]], tangent[frm[o]]
                     starts.append(prev.psi.coeffs + (w - prev.omega) * eta
                                   + (a - prev.A) * beta)
-            outcomes = _newton_rows(FourierProfile(center.psi.L0, starts), omega, A, sym)
+            outcomes = _newton_rows(FourierProfile(center.psi.L0, starts), omega, A, sym,
+                                    m=m)
             solved.update((o, pt) for o, pt in zip(part, outcomes)
                           if isinstance(pt, ContinuationPoint))
     patch = {o: solved[o] for o in order if o in solved}
     return patch, [o for o in offsets if o not in patch]
 
 
-def _tangents(points, sym):
+def _tangents(points, sym, m):
     """(eta, beta) coefficient rows at each point, from one stacked
-    `solve_variations`; None for a point whose even block is singular."""
+    `solve_variations` on the points' leading m modes; where a head LU
+    fails, one by one on the whole blocks, with None for a point whose
+    block is singular."""
     L0, N = points[0].psi.L0, points[0].psi.N
     psi = FourierProfile(L0, np.stack([p.psi.coeffs for p in points]))
-    even, _, _, _ = _even_assembly(psi, np.array([p.omega for p in points]), sym, N)
+    omega = np.array([p.omega for p in points])
     try:
-        eta, beta = solve_variations(even, psi)
+        eta, beta = solve_variations(_even_assembly(psi, omega, sym, N, m), psi)
         return list(zip(eta.coeffs, beta.coeffs))
     except DegenerateOperatorError:
         pass
     out = []
-    for block, c in zip(even, psi.coeffs):   # one by one: only the singular fail
+    for p in points:   # one by one: only the singular fail
         try:
-            eta, beta = solve_variations(block, FourierProfile(L0, c))
+            eta, beta = solve_variations(_even_assembly(p.psi, p.omega, sym, N)[0], p.psi)
             out.append((eta.coeffs, beta.coeffs))
         except DegenerateOperatorError:
             out.append(None)

@@ -18,15 +18,17 @@ d - s = (0 - s) + d in IEEE arithmetic; 0 - s also keeps a zero entry
 +0.0, where negation would give -0.0 and LAPACK's Householder sign choices
 could differ.  Both blocks are assembled with the operator, the odd one
 from the pieces of the even one's `_even_assembly`; the continuation's
-Newton stacks call `_even_assembly` alone, on a stack of profiles, which
-gives each block the bits it has alone.  The blocks must not be modified
+Newton stacks call `_even_assembly` alone, on a stack of profiles and for
+the leading m rows and the tail's diagonal only, which gives each entry the
+bits it has in its block alone.  The blocks must not be modified
 after assembly.  Orthonormal coordinates come from `FourierProfile`.
 
 A report reads only the bottom of each block's spectrum, and above the few
 dozen modes the wave carries, a block K = [[A, B], [B^T, H]] is dominated by
 its diagonal theta(xi_n).  So `eig_even`/`eig_odd` take eigh of the leading
-m-mode block A = Y diag(theta) Y^T, once per block, from m = min(n,
-max(M_START, 4 x the wave's highest content mode)), doubled until the
+m-mode block A = Y diag(theta) Y^T, once per block, from m =
+`_leading_size`, min(n, max(M_START, 4 x the wave's highest content
+mode)), doubled until the
 certificate below holds, and taken whole (n) where the double would reach
 n/2; at m = n (no B) it holds as it stands.  The resolved pairs are the
 longest prefix L of the pairs with |B^T Y_L|_F <= RESIDUAL_MULT eps `scale`
@@ -66,17 +68,23 @@ theta_L and floor with the weights zeta and |c_R|, so a block returns that
 root less rho, a lower bound on its constrained minimum (theta_0 - rho
 without a constraint).
 
+`_leading_solve` is the one solve of the even block K = [[A, B], [B^T, H]]
+on its leading m modes: the tail by H's diagonal, x_t = b_t / diag(H), and
+the head by one m x m LU, A x_h = b_h - B x_t.  It reads only K's leading
+m rows and H's diagonal, which `_even_assembly(..., rows=m)` builds alone,
+and it drops B^T x_h and H's off-diagonal from the tail equations.
 `solve_variations` gives eta and beta, K x = b for b = -psi and -1.  With
 the even block's resolved pairs, lam = min(min |theta_L|, floor) - rho is a
 lower bound on |eigenvalue| of K by the certificate above, so
 |x - x*| <= |K^-1| |b - K x| <= |b - K x| / lam (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 7).  It solves the leading m
-modes by one m x m LU and the tail by its diagonal, and keeps that x where
-|b - K x| <= RESIDUAL_MULT eps lam |x| for both columns, the residual as
-evaluated in floating point: then |x - x*| <= RESIDUAL_MULT eps |x|.
-Where m is the whole block, lam <= 0, the small LU fails or the residual
-misses, and for a caller without the pairs (continuation's stacks), it
-takes one LU of the whole block.
+Stability of Numerical Algorithms, 2002, ch. 7); it keeps the leading x
+at their m where |b - K x| <= RESIDUAL_MULT eps lam |x| for both columns,
+the residual as evaluated in floating point: then |x - x*| <= RESIDUAL_MULT
+eps |x|.  Where m is the whole block, lam <= 0, the small LU fails or the
+residual misses, it takes one LU of the whole block.  The continuation's
+Newton steps and tangents take the leading solve at the start's m with no
+such check: a tangent only sets a start, and Newton stops on the full
+residual.
 """
 
 import math
@@ -144,10 +152,8 @@ class GalerkinOperator:
     def _resolve(self, block):
         """eigh of the block's leading m modes, m doubled until the
         certificate of the module note holds."""
-        c = np.abs(self.psi.coeffs[1:])
-        content = np.flatnonzero(c > CONTENT_RTOL * c.max(initial=0.0))
         n = block.shape[0]
-        m = min(n, max(M_START, 4 * (content[-1] + 1) if content.size else 0))
+        m = _leading_size(self.psi, n)
         eps = np.finfo(float).eps
         budget = (RESIDUAL_MULT * eps * self.scale) ** 2
         while True:
@@ -191,13 +197,25 @@ class GalerkinOperator:
         return np.pad(y, (0, self.N + 1 - y.size))
 
 
-def _even_assembly(psi, omega, sym, N):
+def _leading_size(psi, n):
+    """Starting size m of a block's leading solve: min(n, max(M_START, 4 x
+    the highest mode whose |c_n| exceeds CONTENT_RTOL of the largest
+    oscillating one)), the highest over a stack's rows."""
+    c = np.abs(psi.coeffs[..., 1:])
+    live = c > CONTENT_RTOL * c.max(axis=-1, keepdims=True, initial=0.0)
+    top = np.max(live * np.arange(1, c.shape[-1] + 1), initial=0)
+    return min(n, max(M_START, 4 * int(top)))
+
+
+def _even_assembly(psi, omega, sym, N, rows=None):
     """Even block of M + omega - psi on modes 0..N, with the pieces the odd
     block reuses: (even, h0, toeplitz, diag).
 
-    A stack of profiles (leading axes of psi.coeffs) with omega of the
-    stack's shape gives the stack of blocks, each with the bits of its
-    profile alone.
+    With `rows` = m it builds only what `_leading_solve` reads and returns
+    (K[:m, :], the diagonal of K[m:, m:]), each entry with the bits it has
+    in the whole block.  A stack of profiles (leading axes of psi.coeffs)
+    with omega of the stack's shape gives the stack of blocks, each with
+    the bits of its profile alone.
     """
     xi = 2.0 * math.pi * np.arange(N + 1) / psi.L0
     theta = np.asarray(sym(xi), dtype=float)
@@ -212,16 +230,35 @@ def _even_assembly(psi, omega, sym, N):
     # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}:
     # Hankel h0[i + j] plus Toeplitz h0[|i - j|], both strided views of h0
     n1 = N + 1
+    m = n1 if rows is None else rows
     reflected = np.concatenate([h0[..., n1 - 1 : 0 : -1], h0[..., :n1]],
-                               axis=-1)  # h0[|m|], |m| <= N
+                               axis=-1)  # h0[|k|], |k| <= N
     toeplitz = sliding_window_view(reflected, n1, axis=-1)[..., ::-1, :]
-    S = sliding_window_view(h0, n1, axis=-1) + toeplitz
+    S = sliding_window_view(h0, n1, axis=-1)[..., :m, :] + toeplitz[..., :m, :]
     S[..., 0, 0] = 0.0
     S[..., 0, 1:] = math.sqrt(2.0) * h0[..., 1:n1]
-    S[..., 1:, 0] = S[..., 0, 1:]
+    S[..., 1:, 0] = S[..., 0, 1:m]
     np.subtract(0.0, S, out=S)   # not np.negative: a zero stays +0.0
-    S.reshape(S.shape[:-2] + (-1,))[..., :: n1 + 1] += diag
-    return S, h0, toeplitz, diag
+    S.reshape(S.shape[:-2] + (-1,))[..., :: n1 + 1] += diag[..., :m]
+    if rows is None:
+        return S, h0, toeplitz, diag
+    # the same three operations on the diagonal past row m
+    return S, np.subtract(0.0, h0[..., 2 * m :: 2] + h0[..., :1]) + diag[..., m:]
+
+
+def _leading_solve(head, tail, rhs):
+    """x with K x = rhs on the leading block (module note): the tail by its
+    diagonal, x_t = b_t / diag, and the head by one m x m LU of b_h - B x_t.
+
+    `head` = K[..., :m, :] = [A, B] and `tail` = diag(K[m:, m:]), as
+    `_even_assembly(..., rows=m)` returns them; rhs has its columns on the
+    last axis.  At m = n it is the whole block's LU.  Raises LinAlgError
+    where the head LU fails.
+    """
+    m = head.shape[-2]
+    x_t = rhs[..., m:, :] / tail[..., None]
+    x_h = np.linalg.solve(head[..., :m], rhs[..., :m, :] - head[..., m:] @ x_t)
+    return np.concatenate([x_h, x_t], axis=-2)
 
 
 def assemble(psi, omega, sym, N=None):
@@ -298,42 +335,46 @@ def solve_variations(even, psi, resolved=None):
     """eta and beta, L eta = -psi and L beta = -1, on the even block at psi,
     with no eigensolve.
 
-    `even` is the block (`GalerkinOperator.even`) on modes 0..N.  With
-    `resolved`, its certified pairs (`GalerkinOperator.eig_even`), the
-    solve is the leading block's LU and the tail's diagonal where the
-    residual certifies it to RESIDUAL_MULT eps |x| (module note); otherwise
-    one LU of the whole block.  A stack of blocks and profiles (without
-    `resolved`) gives stacks of eta and beta, one LU per block; a singular
-    block then refuses the whole stack.  An exactly singular block raises
-    DegenerateOperatorError; a nearly singular one is caught only by
-    `_check_even_band`.
+    `even` is the block (`GalerkinOperator.even`) on modes 0..N, or the
+    pair (its leading m rows, the diagonal of the rest) that
+    `_even_assembly(..., rows=m)` returns, which takes `_leading_solve`
+    alone.  With `resolved`, the whole block's certified pairs
+    (`GalerkinOperator.eig_even`), the solve is `_leading_solve` at their m
+    where the residual certifies it to RESIDUAL_MULT eps |x| (module note);
+    otherwise one LU of the whole block.  A stack of blocks and profiles
+    (without `resolved`) gives stacks of eta and beta, one LU per block; a
+    singular block or head then refuses the whole stack.  An exactly
+    singular one raises DegenerateOperatorError; a nearly singular one is
+    caught only by `_check_even_band`.
     """
-    N = even.shape[-1] - 1
+    leading = isinstance(even, tuple)
+    N = (even[0] if leading else even).shape[-1] - 1
     v = -psi.orthonormal(N)
     rhs = np.stack([v, np.broadcast_to(
         FourierProfile(psi.L0, [-1.0]).orthonormal(N), v.shape)], axis=-1)
     x = None if resolved is None else _solve_resolved(even, rhs, resolved)
-    if x is None:
-        try:
+    try:
+        if leading:
+            x = _leading_solve(*even, rhs)
+        elif x is None:
             x = np.linalg.solve(even, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
     return (FourierProfile.from_orthonormal(psi.L0, x[..., 0]),
             FourierProfile.from_orthonormal(psi.L0, x[..., 1]))
 
 
 def _solve_resolved(even, rhs, res):
-    """x with even x = rhs from the leading m x m LU and the tail's
-    diagonal, or None where the residual does not certify it (module note)."""
+    """x with even x = rhs by `_leading_solve` at the resolved pairs' m, or
+    None where the residual does not certify it (module note)."""
     m = res.eigenvectors.shape[0]
     lam = min(np.abs(res.eigenvalues).min(initial=np.inf), res.floor) - res.rho
     if m == even.shape[0] or not lam > 0.0:
         return None
     try:
-        head = np.linalg.solve(even[:m, :m], rhs[:m])
+        x = _leading_solve(even[:m], np.diagonal(even)[m:], rhs)
     except np.linalg.LinAlgError:
         return None
-    x = np.concatenate([head, rhs[m:] / np.diagonal(even)[m:, None]])
     bound = RESIDUAL_MULT * np.finfo(float).eps * lam * np.linalg.norm(x, axis=0)
     return x if (np.linalg.norm(rhs - even @ x, axis=0) <= bound).all() else None
 

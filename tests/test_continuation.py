@@ -9,7 +9,9 @@ from wavestab.continuation import (
     surface_patch,
 )
 from wavestab.criteria import derivatives, functionals
-from wavestab.galerkin import DegenerateOperatorError, GalerkinOperator, solve_variations
+from wavestab.galerkin import (DegenerateOperatorError, GalerkinOperator, _even_assembly,
+                               _leading_size, _leading_solve, solve_variations)
+from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal, pi_residual
 from conftest import galilean_shift
 
@@ -262,12 +264,28 @@ def test_patch_timing(benchmark, wave08, kawahara, extent, step):
     assert all(np.array_equal(out[key].psi.coeffs, ref[key].psi.coeffs) for key in ref)
 
 
-def _pointwise_newton(psi, omega, A, sym, tol=1e-12):
-    """newton_solve before the stacked iteration, one operator, solve and
-    residual per point, kept as the reference: a stack must give its bits."""
+def _whole_step(psi, omega, sym, r, m):
+    return np.linalg.solve(GalerkinOperator(psi, omega, sym, psi.N).even, -r)
+
+
+def _leading_step(psi, omega, sym, r, m):
+    head, tail = _even_assembly(psi, omega, sym, psi.N, m)
+    return _leading_solve(head, tail, -r[:, None])[:, 0]
+
+
+def _pointwise_newton(psi, omega, A, sym, tol=1e-12, m=None, leading=True):
+    """newton_solve one point at a time, one operator, solve and residual
+    per iteration, kept as the reference.  With `leading`, the library's
+    step on the leading m modes (default: the start's), repeated on the
+    whole block where its damping fails: a stack must give its bits.
+    Without, the whole-block Newton the library took before, the oracle
+    its points must match to round-off."""
+    N = psi.N
+    m = _leading_size(psi, N + 1) if m is None else m
+    steps = [_leading_step, _whole_step][: 1 + (m <= N)] if leading else [_whole_step]
     scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
     res = pi_residual(psi, omega, A, sym)
-    r = res.orthonormal(psi.N)
+    r = res.orthonormal(N)
     rnorm = float(np.linalg.norm(r))
     if not (np.isfinite(rnorm) and np.isfinite(scale)):
         raise NewtonDivergenceError("non-finite start")
@@ -275,24 +293,19 @@ def _pointwise_newton(psi, omega, A, sym, tol=1e-12):
     while not rnorm <= tol * scale:
         if iters >= cont.MAX_ITER:
             raise NewtonDivergenceError("no convergence")
-        J = GalerkinOperator(psi, omega, sym, psi.N).even
-        try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError("singular Jacobian") from exc
-        step = 1.0
-        for _ in range(cont.MAX_HALVINGS + 1):
-            dc = FourierProfile.from_orthonormal(psi.L0, step * delta).coeffs
-            cand = FourierProfile(psi.L0, psi.coeffs + dc)
-            res_new = pi_residual(cand, omega, A, sym)
-            r_new = res_new.orthonormal(psi.N)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and (rnorm_new < rnorm or rnorm_new <= tol * scale):
+        for solve in steps:
+            try:
+                delta = solve(psi, omega, sym, r, m)
+            except np.linalg.LinAlgError as exc:
+                if solve is steps[-1]:
+                    raise NewtonDivergenceError("singular Jacobian") from exc
+                continue
+            accepted = _damped(psi, delta, omega, A, sym, rnorm, tol * scale)
+            if accepted is not None:
                 break
-            step *= 0.5
         else:
             raise NewtonDivergenceError("damping failed")
-        psi, res, r, rnorm = cand, res_new, r_new, rnorm_new
+        psi, res, r, rnorm = accepted
         scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
         if not np.isfinite(scale):
             raise NewtonDivergenceError("non-finite scale")
@@ -301,12 +314,30 @@ def _pointwise_newton(psi, omega, A, sym, tol=1e-12):
                              residual_norm=res.sup_norm(), newton_iters=iters)
 
 
-def _pointwise_patch(center, domega, dA, extent, sym):
+def _damped(psi, delta, omega, A, sym, rnorm, stop):
+    """(psi, res, r, |r|) after the first accepted halving of delta, or None."""
+    step = 1.0
+    for _ in range(cont.MAX_HALVINGS + 1):
+        dc = FourierProfile.from_orthonormal(psi.L0, step * delta).coeffs
+        cand = FourierProfile(psi.L0, psi.coeffs + dc)
+        res_new = pi_residual(cand, omega, A, sym)
+        r_new = res_new.orthonormal(psi.N)
+        rnorm_new = float(np.linalg.norm(r_new))
+        if np.isfinite(rnorm_new) and (rnorm_new < rnorm or rnorm_new <= stop):
+            return cand, res_new, r_new, rnorm_new
+        step *= 0.5
+    return None
+
+
+def _pointwise_patch(center, domega, dA, extent, sym, leading=True):
     """surface_patch before the frontier stacks, one tangent solve per
     neighbour and one Newton solve per point in grid order, kept as the
-    reference."""
+    reference: with `leading` on the center's leading m modes like the
+    library, without on the whole block like the library before."""
     iw, ia = extent
     offsets = [(di, dj) for di in range(-iw, iw + 1) for dj in range(-ia, ia + 1)]
+    N = center.psi.N
+    m = _leading_size(center.psi, N + 1)
     patch = {(0, 0): center}
     tangents = {}
     for di, dj in sorted(offsets, key=lambda o: (abs(o[1]), abs(o[0])))[1:]:
@@ -317,14 +348,16 @@ def _pointwise_patch(center, domega, dA, extent, sym):
         omega, A = center.omega + di * domega, center.A + dj * dA
         try:
             if frm not in tangents:
-                op = GalerkinOperator(prev.psi, prev.omega, sym, prev.psi.N)
-                tangents[frm] = solve_variations(op.even, op.psi)
+                tangents[frm] = solve_variations(
+                    _even_assembly(prev.psi, prev.omega, sym, N, m) if leading
+                    else GalerkinOperator(prev.psi, prev.omega, sym, N).even, prev.psi)
             eta, beta = tangents[frm]
             with np.errstate(over="ignore", invalid="ignore"):
                 start = FourierProfile(prev.psi.L0, prev.psi.coeffs
                                        + (omega - prev.omega) * eta.coeffs
                                        + (A - prev.A) * beta.coeffs)
-                patch[(di, dj)] = _pointwise_newton(start, omega, A, sym)
+                patch[(di, dj)] = _pointwise_newton(start, omega, A, sym, m=m,
+                                                    leading=leading)
         except (DegenerateOperatorError, NewtonDivergenceError):
             continue
     return patch, [o for o in offsets if o not in patch]
@@ -356,6 +389,92 @@ def test_patch_matches_pointwise_reference(kawahara, k, omega, step, extent, n_m
         _assert_same_point(patch[key], pt)
 
 
+_SEEDED = np.random.default_rng(39)
+WHOLE_BLOCK_CASES = (
+    [("kawahara", k, w, step, extent) for k, w, step, extent, _ in ORACLE_CASES]
+    + [("kawahara", _SEEDED.uniform(0.62, 0.92), _SEEDED.uniform(0.9, 1.1), 5e-3, (1, 1))
+       for _ in range(20)]
+    + [(name, k, 1.0, 5e-3, (2, 2)) for name in ("kdv", "bo", 0.1, 0.3, 2.0)
+       for k in (0.7, 0.95)])
+
+
+@pytest.mark.parametrize("symbol, k, omega, step, extent", WHOLE_BLOCK_CASES, ids=[
+    f"{s}-k{k:.3f}-w{w:.3f}-step{step:g}-{e[0]}x{e[1]}"
+    for s, k, w, step, e in WHOLE_BLOCK_CASES])
+def test_patch_matches_whole_block_oracle(symbol, k, omega, step, extent):
+    # the leading-block Newton lands on the whole-block Newton's points: the
+    # same keys, missing offsets and iterations, and coefficients within
+    # round-off, each with a residual below the stopping rule
+    sym = (builtin_symbol("fractional", symbol) if isinstance(symbol, float)
+           else builtin_symbol(symbol))
+    params, psi = build_dnoidal(k, None, omega, N=128)
+    center = newton_solve(psi, omega, params.A, sym)   # the seed of `continue`
+    oracle_center = _pointwise_newton(psi, omega, params.A, sym, leading=False)
+    assert center.newton_iters == oracle_center.newton_iters
+    patch, missing = surface_patch(center, step, step, extent, sym)
+    oracle, oracle_missing = _pointwise_patch(oracle_center, step, step, extent, sym,
+                                              leading=False)
+    assert list(patch) == list(oracle)
+    assert missing == oracle_missing
+    if (k, omega) == (0.641, 1.039):
+        assert missing == [(-2, -2)]    # the fold
+    for key, ref in oracle.items():
+        pt = patch[key]
+        assert pt.newton_iters == ref.newton_iters
+        scale = max(1.0, ref.psi.sup_norm())
+        assert np.abs(pt.psi.coeffs - ref.psi.coeffs).max() <= 1e-13 * scale
+        r = pi_residual(pt.psi, pt.omega, pt.A, sym).orthonormal(pt.psi.N)
+        assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.linalg.norm(pt.psi.coeffs))
+
+
+def test_patch_solve_and_assembly_budget(wave08, kawahara, monkeypatch):
+    # the benchmark's patch solves and assembles only the leading 52 of 129
+    # modes: every LU is a stack of 52 x 52 heads, and no whole block is built
+    solves, assembled = [], []
+
+    def solve(a, b, _fn=np.linalg.solve):
+        solves.append(a.shape)
+        return _fn(a, b)
+
+    def assembly(*args, _fn=cont._even_assembly):
+        out = _fn(*args)
+        assembled.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(cont, "_even_assembly", assembly)
+    params, psi = wave08
+    center = newton_solve(psi, params.omega, params.A, kawahara)
+    patch, missing = surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
+    assert len(patch) == 9 and missing == []
+    assert solves and all(s[1:] == (52, 52) for s in solves)
+    assert assembled and all(s[1:] == (52, 129) for s in assembled)
+
+
+def test_failed_leading_step_repeats_on_the_whole_block(wave08, kawahara, monkeypatch):
+    # a leading step that no halving accepts is taken again on the whole
+    # block in the same iteration, which then has the whole-block bits
+    params, psi = wave08
+    starts = [psi.coeffs * (1.0 + bump) for bump in (2e-3, -1e-3)]
+    refs = [_pointwise_newton(FourierProfile(psi.L0, c), params.omega, params.A,
+                              kawahara, leading=False) for c in starts]
+    monkeypatch.setattr(cont, "_leading_solve",
+                        lambda head, tail, rhs: np.full(rhs.shape[:-2] + (129, 1), np.nan))
+    assembled = []
+
+    def assembly(*args, _fn=cont._even_assembly):
+        assembled.append(args[4:])
+        return _fn(*args)
+
+    monkeypatch.setattr(cont, "_even_assembly", assembly)
+    outcomes = cont._newton_rows(FourierProfile(psi.L0, np.stack(starts)),
+                                 np.full(2, params.omega), np.full(2, params.A), kawahara)
+    for pt, ref in zip(outcomes, refs):
+        _assert_same_point(pt, ref)
+    # one leading and one whole assembly per iteration
+    assert assembled == [(52,), ()] * max(ref.newton_iters for ref in refs)
+
+
 @pytest.mark.parametrize("blocks, sizes", [(None, [4, 8, 8, 4]),
                                             (3, [3, 1, 3, 3, 2, 3, 3, 2, 3, 1])])
 def test_frontier_stacks(wave08, kawahara, monkeypatch, blocks, sizes):
@@ -367,9 +486,9 @@ def test_frontier_stacks(wave08, kawahara, monkeypatch, blocks, sizes):
         monkeypatch.setattr(cont, "STACK_BYTES", blocks * 8 * (psi.N + 1) ** 2)
     stacks = []
 
-    def recorded(psi, *args, _fn=cont._newton_rows):
+    def recorded(psi, *args, _fn=cont._newton_rows, **kwargs):
         stacks.append(len(psi.coeffs))
-        return _fn(psi, *args)
+        return _fn(psi, *args, **kwargs)
 
     monkeypatch.setattr(cont, "_newton_rows", recorded)
     patch, missing = surface_patch(center, 5e-3, 5e-3, (2, 2), kawahara)
@@ -429,7 +548,7 @@ def test_singular_block_fails_alone_in_a_tangent_stack(kawahara):
     points = [ContinuationPoint(omega=w, A=A, psi=FourierProfile(L0, c),
                                 residual_norm=0.0, newton_iters=0)
               for c, w, A in (_singular_start(), _good_start())]
-    bad, good = cont._tangents(points, kawahara)
+    bad, good = cont._tangents(points, kawahara, 17)   # N = 16: m is the whole block
     assert bad is None
     op = GalerkinOperator(points[1].psi, points[1].omega, kawahara, 16)
     eta, beta = solve_variations(op.even, op.psi)

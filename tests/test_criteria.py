@@ -251,6 +251,27 @@ def test_criteria_body_is_blas_thread_independent(tmp_path, k, omega):
     assert bodies[0] == bodies[1]
 
 
+@pytest.mark.parametrize("args", [["--k", "0.8"], ["--k", "0.7", "--N", "256"],
+                                  ["--k", "0.9", "--omega", "1.05", "--domega", "5e-3",
+                                   "--dA", "5e-3"]], ids=["readme", "N256", "k0.9"])
+def test_continue_body_is_blas_thread_independent(tmp_path, args):
+    # the Newton steps and tangents factorize leading blocks of a few dozen
+    # modes, whose LU has the same bits under one and two OpenBLAS threads;
+    # the whole 129- or 257-mode block's did not
+    src = Path(criteria.__file__).resolve().parents[1]
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"patch{threads}.csv"
+        subprocess.run([sys.executable, "-m", "wavestab.cli", "continue", *args,
+                        "--out", str(out)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(src),
+                            "OPENBLAS_NUM_THREADS": threads})
+        bodies.append([line for line in out.read_text().splitlines()
+                       if not line.startswith("# env ")])
+    assert bodies[0] == bodies[1]
+
+
 def test_zero_wave_inconclusive(kawahara):
     psi = FourierProfile(20.0, np.zeros(33))
     report = evaluate_wave(psi, 1.0, kawahara, N=64)

@@ -425,6 +425,27 @@ def test_strided_blocks_equal_fancy_index_assembly(wave08, kawahara, N):
     assert np.array_equal(op.odd, odd)
 
 
+@pytest.mark.parametrize("m", [1, 52, 128, 129])
+def test_leading_rows_have_the_whole_block_bits(wave08, kawahara, m):
+    # the row-count assembly builds K's leading m rows and the diagonal past
+    # them with the whole block's bits, one profile alone or in a stack
+    params, psi = wave08
+    stack = FourierProfile(psi.L0, np.stack([psi.coeffs, 1.01 * psi.coeffs]))
+    omega = np.array([params.omega, params.omega + 0.1])
+    wholes = galerkin._even_assembly(stack, omega, kawahara, 128)[0]
+    heads, tails = galerkin._even_assembly(stack, omega, kawahara, 128, m)
+    for j, K in enumerate(wholes):
+        alone = galerkin._even_assembly(FourierProfile(psi.L0, stack.coeffs[j]), omega[j],
+                                        kawahara, 128, m)
+        for head, tail in ((heads[j], tails[j]), alone):
+            assert _bits(head) == _bits(K[:m]) and _bits(tail) == _bits(np.diagonal(K)[m:])
+
+
+def _bits(a):
+    """The float64 bits of a, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()
+
+
 def _dense_spectrum(op):
     """Reference SpectrumReport from full eigh of both blocks, with the
     lowest even eigenvector and each block's eigenvalues."""
