@@ -15,9 +15,10 @@ step past that mode, below CONTENT_RTOL of the largest: this is an inexact
 Newton step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982)
 whose error lies far below the stopping rule, which stays the full N-mode
 residual, so a converged point solves the same truncated equation to the
-same tolerance.  A row whose head LU fails, or whose damping fails
-with the leading step, repeats the iteration on its whole block's LU; at
-m = N + 1 (every N < 48) the leading step is that LU.
+same tolerance.  No continuation solve builds or factorizes the whole
+block: a row whose head LU fails is refused as a singular Jacobian, and
+one whose damping fails with the leading step as such, in that iteration.
+At m = N + 1 (every N < 48) the head is the whole block.
 
 `surface_patch` starts each Newton solve from the first-order (Keller)
 predictor psi + d_omega eta + d_A beta at the neighbouring point, where
@@ -60,9 +61,9 @@ __all__ = [
 
 MAX_ITER = 25
 MAX_HALVINGS = 6
-# the even blocks of one surface_patch stack, (N+1)^2 doubles each, stay
+# the leading rows of one surface_patch stack, m (N+1) doubles a row, stay
 # within this many bytes, so a large frontier is solved as several stacks:
-# 63 rows at N = 128, and one row from N = 1024 (a block of 8.4 MB)
+# 156 rows at N = 128 and m = 52, 10 at N = 2048 and m = 48
 STACK_BYTES = 1 << 23
 
 
@@ -132,9 +133,9 @@ def _newton_rows(psi, omega, A, sym, tol=1e-12, m=None):
     damped residuals of the rows still running as one stack (module note);
     each row keeps its own damping, budget, count and refusals, with the
     bits it has in a stack of one.  A row whose head LU fails, or whose
-    damping fails with the leading step, repeats the iteration on its whole
-    block; a singular block or head makes a stacked solve fail for every
-    row, so the rows are then solved one by one.
+    damping fails, is refused in that iteration; a singular head makes the
+    stacked solve fail for every row, so the rows are then solved one by
+    one.
     """
     L0, N, count = psi.L0, psi.N, len(psi.coeffs)
     if m is None:
@@ -150,9 +151,25 @@ def _newton_rows(psi, omega, A, sym, tol=1e-12, m=None):
             out[i] = NewtonDivergenceError(
                 f"non-finite start (residual {rnorm[i]:.3e}, scale {scale[i]:.3e})")
 
-    def damped(search):
-        """Take each row's step, halved until its residual falls; returns
-        the rows whose MAX_HALVINGS + 1 trials all failed."""
+    while True:
+        rows = [i for i in range(count)
+                if out[i] is None and not rnorm[i] <= tol * scale[i]]
+        for i in rows:
+            if iters[i] >= MAX_ITER:
+                out[i] = NewtonDivergenceError(
+                    f"no convergence in {MAX_ITER} iterations (residual {rnorm[i]:.3e})")
+        rows = [i for i in rows if out[i] is None]
+        if not rows:
+            break
+        head, tail = _even_assembly(FourierProfile(L0, c[rows]), omega[rows], sym, N, m)
+        search = []
+        for i, d in zip(rows, _each(_leading_solve, head, tail, -r[rows][..., None])):
+            if isinstance(d, np.linalg.LinAlgError):
+                out[i] = NewtonDivergenceError(f"singular Jacobian: {d}")
+                out[i].__cause__ = d
+            else:
+                search.append((i, d[:, 0]))
+        # each row's step, halved until its residual falls
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             if not search:
@@ -177,37 +194,7 @@ def _newton_rows(psi, omega, A, sym, tol=1e-12, m=None):
                     left.append(search[j])
             search = left
             step *= 0.5
-        return [i for i, _ in search]
-
-    while True:
-        rows = [i for i in range(count)
-                if out[i] is None and not rnorm[i] <= tol * scale[i]]
-        for i in rows:
-            if iters[i] >= MAX_ITER:
-                out[i] = NewtonDivergenceError(
-                    f"no convergence in {MAX_ITER} iterations (residual {rnorm[i]:.3e})")
-        rows = [i for i in rows if out[i] is None]
-        if not rows:
-            break
-        head, tail = _even_assembly(FourierProfile(L0, c[rows]), omega[rows], sym, N, m)
-        steps = dict(zip(rows, _each(_leading_solve, head, tail, -r[rows][..., None])))
-        failed = damped([(i, d[:, 0]) for i, d in steps.items()
-                         if not isinstance(d, np.linalg.LinAlgError)])
-        # at m = N + 1 the leading step was the whole block's
-        whole = [i for i in rows if isinstance(steps[i], np.linalg.LinAlgError)
-                 or (m <= N and i in failed)]
-        failed = [i for i in failed if i not in whole]
-        if whole:
-            J, _, _, _ = _even_assembly(FourierProfile(L0, c[whole]), omega[whole], sym, N)
-            search = []
-            for i, d in zip(whole, _each(np.linalg.solve, J, -r[whole][..., None])):
-                if isinstance(d, np.linalg.LinAlgError):
-                    out[i] = NewtonDivergenceError(f"singular Jacobian: {d}")
-                    out[i].__cause__ = d
-                else:
-                    search.append((i, d[:, 0]))
-            failed += damped(search)
-        for i in failed:
+        for i, _ in search:   # all MAX_HALVINGS + 1 trials failed
             out[i] = NewtonDivergenceError(f"damping failed at residual {rnorm[i]:.3e}")
     done = [i for i in range(count) if out[i] is None]
     if done:
@@ -228,11 +215,11 @@ def surface_patch(center, domega, dA, extent, sym):
     are solved ring by ring, |di| + |dj| = 1, 2, ..., iw + ia: per ring one
     stacked `solve_variations` gives the neighbours' tangents and one
     `_newton_rows` stack corrects the points, in stacks of at most
-    STACK_BYTES of even blocks.  Returns (patch, missing): patch is
+    STACK_BYTES of leading rows.  Returns (patch, missing): patch is
     {(di, dj): ContinuationPoint} for every converged point, the center first,
     then outward along omega and then in A, and missing lists the other
-    offsets in ascending order.  A Newton failure, or a singular even block
-    at the neighbour, ends that ray (points farther out on the same ray are
+    offsets in ascending order.  A Newton failure, or a singular head of the
+    even block at the neighbour, ends that ray (points farther out on the same ray are
     not attempted).
     """
     iw, ia = extent
@@ -244,8 +231,8 @@ def surface_patch(center, domega, dA, extent, sym):
     frm = {(di, dj): (di, dj + (dj < 0) - (dj > 0)) if dj
            else (di + (di < 0) - (di > 0), 0) for di, dj in order[1:]}
     n = center.psi.N + 1
-    size = max(1, STACK_BYTES // (8 * n**2))
     m = _leading_size(center.psi, n)   # one leading block for the whole patch
+    size = max(1, STACK_BYTES // (8 * m * n))
     solved = {(0, 0): center}
     for r in range(1, iw + ia + 1):
         front = [o for o in order if abs(o[0]) + abs(o[1]) == r]
@@ -278,20 +265,21 @@ def surface_patch(center, domega, dA, extent, sym):
 def _tangents(points, sym, m):
     """(eta, beta) coefficient rows at each point, from one stacked
     `solve_variations` on the points' leading m modes; where a head LU
-    fails, one by one on the whole blocks, with None for a point whose
-    block is singular."""
+    fails, one by one on each point's own rows of the same assembly, with
+    None for a point whose head is singular, so no point's tangent depends
+    on its stack."""
     L0, N = points[0].psi.L0, points[0].psi.N
     psi = FourierProfile(L0, np.stack([p.psi.coeffs for p in points]))
-    omega = np.array([p.omega for p in points])
+    head, tail = _even_assembly(psi, np.array([p.omega for p in points]), sym, N, m)
     try:
-        eta, beta = solve_variations(_even_assembly(psi, omega, sym, N, m), psi)
+        eta, beta = solve_variations((head, tail), psi)
         return list(zip(eta.coeffs, beta.coeffs))
     except DegenerateOperatorError:
         pass
     out = []
-    for p in points:   # one by one: only the singular fail
+    for p, h, t in zip(points, head, tail):
         try:
-            eta, beta = solve_variations(_even_assembly(p.psi, p.omega, sym, N)[0], p.psi)
+            eta, beta = solve_variations((h, t), p.psi)
             out.append((eta.coeffs, beta.coeffs))
         except DegenerateOperatorError:
             out.append(None)

@@ -81,10 +81,11 @@ Stability of Numerical Algorithms, 2002, ch. 7); it keeps the leading x
 at their m where |b - K x| <= RESIDUAL_MULT eps lam |x| for both columns,
 the residual as evaluated in floating point: then |x - x*| <= RESIDUAL_MULT
 eps |x|.  Where m is the whole block, lam <= 0, the small LU fails or the
-residual misses, it takes one LU of the whole block.  The continuation's
-Newton steps and tangents take the leading solve at the start's m with no
-such check: a tangent only sets a start, and Newton stops on the full
-residual.
+residual misses, it takes the leading solve at m = n, with an empty tail:
+one LU of the whole block, with the bits of solving it directly.  The
+continuation's Newton steps and tangents take the leading solve at the
+start's m with no such check and no whole-block solve: a tangent only sets
+a start, and Newton stops on the full residual.
 """
 
 import math
@@ -341,25 +342,24 @@ def solve_variations(even, psi, resolved=None):
     alone.  With `resolved`, the whole block's certified pairs
     (`GalerkinOperator.eig_even`), the solve is `_leading_solve` at their m
     where the residual certifies it to RESIDUAL_MULT eps |x| (module note);
-    otherwise one LU of the whole block.  A stack of blocks and profiles
-    (without `resolved`) gives stacks of eta and beta, one LU per block; a
-    singular block or head then refuses the whole stack.  An exactly
-    singular one raises DegenerateOperatorError; a nearly singular one is
-    caught only by `_check_even_band`.
+    otherwise `_leading_solve` at m = n, one LU of the whole block.  A stack
+    of blocks and profiles (without `resolved`) gives stacks of eta and
+    beta, one LU per block; a singular block or head then refuses the whole
+    stack.  An exactly singular one raises DegenerateOperatorError; a
+    nearly singular one is caught only by `_check_even_band`.
     """
-    leading = isinstance(even, tuple)
-    N = (even[0] if leading else even).shape[-1] - 1
+    # the whole block is the leading solve at m = n, with an empty tail
+    head, tail = even if isinstance(even, tuple) else (even, np.empty(even.shape[:-2] + (0,)))
+    N = head.shape[-1] - 1
     v = -psi.orthonormal(N)
     rhs = np.stack([v, np.broadcast_to(
         FourierProfile(psi.L0, [-1.0]).orthonormal(N), v.shape)], axis=-1)
     x = None if resolved is None else _solve_resolved(even, rhs, resolved)
-    try:
-        if leading:
-            x = _leading_solve(*even, rhs)
-        elif x is None:
-            x = np.linalg.solve(even, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
+    if x is None:
+        try:
+            x = _leading_solve(head, tail, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateOperatorError(f"even block is singular: {exc}") from exc
     return (FourierProfile.from_orthonormal(psi.L0, x[..., 0]),
             FourierProfile.from_orthonormal(psi.L0, x[..., 1]))
 

@@ -276,13 +276,12 @@ def _leading_step(psi, omega, sym, r, m):
 def _pointwise_newton(psi, omega, A, sym, tol=1e-12, m=None, leading=True):
     """newton_solve one point at a time, one operator, solve and residual
     per iteration, kept as the reference.  With `leading`, the library's
-    step on the leading m modes (default: the start's), repeated on the
-    whole block where its damping fails: a stack must give its bits.
-    Without, the whole-block Newton the library took before, the oracle
-    its points must match to round-off."""
+    step on the leading m modes (default: the start's): a stack must give
+    its bits.  Without, the whole-block Newton the library took before, the
+    oracle its points must match to round-off."""
     N = psi.N
     m = _leading_size(psi, N + 1) if m is None else m
-    steps = [_leading_step, _whole_step][: 1 + (m <= N)] if leading else [_whole_step]
+    solve = _leading_step if leading else _whole_step
     scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
     res = pi_residual(psi, omega, A, sym)
     r = res.orthonormal(N)
@@ -293,17 +292,12 @@ def _pointwise_newton(psi, omega, A, sym, tol=1e-12, m=None, leading=True):
     while not rnorm <= tol * scale:
         if iters >= cont.MAX_ITER:
             raise NewtonDivergenceError("no convergence")
-        for solve in steps:
-            try:
-                delta = solve(psi, omega, sym, r, m)
-            except np.linalg.LinAlgError as exc:
-                if solve is steps[-1]:
-                    raise NewtonDivergenceError("singular Jacobian") from exc
-                continue
-            accepted = _damped(psi, delta, omega, A, sym, rnorm, tol * scale)
-            if accepted is not None:
-                break
-        else:
+        try:
+            delta = solve(psi, omega, sym, r, m)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergenceError("singular Jacobian") from exc
+        accepted = _damped(psi, delta, omega, A, sym, rnorm, tol * scale)
+        if accepted is None:
             raise NewtonDivergenceError("damping failed")
         psi, res, r, rnorm = accepted
         scale = max(1.0, float(np.linalg.norm(psi.coeffs)))
@@ -427,9 +421,10 @@ def test_patch_matches_whole_block_oracle(symbol, k, omega, step, extent):
         assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.linalg.norm(pt.psi.coeffs))
 
 
-def test_patch_solve_and_assembly_budget(wave08, kawahara, monkeypatch):
-    # the benchmark's patch solves and assembles only the leading 52 of 129
-    # modes: every LU is a stack of 52 x 52 heads, and no whole block is built
+def test_patch_solve_and_assembly_budget(kawahara, monkeypatch):
+    # the benchmark's patch and the fold's solve and assemble only the
+    # leading m of 129 modes, the fold's failing corner too: every LU is a
+    # stack of m x m heads, and no whole block is built
     solves, assembled = [], []
 
     def solve(a, b, _fn=np.linalg.solve):
@@ -443,21 +438,25 @@ def test_patch_solve_and_assembly_budget(wave08, kawahara, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(cont, "_even_assembly", assembly)
-    params, psi = wave08
-    center = newton_solve(psi, params.omega, params.A, kawahara)
-    patch, missing = surface_patch(center, 5e-3, 5e-3, (1, 1), kawahara)
-    assert len(patch) == 9 and missing == []
-    assert solves and all(s[1:] == (52, 52) for s in solves)
-    assert assembled and all(s[1:] == (52, 129) for s in assembled)
+    for k, omega, extent, m, missing in [(0.8, 1.0, (1, 1), 52, []),
+                                         (0.641, 1.039, (2, 2), 48, [(-2, -2)])]:
+        solves.clear()
+        assembled.clear()
+        params, psi = build_dnoidal(k, None, omega, N=128)
+        center = newton_solve(psi, omega, params.A, kawahara)
+        assert surface_patch(center, 5e-3, 5e-3, extent, kawahara)[1] == missing
+        assert solves and all(s[-2:] == (m, m) for s in solves)
+        assert assembled and all(s[1:] == (m, 129) for s in assembled)
 
 
-def test_failed_leading_step_repeats_on_the_whole_block(wave08, kawahara, monkeypatch):
-    # a leading step that no halving accepts is taken again on the whole
-    # block in the same iteration, which then has the whole-block bits
+def test_failed_leading_step_is_refused(wave08, kawahara, monkeypatch):
+    # a leading step that no halving accepts refuses its row in that
+    # iteration, with no whole-block repeat: every assembly is of the
+    # leading rows
     params, psi = wave08
-    starts = [psi.coeffs * (1.0 + bump) for bump in (2e-3, -1e-3)]
-    refs = [_pointwise_newton(FourierProfile(psi.L0, c), params.omega, params.A,
-                              kawahara, leading=False) for c in starts]
+    starts = np.stack([psi.coeffs * (1.0 + bump) for bump in (2e-3, -1e-3)])
+    r0 = pi_residual(FourierProfile(psi.L0, starts), np.full(2, params.omega),
+                     np.full(2, params.A), kawahara).orthonormal(psi.N)
     monkeypatch.setattr(cont, "_leading_solve",
                         lambda head, tail, rhs: np.full(rhs.shape[:-2] + (129, 1), np.nan))
     assembled = []
@@ -467,23 +466,25 @@ def test_failed_leading_step_repeats_on_the_whole_block(wave08, kawahara, monkey
         return _fn(*args)
 
     monkeypatch.setattr(cont, "_even_assembly", assembly)
-    outcomes = cont._newton_rows(FourierProfile(psi.L0, np.stack(starts)),
+    outcomes = cont._newton_rows(FourierProfile(psi.L0, starts),
                                  np.full(2, params.omega), np.full(2, params.A), kawahara)
-    for pt, ref in zip(outcomes, refs):
-        _assert_same_point(pt, ref)
-    # one leading and one whole assembly per iteration
-    assert assembled == [(52,), ()] * max(ref.newton_iters for ref in refs)
+    for out, r in zip(outcomes, r0):
+        assert isinstance(out, NewtonDivergenceError)
+        assert str(out) == f"damping failed at residual {np.linalg.norm(r):.3e}"
+    assert assembled == [(52,)]   # one iteration, on the leading rows
 
 
-@pytest.mark.parametrize("blocks, sizes", [(None, [4, 8, 8, 4]),
-                                            (3, [3, 1, 3, 3, 2, 3, 3, 2, 3, 1])])
-def test_frontier_stacks(wave08, kawahara, monkeypatch, blocks, sizes):
+@pytest.mark.parametrize("rows, sizes", [(None, [4, 8, 8, 4]),
+                                          (3, [3, 1, 3, 3, 2, 3, 3, 2, 3, 1])])
+def test_frontier_stacks(wave08, kawahara, monkeypatch, rows, sizes):
     # the (2, 2) frontiers have 4, 8, 8 and 4 points; a stack byte budget of
-    # three even blocks splits them, and the patch keeps its bits
+    # three rows' leading m x (N + 1) blocks splits them, and the patch keeps
+    # its bits
     params, psi = wave08
     center = newton_solve(psi, params.omega, params.A, kawahara)
-    if blocks is not None:
-        monkeypatch.setattr(cont, "STACK_BYTES", blocks * 8 * (psi.N + 1) ** 2)
+    if rows is not None:
+        m = _leading_size(center.psi, psi.N + 1)
+        monkeypatch.setattr(cont, "STACK_BYTES", rows * 8 * m * (psi.N + 1))
     stacks = []
 
     def recorded(psi, *args, _fn=cont._newton_rows, **kwargs):
@@ -543,13 +544,31 @@ def test_bad_row_fails_alone_in_a_newton_stack(kawahara, bad):
         _assert_same_point(pt, single)
 
 
-def test_singular_block_fails_alone_in_a_tangent_stack(kawahara):
+def _point(L0, c, omega, A):
+    return ContinuationPoint(omega=omega, A=A, psi=FourierProfile(L0, c),
+                             residual_norm=0.0, newton_iters=0)
+
+
+def test_singular_block_fails_alone_in_a_tangent_stack(wave08, kawahara):
     L0 = 2.0 * np.pi
-    points = [ContinuationPoint(omega=w, A=A, psi=FourierProfile(L0, c),
-                                residual_norm=0.0, newton_iters=0)
-              for c, w, A in (_singular_start(), _good_start())]
+    points = [_point(L0, *start) for start in (_singular_start(), _good_start())]
     bad, good = cont._tangents(points, kawahara, 17)   # N = 16: m is the whole block
     assert bad is None
     op = GalerkinOperator(points[1].psi, points[1].omega, kawahara, 16)
     eta, beta = solve_variations(op.even, op.psi)
     assert np.array_equal(good[0], eta.coeffs) and np.array_equal(good[1], beta.coeffs)
+    # m < n: the k 0.8 wave next to a constant 2 theta(xi_1) at omega =
+    # theta(xi_1), whose head has an exact zero pivot, keeps the bits of its
+    # stack of one
+    params, psi = wave08
+    m = _leading_size(psi, psi.N + 1)
+    assert m == 52
+    theta1 = float(kawahara(2.0 * np.pi / psi.L0))
+    singular = _point(psi.L0, np.eye(psi.N + 1)[0] * 2.0 * theta1, theta1, 0.0)
+    wave = _point(psi.L0, psi.coeffs, params.omega, params.A)
+    (alone,) = cont._tangents([wave], kawahara, m)
+    for stack in ([singular, wave], [wave, singular]):
+        out = cont._tangents(stack, kawahara, m)
+        assert out[stack.index(singular)] is None
+        good = out[stack.index(wave)]
+        assert np.array_equal(good[0], alone[0]) and np.array_equal(good[1], alone[1])

@@ -251,13 +251,17 @@ def test_criteria_body_is_blas_thread_independent(tmp_path, k, omega):
     assert bodies[0] == bodies[1]
 
 
-@pytest.mark.parametrize("args", [["--k", "0.8"], ["--k", "0.7", "--N", "256"],
-                                  ["--k", "0.9", "--omega", "1.05", "--domega", "5e-3",
-                                   "--dA", "5e-3"]], ids=["readme", "N256", "k0.9"])
+@pytest.mark.parametrize("args", [
+    ["--k", "0.8"], ["--k", "0.7", "--N", "256"],
+    ["--k", "0.9", "--omega", "1.05", "--domega", "5e-3", "--dA", "5e-3"],
+    ["--k", "0.641", "--omega", "1.039", "--domega", "5e-3", "--dA", "5e-3"],
+    ["--k", "0.8", "--domega", "5e-2", "--dA", "5e-2"]],
+    ids=["readme", "N256", "k0.9", "fold", "13-missing"])
 def test_continue_body_is_blas_thread_independent(tmp_path, args):
     # the Newton steps and tangents factorize leading blocks of a few dozen
     # modes, whose LU has the same bits under one and two OpenBLAS threads;
-    # the whole 129- or 257-mode block's did not
+    # the whole 129- or 257-mode block's did not, and no failing row (the
+    # fold's corner, the 13 missing points at steps 5e-2) builds one
     src = Path(criteria.__file__).resolve().parents[1]
     bodies = []
     for threads in ("1", "2"):
