@@ -61,7 +61,7 @@ EXIT_BLOWUP = 4
 NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError)
 
 # work caps; the README gives the memory and time behind each
-MAX_MODES = 2048        # --N, --N-op: one parity block of 2049^2 doubles is 34 MB
+MAX_MODES = 2048        # --N, --N-op: only spectrum builds a 2049^2 block, 34 MB
 MAX_GRID = 6144         # --grid: a dealiased band of modes up to 2047 = MAX_MODES - 1
 MAX_SAMPLES = 100_000   # evolve --samples: one orbital distance per record
 MAX_K_STEPS = 100_000   # sweep and reproduce-figure1 --steps: one branch root each
@@ -434,7 +434,10 @@ def build_parser():
     p = sub.add_parser("criteria", help="full stability report")
     # the witness x0 = -1/omega and det_D_reduced divide by omega
     add_common(p, omega=_nonzero, wave=True)
-    p.add_argument("--N-op", type=_modes, default=256, dest="N_op")
+    p.add_argument("--N-op", type=_modes, default=256, dest="N_op",
+                   help="operator truncation the report certifies; past --N plus the "
+                        "few dozen modes the report resolves, the record does not "
+                        "change with it")
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("continue", help="Newton continuation patch in (omega, A)")

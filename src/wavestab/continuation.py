@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import (DegenerateOperatorError, _even_assembly, _leading_size,
+from .galerkin import (DegenerateOperatorError, _assembly, _leading_size,
                        _leading_solve, solve_variations)
 from .profile import FourierProfile, pi_residual
 
@@ -161,7 +161,7 @@ def _newton_rows(psi, omega, A, sym, tol=1e-12, m=None):
         rows = [i for i in rows if out[i] is None]
         if not rows:
             break
-        head, tail = _even_assembly(FourierProfile(L0, c[rows]), omega[rows], sym, N, m)
+        head, tail = _assembly(FourierProfile(L0, c[rows]), omega[rows], sym, N, m)
         search = []
         for i, d in zip(rows, _each(_leading_solve, head, tail, -r[rows][..., None])):
             if isinstance(d, np.linalg.LinAlgError):
@@ -270,7 +270,7 @@ def _tangents(points, sym, m):
     on its stack."""
     L0, N = points[0].psi.L0, points[0].psi.N
     psi = FourierProfile(L0, np.stack([p.psi.coeffs for p in points]))
-    head, tail = _even_assembly(psi, np.array([p.omega for p in points]), sym, N, m)
+    head, tail = _assembly(psi, np.array([p.omega for p in points]), sym, N, m)
     try:
         eta, beta = solve_variations((head, tail), psi)
         return list(zip(eta.coeffs, beta.coeffs))

@@ -77,8 +77,9 @@ def choose_witness(op, psi, eta, beta, omega):
 
     Returns (x0, y0, P, P_closed, I) where P_closed is the reduced form
     (y0^2 L0/omega^2)(M/L0 - omega) and I = <L Phi, Phi> evaluated as a
-    quadratic form of the even Galerkin block (Phi is even); I = -P up to
-    discretization.
+    quadratic form of the even Galerkin block (Phi is even), from the rows
+    of `op.even_head` where Phi vanishes past them and from the whole block
+    otherwise; I = -P up to discretization.
     """
     M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
     M, _ = functionals(psi)
@@ -87,7 +88,11 @@ def choose_witness(op, psi, eta, beta, omega):
     P_closed = (y0 * y0 * psi.L0 / omega / omega) * (M / psi.L0 - omega)
     phi = FourierProfile(psi.L0, x0 * eta.coeffs + y0 * beta.coeffs)
     v = phi.orthonormal(op.N)
-    I = float(v @ (op.even @ v))
+    head, _ = op.even_head
+    R = head.shape[0]
+    # K Phi padded with zeros where Phi vanishes, so the sum keeps its order
+    Kv = np.pad(head @ v, (0, v.size - R)) if not v[R:].any() else op.even @ v
+    I = float(v @ Kv)
     return x0, y0, P, P_closed, I
 
 
@@ -190,7 +195,7 @@ def evaluate_wave(psi, omega, sym, N=None):
     # overflow is refused below with one error, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         op = assemble(psi, omega, sym, N=N)
-        eta, beta = solve_variations(op.even, op.psi, op.eig_even)
+        eta, beta = solve_variations(op.even_head, op.psi, op)
         M, F = functionals(psi)
         M_w, M_A, F_w, F_A = derivatives(psi, eta, beta)
         rep = spectrum(op)

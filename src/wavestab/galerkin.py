@@ -9,19 +9,14 @@ union of both blocks; the kernel direction psi' is odd, so the even block
 is the invertible restriction used for the parameter-derivative solves.
 
 Both blocks are the diagonal minus a Hankel part hat(psi)(i + j) and a
-Toeplitz part hat(psi)(|i - j|), built as strided views of the coefficient
-vector and assembled in place: the even block takes 0 minus its
-Hankel-plus-Toeplitz sum, the odd block forms Hankel minus Toeplitz, and
-each adds its diagonal along the strided diagonal, with no diagonal matrix
-and no second full-size subtraction.  The bits are those of diag - S, since
-d - s = (0 - s) + d in IEEE arithmetic; 0 - s also keeps a zero entry
-+0.0, where negation would give -0.0 and LAPACK's Householder sign choices
-could differ.  Both blocks are assembled with the operator, the odd one
-from the pieces of the even one's `_even_assembly`; the continuation's
-Newton stacks call `_even_assembly` alone, on a stack of profiles and for
-the leading m rows and the tail's diagonal only, which gives each entry the
-bits it has in its block alone.  The blocks must not be modified
-after assembly.  Orthonormal coordinates come from `FourierProfile`.
+Toeplitz part hat(psi)(|i - j|), strided views of the coefficient vector.
+`_assembly` builds a block's leading rows and the diagonal past them as
+(0 - (Hankel + Toeplitz)) + diag (even) or (Hankel - Toeplitz) + diag (odd):
+the bits of diag - S, since d - s = (0 - s) + d in IEEE arithmetic, and
+0 - s keeps a zero entry +0.0 (negation gives -0.0, and LAPACK's Householder
+sign choices could differ).  So each entry has its bits in the whole block
+(rows = n, with an empty tail), alone or in a stack of profiles.  Only the
+`spectrum` listing and an uncertified eta/beta read the whole `even`/`odd`.
 
 A report reads only the bottom of each block's spectrum, and above the few
 dozen modes the wave carries, a block K = [[A, B], [B^T, H]] is dominated by
@@ -51,6 +46,15 @@ floor, less rho (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970): the sines of
 the two angles add, so it is sqrt(1 - min(1, s + rho / delta)^2), and 0
 where delta <= 0.  `chi` is the lowest even vector, zero-padded.
 
+g is in closed form, O(N), and assumes no monotonicity of theta.  Row
+m + s of H has diagonal d_s, Toeplitz neighbours in H summing to at most
+c_s on its left and |hat(psi)|_1 on its right (one-sided coefficients,
+hat(psi)(0) left out, c_s = |hat(psi)(1..s)|_1), and Hankel ones to at
+most sum_{k >= 2m} |hat(psi)(k)|; g is the least row's bound less
+(N + 1) eps times its magnitudes, for rounding.  Row N takes
+c = |hat(psi)|_1: where theta does not decrease, as for every builtin
+symbol, it bounds every row past N, and the report holds for L on L^2_per.
+
 `constrained_min(op, even=None, odd=None)` takes at most one constraint per
 block, in that block's orthonormal coordinates, and returns the smaller of
 the two block minima.  With a matrix V diag(lam) V^T and z = V^T c / |c|,
@@ -68,24 +72,19 @@ theta_L and floor with the weights zeta and |c_R|, so a block returns that
 root less rho, a lower bound on its constrained minimum (theta_0 - rho
 without a constraint).
 
-`_leading_solve` is the one solve of the even block K = [[A, B], [B^T, H]]
-on its leading m modes: the tail by H's diagonal, x_t = b_t / diag(H), and
-the head by one m x m LU, A x_h = b_h - B x_t.  It reads only K's leading
-m rows and H's diagonal, which `_even_assembly(..., rows=m)` builds alone,
-and it drops B^T x_h and H's off-diagonal from the tail equations.
-`solve_variations` gives eta and beta, K x = b for b = -psi and -1.  With
-the even block's resolved pairs, lam = min(min |theta_L|, floor) - rho is a
-lower bound on |eigenvalue| of K by the certificate above, so
-|x - x*| <= |K^-1| |b - K x| <= |b - K x| / lam (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 7); it keeps the leading x
-at their m where |b - K x| <= RESIDUAL_MULT eps lam |x| for both columns,
-the residual as evaluated in floating point: then |x - x*| <= RESIDUAL_MULT
-eps |x|.  Where m is the whole block, lam <= 0, the small LU fails or the
-residual misses, it takes the leading solve at m = n, with an empty tail:
-one LU of the whole block, with the bits of solving it directly.  The
-continuation's Newton steps and tangents take the leading solve at the
-start's m with no such check and no whole-block solve: a tangent only sets
-a start, and Newton stops on the full residual.
+`_leading_solve` solves K x = b from K's leading m rows and H's diagonal:
+the tail by that diagonal, x_t = b_t / diag(H), and the head by one m x m
+LU, A x_h = b_h - B x_t.  `solve_variations` gives eta and beta, for b =
+-psi and -1.  With the even block's resolved pairs, lam = min(min
+|theta_L|, floor) - rho bounds |eigenvalue| of K from below, so |x - x*| <=
+|b - K x| / lam (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, ch. 7); it keeps the leading x at their m where |b - K x| <=
+RESIDUAL_MULT eps lam |x| in floating point for both columns.  b vanishes
+past mode psi.N, and so does x, so the rows R = max(m, psi.N + 1) of
+`even_head` give K x = K[:R, :]^T x[:R] by symmetry, and `choose_witness`
+its pairing.  Where m = n, lam <= 0, the small LU fails or the residual
+misses, it solves `even`, the whole block.  The continuation's solves take
+the leading solve alone (its module note).
 """
 
 import math
@@ -134,39 +133,54 @@ class GalerkinOperator:
     def __init__(self, psi, omega, sym, N):
         self.psi = psi
         self.omega = float(omega)
+        self.sym = sym
         self.N = int(N)
-        self.even, h0, toeplitz, diag = _even_assembly(psi, self.omega, sym, self.N)
-        # odd (sine) block over sin_1..sin_N
-        self.odd = sliding_window_view(h0[2:], self.N) - toeplitz[1:, 1:]
-        self.odd.flat[:: self.N + 1] += diag[1:]
+
+    def _rows(self, rows, odd=False):
+        """A block's leading rows and the diagonal past them (`_assembly`)."""
+        return _assembly(self.psi, self.omega, self.sym, self.N, rows, odd)
+
+    @cached_property
+    def even(self):
+        """The whole even (cosine) block over cos_0..cos_N."""
+        return self._rows(self.N + 1)[0]
+
+    @cached_property
+    def odd(self):
+        """The whole odd (sine) block over sin_1..sin_N."""
+        return self._rows(self.N, odd=True)[0]
+
+    @cached_property
+    def even_head(self):
+        """The even block's leading R = max(m, psi.N + 1) rows and the
+        diagonal past them, m the resolved pairs' size (module note)."""
+        return self._rows(max(self.eig_even.eigenvectors.shape[0], self.psi.N + 1))
 
     @cached_property
     def eig_even(self):
         """Resolved eigenpairs of the even block."""
-        return self._resolve(self.even)
+        return self._resolve(odd=False)
 
     @cached_property
     def eig_odd(self):
         """Resolved eigenpairs of the odd block."""
-        return self._resolve(self.odd)
+        return self._resolve(odd=True)
 
-    def _resolve(self, block):
+    def _resolve(self, odd):
         """eigh of the block's leading m modes, m doubled until the
         certificate of the module note holds."""
-        n = block.shape[0]
+        n = self.N + (not odd)
         m = _leading_size(self.psi, n)
         eps = np.finfo(float).eps
         budget = (RESIDUAL_MULT * eps * self.scale) ** 2
         while True:
-            theta, Y = np.linalg.eigh(block[:m, :m])
-            cum = np.cumsum(np.square(block[m:, :m] @ Y).sum(axis=0))
+            head, tail = self._rows(m, odd)
+            theta, Y = np.linalg.eigh(head[:, :m])
+            cum = np.cumsum(np.square(head[:, m:].T @ Y).sum(axis=0))
             p = int(np.searchsorted(cum, budget, side="right"))
             rho2 = cum[p - 1] if p else 0.0
             w2 = cum[-1] - rho2
-            # the tail's Gershgorin floor, by row chunks: |H| is never whole
-            tail, d = block[m:, m:], np.diagonal(block)[m:]
-            g = min(((2.0 * d[i:i + 256] - np.abs(tail[i:i + 256]).sum(axis=1)).min()
-                     for i in range(0, n - m, 256)), default=np.inf)
+            g = self._tail_floor(tail, m) if m < n else np.inf
             nxt = theta[p] if p < m else np.inf
             # without coupling (w2 = 0) H's floor bounds K2 where it is lower
             floor = nxt - w2 / (g - nxt) if g > nxt else (g if w2 == 0.0 else -np.inf)
@@ -176,6 +190,17 @@ class GalerkinOperator:
             if m == n or (p > band and theta[p - 1] + 2.0 * rho < floor):
                 return Resolved(theta[:p], Y[:, :p], rho, float(floor))
             m = 2 * m if 4 * m < n else n  # past n/2, the whole block costs little more
+
+    def _tail_floor(self, tail, m):
+        """Gershgorin floor, in closed form, of a block's rows past its
+        leading m from their diagonal `tail` (module note)."""
+        h = np.abs(self.psi.psi_hat(self.psi.N))
+        h[0] = 0.0
+        c = np.cumsum(h)  # c[s] = |hat(psi)(1..s)|_1
+        left = c[np.minimum(np.arange(tail.size), c.size - 1)]
+        left[-1] = c[-1]  # row N stands for every row past it
+        slack = (self.N + 1) * np.finfo(float).eps * (np.abs(tail) + 2.0 * c[-1])
+        return float(np.min(tail - left - slack) - c[-1] - h[2 * m :].sum())
 
     @cached_property
     def scale(self):
@@ -208,16 +233,11 @@ def _leading_size(psi, n):
     return min(n, max(M_START, 4 * int(top)))
 
 
-def _even_assembly(psi, omega, sym, N, rows=None):
-    """Even block of M + omega - psi on modes 0..N, with the pieces the odd
-    block reuses: (even, h0, toeplitz, diag).
-
-    With `rows` = m it builds only what `_leading_solve` reads and returns
-    (K[:m, :], the diagonal of K[m:, m:]), each entry with the bits it has
-    in the whole block.  A stack of profiles (leading axes of psi.coeffs)
-    with omega of the stack's shape gives the stack of blocks, each with
-    the bits of its profile alone.
-    """
+def _assembly(psi, omega, sym, N, rows, odd=False):
+    """(K[..., :rows, :], diag K[..., rows:, rows:]) for K the even block of
+    M + omega - psi on modes 0..N, or the odd one on modes 1..N, with the
+    bits of the whole block (module note).  A stack of profiles (leading
+    axes of psi.coeffs) takes omega of the stack's shape."""
     xi = 2.0 * math.pi * np.arange(N + 1) / psi.L0
     theta = np.asarray(sym(xi), dtype=float)
     # omega - mean(psi) combined first: a gauge shift (psi+a, omega+a)
@@ -228,34 +248,32 @@ def _even_assembly(psi, omega, sym, N, rows=None):
     h0[..., 0] = 0.0
     diag = theta + np.asarray(shift)[..., None]
 
-    # even (cosine) block, orthonormal basis {1/sqrt(L0), sqrt(2/L0) cos_n}:
-    # Hankel h0[i + j] plus Toeplitz h0[|i - j|], both strided views of h0
+    # Hankel h0[i + j] and Toeplitz h0[|i - j|], both strided views of h0
     n1 = N + 1
-    m = n1 if rows is None else rows
     reflected = np.concatenate([h0[..., n1 - 1 : 0 : -1], h0[..., :n1]],
                                axis=-1)  # h0[|k|], |k| <= N
     toeplitz = sliding_window_view(reflected, n1, axis=-1)[..., ::-1, :]
-    S = sliding_window_view(h0, n1, axis=-1)[..., :m, :] + toeplitz[..., :m, :]
+    if odd:  # sine block over sin_1..sin_N: Hankel minus Toeplitz
+        S = (sliding_window_view(h0[..., 2:], N, axis=-1)[..., :rows, :]
+             - toeplitz[..., 1 : rows + 1, 1:])
+        S.reshape(S.shape[:-2] + (-1,))[..., :: N + 1] += diag[..., 1 : rows + 1]
+        return S, (h0[..., 2 * rows + 2 :: 2] - h0[..., :1]) + diag[..., rows + 1 :]
+    # cosine block, basis {1/sqrt(L0), sqrt(2/L0) cos_n}: 0 minus the sum
+    S = sliding_window_view(h0, n1, axis=-1)[..., :rows, :] + toeplitz[..., :rows, :]
     S[..., 0, 0] = 0.0
     S[..., 0, 1:] = math.sqrt(2.0) * h0[..., 1:n1]
-    S[..., 1:, 0] = S[..., 0, 1:m]
+    S[..., 1:, 0] = S[..., 0, 1:rows]
     np.subtract(0.0, S, out=S)   # not np.negative: a zero stays +0.0
-    S.reshape(S.shape[:-2] + (-1,))[..., :: n1 + 1] += diag[..., :m]
-    if rows is None:
-        return S, h0, toeplitz, diag
-    # the same three operations on the diagonal past row m
-    return S, np.subtract(0.0, h0[..., 2 * m :: 2] + h0[..., :1]) + diag[..., m:]
+    S.reshape(S.shape[:-2] + (-1,))[..., :: n1 + 1] += diag[..., :rows]
+    # the same three operations on the diagonal past the rows
+    return S, np.subtract(0.0, h0[..., 2 * rows :: 2] + h0[..., :1]) + diag[..., rows:]
 
 
 def _leading_solve(head, tail, rhs):
-    """x with K x = rhs on the leading block (module note): the tail by its
-    diagonal, x_t = b_t / diag, and the head by one m x m LU of b_h - B x_t.
-
-    `head` = K[..., :m, :] = [A, B] and `tail` = diag(K[m:, m:]), as
-    `_even_assembly(..., rows=m)` returns them; rhs has its columns on the
-    last axis.  At m = n it is the whole block's LU.  Raises LinAlgError
-    where the head LU fails.
-    """
+    """x with K x = rhs from `head` = K[..., :m, :] and `tail` = diag(K[m:,
+    m:]), as `_assembly` returns them, by one m x m LU (module note); rhs
+    has its columns on the last axis.  Raises LinAlgError where the LU
+    fails."""
     m = head.shape[-2]
     x_t = rhs[..., m:, :] / tail[..., None]
     x_h = np.linalg.solve(head[..., :m], rhs[..., :m, :] - head[..., m:] @ x_t)
@@ -332,30 +350,28 @@ def _kernel_corr(op):
     return math.sqrt(1.0 - t * t)
 
 
-def solve_variations(even, psi, resolved=None):
+def solve_variations(even, psi, op=None):
     """eta and beta, L eta = -psi and L beta = -1, on the even block at psi,
     with no eigensolve.
 
-    `even` is the block (`GalerkinOperator.even`) on modes 0..N, or the
-    pair (its leading m rows, the diagonal of the rest) that
-    `_even_assembly(..., rows=m)` returns, which takes `_leading_solve`
-    alone.  With `resolved`, the whole block's certified pairs
-    (`GalerkinOperator.eig_even`), the solve is `_leading_solve` at their m
-    where the residual certifies it to RESIDUAL_MULT eps |x| (module note);
-    otherwise `_leading_solve` at m = n, one LU of the whole block.  A stack
-    of blocks and profiles (without `resolved`) gives stacks of eta and
-    beta, one LU per block; a singular block or head then refuses the whole
-    stack.  An exactly singular one raises DegenerateOperatorError; a
-    nearly singular one is caught only by `_check_even_band`.
+    `even` is a pair from `_assembly(..., rows=R)`, solved by
+    `_leading_solve` at m = R (the whole block at R = n).  With `op`, whose
+    `even_head` it is, the solve is certified at the resolved m, or else
+    made on `op.even` (module note).  A stack of pairs and profiles
+    (without `op`) gives stacks of eta and beta; a singular block or head
+    then refuses the whole stack.  An exactly singular one raises
+    DegenerateOperatorError; a nearly singular one is caught only by
+    `_check_even_band`.
     """
-    # the whole block is the leading solve at m = n, with an empty tail
-    head, tail = even if isinstance(even, tuple) else (even, np.empty(even.shape[:-2] + (0,)))
+    head, tail = even
     N = head.shape[-1] - 1
     v = -psi.orthonormal(N)
     rhs = np.stack([v, np.broadcast_to(
         FourierProfile(psi.L0, [-1.0]).orthonormal(N), v.shape)], axis=-1)
-    x = None if resolved is None else _solve_resolved(even, rhs, resolved)
+    x = None if op is None else _solve_resolved(head, tail, rhs, op.eig_even)
     if x is None:
+        if op is not None and tail.size:  # the whole block, where the rows are not
+            head, tail = op.even, tail[:0]
         try:
             x = _leading_solve(head, tail, rhs)
         except np.linalg.LinAlgError as exc:
@@ -364,19 +380,21 @@ def solve_variations(even, psi, resolved=None):
             FourierProfile.from_orthonormal(psi.L0, x[..., 1]))
 
 
-def _solve_resolved(even, rhs, res):
-    """x with even x = rhs by `_leading_solve` at the resolved pairs' m, or
-    None where the residual does not certify it (module note)."""
-    m = res.eigenvectors.shape[0]
+def _solve_resolved(head, tail, rhs, res):
+    """x with K x = rhs by `_leading_solve` at the resolved pairs' m, from
+    the pair `head`, `tail`, or None where it is not certified (module note)."""
+    m, R = res.eigenvectors.shape[0], head.shape[0]
     lam = min(np.abs(res.eigenvalues).min(initial=np.inf), res.floor) - res.rho
-    if m == even.shape[0] or not lam > 0.0:
+    if m == head.shape[1] or not lam > 0.0:
         return None
     try:
-        x = _leading_solve(even[:m], np.diagonal(even)[m:], rhs)
+        x = _leading_solve(head[:m], np.concatenate([np.diagonal(head[m:, m:]), tail]), rhs)
     except np.linalg.LinAlgError:
         return None
+    # x vanishes past the rows where rhs does, so K x = head^T x[:R] by symmetry
     bound = RESIDUAL_MULT * np.finfo(float).eps * lam * np.linalg.norm(x, axis=0)
-    return x if (np.linalg.norm(rhs - even @ x, axis=0) <= bound).all() else None
+    return x if (not x[R:].any() and (np.linalg.norm(rhs - head.T @ x[:R], axis=0)
+                                      <= bound).all()) else None
 
 
 def _check_even_band(op):

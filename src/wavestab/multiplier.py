@@ -3,10 +3,12 @@
 A symbol theta maps a real wavenumber to a nonnegative value, vanishes at
 zero and is even; MultiplierSymbol checks the last two, and conserved
 relies on theta(0) = 0.  The paper's hypothesis also sandwiches theta between
-A1*|kappa|^m2 and A2*|kappa|^m2 on the nonzero integers; nothing here reads
+A1*|kappa|^m2 and A2*|kappa|^m2 on the nonzero integers; no symbol carries
 those bounds, and tests/test_multiplier.py checks them for each builtin.
 The operator acts diagonally on Fourier modes; callers evaluate the symbol
-at physical wavenumbers 2*pi*n/L0.
+at physical wavenumbers 2*pi*n/L0.  The Galerkin tail floor reads theta
+over the truncated tail only; every builtin theta is nondecreasing in
+|kappa|, so for them the same floor bounds the infinite tail as well.
 """
 
 import numpy as np

@@ -53,7 +53,7 @@ def checked_variations(op):
     restriction is invertible at a clean wave; a singular even block, or an
     even eigenvalue in the zero band, raises DegenerateOperatorError.
     """
-    eta, beta = solve_variations(op.even, op.psi)
+    eta, beta = solve_variations(op._rows(op.N + 1), op.psi)
     _check_even_band(op)
     return eta, beta
 

@@ -113,6 +113,22 @@ def test_criteria_record_names_its_inputs(tmp_path):
     assert "alpha" not in records["default"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--k", "0.8"], ["--k", "0.7", "--omega", "0.5"], ["--k", "0.95"],
+    ["--k", "0.8", "--symbol", "kdv"], ["--k", "0.8", "--symbol", "bo"]])
+def test_criteria_record_is_the_same_at_every_truncation(tmp_path, flags):
+    # past psi.N + m modes the truncation adds nothing a report reads: the
+    # records at --N-op 256, 512 and 2048 differ only in N_op
+    records = []
+    for n_op in (256, 512, 2048):
+        out = tmp_path / f"{n_op}.json"
+        assert run_cli(["criteria", *flags, "--N-op", str(n_op), "--out", str(out)]) == 0
+        record = json.loads(read(out))
+        assert record.pop("N_op") == n_op
+        records.append(record)
+    assert records[0] == records[1] == records[2]
+
+
 @pytest.mark.parametrize("k, omega, n_op", [
     ("0.8", "1", "256"),     # stable_by_determinant
     ("0.7", "0.5", "512"),   # stable_by_constrained_coercivity

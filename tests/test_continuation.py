@@ -9,7 +9,7 @@ from wavestab.continuation import (
     surface_patch,
 )
 from wavestab.criteria import derivatives, functionals
-from wavestab.galerkin import (DegenerateOperatorError, GalerkinOperator, _even_assembly,
+from wavestab.galerkin import (DegenerateOperatorError, GalerkinOperator, _assembly,
                                _leading_size, _leading_solve, solve_variations)
 from wavestab.multiplier import builtin_symbol
 from wavestab.profile import FourierProfile, build_dnoidal, pi_residual
@@ -204,15 +204,14 @@ def test_gauge_ray(wave08, kawahara):
 
 def test_newton_leaves_odd_block_unassembled(wave08, kawahara, monkeypatch):
     # the Newton Jacobian is the even block alone: the iteration and the
-    # patch tangents assemble it by _even_assembly and build no operator,
-    # whose odd block is assembled with it
+    # patch tangents assemble it by _assembly and build no operator
     assembled, built = [], []
 
-    def recorded(*args, _fn=cont._even_assembly):
+    def recorded(*args, _fn=cont._assembly):
         assembled.append(args)
         return _fn(*args)
 
-    monkeypatch.setattr(cont, "_even_assembly", recorded)
+    monkeypatch.setattr(cont, "_assembly", recorded)
     monkeypatch.setattr(GalerkinOperator, "__init__", lambda *args: built.append(args))
     params, psi = wave08
     center = newton_solve(psi, params.omega + 1e-3, params.A, kawahara)
@@ -269,7 +268,7 @@ def _whole_step(psi, omega, sym, r, m):
 
 
 def _leading_step(psi, omega, sym, r, m):
-    head, tail = _even_assembly(psi, omega, sym, psi.N, m)
+    head, tail = _assembly(psi, omega, sym, psi.N, m)
     return _leading_solve(head, tail, -r[:, None])[:, 0]
 
 
@@ -343,8 +342,8 @@ def _pointwise_patch(center, domega, dA, extent, sym, leading=True):
         try:
             if frm not in tangents:
                 tangents[frm] = solve_variations(
-                    _even_assembly(prev.psi, prev.omega, sym, N, m) if leading
-                    else GalerkinOperator(prev.psi, prev.omega, sym, N).even, prev.psi)
+                    _assembly(prev.psi, prev.omega, sym, N, m) if leading
+                    else GalerkinOperator(prev.psi, prev.omega, sym, N)._rows(N + 1), prev.psi)
             eta, beta = tangents[frm]
             with np.errstate(over="ignore", invalid="ignore"):
                 start = FourierProfile(prev.psi.L0, prev.psi.coeffs
@@ -431,13 +430,13 @@ def test_patch_solve_and_assembly_budget(kawahara, monkeypatch):
         solves.append(a.shape)
         return _fn(a, b)
 
-    def assembly(*args, _fn=cont._even_assembly):
+    def assembly(*args, _fn=cont._assembly):
         out = _fn(*args)
         assembled.append(out[0].shape)
         return out
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    monkeypatch.setattr(cont, "_even_assembly", assembly)
+    monkeypatch.setattr(cont, "_assembly", assembly)
     for k, omega, extent, m, missing in [(0.8, 1.0, (1, 1), 52, []),
                                          (0.641, 1.039, (2, 2), 48, [(-2, -2)])]:
         solves.clear()
@@ -461,11 +460,11 @@ def test_failed_leading_step_is_refused(wave08, kawahara, monkeypatch):
                         lambda head, tail, rhs: np.full(rhs.shape[:-2] + (129, 1), np.nan))
     assembled = []
 
-    def assembly(*args, _fn=cont._even_assembly):
+    def assembly(*args, _fn=cont._assembly):
         assembled.append(args[4:])
         return _fn(*args)
 
-    monkeypatch.setattr(cont, "_even_assembly", assembly)
+    monkeypatch.setattr(cont, "_assembly", assembly)
     outcomes = cont._newton_rows(FourierProfile(psi.L0, starts),
                                  np.full(2, params.omega), np.full(2, params.A), kawahara)
     for out, r in zip(outcomes, r0):
@@ -555,7 +554,7 @@ def test_singular_block_fails_alone_in_a_tangent_stack(wave08, kawahara):
     bad, good = cont._tangents(points, kawahara, 17)   # N = 16: m is the whole block
     assert bad is None
     op = GalerkinOperator(points[1].psi, points[1].omega, kawahara, 16)
-    eta, beta = solve_variations(op.even, op.psi)
+    eta, beta = solve_variations(op._rows(op.N + 1), op.psi)
     assert np.array_equal(good[0], eta.coeffs) and np.array_equal(good[1], beta.coeffs)
     # m < n: the k 0.8 wave next to a constant 2 theta(xi_1) at omega =
     # theta(xi_1), whose head has an exact zero pivot, keeps the bits of its

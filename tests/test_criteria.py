@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavestab import criteria
+from wavestab import criteria, galerkin
 from wavestab.criteria import (
     VERDICT_COERCIVITY,
     VERDICT_DETERMINANT,
@@ -218,6 +219,37 @@ def test_solve_budget(monkeypatch, kawahara):
         calls.clear()
         spectrum(assemble(psi, params.omega, kawahara, N=N_op))
         assert calls == []
+
+
+def test_report_builds_only_leading_rows(monkeypatch, kawahara):
+    # a 512-mode report on every route assembles only leading rows, never a
+    # whole block, and forms no array of 513^2 doubles: its traced peak
+    # stays below one
+    calls, ops = [], []
+
+    def assembly(psi, omega, sym, N, rows, odd=False, _fn=galerkin._assembly):
+        calls.append((rows, N + (not odd)))
+        return _fn(psi, omega, sym, N, rows, odd)
+
+    def capture(*args, _fn=criteria.assemble, **kwargs):
+        ops.append(_fn(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(galerkin, "_assembly", assembly)
+    monkeypatch.setattr(criteria, "assemble", capture)
+    for k, omega, route in ROUTES_128:
+        evaluate_dnoidal(k, omega, kawahara, N_op=512)  # warm caches outside the trace
+        calls.clear()
+        tracemalloc.start()
+        try:
+            report, _, _ = evaluate_dnoidal(k, omega, kawahara, N_op=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == route
+        assert calls and all(rows < n for rows, n in calls), route
+        assert "even" not in ops[-1].__dict__ and "odd" not in ops[-1].__dict__
+        assert peak < 8 * 513 ** 2, route
 
 
 def test_w_psi_is_held_to_the_zero_band(kawahara):

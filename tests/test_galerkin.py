@@ -432,10 +432,10 @@ def test_leading_rows_have_the_whole_block_bits(wave08, kawahara, m):
     params, psi = wave08
     stack = FourierProfile(psi.L0, np.stack([psi.coeffs, 1.01 * psi.coeffs]))
     omega = np.array([params.omega, params.omega + 0.1])
-    wholes = galerkin._even_assembly(stack, omega, kawahara, 128)[0]
-    heads, tails = galerkin._even_assembly(stack, omega, kawahara, 128, m)
+    wholes = galerkin._assembly(stack, omega, kawahara, 128, 129)[0]
+    heads, tails = galerkin._assembly(stack, omega, kawahara, 128, m)
     for j, K in enumerate(wholes):
-        alone = galerkin._even_assembly(FourierProfile(psi.L0, stack.coeffs[j]), omega[j],
+        alone = galerkin._assembly(FourierProfile(psi.L0, stack.coeffs[j]), omega[j],
                                         kawahara, 128, m)
         for head, tail in ((heads[j], tails[j]), alone):
             assert _bits(head) == _bits(K[:m]) and _bits(tail) == _bits(np.diagonal(K)[m:])
@@ -609,10 +609,11 @@ def test_resolved_variations_match_the_full_lu(monkeypatch, symbol, alpha, k, om
     # |x| of the whole block's LU, and so do the derivatives and the pairing
     psi, op = _operator(symbol, alpha, k, omega, N)
     m = op.eig_even.eigenvectors.shape[0]
-    full = solve_variations(op.even, op.psi)
+    full = solve_variations(op._rows(N + 1), op.psi)
     shapes = _counting_solves(monkeypatch)
-    resolved = solve_variations(op.even, op.psi, op.eig_even)
+    resolved = solve_variations(op.even_head, op.psi, op)
     assert shapes == [(m, m)] and m < N  # the certified path was taken
+    assert "even" not in op.__dict__
     for x, ref in zip(resolved, full):
         x, ref = x.orthonormal(N), ref.orthonormal(N)
         assert np.linalg.norm(x - ref) <= RESIDUAL_MULT * EPS * np.linalg.norm(ref)
@@ -627,15 +628,15 @@ def test_uncertified_variations_take_the_whole_block_lu(monkeypatch, force):
     # block resolved whole each give the whole block's LU, with its bits
     alpha = 0.1 if force == "whole_block" else 0.3
     _, op = _operator("fractional", alpha, 0.8, 1.0, 256)
-    res = op.eig_even
+    op.eig_even  # resolved before the patch below
     if force == "residual":
         monkeypatch.setattr(galerkin, "RESIDUAL_MULT", 0)
     elif force == "lam":
-        res = replace(res, rho=res.floor)
-    assert (res.eigenvectors.shape[0] == 257) == (force == "whole_block")
-    full = solve_variations(op.even, op.psi)
+        op.eig_even = replace(op.eig_even, rho=op.eig_even.floor)
+    assert (op.eig_even.eigenvectors.shape[0] == 257) == (force == "whole_block")
+    full = solve_variations(op._rows(257), op.psi)
     shapes = _counting_solves(monkeypatch)
-    resolved = solve_variations(op.even, op.psi, res)
+    resolved = solve_variations(op.even_head, op.psi, op)
     assert shapes[-1] == (257, 257)
     for x, ref in zip(resolved, full):
         assert np.array_equal(x.coeffs, ref.coeffs)
@@ -655,6 +656,22 @@ def test_resolved_sizes_of_other_symbols(symbol, alpha):
         expected = (N + 1, N) if (alpha, k) == (0.15, 0.7) else (m, m)
         sizes = tuple(r.eigenvectors.shape[0] for r in (op.eig_even, op.eig_odd))
         assert sizes == expected, (k, omega, N)
+
+
+@pytest.mark.parametrize("k", [0.7, 0.8])
+@pytest.mark.parametrize("symbol, alpha", [
+    ("kawahara", None), ("kdv", None), ("bo", None), ("fractional", 0.3)])
+def test_closed_form_tail_floor_is_below_every_tail_row(symbol, alpha, k):
+    # at 2049 modes, which stand in for the infinite tail, the closed-form
+    # floor lies below the Gershgorin value of every row of either block
+    # past the leading m it starts from
+    _, op = _operator(symbol, alpha, k, 1.0, 2048)
+    for odd in (False, True):
+        block = op.odd if odd else op.even
+        m = galerkin._leading_size(op.psi, block.shape[0])
+        H = block[m:, m:]
+        rows = 2.0 * np.diagonal(H) - np.abs(H).sum(axis=1)
+        assert op._tail_floor(op._rows(m, odd)[1], m) <= rows.min(), odd
 
 
 @pytest.mark.parametrize("symbol, L", [("kawahara", 20.0), ("kdv", None), ("bo", None)])
@@ -738,7 +755,7 @@ def test_spectrum_timing(benchmark, wave08, kawahara):
 
 def test_variation_solve_timing(benchmark, op08):
     # on the resolved block, as evaluate_wave calls it
-    args = (op08.even, op08.psi, op08.eig_even)
+    args = (op08.even_head, op08.psi, op08)
     eta, beta = benchmark.pedantic(solve_variations, args=args, rounds=20,
                                    iterations=1)
     ref_eta, ref_beta = solve_variations(*args)

@@ -50,6 +50,19 @@ def test_all_builtins_vanish_at_zero():
         assert builtin_symbol(name, alpha=alpha)(0.0) == 0.0
 
 
+@pytest.mark.parametrize("name, alpha", [
+    ("kawahara", None), ("kdv", None), ("bo", None),
+    ("fractional", 0.1), ("fractional", 0.3), ("fractional", 1.0), ("fractional", 2.0)])
+def test_builtins_are_nondecreasing_in_abs_kappa(name, alpha):
+    # the Galerkin tail floor bounds the rows past the truncation only where
+    # theta does not decrease; checked up to |kappa| 1e4, past mode 2048 at
+    # any period of 2 pi or more
+    sym = builtin_symbol(name, alpha=alpha)
+    kk = np.concatenate([np.linspace(0.0, 1.0, 1001), np.geomspace(1.0, 1e4, 4001)])
+    theta = sym(kk)
+    assert np.all(np.diff(theta) >= 0.0)
+
+
 def test_kdv_bounds_exact():
     kdv = builtin_symbol("kdv")
     kk = np.arange(-64, 65, dtype=float)
