@@ -436,8 +436,8 @@ def build_parser():
     add_common(p, omega=_nonzero, wave=True)
     p.add_argument("--N-op", type=_modes, default=256, dest="N_op",
                    help="operator truncation the report certifies; past --N plus the "
-                        "few dozen modes the report resolves, the record does not "
-                        "change with it")
+                        "few dozen modes the report resolves, neither the record nor "
+                        "its cost changes with it")
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("continue", help="Newton continuation patch in (omega, A)")

@@ -91,7 +91,8 @@ def choose_witness(op, psi, eta, beta, omega):
     head, _ = op.even_head
     R = head.shape[0]
     # K Phi padded with zeros where Phi vanishes, so the sum keeps its order
-    Kv = np.pad(head @ v, (0, v.size - R)) if not v[R:].any() else op.even @ v
+    Kv = (np.concatenate([head @ v[: head.shape[1]], np.zeros(v.size - R)])
+          if not v[R:].any() else op.even @ v)
     I = float(v @ Kv)
     return x0, y0, P, P_closed, I
 

@@ -15,8 +15,15 @@ Toeplitz part hat(psi)(|i - j|), strided views of the coefficient vector.
 the bits of diag - S, since d - s = (0 - s) + d in IEEE arithmetic, and
 0 - s keeps a zero entry +0.0 (negation gives -0.0, and LAPACK's Householder
 sign choices could differ).  So each entry has its bits in the whole block
-(rows = n, with an empty tail), alone or in a stack of profiles.  Only the
-`spectrum` listing and an uncertified eta/beta read the whole `even`/`odd`.
+(rows = n, with an empty tail), alone or in a stack of profiles.  hat(psi)
+vanishes past psi.N, so row i is +0.0 past column i + psi.N, and the rows
+are built over their first w = min(n, rows + psi.N) columns only: a
+report's cost and memory stop growing with N once N passes psi.N and the
+resolved modes.  A product with the rows takes its vector's first w
+entries, whose dropped ones would meet those zeros, and where a later sum
+runs over the product, it is padded back to n so that the sum keeps the
+whole block's order.  Only the `spectrum` listing and an uncertified
+eta/beta read the whole `even`/`odd`.
 
 A report reads only the bottom of each block's spectrum, and above the few
 dozen modes the wave carries, a block K = [[A, B], [B^T, H]] is dominated by
@@ -74,17 +81,18 @@ without a constraint).
 
 `_leading_solve` solves K x = b from K's leading m rows and H's diagonal:
 the tail by that diagonal, x_t = b_t / diag(H), and the head by one m x m
-LU, A x_h = b_h - B x_t.  `solve_variations` gives eta and beta, for b =
--psi and -1.  With the even block's resolved pairs, lam = min(min
-|theta_L|, floor) - rho bounds |eigenvalue| of K from below, so |x - x*| <=
-|b - K x| / lam (Higham, Accuracy and Stability of Numerical Algorithms,
-2002, ch. 7); it keeps the leading x at their m where |b - K x| <=
-RESIDUAL_MULT eps lam |x| in floating point for both columns.  b vanishes
-past mode psi.N, and so does x, so the rows R = max(m, psi.N + 1) of
-`even_head` give K x = K[:R, :]^T x[:R] by symmetry, and `choose_witness`
-its pairing.  Where m = n, lam <= 0, the small LU fails or the residual
-misses, it solves `even`, the whole block.  The continuation's solves take
-the leading solve alone (its module note).
+LU, A x_h = b_h - B x_t, with B over the rows' built columns.
+`solve_variations` gives eta and beta, for b = -psi and -1.  With the even
+block's resolved pairs, lam = min(min |theta_L|, floor) - rho bounds
+|eigenvalue| of K from below, so |x - x*| <= |b - K x| / lam (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 7); it keeps the
+leading x at their m where |b - K x| <= RESIDUAL_MULT eps lam |x| in
+floating point for both columns.  b vanishes past mode psi.N, and so does
+x, so the rows R = max(m, psi.N + 1) of `even_head` give K x = K[:R, :]^T
+x[:R] by symmetry, padded to n for its norm, and `choose_witness` its
+pairing.  Where m = n, lam <= 0, the small LU fails or the residual misses,
+it solves `even`, the whole block.  The continuation's solves take the
+leading solve alone (its module note).
 """
 
 import math
@@ -92,7 +100,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .profile import CONTENT_RTOL, FourierProfile
 
@@ -152,8 +160,9 @@ class GalerkinOperator:
 
     @cached_property
     def even_head(self):
-        """The even block's leading R = max(m, psi.N + 1) rows and the
-        diagonal past them, m the resolved pairs' size (module note)."""
+        """The even block's leading R = max(m, psi.N + 1) rows, over their
+        first min(n, R + psi.N) columns, and the diagonal past them, m the
+        resolved pairs' size (module note)."""
         return self._rows(max(self.eig_even.eigenvectors.shape[0], self.psi.N + 1))
 
     @cached_property
@@ -220,7 +229,7 @@ class GalerkinOperator:
         """Unit eigenvector chi of the lowest even eigenvalue: the first
         resolved even vector, zero-padded to N+1 modes."""
         y = self.eig_even.eigenvectors[:, 0]
-        return np.pad(y, (0, self.N + 1 - y.size))
+        return np.concatenate([y, np.zeros(self.N + 1 - y.size)])
 
 
 def _leading_size(psi, n):
@@ -234,10 +243,12 @@ def _leading_size(psi, n):
 
 
 def _assembly(psi, omega, sym, N, rows, odd=False):
-    """(K[..., :rows, :], diag K[..., rows:, rows:]) for K the even block of
-    M + omega - psi on modes 0..N, or the odd one on modes 1..N, with the
-    bits of the whole block (module note).  A stack of profiles (leading
-    axes of psi.coeffs) takes omega of the stack's shape."""
+    """(K[..., :rows, :w], diag K[..., rows:, rows:]) for K the even block of
+    M + omega - psi on modes 0..N, or the odd one on modes 1..N (n modes),
+    with the bits of the whole block (module note).  w = min(n, rows +
+    psi.N): past it the rows are +0.0, since hat(psi) vanishes past psi.N.
+    A stack of profiles (leading axes of psi.coeffs) takes omega of the
+    stack's shape."""
     xi = 2.0 * math.pi * np.arange(N + 1) / psi.L0
     theta = np.asarray(sym(xi), dtype=float)
     # omega - mean(psi) combined first: a gauge shift (psi+a, omega+a)
@@ -248,35 +259,46 @@ def _assembly(psi, omega, sym, N, rows, odd=False):
     h0[..., 0] = 0.0
     diag = theta + np.asarray(shift)[..., None]
 
-    # Hankel h0[i + j] and Toeplitz h0[|i - j|], both strided views of h0
+    # Hankel h0[i + j] and Toeplitz h0[|i - j|], both strided views of h0;
+    # the Toeplitz part, reflected[N - i + j], is the same for both parities
     n1 = N + 1
     reflected = np.concatenate([h0[..., n1 - 1 : 0 : -1], h0[..., :n1]],
                                axis=-1)  # h0[|k|], |k| <= N
-    toeplitz = sliding_window_view(reflected, n1, axis=-1)[..., ::-1, :]
+    w = min(N + (not odd), rows + psi.N)
+    toeplitz = _windows(reflected[..., N:], rows, w, -1)
     if odd:  # sine block over sin_1..sin_N: Hankel minus Toeplitz
-        S = (sliding_window_view(h0[..., 2:], N, axis=-1)[..., :rows, :]
-             - toeplitz[..., 1 : rows + 1, 1:])
-        S.reshape(S.shape[:-2] + (-1,))[..., :: N + 1] += diag[..., 1 : rows + 1]
+        S = _windows(h0[..., 2:], rows, w, 1) - toeplitz
+        S.reshape(S.shape[:-2] + (-1,))[..., :: w + 1] += diag[..., 1 : rows + 1]
         return S, (h0[..., 2 * rows + 2 :: 2] - h0[..., :1]) + diag[..., rows + 1 :]
     # cosine block, basis {1/sqrt(L0), sqrt(2/L0) cos_n}: 0 minus the sum
-    S = sliding_window_view(h0, n1, axis=-1)[..., :rows, :] + toeplitz[..., :rows, :]
+    S = _windows(h0, rows, w, 1) + toeplitz
     S[..., 0, 0] = 0.0
-    S[..., 0, 1:] = math.sqrt(2.0) * h0[..., 1:n1]
+    S[..., 0, 1:] = math.sqrt(2.0) * h0[..., 1:w]
     S[..., 1:, 0] = S[..., 0, 1:rows]
     np.subtract(0.0, S, out=S)   # not np.negative: a zero stays +0.0
-    S.reshape(S.shape[:-2] + (-1,))[..., :: n1 + 1] += diag[..., :rows]
+    S.reshape(S.shape[:-2] + (-1,))[..., :: w + 1] += diag[..., :rows]
     # the same three operations on the diagonal past the rows
     return S, np.subtract(0.0, h0[..., 2 * rows :: 2] + h0[..., :1]) + diag[..., rows:]
 
 
+def _windows(a, rows, w, row_step):
+    """The read-only view V[..., i, j] = a[..., row_step * i + j], i < rows
+    and j < w, of a's last axis."""
+    s = a.strides[-1]
+    return as_strided(a, a.shape[:-1] + (rows, w), a.strides[:-1] + (row_step * s, s),
+                      writeable=False)
+
+
 def _leading_solve(head, tail, rhs):
-    """x with K x = rhs from `head` = K[..., :m, :] and `tail` = diag(K[m:,
+    """x with K x = rhs from `head` = K[..., :m, :w] and `tail` = diag(K[m:,
     m:]), as `_assembly` returns them, by one m x m LU (module note); rhs
-    has its columns on the last axis.  Raises LinAlgError where the LU
-    fails."""
-    m = head.shape[-2]
+    has its columns on the last axis.  x's tail meets the head's columns in
+    its first w - m entries, the others meeting the rows' zeros.  Raises
+    LinAlgError where the LU fails."""
+    m, w = head.shape[-2:]
     x_t = rhs[..., m:, :] / tail[..., None]
-    x_h = np.linalg.solve(head[..., :m], rhs[..., :m, :] - head[..., m:] @ x_t)
+    x_h = np.linalg.solve(head[..., :m],
+                          rhs[..., :m, :] - head[..., m:] @ x_t[..., : w - m, :])
     return np.concatenate([x_h, x_t], axis=-2)
 
 
@@ -364,7 +386,7 @@ def solve_variations(even, psi, op=None):
     `_check_even_band`.
     """
     head, tail = even
-    N = head.shape[-1] - 1
+    N = head.shape[-2] + tail.shape[-1] - 1
     v = -psi.orthonormal(N)
     rhs = np.stack([v, np.broadcast_to(
         FourierProfile(psi.L0, [-1.0]).orthonormal(N), v.shape)], axis=-1)
@@ -383,17 +405,20 @@ def solve_variations(even, psi, op=None):
 def _solve_resolved(head, tail, rhs, res):
     """x with K x = rhs by `_leading_solve` at the resolved pairs' m, from
     the pair `head`, `tail`, or None where it is not certified (module note)."""
-    m, R = res.eigenvectors.shape[0], head.shape[0]
+    m, (R, w), n = res.eigenvectors.shape[0], head.shape, rhs.shape[0]
     lam = min(np.abs(res.eigenvalues).min(initial=np.inf), res.floor) - res.rho
-    if m == head.shape[1] or not lam > 0.0:
+    if m == n or not lam > 0.0:
         return None
     try:
         x = _leading_solve(head[:m], np.concatenate([np.diagonal(head[m:, m:]), tail]), rhs)
     except np.linalg.LinAlgError:
         return None
-    # x vanishes past the rows where rhs does, so K x = head^T x[:R] by symmetry
+    # x vanishes past the rows where rhs does, so K x = head^T x[:R] by
+    # symmetry, padded to n so that the norm sums in the whole block's order
+    Kx = np.zeros_like(rhs)
+    Kx[:w] = head.T @ x[:R]
     bound = RESIDUAL_MULT * np.finfo(float).eps * lam * np.linalg.norm(x, axis=0)
-    return x if (not x[R:].any() and (np.linalg.norm(rhs - head.T @ x[:R], axis=0)
+    return x if (not x[R:].any() and (np.linalg.norm(rhs - Kx, axis=0)
                                       <= bound).all()) else None
 
 
@@ -460,7 +485,7 @@ def _secular_min(lam, z):
     -inf to +inf between the first two remaining poles d0 < d1, so bisection
     on (d0, d1) finds its smallest root, to a bracket of 4*eps*max(1, |mu|).
     """
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     z = _unit(z, lam.size)
     live = np.abs(z) > lam.size * eps
     poles, weights = lam[live], z[live] ** 2
@@ -473,12 +498,17 @@ def _secular_min(lam, z):
     w_kept = kept.min() if kept.size else np.inf
     if poles.size < 2:  # c is an eigenvector: only the kept values remain
         return w_kept
-    lo, hi = poles[0], poles[1]
+    # Python floats take the same IEEE steps as numpy scalars at less cost,
+    # and f(mid) goes to one buffer by np.sum's operations, in its order
+    lo, hi = float(poles[0]), float(poles[1])
+    f = np.empty_like(poles)
     while hi - lo > 4.0 * eps * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if np.sum(weights / (poles - mid)) < 0.0:
+        np.subtract(poles, mid, out=f)
+        np.divide(weights, f, out=f)
+        if np.add.reduce(f) < 0.0:
             lo = mid
         else:
             hi = mid

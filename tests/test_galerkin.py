@@ -350,6 +350,82 @@ def test_secular_min_deflation_cases():
         _secular_min(lam, np.zeros(5))
 
 
+def _reference_secular_min(lam, z):
+    """`_secular_min` with a fresh quotient at every midpoint, summed by
+    np.sum: the reference whose bits the in-place loop must keep."""
+    eps = np.finfo(float).eps
+    z = galerkin._unit(z, lam.size)
+    live = np.abs(z) > lam.size * eps
+    poles, weights = lam[live], z[live] ** 2
+    first = np.ones(poles.size, dtype=bool)
+    first[1:] = np.diff(poles) > 8.0 * eps * np.maximum(
+        np.abs(poles[:-1]), np.abs(poles[1:]))
+    kept = np.concatenate([lam[~live], poles[~first]])
+    weights = np.add.reduceat(weights, np.flatnonzero(first))
+    poles = poles[first]
+    w_kept = kept.min() if kept.size else np.inf
+    if poles.size < 2:
+        return w_kept
+    lo, hi = poles[0], poles[1]
+    while hi - lo > 4.0 * eps * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.sum(weights / (poles - mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return min(w_kept, 0.5 * (lo + hi))
+
+
+def _seeded_secular_sets(rng, count):
+    """(poles, z) sets: ascending poles with repeated and nearly repeated
+    values, and z with deflated (zero or negligible) and generic entries."""
+    for _ in range(count):
+        size = int(rng.integers(2, 80))
+        poles = np.sort(rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3))
+        repeats = rng.choice(size - 1, size=min(size - 1, 2), replace=False)
+        for i in repeats[: rng.integers(0, 3)]:
+            poles[i + 1] = poles[i] * (1.0 + rng.choice([0.0, EPS, 1e-9]))
+        poles.sort()
+        z = rng.standard_normal(size)
+        z[rng.random(size) < 0.2] = 0.0
+        z[rng.random(size) < 0.1] *= 1e-18
+        if not z.any():
+            z[-1] = 1.0
+        yield poles, z
+
+
+def test_secular_min_keeps_the_reference_bits(kawahara):
+    # the bisection's in-place f(mid) takes every midpoint to the side the
+    # reference takes, so each bound has its bits: on seeded sets, and on
+    # both blocks' resolved pairs of coercivity waves with the constraints a
+    # report takes and seeded weights
+    rng = np.random.default_rng(4201)
+    sets = list(_seeded_secular_sets(rng, 600))
+    captured = []
+
+    def capture(poles, z, _fn=galerkin._secular_min):
+        captured.append((poles, np.asarray(z, dtype=float)))
+        return _fn(poles, z)
+
+    for k, N_op in itertools.product(np.linspace(0.60, 0.80, 6), (256, 512)):
+        _, psi = build_dnoidal(k, solve_branch(k)[1], 0.5, N=128)
+        op = assemble(psi, 0.5, kawahara, N=N_op)
+        captured.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(galerkin, "_secular_min", capture)
+            constrained_min(op, even=psi.orthonormal(N_op),
+                            odd=op.psi.half_square().derivative_orthonormal(N_op))
+        assert len(captured) == 2
+        for poles, z in captured:
+            sets.append((poles, z))
+            sets.extend((poles, rng.standard_normal(poles.size)) for _ in range(20))
+    assert len(sets) >= 1000
+    for poles, z in sets:
+        assert _secular_min(poles, z) == _reference_secular_min(poles, z), (poles, z)
+
+
 def test_constrained_min_reuses_cached_eigenpairs(op08, wave08, monkeypatch):
     _, psi = wave08
     op08.eig_even, op08.eig_odd  # computed before the check
@@ -425,20 +501,28 @@ def test_strided_blocks_equal_fancy_index_assembly(wave08, kawahara, N):
     assert np.array_equal(op.odd, odd)
 
 
-@pytest.mark.parametrize("m", [1, 52, 128, 129])
+@pytest.mark.parametrize("m", [1, 52, 128, 129, 384, pytest.param(None, id="n")])
 def test_leading_rows_have_the_whole_block_bits(wave08, kawahara, m):
-    # the row-count assembly builds K's leading m rows and the diagonal past
-    # them with the whole block's bits, one profile alone or in a stack
+    # the row-count assembly builds K's leading m rows over their first
+    # w = min(n, m + psi.N) columns and the diagonal past them with the whole
+    # block's bits, one profile alone or in a stack; past column w the rows
+    # are +0.0 (m is capped at the block's size n, None standing for n)
     params, psi = wave08
     stack = FourierProfile(psi.L0, np.stack([psi.coeffs, 1.01 * psi.coeffs]))
     omega = np.array([params.omega, params.omega + 0.1])
-    wholes = galerkin._assembly(stack, omega, kawahara, 128, 129)[0]
-    heads, tails = galerkin._assembly(stack, omega, kawahara, 128, m)
-    for j, K in enumerate(wholes):
-        alone = galerkin._assembly(FourierProfile(psi.L0, stack.coeffs[j]), omega[j],
-                                        kawahara, 128, m)
-        for head, tail in ((heads[j], tails[j]), alone):
-            assert _bits(head) == _bits(K[:m]) and _bits(tail) == _bits(np.diagonal(K)[m:])
+    for N, odd in itertools.product((128, 512), (False, True)):
+        n = N + (not odd)
+        rows = n if m is None else min(m, n)
+        w = min(n, rows + psi.N)
+        wholes = galerkin._assembly(stack, omega, kawahara, N, n, odd)[0]
+        heads, tails = galerkin._assembly(stack, omega, kawahara, N, rows, odd)
+        for j, K in enumerate(wholes):
+            alone = galerkin._assembly(FourierProfile(psi.L0, stack.coeffs[j]), omega[j],
+                                       kawahara, N, rows, odd)
+            for head, tail in ((heads[j], tails[j]), alone):
+                assert _bits(head) == _bits(K[:rows, :w]), (N, odd)
+                assert _bits(tail) == _bits(np.diagonal(K)[rows:]), (N, odd)
+            assert _bits(K[:rows, w:]) == _bits(np.zeros((rows, n - w))), (N, odd)
 
 
 def _bits(a):
